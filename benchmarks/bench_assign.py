@@ -2,7 +2,9 @@
 """Fast-vs-scalar assignment-engine benchmark (ISSUE 7 tentpole gate).
 
 Times one epoch solve of a >= 2000-VIP population on a multi-container
-fabric through ``engine="scalar"`` and ``engine="fast"``, spot-checks
+fabric through the vectorized backend and through the scalar reference
+walk (reached the way production reaches it — as the size-selected
+fallback, by lowering ``DENSE_CELL_LIMIT`` for the baseline), spot-checks
 that the two produce the identical placement, and writes the numbers to
 ``BENCH_assign.json``.  CI runs this with ``--min-speedup 5`` (the
 ISSUE 7 acceptance bar) so a regression that de-vectorizes the epoch
@@ -30,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -37,6 +40,7 @@ from typing import Dict, List
 
 import numpy as np
 
+import repro.core.fastassign as fastassign
 from repro.core.assignment import AssignmentConfig, GreedyAssigner
 from repro.net.routing import EcmpRouter
 from repro.net.topology import FatTreeParams, Topology
@@ -78,13 +82,29 @@ def best_seconds(fn, repeats: int) -> float:
     return best
 
 
+@contextlib.contextmanager
+def reference_walk():
+    """Assigners built inside take the size-selected scalar fallback."""
+    limit = fastassign.DENSE_CELL_LIMIT
+    fastassign.DENSE_CELL_LIMIT = 0
+    try:
+        yield
+    finally:
+        fastassign.DENSE_CELL_LIMIT = limit
+
+
 def bench(n_vips: int, repeats: int, seed: int) -> Dict[str, object]:
     topology, router, config, demands = build_world(n_vips, seed)
 
     def solve(engine: str):
-        return GreedyAssigner(
-            topology, config, router=router, engine=engine,
-        ).assign(demands)
+        backend = (
+            reference_walk() if engine == "scalar"
+            else contextlib.nullcontext()
+        )
+        with backend:
+            assigner = GreedyAssigner(topology, config, router=router)
+        assert assigner.engine_name == engine
+        return assigner.assign(demands)
 
     scalar_s = best_seconds(lambda: solve("scalar"), repeats)
     fast_cold_s = best_seconds(lambda: solve("fast"), repeats)
@@ -93,7 +113,7 @@ def bench(n_vips: int, repeats: int, seed: int) -> Dict[str, object]:
     # the sticky/non-sticky migrators do.  VIP structures are keyed on
     # traffic-independent shape, so a uniformly scaled epoch is a pure
     # cache hit.
-    warm = GreedyAssigner(topology, config, router=router, engine="fast")
+    warm = GreedyAssigner(topology, config, router=router)
     warm.assign(demands)
     drifted: List[VipDemand] = [d.scaled(1.1) for d in demands]
     fast_warm_s = best_seconds(lambda: warm.assign(drifted), repeats)

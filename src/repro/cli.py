@@ -50,6 +50,52 @@ _DESCRIPTIONS = {
 _SCALED_FIGURES = {"fig15", "fig16", "fig17", "fig18", "fig19", "fig20"}
 
 
+#: The flags the soak verbs (chaos / health / slo / alerts) share,
+#: declared once; a verb names the ones it takes and the defaults that
+#: differ for it (:func:`_add_soak_options`).
+_SOAK_OPTIONS = {
+    "seed": dict(type=int, default=0,
+                 help="soak seed (first seed of a --seeds corpus)"),
+    "events": dict(type=int, help="number of chaos events to inject"),
+    "vips": dict(type=int),
+    "smuxes": dict(type=int, default=3),
+    "crash-prob": dict(type=float, default=0.0,
+                       help="per-step probability of killing the controller "
+                            "and restoring it from its write-ahead journal"),
+    "background-loss": dict(type=float,
+                            help="benign probe loss rate (budget noise "
+                                 "floor; exercises false-positive "
+                                 "suppression)"),
+    "keep-going": dict(action="store_true",
+                       help="continue past the first violation"),
+    "seeds": dict(type=int, default=1, metavar="N",
+                  help="soak a corpus of N seeds (seed .. seed+N-1) "
+                       "through the sharded fleet runner"),
+    "workers": dict(type=int, default=1, metavar="N",
+                    help="worker processes for the fleet runner; the "
+                         "merged report is byte-identical for any N"),
+    "report": dict(metavar="PATH", default=None,
+                   help="write the merged fleet report (canonical JSON) "
+                        "here"),
+    "tail": dict(type=int, metavar="N",
+                 help="print the last N timeline entries"),
+}
+
+
+def _add_soak_options(
+    parser: argparse.ArgumentParser, names: str, **defaults
+) -> None:
+    """Declare the shared soak flags listed in ``names`` (space
+    separated) on ``parser``; ``defaults`` overrides a flag's default by
+    its ``args`` attribute name."""
+    for name in names.split():
+        spec = dict(_SOAK_OPTIONS[name])
+        dest = name.replace("-", "_")
+        if dest in defaults:
+            spec["default"] = defaults[dest]
+        parser.add_argument(f"--{name}", **spec)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duet-repro",
@@ -76,11 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--export", metavar="DIR", default=None,
         help="also write each figure's rows as CSV under DIR",
-    )
-    figures.add_argument(
-        "--assign-engine", choices=("fast", "scalar"), default=None,
-        help="assignment engine for figures that re-solve placements "
-             "(default: each figure's own default)",
     )
 
     topo = sub.add_parser("topology", help="describe a container FatTree")
@@ -125,11 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="randomized fault injection against a live controller",
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--events", type=int, default=500,
-                       help="number of chaos events to inject")
-    chaos.add_argument("--vips", type=int, default=24)
-    chaos.add_argument("--smuxes", type=int, default=3)
+    _add_soak_options(
+        chaos,
+        "seed events vips smuxes crash-prob keep-going seeds workers report",
+        events=500, vips=24,
+    )
     chaos.add_argument("--fail-prob", type=float, default=0.0,
                        help="transient switch-programming fault probability")
     chaos.add_argument("--max-consecutive", type=int, default=2,
@@ -142,17 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="STEP",
                        help="deliberately corrupt state at STEP to prove "
                             "the checker and artifact pipeline work")
-    chaos.add_argument("--keep-going", action="store_true",
-                       help="continue past the first violation")
     chaos.add_argument("--artifact", metavar="PATH", default=None,
                        help="where to write the reproduction artifact on "
                             "violation (default: chaos-artifact.json)")
     chaos.add_argument("--replay", metavar="PATH", default=None,
                        help="replay a previously saved artifact instead "
                             "of generating events")
-    chaos.add_argument("--crash-prob", type=float, default=0.0,
-                       help="per-step probability of killing the controller "
-                            "and restoring it from its write-ahead journal")
     chaos.add_argument("--channel-loss", type=float, default=0.0,
                        metavar="PROB",
                        help="ceiling on injected control-channel command "
@@ -171,15 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "here; feed it to 'recover' to audit restores")
     chaos.add_argument("--snapshot-interval", type=int, default=32,
                        help="journal ops between snapshot checkpoints")
-    chaos.add_argument("--seeds", type=int, default=1, metavar="N",
-                       help="soak a corpus of N seeds (seed .. seed+N-1) "
-                            "through the sharded fleet runner")
-    chaos.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes for the fleet runner; the "
-                            "merged report is byte-identical for any N")
-    chaos.add_argument("--report", metavar="PATH", default=None,
-                       help="write the merged fleet report (canonical "
-                            "JSON) here")
     chaos.add_argument("--quarantine-dir", metavar="DIR",
                        default="fleet-quarantine",
                        help="where poison-seed artifacts land (replay "
@@ -202,35 +229,18 @@ def _build_parser() -> argparse.ArgumentParser:
              "controller's back; the probe-driven detector must find "
              "and remediate them",
     )
-    health.add_argument("--seed", type=int, default=0)
-    health.add_argument("--events", type=int, default=120,
-                        help="number of chaos events to inject")
-    health.add_argument("--vips", type=int, default=24)
-    health.add_argument("--smuxes", type=int, default=3)
+    _add_soak_options(
+        health,
+        "seed events vips smuxes background-loss crash-prob keep-going "
+        "tail seeds workers report",
+        events=120, vips=24, background_loss=0.0, tail=12,
+    )
     health.add_argument("--rounds-per-step", type=int, default=3,
                         help="probe rounds run after every event")
-    health.add_argument("--background-loss", type=float, default=0.0,
-                        help="benign probe loss rate (exercises "
-                             "false-positive suppression)")
-    health.add_argument("--crash-prob", type=float, default=0.0,
-                        help="per-step probability of killing the "
-                             "controller mid-remediation and restoring "
-                             "it from the journal")
-    health.add_argument("--keep-going", action="store_true",
-                        help="continue past the first violation")
     health.add_argument("--timeline", metavar="PATH", default=None,
                         help="always write the detector timeline here "
                              "(default: health-timeline.json, on "
                              "violation only)")
-    health.add_argument("--tail", type=int, default=12, metavar="N",
-                        help="print the last N timeline entries")
-    health.add_argument("--seeds", type=int, default=1, metavar="N",
-                        help="soak a corpus of N seeds through the "
-                             "sharded fleet runner")
-    health.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the fleet runner")
-    health.add_argument("--report", metavar="PATH", default=None,
-                        help="write the merged fleet report here")
 
     recover = sub.add_parser(
         "recover",
@@ -287,11 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="no-oracle soak with the SLO engine: per-SLO error budgets "
              "and burn rates judged over the run",
     )
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--events", type=int, default=60)
-    slo.add_argument("--vips", type=int, default=16)
-    slo.add_argument("--background-loss", type=float, default=0.02,
-                     help="benign probe loss rate (budget noise floor)")
+    _add_soak_options(
+        slo, "seed events vips background-loss",
+        events=60, vips=16, background_loss=0.02,
+    )
     slo.add_argument("--fault-free", action="store_true",
                      help="keep the fault plane empty: only background "
                           "loss burns budget")
@@ -301,16 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="burn-rate alerting soak: fire alerts over a no-oracle "
              "chaos run, score them against fault-plane ground truth",
     )
-    alerts.add_argument("--seed", type=int, default=0,
-                        help="first seed of the sweep")
-    alerts.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the sharded soak; "
-                             "scores are identical for any N")
-    alerts.add_argument("--seeds", type=int, default=1, metavar="N",
-                        help="run N consecutive seeds and aggregate")
-    alerts.add_argument("--events", type=int, default=60)
-    alerts.add_argument("--vips", type=int, default=16)
-    alerts.add_argument("--background-loss", type=float, default=0.02)
+    _add_soak_options(
+        alerts, "seed seeds workers events vips background-loss tail",
+        events=60, vips=16, background_loss=0.02, tail=5,
+    )
     alerts.add_argument("--fault-free", action="store_true",
                         help="no injected faults: every incident is a "
                              "false positive and fails the run")
@@ -322,9 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "recall falls below this")
     alerts.add_argument("--incident-dir", metavar="DIR", default=None,
                         help="save every incident artifact (JSON) here")
-    alerts.add_argument("--tail", type=int, default=5, metavar="N",
-                        help="print the last N timeline entries per "
-                             "incident")
 
     incident = sub.add_parser(
         "incident",
@@ -356,10 +356,7 @@ def _cmd_figures(
     scale_name: str,
     seed: int,
     export_dir: Optional[str] = None,
-    assign_engine: Optional[str] = None,
 ) -> int:
-    import inspect
-
     if run_all:
         names = sorted(ALL_FIGURES)
     if not names:
@@ -373,17 +370,11 @@ def _cmd_figures(
     status = 0
     for name in names:
         module = ALL_FIGURES[name]
-        kwargs = {}
-        if (
-            assign_engine is not None
-            and "engine" in inspect.signature(module.run).parameters
-        ):
-            kwargs["engine"] = assign_engine
         started = time.monotonic()
         if name in _SCALED_FIGURES:
-            result = module.run(scale, **kwargs)
+            result = module.run(scale)
         else:
-            result = module.run(**kwargs)
+            result = module.run()
         elapsed = time.monotonic() - started
         print(result.render())
         print(f"[{name} completed in {elapsed:.1f}s]\n")
@@ -1217,7 +1208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "figures":
         return _cmd_figures(
             args.names, args.all, args.scale, args.seed, args.export,
-            args.assign_engine,
         )
     if args.command == "topology":
         return _cmd_topology(

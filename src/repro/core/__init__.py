@@ -1,7 +1,6 @@
 """Duet core: VIP assignment, migration, provisioning, controller."""
 
 from repro.core.assignment import (
-    ASSIGN_ENGINES,
     Assignment,
     AssignmentConfig,
     AssignmentError,
@@ -55,7 +54,6 @@ from repro.core.provisioning import (
 )
 
 __all__ = [
-    "ASSIGN_ENGINES",
     "ASSIGN_STATS",
     "AssignStats",
     "Assignment",

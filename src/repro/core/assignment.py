@@ -37,7 +37,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,12 +61,6 @@ VIP_ORDERS = (
     "traffic-desc", "traffic-asc", "dips-desc", "random", "latency-first",
 )
 
-#: Assignment engines: "fast" scores candidates through the vectorized
-#: delta-matrix backend (:mod:`repro.core.fastassign`); "scalar" walks
-#: each candidate's load vector individually.  Placement-identical by
-#: contract (tests/test_assign_differential.py).
-ASSIGN_ENGINES = ("fast", "scalar")
-
 
 @dataclass(frozen=True)
 class AssignmentConfig:
@@ -76,7 +73,6 @@ class AssignmentConfig:
     stop_on_first_failure: bool = True       # paper semantics (S4.1)
     vip_order: str = "traffic-desc"          # paper default (S4.1)
     seed: int = 0                            # tie-breaking randomness
-    engine: str = "fast"                     # "fast" | "scalar"
 
     def __post_init__(self) -> None:
         if not 0 < self.link_headroom <= 1.0:
@@ -87,8 +83,6 @@ class AssignmentConfig:
             )
         if self.vip_order not in VIP_ORDERS:
             raise AssignmentError(f"unknown VIP order: {self.vip_order}")
-        if self.engine not in ASSIGN_ENGINES:
-            raise AssignmentError(f"unknown assignment engine: {self.engine}")
 
     def order_demands(self, demands: Sequence["VipDemand"]) -> List["VipDemand"]:
         """The processing order the greedy pass uses."""
@@ -367,15 +361,32 @@ class LoadCalculator:
         np.add.at(link_utilization, idx, sign * util)
 
 
+#: What the placement driver asks per demand, given the utilization
+#: committed so far: the switch to put it on (None: no switch, the SMuxes
+#: serve it) and whether the greedy search itself came up empty — the
+#: S4.1 termination condition under ``stop_on_first_failure``.
+PlacementPolicy = Callable[
+    [VipDemand, np.ndarray, np.ndarray], Tuple[Optional[int], bool]
+]
+
+
 class GreedyAssigner:
-    """The greedy MRU-minimizing assignment (paper S4.1)."""
+    """The greedy MRU-minimizing assignment (paper S4.1).
+
+    Candidates are scored by the vectorized backend
+    (:mod:`repro.core.fastassign`) when its dense evaluation fits the
+    fabric (``n_switches x n_links <= DENSE_CELL_LIMIT``) and by the
+    per-candidate reference walk otherwise; ``engine_name`` says which.
+    The two are placement-identical by contract — the differential tier
+    (``tests/test_assign_differential.py``) reaches the walk by lowering
+    that limit.
+    """
 
     def __init__(
         self,
         topology: Topology,
         config: AssignmentConfig = AssignmentConfig(),
         router: Optional[EcmpRouter] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.config = config
@@ -391,30 +402,19 @@ class GreedyAssigner:
             config.host_table_budget if config.host_table_budget is not None
             else tables.host_table
         )
-        self._rng = random.Random(config.seed)
         self._candidates = self._candidate_switches()
-        self._container_link_mask: Dict[int, np.ndarray] = {}
-        for c in range(topology.n_containers):
-            mask = np.zeros(topology.n_links, dtype=bool)
-            mask[topology.container_links(c)] = True
-            self._container_link_mask[c] = mask
-        requested = engine if engine is not None else config.engine
-        if requested not in ASSIGN_ENGINES:
-            raise AssignmentError(f"unknown assignment engine: {requested}")
-        self._engine: Optional[FastAssignEngine] = None
-        self.engine_name = requested
-        if requested == "fast":
-            fast = FastAssignEngine(
-                topology, self.calculator, self.config,
-                self.dip_capacity, self._candidates,
-            )
-            if fast.supported:
-                self._engine = fast
-            else:
-                # Dense evaluation would not fit this fabric; count the
-                # fallback and run scalar (placement-identical anyway).
-                fast.stats.fallbacks += 1
-                self.engine_name = "scalar"
+        fast = FastAssignEngine(
+            topology, self.calculator, self.config,
+            self.dip_capacity, self._candidates,
+        )
+        self._engine: Optional[FastAssignEngine] = fast
+        self.engine_name = "fast"
+        if not fast.supported:
+            # Dense evaluation would not fit this fabric: count the
+            # fallback and run the reference walk.
+            fast.stats.fallbacks += 1
+            self._engine = None
+            self.engine_name = "scalar"
         self.stats = stats_for(self.engine_name)
 
     def _candidate_switches(self) -> List[int]:
@@ -426,13 +426,28 @@ class GreedyAssigner:
     # -- public API ----------------------------------------------------------
 
     def assign(self, demands: Sequence[VipDemand]) -> Assignment:
-        """Assign all demands from scratch (descending traffic order)."""
+        """Assign all demands from scratch: the sticky pass with no old
+        map, so every VIP goes to its best switch."""
+        return self.place(demands, self.keep_or_move({}, 0.0))
+
+    def place(
+        self,
+        demands: Sequence[VipDemand],
+        policy: PlacementPolicy,
+        ordered: Optional[Sequence[VipDemand]] = None,
+    ) -> Assignment:
+        """The one placement pass every strategy runs: walk the demands
+        in the configured order (or ``ordered``), let ``policy`` pick
+        each one's switch, and commit it — within the global host-route
+        budget, skipping VIPs no single HMux can hold, and terminating
+        once the greedy search finds no feasible switch."""
         started = time.perf_counter()
         link_util = np.zeros(self.topology.n_links)
         mem_util = np.zeros(self.topology.n_switches)
         placed: Dict[int, int] = {}
         unassigned: List[int] = []
-        ordered = self.config.order_demands(demands)
+        if ordered is None:
+            ordered = self.config.order_demands(demands)
         stopped = False
         for demand in ordered:
             if stopped or len(placed) >= self.host_table_budget:
@@ -443,15 +458,14 @@ class GreedyAssigner:
                 # handled by SMuxes.
                 unassigned.append(demand.vip_id)
                 continue
-            choice = self.best_switch(demand, link_util, mem_util)
-            if choice is None:
+            target, exhausted = policy(demand, link_util, mem_util)
+            if target is None:
                 unassigned.append(demand.vip_id)
-                if self.config.stop_on_first_failure:
+                if exhausted and self.config.stop_on_first_failure:
                     stopped = True
                 continue
-            switch_index, _mru = choice
-            self._commit(demand, switch_index, link_util, mem_util)
-            placed[demand.vip_id] = switch_index
+            self._commit(demand, target, link_util, mem_util)
+            placed[demand.vip_id] = target
         self.stats.record_solve(time.perf_counter() - started)
         return Assignment(
             topology=self.topology,
@@ -463,6 +477,36 @@ class GreedyAssigner:
             demands={d.vip_id: d for d in demands},
         )
 
+    def keep_or_move(
+        self, old_map: Mapping[int, int], delta: float
+    ) -> PlacementPolicy:
+        """The sticky rule (S4.2): a VIP stays on its (alive, still
+        feasible) switch in ``old_map`` unless the best fresh placement
+        lowers its MRU by more than ``delta``; a VIP with no current
+        switch takes the best fresh placement."""
+        failed = self.calculator.router.failed_switches
+
+        def policy(
+            demand: VipDemand, link_util: np.ndarray, mem_util: np.ndarray
+        ) -> Tuple[Optional[int], bool]:
+            choice = self.best_switch(demand, link_util, mem_util)
+            current = old_map.get(demand.vip_id)
+            if current is not None and current not in failed:
+                keep_mru = self.placement_mru(
+                    demand, current, link_util, mem_util
+                )
+                # Staying put is allowed even when no fresh placement
+                # fits, as long as the current switch remains feasible.
+                if keep_mru is not None and keep_mru <= 1.0 and (
+                    choice is None or keep_mru - choice[1] <= delta
+                ):
+                    return current, False  # not worth the reshuffle
+            if choice is None:
+                return None, True
+            return choice[0], False
+
+        return policy
+
     def best_switch(
         self,
         demand: VipDemand,
@@ -473,6 +517,7 @@ class GreedyAssigner:
         resulting MRU; None if every placement would exceed capacity."""
         if self._engine is not None:
             return self._engine.best_switch(self, demand, link_util, mem_util)
+        # The reference walk: each candidate's load vector in turn.
         candidates = self._effective_candidates(demand, link_util, mem_util)
         self.stats.candidate_evaluations += len(candidates)
         global_max = self._global_max(link_util, mem_util)

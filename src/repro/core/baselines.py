@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,47 +49,21 @@ class _FeasibleFirstAssigner:
     def assign(self, demands: Sequence[VipDemand]) -> Assignment:
         rng = random.Random(self.config.seed)
         greedy = self._greedy
-        link_util = np.zeros(self.topology.n_links)
-        mem_util = np.zeros(self.topology.n_switches)
-        placed: Dict[int, int] = {}
-        unassigned: List[int] = []
-        candidates = [
-            s.index for s in self.topology.switches
-            if s.index not in greedy.calculator.router.failed_switches
-        ]
-        ordered = sorted(demands, key=lambda d: (-d.traffic_bps, d.vip_id))
-        stopped = False
-        for demand in ordered:
-            if stopped or len(placed) >= greedy.host_table_budget:
-                unassigned.append(demand.vip_id)
-                continue
-            if demand.n_dips > greedy.dip_capacity:
-                unassigned.append(demand.vip_id)
-                continue
-            target: Optional[int] = None
-            for switch in self._candidate_order(candidates, rng):
+
+        def first_feasible(
+            demand: VipDemand, link_util: np.ndarray, mem_util: np.ndarray
+        ) -> Tuple[Optional[int], bool]:
+            for switch in self._candidate_order(greedy._candidates, rng):
                 mru = greedy.placement_mru(
                     demand, switch, link_util, mem_util, global_max=0.0
                 )
                 if mru is not None and mru <= 1.0:
-                    target = switch
-                    break
-            if target is None:
-                unassigned.append(demand.vip_id)
-                if self.config.stop_on_first_failure:
-                    stopped = True
-                continue
-            greedy.calculator.apply(link_util, demand, target)
-            mem_util[target] += demand.n_dips / greedy.dip_capacity
-            placed[demand.vip_id] = target
-        return Assignment(
-            topology=self.topology,
-            config=self.config,
-            vip_to_switch=placed,
-            unassigned=unassigned,
-            link_utilization=link_util,
-            memory_utilization=mem_util,
-            demands={d.vip_id: d for d in demands},
+                    return switch, False
+            return None, True
+
+        return greedy.place(
+            demands, first_feasible,
+            ordered=sorted(demands, key=lambda d: (-d.traffic_bps, d.vip_id)),
         )
 
 

@@ -47,7 +47,7 @@ from repro.dataplane.hmux import HMux, HMuxError
 from repro.dataplane.hostagent import HostAgent
 from repro.dataplane.packet import Packet
 from repro.dataplane.smux import SMux
-from repro.dataplane.tables import TableEntryError
+from repro.dataplane.tables import TableEntryError, TableFullError
 from repro.net.addressing import Prefix, format_ip
 from repro.net.bgp import MuxKind, MuxRef, VipRouteTable
 from repro.net.failures import (
@@ -767,8 +767,10 @@ class DuetController:
         exponential backoff; True on success.
 
         Transient faults (:class:`SwitchProgrammingError`) are retried;
-        capacity exhaustion (:class:`~repro.dataplane.tables.TableEntryError`)
-        is deterministic, so it fails fast.  Either way a False return
+        capacity exhaustion (:class:`~repro.dataplane.tables.TableFullError`)
+        and invalid table operations
+        (:class:`~repro.dataplane.tables.TableEntryError`) are
+        deterministic, so they fail fast.  Either way a False return
         leaves the switch clean: a partially-programmed VIP is torn down
         before reporting failure.
         """
@@ -806,7 +808,7 @@ class DuetController:
                 stats.retries += 1
                 self.ledger.note_retry(ticket)
                 stats.backoff_s += delay
-            except TableEntryError:
+            except (TableFullError, TableEntryError):
                 # Deterministic capacity NACK, not a channel fault:
                 # fail fast, no retry.
                 self._unwind_partial_vip(agent, vip)

@@ -1,6 +1,6 @@
-"""Vectorized incremental VIP-assignment engine (``engine="fast"``).
+"""Vectorized incremental VIP-assignment engine.
 
-The scalar greedy pass (:mod:`repro.core.assignment`) probes every
+The reference walk in :meth:`GreedyAssigner.best_switch` probes every
 candidate switch per VIP with a fresh sparse load-vector walk: for a
 fabric with |S| switches that is |S| concatenations, divisions and
 reductions *per VIP per epoch* — the control-plane hot path once epoch
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Above this many dense cells (candidates x links) the bincount
 #: evaluation would allocate unreasonably large scratch rows; the
-#: assigner then falls back to the scalar engine (recorded in
+#: assigner then runs the reference walk instead (recorded in
 #: ``AssignStats.fallbacks``).  16M cells = 128 MB of float64 scratch.
 DENSE_CELL_LIMIT = 16_000_000
 

@@ -23,9 +23,8 @@ transitional memory deadlock of Figure 4 — and (b) keeps the VIP served
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,7 +135,6 @@ class StickyMigrator:
         config: AssignmentConfig = AssignmentConfig(),
         delta: float = DEFAULT_STICKY_DELTA,
         router: Optional[EcmpRouter] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if delta < 0:
             raise ValueError("delta must be non-negative")
@@ -144,7 +142,6 @@ class StickyMigrator:
         self.config = config
         self.delta = delta
         self.router = router
-        self.engine = engine
 
     def reassign(
         self,
@@ -152,70 +149,12 @@ class StickyMigrator:
         demands: Sequence[VipDemand],
     ) -> Tuple[Assignment, MigrationPlan]:
         """Compute the sticky assignment for the new epoch and its plan."""
-        started = time.perf_counter()
         assigner = GreedyAssigner(
             self.topology, self.config, router=self.router,
-            engine=self.engine,
         )
-        old_map: Dict[int, int] = dict(old.vip_to_switch) if old else {}
-        link_util = np.zeros(self.topology.n_links)
-        mem_util = np.zeros(self.topology.n_switches)
-        placed: Dict[int, int] = {}
-        unassigned: List[int] = []
-        stopped = False
-        failed = assigner.calculator.router.failed_switches
-        ordered = self.config.order_demands(demands)
-
-        for demand in ordered:
-            if stopped or len(placed) >= assigner.host_table_budget:
-                unassigned.append(demand.vip_id)
-                continue
-            if demand.n_dips > assigner.dip_capacity:
-                unassigned.append(demand.vip_id)
-                continue
-            current = old_map.get(demand.vip_id)
-            if current is not None and current in failed:
-                current = None
-            choice = assigner.best_switch(demand, link_util, mem_util)
-            if current is not None:
-                keep_mru = assigner.placement_mru(
-                    demand, current, link_util, mem_util
-                )
-            else:
-                keep_mru = None
-            target: Optional[int]
-            if choice is None:
-                # No fresh placement fits; staying put is still allowed if
-                # the current switch remains feasible.
-                target = current if keep_mru is not None and keep_mru <= 1.0 else None
-            else:
-                best_switch, best_mru = choice
-                if (
-                    keep_mru is not None
-                    and keep_mru <= 1.0
-                    and (keep_mru - best_mru) <= self.delta
-                ):
-                    target = current  # not worth the reshuffle
-                else:
-                    target = best_switch
-            if target is None:
-                unassigned.append(demand.vip_id)
-                if self.config.stop_on_first_failure and choice is None:
-                    stopped = True
-                continue
-            assigner.calculator.apply(link_util, demand, target)
-            mem_util[target] += demand.n_dips / assigner.dip_capacity
-            placed[demand.vip_id] = target
-
-        assigner.stats.record_solve(time.perf_counter() - started)
-        new = Assignment(
-            topology=self.topology,
-            config=self.config,
-            vip_to_switch=placed,
-            unassigned=unassigned,
-            link_utilization=link_util,
-            memory_utilization=mem_util,
-            demands={d.vip_id: d for d in demands},
+        old_map = old.vip_to_switch if old else {}
+        new = assigner.place(
+            demands, assigner.keep_or_move(old_map, self.delta)
         )
         return new, diff_assignments(old, new)
 
@@ -233,12 +172,10 @@ class NonStickyMigrator:
         topology: Topology,
         config: AssignmentConfig = AssignmentConfig(),
         router: Optional[EcmpRouter] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.config = config
         self.router = router
-        self.engine = engine
 
     def reassign(
         self,
@@ -247,7 +184,6 @@ class NonStickyMigrator:
     ) -> Tuple[Assignment, MigrationPlan]:
         assigner = GreedyAssigner(
             self.topology, self.config, router=self.router,
-            engine=self.engine,
         )
         new = assigner.assign(demands)
         return new, diff_assignments(old, new)
@@ -268,11 +204,9 @@ class OneTimeMigrator:
         self,
         topology: Topology,
         config: AssignmentConfig = AssignmentConfig(),
-        engine: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.config = config
-        self.engine = engine
         self._initial: Optional[Dict[int, int]] = None
 
     def reassign(
@@ -280,39 +214,29 @@ class OneTimeMigrator:
         old: Optional[Assignment],
         demands: Sequence[VipDemand],
     ) -> Tuple[Assignment, MigrationPlan]:
-        started = time.perf_counter()
-        assigner = GreedyAssigner(self.topology, self.config, engine=self.engine)
+        assigner = GreedyAssigner(self.topology, self.config)
         if self._initial is None:
             new = assigner.assign(demands)
             self._initial = dict(new.vip_to_switch)
             return new, diff_assignments(old, new)
-        link_util = np.zeros(self.topology.n_links)
-        mem_util = np.zeros(self.topology.n_switches)
-        placed: Dict[int, int] = {}
-        unassigned: List[int] = []
-        ordered = sorted(demands, key=lambda d: (-d.traffic_bps, d.vip_id))
-        for demand in ordered:
-            switch = self._initial.get(demand.vip_id)
+        initial = self._initial
+
+        def keep_or_shed(
+            demand: VipDemand, link_util: np.ndarray, mem_util: np.ndarray
+        ) -> Tuple[Optional[int], bool]:
+            # No search ever runs, so a shed VIP never ends the pass.
+            switch = initial.get(demand.vip_id)
             if switch is None:
-                unassigned.append(demand.vip_id)
-                continue
+                return None, False
             mru = assigner.placement_mru(
                 demand, switch, link_util, mem_util, global_max=0.0
             )
             if mru is None or mru > 1.0:
-                unassigned.append(demand.vip_id)  # shed to SMux
-                continue
-            assigner.calculator.apply(link_util, demand, switch)
-            mem_util[switch] += demand.n_dips / assigner.dip_capacity
-            placed[demand.vip_id] = switch
-        assigner.stats.record_solve(time.perf_counter() - started)
-        new = Assignment(
-            topology=self.topology,
-            config=self.config,
-            vip_to_switch=placed,
-            unassigned=unassigned,
-            link_utilization=link_util,
-            memory_utilization=mem_util,
-            demands={d.vip_id: d for d in demands},
+                return None, False  # shed to SMux
+            return switch, False
+
+        new = assigner.place(
+            demands, keep_or_shed,
+            ordered=sorted(demands, key=lambda d: (-d.traffic_bps, d.vip_id)),
         )
         return new, diff_assignments(old, new)

@@ -21,7 +21,7 @@ traffic shuffled — the ablation bench measures both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class AssignmentRefiner:
         *,
         max_iterations: int = 200,
         min_gain: float = 1e-4,
-        engine: Optional[str] = None,
     ) -> None:
         if max_iterations < 0:
             raise ValueError("iteration budget must be non-negative")
@@ -65,11 +64,10 @@ class AssignmentRefiner:
         self.config = config
         self.max_iterations = max_iterations
         self.min_gain = min_gain
-        self.engine = engine
 
     def refine(self, assignment: Assignment) -> RefinementResult:
         """Refine in place-copy; the input assignment is not mutated."""
-        greedy = GreedyAssigner(self.topology, self.config, engine=self.engine)
+        greedy = GreedyAssigner(self.topology, self.config)
         placed: Dict[int, int] = dict(assignment.vip_to_switch)
         demands = assignment.demands
         link_util = assignment.link_utilization.copy()
@@ -119,7 +117,7 @@ class AssignmentRefiner:
 
     def refine_fresh(self, demands: Sequence[VipDemand]) -> RefinementResult:
         """Greedy assignment followed by refinement."""
-        greedy = GreedyAssigner(self.topology, self.config, engine=self.engine)
+        greedy = GreedyAssigner(self.topology, self.config)
         return self.refine(greedy.assign(demands))
 
     # -- internals -----------------------------------------------------------

@@ -439,9 +439,9 @@ class BatchSMux:
     With ``pin_connections=True`` (the default) the engine honours and
     maintains the SMux connection table exactly like the scalar path:
     pinned flows keep their DIP, fresh flows are pinned after selection.
-    The pinned-flow check uses a vectorized (src, dst) prefilter so the
-    per-flow dictionary lookups only run for rows that can possibly be
-    pinned.  ``pin_connections=False`` skips connection state entirely —
+    The SMux's own table is the only connection state — every matched
+    row costs one lookup in it, and a miss pins the flow.
+    ``pin_connections=False`` skips connection state entirely —
     a stateless mode for fluid-scale replays of ephemeral probe traffic
     where affinity is irrelevant (it deviates from scalar semantics and
     is never used by the differential tests).
@@ -453,8 +453,6 @@ class BatchSMux:
         self._version: Optional[int] = None
         self._vips = _LayoutIndex([])
         self._ports = _LayoutIndex([])
-        self._pin_version: Optional[int] = None
-        self._pin_prefilter = np.empty(0, np.uint64)
 
     def _refresh(self) -> None:
         if self._version == self.smux.layout_version:
@@ -472,21 +470,6 @@ class BatchSMux:
         self._ports = _LayoutIndex(port_entries)
         self._version = self.smux.layout_version
 
-    def _refresh_pins(self) -> None:
-        if self._pin_version == self.smux.conn_version:
-            return
-        keys = np.fromiter(
-            (
-                (flow.src_ip << 32) | flow.dst_ip
-                for flow in self.smux.connections()
-            ),
-            dtype=np.uint64,
-            count=self.smux.connection_count(),
-        )
-        keys.sort()
-        self._pin_prefilter = keys
-        self._pin_version = self.smux.conn_version
-
     def process(self, batch: FlowBatch) -> BatchSMuxResult:
         """Load-balance a whole batch; mirrors ``SMux.process`` row by
         row (port pools first, then the VIP-wide pool, then drop)."""
@@ -502,20 +485,14 @@ class BatchSMux:
                        np.where(vip_found, vip_dip, -1)).astype(np.int64)
 
         if self.pin_connections:
-            self._refresh_pins()
-            pinned = np.zeros(n, bool)
-            if self._pin_prefilter.size:
-                key = (batch.src_ip << np.uint64(32)) | batch.dst_ip
-                pos = np.searchsorted(self._pin_prefilter, key)
-                pos[pos == self._pin_prefilter.size] = 0
-                candidate = matched & (self._pin_prefilter[pos] == key)
-                for i in np.nonzero(candidate)[0].tolist():
-                    pin = self.smux.pinned_dip(batch.flow_at(i))
-                    if pin is not None:
-                        dip[i] = pin
-                        pinned[i] = True
-            for i in np.nonzero(matched & ~pinned)[0].tolist():
-                self.smux.pin_connection(batch.flow_at(i), int(dip[i]))
+            smux = self.smux
+            for i in np.nonzero(matched)[0].tolist():
+                flow = batch.flow_at(i)
+                pin = smux.pinned_dip(flow)
+                if pin is None:
+                    smux.pin_connection(flow, int(dip[i]))
+                else:
+                    dip[i] = pin
 
         counters = self.smux.counters
         n_hit = int(np.count_nonzero(matched))

@@ -15,7 +15,7 @@ is the functional data plane with the constants attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.hashing import (
     EcmpSelector,
@@ -132,8 +132,7 @@ class SMux:
     @property
     def conn_version(self) -> int:
         """Monotonic counter bumped whenever the connection table
-        changes (new pin, map-change cleanup, idle expiry) — lets the
-        batch engine cache its pinned-flow prefilter."""
+        changes (new pin, map-change cleanup, idle expiry)."""
         return self._conn_version
 
     # -- VIP map management (pushed by the controller) ---------------------------
@@ -166,15 +165,7 @@ class SMux:
             n_slots=n_slots,
         )
         self._layout_version += 1
-        survivors = set(dips)
-        stale = [
-            flow for flow, dip in self._connections.items()
-            if flow.dst_ip == vip and dip not in survivors
-        ]
-        for flow in stale:
-            del self._connections[flow]
-        if stale:
-            self._conn_version += 1
+        self._evict_connections(vip, survivors=set(dips))
 
     def set_vip_port(
         self,
@@ -200,30 +191,14 @@ class SMux:
             n_slots=n_slots,
         )
         self._layout_version += 1
-        survivors = set(dips)
-        stale = [
-            flow for flow, dip in self._connections.items()
-            if flow.dst_ip == vip and flow.dst_port == port
-            and dip not in survivors
-        ]
-        for flow in stale:
-            del self._connections[flow]
-        if stale:
-            self._conn_version += 1
+        self._evict_connections(vip, port, survivors=set(dips))
 
     def remove_vip_port(self, vip: int, port: int) -> None:
         if (vip, port) not in self._port_vips:
             raise SMuxError(f"VIP {format_ip(vip)}:{port} not installed")
         del self._port_vips[(vip, port)]
         self._layout_version += 1
-        stale = [
-            f for f in self._connections
-            if f.dst_ip == vip and f.dst_port == port
-        ]
-        for flow in stale:
-            del self._connections[flow]
-        if stale:
-            self._conn_version += 1
+        self._evict_connections(vip, port)
 
     def remove_vip(self, vip: int) -> None:
         if vip not in self._vips:
@@ -232,7 +207,23 @@ class SMux:
         for key in [k for k in self._port_vips if k[0] == vip]:
             del self._port_vips[key]
         self._layout_version += 1
-        stale = [f for f in self._connections if f.dst_ip == vip]
+        self._evict_connections(vip)
+
+    def _evict_connections(
+        self,
+        vip: int,
+        port: Optional[int] = None,
+        survivors: AbstractSet[int] = frozenset(),
+    ) -> None:
+        """Drop the connections pinned to ``vip`` (only those of its
+        ``port`` pool when given) whose DIP is not among ``survivors`` —
+        the one O(connections) sweep every VIP-map change runs."""
+        stale = [
+            flow for flow, dip in self._connections.items()
+            if flow.dst_ip == vip
+            and (port is None or flow.dst_port == port)
+            and dip not in survivors
+        ]
         for flow in stale:
             del self._connections[flow]
         if stale:

@@ -24,7 +24,7 @@ drift between intent and dataplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
@@ -497,7 +497,14 @@ def restore_controller(
     c.population = VipPopulation(
         topology, [iv.vip for iv in intent.records.values()]
     )
-    c.config = AssignmentConfig(**meta.get("config", {}))
+    # Journals outlive releases: drop config keys this version has
+    # retired (e.g. the old ``engine`` selector) instead of refusing to
+    # restore.
+    known = {f.name for f in fields(AssignmentConfig)}
+    c.config = AssignmentConfig(**{
+        key: value for key, value in meta.get("config", {}).items()
+        if key in known
+    })
     c.hash_seed = meta.get("hash_seed", 0)
     c.virtualized = meta.get("virtualized", False)
     c.max_program_attempts = meta.get("max_program_attempts", 3)

@@ -81,7 +81,6 @@ def stress_sweep_points(scale: ExperimentScale) -> List[float]:
 def run(
     scale: ExperimentScale = small_scale(),
     traffic_points: Optional[List[float]] = None,
-    engine: Optional[str] = None,
 ) -> Fig18Result:
     points = traffic_points or stress_sweep_points(scale)
     results: List[Fig18Point] = []
@@ -89,7 +88,7 @@ def run(
         sized = scale.with_traffic(traffic)
         topology, population = build_world(sized)
         demands = population.demands()
-        duet = GreedyAssigner(topology, engine=engine).assign(demands)
+        duet = GreedyAssigner(topology).assign(demands)
         rand = RandomAssigner(topology).assign(demands)
         config = ProvisioningConfig()
         results.append(Fig18Point(

@@ -109,7 +109,6 @@ def run(
     assignment_config: AssignmentConfig = AssignmentConfig(),
     provisioning_config: ProvisioningConfig = ProvisioningConfig(),
     traffic_factor: float = 1.8,
-    engine: Optional[str] = None,
 ) -> Fig20Result:
     """Replay the trace under all three strategies.
 
@@ -124,14 +123,10 @@ def run(
     epochs = TraceGenerator(population, trace_config, seed=scale.seed).epochs()
     strategies = {
         "sticky": StickyMigrator(
-            topology, assignment_config, delta=sticky_delta, engine=engine,
+            topology, assignment_config, delta=sticky_delta,
         ),
-        "non-sticky": NonStickyMigrator(
-            topology, assignment_config, engine=engine,
-        ),
-        "one-time": OneTimeMigrator(
-            topology, assignment_config, engine=engine,
-        ),
+        "non-sticky": NonStickyMigrator(topology, assignment_config),
+        "one-time": OneTimeMigrator(topology, assignment_config),
     }
     tracks: Dict[str, StrategyTrack] = {}
     total_traffic_peak = 0.0

@@ -22,10 +22,11 @@ from repro.fleet.worker import summarize_report  # noqa: F401  (re-export)
 
 def _fold(into: Dict[str, Any], part: Dict[str, Any]) -> None:
     """Accumulate ``part`` into ``into``: numbers sum, dicts recurse,
-    lists concatenate, anything else keeps the first value seen.  Called
-    in sorted seed order, so float accumulation order is fixed."""
+    lists concatenate, ``None`` ("this seed has no such number") is
+    skipped, anything else keeps the first value seen.  Called in sorted
+    seed order, so float accumulation order is fixed."""
     for key, value in part.items():
-        if isinstance(value, bool):
+        if value is None or isinstance(value, bool):
             continue
         if isinstance(value, (int, float)):
             into[key] = into.get(key, 0) + value
@@ -36,6 +37,13 @@ def _fold(into: Dict[str, Any], part: Dict[str, Any]) -> None:
             into.setdefault(key, []).extend(value)
         elif key not in into:
             into[key] = value
+
+
+#: Per-seed scorecard fields that are functions of the others, not
+#: additive counts.
+_SCORECARD_DERIVED = (
+    "precision", "recall", "median_time_to_fire_s", "max_time_to_fire_s",
+)
 
 
 @dataclass
@@ -154,7 +162,21 @@ def merge_results(
     if slo_parts:
         scorecard: Dict[str, Any] = {}
         for part in slo_parts:
-            _fold(scorecard, part)
+            _fold(scorecard, {
+                key: value for key, value in part.items()
+                if key not in _SCORECARD_DERIVED
+            })
+        # Ratios and order statistics do not add across seeds: re-derive
+        # them from the summed counts and the pooled fire times.
+        fire_times = scorecard["time_to_fire_s"] = sorted(
+            scorecard.get("time_to_fire_s", [])
+        )
+        scorecard["median_time_to_fire_s"] = (
+            fire_times[len(fire_times) // 2] if fire_times else None
+        )
+        scorecard["max_time_to_fire_s"] = (
+            fire_times[-1] if fire_times else None
+        )
         incidents = scorecard.get("incidents", 0)
         eligible = scorecard.get("eligible_faults", 0)
         scorecard["precision"] = (

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataplane.hashing import five_tuple_hash, five_tuple_hash_batch
+from repro.dataplane.hashing import five_tuple_hash_batch
 from repro.dataplane.packet import PROTO_ICMP
 from repro.net.addressing import Prefix
 from repro.net.bgp import BgpTimings, MuxKind, MuxRef, RouteResolutionError, VipRouteTable
@@ -109,20 +109,16 @@ def _run_probes(
     end_s: float,
     interval_s: float = 0.003,
     seed: int = 0,
-    engine: str = "batch",
     recorder=None,
 ) -> Dict[str, PingSeries]:
     """Drive probes to all targets through the (shared, mutating) route
     table in one merged time order, so every series sees the same
     control-plane evolution.
 
-    ``engine`` selects how probe flows are produced and hashed:
-    ``"scalar"`` materializes one packet at a time and hashes it with
-    the scalar :func:`five_tuple_hash`; ``"batch"`` (the default)
-    precomputes each stream's probe times and flow hashes in one
-    vectorized pass and never builds packet objects.  Both engines make
-    identical RNG draws in identical order, so their results are
-    bit-for-bit the same — the golden figure tests assert this.
+    Each stream's probe times and flow hashes are precomputed in one
+    vectorized pass (no packet objects are built).  ``tests/test_flowgen``
+    holds the times and ports to the packet-at-a-time generator, and the
+    figure goldens re-run with the scalar ``five_tuple_hash`` swapped in.
 
     An optional :class:`repro.obs.registry.Recorder` turns the probe
     stream into registry series (probe counts per serving mux, drop
@@ -130,14 +126,8 @@ def _run_probes(
     ``_RECORDER_TICK_EVERY`` lockstep rounds.  The instrumentation
     touches no RNG, so results are identical with and without it.
     """
-    if engine not in ("scalar", "batch"):
-        raise ValueError(f"unknown probe engine: {engine!r}")
     series = {label: PingSeries(vip, label) for label, vip in targets}
     rngs = {label: random.Random(seed ^ vip) for label, vip in targets}
-    probers = [
-        (label, vip, PingProbe(vip, interval_s, seed=seed ^ (vip << 1)))
-        for label, vip in targets
-    ]
     if recorder is not None:
         registry = recorder.registry
         m_probes = registry.counter(
@@ -183,57 +173,32 @@ def _run_probes(
             m_probes.labels(label, mux.kind.value).inc()
             m_rtt.labels(label).observe(rtt)
 
-    if engine == "batch":
-        # Resolve each stream's probe times and five-tuple hashes in one
-        # vectorized pass, then replay them in the same lockstep order
-        # the scalar loop would use (the route table mutates over time,
-        # so per-probe ordering is part of the semantics).
-        batched = []
-        for label, vip, prober in probers:
-            times, src_ports = prober.probe_fields(start_s, end_s)
-            n = len(times)
-            hashes = five_tuple_hash_batch(
-                np.full(n, prober.client_ip, np.uint64),
-                np.full(n, vip, np.uint64),
-                src_ports,
-                np.full(n, 7, np.uint64),         # echo port
-                np.full(n, PROTO_ICMP, np.uint64),
-                _PROBE_HASH_SEED,
-            )
-            batched.append((label, vip, times, hashes))
-        n_steps = max((len(t) for _, _, t, _ in batched), default=0)
-        for step in range(n_steps):
-            for label, vip, times, hashes in batched:
-                if step < len(times):
-                    probe_once(label, vip, float(times[step]),
-                               int(hashes[step]))
-            if recorder is not None and step % _RECORDER_TICK_EVERY == 0:
-                recorder.tick()
-        if recorder is not None:
-            recorder.tick()
-        return series
-
-    streams = [
-        (label, vip, iter(prober.generate(start_s, end_s)))
-        for label, vip, prober in probers
-    ]
-    # All probes share the same cadence; step them in lockstep.
-    step = 0
-    while streams:
-        alive = []
-        for label, vip, stream in streams:
-            timed = next(stream, None)
-            if timed is None:
-                continue
-            alive.append((label, vip, stream))
-            probe_once(
-                label, vip, timed.time_s,
-                five_tuple_hash(timed.packet.flow, _PROBE_HASH_SEED),
-            )
+    # Resolve each stream's probe times and five-tuple hashes in one
+    # vectorized pass, then replay them in lockstep order (the route
+    # table mutates over time, so per-probe ordering is part of the
+    # semantics).
+    batched = []
+    for label, vip in targets:
+        prober = PingProbe(vip, interval_s, seed=seed ^ (vip << 1))
+        times, src_ports = prober.probe_fields(start_s, end_s)
+        n = len(times)
+        hashes = five_tuple_hash_batch(
+            np.full(n, prober.client_ip, np.uint64),
+            np.full(n, vip, np.uint64),
+            src_ports,
+            np.full(n, 7, np.uint64),         # echo port
+            np.full(n, PROTO_ICMP, np.uint64),
+            _PROBE_HASH_SEED,
+        )
+        batched.append((label, vip, times, hashes))
+    n_steps = max((len(t) for _, _, t, _ in batched), default=0)
+    for step in range(n_steps):
+        for label, vip, times, hashes in batched:
+            if step < len(times):
+                probe_once(label, vip, float(times[step]),
+                           int(hashes[step]))
         if recorder is not None and step % _RECORDER_TICK_EVERY == 0:
             recorder.tick()
-        step += 1
-        streams = alive
     if recorder is not None:
         recorder.tick()
     return series
@@ -257,7 +222,6 @@ class HMuxCapacityConfig:
     hmux_link_gbps: float = 10.0
     probe_interval_s: float = 0.003
     seed: int = 0
-    engine: str = "batch"  # probe fast path: "batch" or "scalar"
 
 
 def run_hmux_capacity(
@@ -297,7 +261,7 @@ def run_hmux_capacity(
         [("unloaded-vip", vip)], route_table, fleet, control,
         start_s=0.0, end_s=t3,
         interval_s=config.probe_interval_s, seed=config.seed,
-        engine=config.engine, recorder=recorder,
+        recorder=recorder,
     )
     return ScenarioResult(
         series=series,
@@ -320,7 +284,6 @@ class FailoverConfig:
     probe_interval_s: float = 0.003
     timings: BgpTimings = BgpTimings()
     seed: int = 0
-    engine: str = "batch"  # probe fast path: "batch" or "scalar"
 
 
 def run_failover(
@@ -368,7 +331,7 @@ def run_failover(
         route_table, fleet, control,
         start_s=0.0, end_s=end,
         interval_s=config.probe_interval_s, seed=config.seed,
-        engine=config.engine, recorder=recorder,
+        recorder=recorder,
     )
     return ScenarioResult(
         series=series,
@@ -391,7 +354,6 @@ class MigrationConfig:
     probe_interval_s: float = 0.003
     timings: BgpTimings = BgpTimings()
     seed: int = 0
-    engine: str = "batch"  # probe fast path: "batch" or "scalar"
 
 
 def run_migration(
@@ -444,7 +406,7 @@ def run_migration(
         route_table, fleet, control,
         start_s=0.0, end_s=end,
         interval_s=config.probe_interval_s, seed=config.seed,
-        engine=config.engine, recorder=recorder,
+        recorder=recorder,
     )
     return ScenarioResult(
         series=series,
@@ -469,7 +431,6 @@ class SmuxFailureConfig:
     probe_interval_s: float = 0.003
     timings: BgpTimings = BgpTimings()
     seed: int = 0
-    engine: str = "batch"  # probe fast path: "batch" or "scalar"
 
 
 def run_smux_failure(
@@ -508,7 +469,7 @@ def run_smux_failure(
         route_table, fleet, control,
         start_s=0.0, end_s=end,
         interval_s=config.probe_interval_s, seed=config.seed,
-        engine=config.engine, recorder=recorder,
+        recorder=recorder,
     )
     return ScenarioResult(
         series=series,

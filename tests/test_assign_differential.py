@@ -1,30 +1,36 @@
-"""Differential tier: the fast assignment engine vs the scalar one.
+"""Differential tier: the fast assignment backend vs the reference walk.
 
 Same twin pattern as ``test_batch_differential.py``, one layer up the
 stack: every scenario builds one topology / router / VIP population and
-solves it with ``engine="fast"`` and ``engine="scalar"``.  The engines
-must be *bit-identical* — same VIP→switch map, same unassigned list in
-the same order, same link/memory utilization arrays down to the last
-ULP — because the fast engine's contract is that it performs the exact
-IEEE-754 operation sequence of the scalar walk, merely batched.
+solves it through the vectorized backend and through the scalar
+reference walk.  Production code has no switch between the two — the
+walk is the size-selected fallback past ``DENSE_CELL_LIMIT`` — so the
+tier reaches it the way a too-large fabric would, by lowering that limit
+(:func:`reference_walk`).  The two must be *bit-identical* — same
+VIP→switch map, same unassigned list in the same order, same link/memory
+utilization arrays down to the last ULP — because the fast backend's
+contract is that it performs the exact IEEE-754 operation sequence of
+the scalar walk, merely batched.
 
 Scenario space (seeded, deterministic): randomized fabric shapes, VIP
 counts, traffic loads from underloaded to oversubscribed, switch
 failures, both candidate strategies, all VIP orderings, small host-table
 budgets, and stop-on-first-failure both ways.  Every fifth scenario
-additionally replays five epochs of drifting traffic through twin
-``StickyMigrator`` instances and requires identical migration plans
-(steps, moved VIPs, shuffled traffic) at every epoch.
+additionally replays five epochs of drifting traffic through a
+``StickyMigrator`` on both backends and requires identical migration
+plans (steps, moved VIPs, shuffled traffic) at every epoch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 import pytest
 
+import repro.core.fastassign as fastassign
 from repro.core.assignment import (
     VIP_ORDERS,
     AssignmentConfig,
@@ -44,6 +50,15 @@ N_SCENARIOS = 200
 #: Every fifth scenario also replays a 5-epoch sticky-migration trace.
 MIGRATION_EVERY = 5
 MIGRATION_EPOCHS = 5
+
+
+@contextlib.contextmanager
+def reference_walk() -> Iterator[None]:
+    """Every ``GreedyAssigner`` built inside (the migrators and the
+    refiner build their own) takes the size-selected scalar fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastassign, "DENSE_CELL_LIMIT", 0)
+        yield
 
 
 def build_scenario(
@@ -108,8 +123,9 @@ def assert_plans_identical(fast_plan, scalar_plan) -> None:
 def test_engines_placement_identical(seed: int) -> None:
     topology, router, demands, config = build_scenario(seed)
 
-    fast = GreedyAssigner(topology, config, router=router, engine="fast")
-    scalar = GreedyAssigner(topology, config, router=router, engine="scalar")
+    fast = GreedyAssigner(topology, config, router=router)
+    with reference_walk():
+        scalar = GreedyAssigner(topology, config, router=router)
     # These fabrics sit far below the dense-cell limit: a silent fallback
     # to scalar would make the comparison vacuous.
     assert fast.engine_name == "fast"
@@ -120,24 +136,39 @@ def test_engines_placement_identical(seed: int) -> None:
     if seed % MIGRATION_EVERY != 0:
         return
 
-    # 5 epochs of drifting traffic through twin sticky migrators.
+    # 5 epochs of drifting traffic, each solved on both backends.
     drift = random.Random(seed ^ 0xD81F7)
-    sticky_fast = StickyMigrator(topology, config, router=router, engine="fast")
-    sticky_scalar = StickyMigrator(
-        topology, config, router=router, engine="scalar",
-    )
+    sticky = StickyMigrator(topology, config, router=router)
     current_fast = current_scalar = None
     for _ in range(MIGRATION_EPOCHS):
         factor = drift.uniform(0.6, 1.5)
         epoch_demands = [d.scaled(factor) for d in demands]
-        current_fast, plan_fast = sticky_fast.reassign(
+        current_fast, plan_fast = sticky.reassign(
             current_fast, epoch_demands,
         )
-        current_scalar, plan_scalar = sticky_scalar.reassign(
-            current_scalar, epoch_demands,
-        )
+        with reference_walk():
+            current_scalar, plan_scalar = sticky.reassign(
+                current_scalar, epoch_demands,
+            )
         assert_assignments_identical(current_fast, current_scalar)
         assert_plans_identical(plan_fast, plan_scalar)
+
+
+@pytest.mark.parametrize("seed", range(0, N_SCENARIOS, 10))
+def test_assign_is_the_sticky_pass_with_no_old_map(seed: int) -> None:
+    """One placement driver: a from-scratch assignment and the first
+    sticky epoch (no old map) are the same pass, field for field."""
+    topology, router, demands, config = build_scenario(seed)
+    fresh = GreedyAssigner(topology, config, router=router).assign(demands)
+    sticky, plan = StickyMigrator(
+        topology, config, router=router,
+    ).reassign(None, demands)
+    assert_assignments_identical(fresh, sticky)
+    assert fresh.demands == sticky.demands
+    assert fresh.config == sticky.config
+    assert fresh.topology is sticky.topology
+    assert plan.withdrawals() == []
+    assert sorted(plan.moved_vip_ids) == sorted(fresh.vip_to_switch)
 
 
 def test_scenarios_cover_the_interesting_axes() -> None:
@@ -157,7 +188,7 @@ def test_scenarios_cover_the_interesting_axes() -> None:
             any_budget += 1
         if seed % 20 == 0:  # sample: solving all 200 twice is the tier above
             result = GreedyAssigner(
-                topology, config, router=router, engine="fast",
+                topology, config, router=router,
             ).assign(demands)
             if result.unassigned:
                 any_unassigned += 1

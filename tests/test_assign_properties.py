@@ -1,7 +1,8 @@
 """Property tests for the greedy assignment invariants (S4.1).
 
-Where the differential tier proves the fast and scalar engines agree
-with each other, this tier proves they both agree with the *spec*:
+Where the differential tier proves the fast backend and the scalar
+reference walk agree with each other, this tier proves they both agree
+with the *spec*:
 
 * capacity — a solved network never has a link or switch memory above
   MRU 1.0 (placement is refused rather than oversubscribed);
@@ -10,7 +11,7 @@ with each other, this tier proves they both agree with the *spec*:
 * completeness — with the stop-on-first-failure strawman off, a VIP is
   left unassigned only when no candidate placement was feasible;
 * determinism — the same seed reproduces the same solution exactly, for
-  both engines, and independently of ``PYTHONHASHSEED``;
+  both backends, and independently of ``PYTHONHASHSEED``;
 * refinement — local search never makes the network MRU worse.
 
 Randomized inputs reuse the seeded scenario generator from the
@@ -19,6 +20,7 @@ differential tier plus Hypothesis-driven small worlds.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -31,17 +33,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.fastassign as fastassign
-from repro.core.assignment import (
-    ASSIGN_ENGINES,
-    AssignmentConfig,
-    AssignmentError,
-    GreedyAssigner,
+from repro.core.assignment import AssignmentConfig, GreedyAssigner
+from repro.core.migration import (
+    NonStickyMigrator,
+    OneTimeMigrator,
+    StickyMigrator,
 )
 from repro.core.refine import AssignmentRefiner
 from repro.net.routing import EcmpRouter
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.vips import generate_population
-from tests.test_assign_differential import build_scenario
+from tests.test_assign_differential import build_scenario, reference_walk
+
+#: Test-side names for the two scoring backends: the production default
+#: and the reference walk it falls back to past ``DENSE_CELL_LIMIT``.
+ASSIGN_ENGINES = ("fast", "scalar")
+
+
+def backend(engine: str):
+    """Context in which every assigner built scores through ``engine``."""
+    return reference_walk() if engine == "scalar" else contextlib.nullcontext()
 
 #: Float-comparison slack for "is this resource within capacity": the
 #: solver's own feasibility epsilon.
@@ -57,7 +68,9 @@ def solve(seed: int, engine: str, **overrides):
         import dataclasses
 
         config = dataclasses.replace(config, **overrides)
-    assigner = GreedyAssigner(topology, config, router=router, engine=engine)
+    with backend(engine):
+        assigner = GreedyAssigner(topology, config, router=router)
+    assert assigner.engine_name == engine
     return assigner, assigner.assign(demands), demands
 
 
@@ -132,10 +145,10 @@ def test_refine_never_increases_mru(seed: int, engine: str) -> None:
     import dataclasses
 
     config = dataclasses.replace(config, vip_order="random")
-    assigner = GreedyAssigner(topology, config, router=router, engine=engine)
-    assignment = assigner.assign(demands)
-    refiner = AssignmentRefiner(topology, config, engine=engine)
-    result = refiner.refine(assignment)
+    with backend(engine):
+        assigner = GreedyAssigner(topology, config, router=router)
+        assignment = assigner.assign(demands)
+        result = AssignmentRefiner(topology, config).refine(assignment)
     assert result.final_mru <= result.initial_mru + 1e-12
     # The reported MRUs must be the real array peaks, not stale caches.
     recomputed = max(
@@ -177,7 +190,8 @@ def test_capacity_and_budget_hold_on_hypothesis_worlds(
     )
     config = AssignmentConfig(stop_on_first_failure=False, seed=seed)
     for engine in ASSIGN_ENGINES:
-        assigner = GreedyAssigner(topology, config, engine=engine)
+        with backend(engine):
+            assigner = GreedyAssigner(topology, config)
         assignment = assigner.assign(population.demands())
         assert float(assignment.link_utilization.max()) <= 1.0 + EPS
         assert float(assignment.memory_utilization.max()) <= 1.0 + EPS
@@ -188,14 +202,21 @@ def test_capacity_and_budget_hold_on_hypothesis_worlds(
 
 
 def test_engine_name_is_validated() -> None:
-    with pytest.raises(AssignmentError):
-        AssignmentConfig(engine="warp")
+    """No engine selector remains: the name is what the assigner reports
+    it picked, never something a caller can ask for."""
     topology = Topology(FatTreeParams(
         n_containers=2, tors_per_container=2, aggs_per_container=2,
         n_cores=2, servers_per_tor=4,
     ))
-    with pytest.raises(AssignmentError):
-        GreedyAssigner(topology, engine="warp")
+    assert GreedyAssigner(topology).engine_name == "fast"
+    with pytest.raises(TypeError):
+        AssignmentConfig(engine="fast")
+    for takes_no_engine in (
+        GreedyAssigner, AssignmentRefiner, StickyMigrator,
+        NonStickyMigrator, OneTimeMigrator,
+    ):
+        with pytest.raises(TypeError):
+            takes_no_engine(topology, engine="fast")
 
 
 def test_fast_engine_falls_back_when_dense_matrix_too_large(
@@ -207,7 +228,7 @@ def test_fast_engine_falls_back_when_dense_matrix_too_large(
     ))
     monkeypatch.setattr(fastassign, "DENSE_CELL_LIMIT", 1)
     before = fastassign.ASSIGN_STATS["fast"].fallbacks
-    assigner = GreedyAssigner(topology, engine="fast")
+    assigner = GreedyAssigner(topology)
     assert assigner.engine_name == "scalar"
     assert fastassign.ASSIGN_STATS["fast"].fallbacks == before + 1
 
@@ -222,6 +243,7 @@ def test_fast_engine_falls_back_when_dense_matrix_too_large(
 #: must produce one digest under any hash seed.
 _HASHSEED_SCRIPT = """
 import hashlib, json
+import repro.core.fastassign as fastassign
 from repro.core.assignment import AssignmentConfig, GreedyAssigner
 from repro.core.migration import StickyMigrator
 from repro.core.refine import AssignmentRefiner
@@ -236,13 +258,14 @@ population = generate_population(topology, 50, 45e9, seed=11)
 demands = population.demands()
 config = AssignmentConfig(stop_on_first_failure=False, seed=5)
 blob = []
-for engine in ("fast", "scalar"):
-    assignment = GreedyAssigner(topology, config, engine=engine).assign(demands)
+for dense_cell_limit in (fastassign.DENSE_CELL_LIMIT, 0):  # fast, reference walk
+    fastassign.DENSE_CELL_LIMIT = dense_cell_limit
+    assignment = GreedyAssigner(topology, config).assign(demands)
     blob.append(sorted(assignment.vip_to_switch.items()))
     blob.append(list(assignment.unassigned))
-    refined = AssignmentRefiner(topology, config, engine=engine).refine(assignment)
+    refined = AssignmentRefiner(topology, config).refine(assignment)
     blob.append(sorted(refined.assignment.vip_to_switch.items()))
-    sticky = StickyMigrator(topology, config, engine=engine)
+    sticky = StickyMigrator(topology, config)
     current = None
     for factor in (1.0, 1.25, 0.8):
         scaled = [d.scaled(factor) for d in demands]

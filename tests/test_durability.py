@@ -157,6 +157,22 @@ class TestRestore:
         assert AntiEntropyReconciler(cold).diff() == []
         assert controller_fingerprint(cold) == want
 
+    def test_restores_journal_written_with_retired_config_keys(self, tmp_path):
+        """A journal written before the ``engine`` selector was removed
+        carries ``"engine": "fast"`` in its meta config; restoring it
+        drops the retired key instead of failing."""
+        controller, journal = journaled_controller()
+        _mutate(controller)
+        journal.meta["config"]["engine"] = "fast"
+        path = str(tmp_path / "parent-format.jsonl")
+        journal.save(path)
+        loaded = WriteAheadJournal.load(path)
+        assert loaded.meta["config"]["engine"] == "fast"
+        cold = DuetController.restore(loaded)
+        AntiEntropyReconciler(cold).converge()
+        assert cold.config == controller.config
+        assert controller_fingerprint(cold) == controller_fingerprint(controller)
+
     def test_snapshot_interval_bounds_tail(self):
         controller, journal = journaled_controller(interval=2)
         _mutate(controller)
@@ -356,6 +372,62 @@ class TestUnwindSweep:
             assert _switch_view(controller, agent, addr) == want, (
                 f"fault at op {fault_at} changed the converged state"
             )
+
+
+class TestCapacityExhaustion:
+    def test_full_tunnel_table_degrades_add_dip_without_wedging_journal(self):
+        """A full tunnelling table raises ``TableFullError`` (not
+        ``TableEntryError``) when add_dip re-programs the grown VIP.
+        That is a deterministic capacity NACK: the VIP degrades to
+        SMux-only inside the op, the op commits, and the journal keeps
+        snapshotting — it must not escape between append and commit."""
+        controller, journal = journaled_controller(seed=11, interval=8)
+        addr, record = next(
+            (a, r) for a, r in sorted(controller.records().items())
+            if r.assigned_switch is not None
+        )
+        switch = record.assigned_switch
+        agent = controller.switch_agents[switch]
+        # Leave room for the VIP's current DIPs only: the withdraw frees
+        # them, and the re-program with one more DIP cannot fit.
+        tunnel = agent.hmux.tunnel_table
+        while tunnel.free_entries:
+            tunnel.allocate_block([0x0B00_0001])
+        server = record.dips[0].server_id
+        new_dip = Dip(
+            addr=max(
+                d.addr for r in controller.records().values() for d in r.dips
+            ) + 1,
+            server_id=server,
+            tor=controller.topology.server_tor(server),
+        )
+        rejected_before = controller.ledger.rejected
+
+        controller.add_dip(addr, new_dip)
+
+        assert record.assigned_switch is None
+        assert addr in controller.degraded_vips
+        assert not agent.hmux.has_vip(addr)
+        assert controller.ledger.rejected == rejected_before + 1
+        assert all(smux.has_vip(addr) for smux in controller.smuxes)
+        assert new_dip.addr in controller.smuxes[0].dips_of(addr)
+        assert not journal.uncommitted()
+
+        # The next 64 ops cross eight snapshot boundaries cleanly.
+        snapshots_before = journal.snapshots_written
+        dip_addr = record.dips[0].addr
+        for _ in range(32):
+            controller.remove_dip(addr, new_dip.addr)
+            controller.add_dip(addr, new_dip)
+        assert dip_addr in controller.smuxes[0].dips_of(addr)
+        assert not journal.uncommitted()
+        assert journal.snapshots_written >= snapshots_before + 8
+
+        restored = restore_warm(controller)
+        assert (
+            controller_fingerprint(restored)
+            == controller_fingerprint(controller)
+        )
 
 
 # ---------------------------------------------------------------------------

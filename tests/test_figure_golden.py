@@ -1,34 +1,65 @@
 """Golden regression tests for the paper-figure experiments (ISSUE 2).
 
 Fixed-seed runs of Figures 11, 12 and 17 must keep producing these
-exact summary numbers, under **both** the scalar and the batched probe
-engines — the batch fast path is only allowed to change how fast the
-figures compute, never what they say.  If a legitimate model change
-moves a number, re-derive the goldens with the snippet in each test's
-docstring and update them in the same commit.
+exact summary numbers.  The scenario drivers have one (vectorized) probe
+path and no selector; the goldens were derived when a packet-at-a-time
+twin still ran beside it and produced the same numbers.  Each probe
+golden therefore runs twice: as shipped (``batch``), and with the
+vectorized flow hash swapped, test-side, for the per-packet scalar
+``five_tuple_hash`` (``scalar``, :func:`scalar_probe_hashing`) — the
+vectorization is only allowed to change how fast the figures compute,
+never what they say.  If a legitimate model change moves a number,
+re-derive the goldens with the snippet in each test's docstring and
+update them in the same commit.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.dataplane.hashing import five_tuple_hash
+from repro.dataplane.packet import FiveTuple
 from repro.experiments import fig11_hmux_capacity as fig11
 from repro.experiments import fig12_failover as fig12
 from repro.experiments import fig17_latency_vs_smux as fig17
-from repro.sim.scenarios import FailoverConfig, HMuxCapacityConfig
+from repro.sim import scenarios
+from repro.sim.scenarios import (
+    FailoverConfig,
+    HMuxCapacityConfig,
+    MigrationConfig,
+    SmuxFailureConfig,
+)
 
 #: Goldens are asserted to a part-per-million — loose enough to ignore
 #: float formatting, tight enough that any behavioural drift trips.
 TOL = 1e-6
 
-ENGINES = ("scalar", "batch")
+PROBE_HASHING = ("scalar", "batch")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fig11_golden(engine: str) -> None:
+def _hash_packet_at_a_time(src_ip, dst_ip, src_port, dst_port, protocol, seed):
+    return np.array([
+        five_tuple_hash(FiveTuple(*(int(field) for field in row)), seed)
+        for row in zip(src_ip, dst_ip, src_port, dst_port, protocol)
+    ], dtype=np.uint64)
+
+
+def scalar_probe_hashing(patch: pytest.MonkeyPatch, hashing: str) -> None:
+    """With ``hashing == "scalar"``, make the scenario probe driver hash
+    every probe through the scalar reference instead of the batch hash."""
+    if hashing == "scalar":
+        patch.setattr(
+            scenarios, "five_tuple_hash_batch", _hash_packet_at_a_time,
+        )
+
+
+@pytest.mark.parametrize("hashing", PROBE_HASHING)
+def test_fig11_golden(hashing: str, monkeypatch) -> None:
     """``fig11.run(HMuxCapacityConfig(phase_seconds=2.0))`` per-phase
     (median, p90, availability)."""
-    result = fig11.run(HMuxCapacityConfig(phase_seconds=2.0, engine=engine))
+    scalar_probe_hashing(monkeypatch, hashing)
+    result = fig11.run(HMuxCapacityConfig(phase_seconds=2.0))
     golden = {
         "smux@600kpps": (3.8577124012901376e-4, 1.533403739565226e-3, 1.0),
         "smux@1200kpps": (2.8594334270447008e-2, 3.3744983834986725e-2,
@@ -52,11 +83,12 @@ def test_fig11_golden(engine: str) -> None:
     assert result.series.window(4.0, 6.0).availability() == 1.0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fig12_golden(engine: str) -> None:
+@pytest.mark.parametrize("hashing", PROBE_HASHING)
+def test_fig12_golden(hashing: str, monkeypatch) -> None:
     """``fig12.run(FailoverConfig())`` failover window, observed outage
     and per-VIP availability."""
-    result = fig12.run(FailoverConfig(engine=engine))
+    scalar_probe_hashing(monkeypatch, hashing)
+    result = fig12.run(FailoverConfig())
     assert result.failover_window_s == pytest.approx(0.038, rel=TOL)
     assert result.observed_outage_s() == pytest.approx(0.036, rel=TOL)
     golden_availability = {
@@ -101,18 +133,14 @@ def test_fig17_golden() -> None:
 
 
 @pytest.mark.parametrize(
-    "config_cls", [HMuxCapacityConfig, FailoverConfig],
+    "config_cls",
+    [HMuxCapacityConfig, FailoverConfig, MigrationConfig, SmuxFailureConfig],
 )
 def test_engine_field_rejects_unknown(config_cls) -> None:
+    """The scenario configs carry no probe-engine selector any more:
+    every ``engine`` value is unknown to them."""
     import dataclasses
 
-    from repro.sim import scenarios
-
-    config = config_cls(engine="vectorized")
-    run = {
-        HMuxCapacityConfig: scenarios.run_hmux_capacity,
-        FailoverConfig: scenarios.run_failover,
-    }[config_cls]
-    with pytest.raises(ValueError):
-        run(config)
-    assert dataclasses.fields(config_cls)  # configs stay dataclasses
+    with pytest.raises(TypeError):
+        config_cls(engine="batch")
+    assert "engine" not in {f.name for f in dataclasses.fields(config_cls)}

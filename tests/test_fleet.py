@@ -226,6 +226,45 @@ class TestMerge:
         assert report.quarantined == [record]
 
 
+class TestSloCorpusMerge:
+    """Seed 7 of this corpus fires no alert, so its scorecard carries
+    ``median_time_to_fire_s: None``; seeds 6 and 10 fire some."""
+
+    SLO_BASE = ChaosConfig(
+        seed=0, n_events=12, n_vips=8, no_oracle=True, slo=True,
+        background_loss=0.02,
+    )
+
+    @pytest.mark.parametrize("seeds", [[7, 10], [6, 7]])
+    def test_seed_without_alerts_merges_in_either_order(self, seeds):
+        serial, _ = run_fleet(workers=1, seeds=seeds, config=self.SLO_BASE)
+        cards = {r["seed"]: r["slo"]["scorecard"] for r in serial.results}
+        quiet = cards.pop(7)
+        (loud,) = cards.values()
+        assert quiet["median_time_to_fire_s"] is None
+        assert loud["median_time_to_fire_s"] is not None
+
+        # Counts add; order statistics are re-derived from the pooled
+        # fire times, never summed.
+        merged = serial.totals["slo_scorecard"]
+        pooled = sorted(quiet["time_to_fire_s"] + loud["time_to_fire_s"])
+        assert merged["incidents"] == quiet["incidents"] + loud["incidents"]
+        assert merged["time_to_fire_s"] == pooled
+        assert merged["median_time_to_fire_s"] == pooled[len(pooled) // 2]
+        assert merged["max_time_to_fire_s"] == pooled[-1]
+
+        sharded, _ = run_fleet(workers=2, seeds=seeds, config=self.SLO_BASE)
+        assert sharded.to_json() == serial.to_json()
+
+    def test_all_quiet_corpus_keeps_none(self):
+        summary = run_seed_task({"config": self.SLO_BASE.to_dict() | {"seed": 7}})
+        report = merge_results(self.SLO_BASE, [7], {7: summary}, {})
+        merged = report.totals["slo_scorecard"]
+        assert merged["time_to_fire_s"] == []
+        assert merged["median_time_to_fire_s"] is None
+        assert merged["max_time_to_fire_s"] is None
+
+
 class TestConfigValidation:
     def test_bad_workers(self):
         with pytest.raises(ValueError):

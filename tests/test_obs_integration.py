@@ -4,7 +4,6 @@ wiring, scenario recording, and the CLI subcommands."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -205,25 +204,21 @@ class TestScenarioRecording:
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_both_probe_engines_record_identically(self, engine):
+        """The one probe path records the same series whether its flow
+        hashes come from the batch hash or (test-side oracle) from the
+        per-packet scalar hash."""
         from repro.sim.scenarios import FailoverConfig, run_failover
+        from tests.test_figure_golden import scalar_probe_hashing
 
-        registry = MetricsRegistry()
-        run_failover(
-            dataclasses.replace(FailoverConfig(), engine=engine),
-            recorder=Recorder(registry),
-        )
-        totals = {
-            (s.name, s.labels): s.value for s in registry.samples()
-        }
-        registry2 = MetricsRegistry()
+        def recorded(hashing):
+            registry = MetricsRegistry()
+            with pytest.MonkeyPatch.context() as patch:
+                scalar_probe_hashing(patch, hashing)
+                run_failover(FailoverConfig(), recorder=Recorder(registry))
+            return {(s.name, s.labels): s.value for s in registry.samples()}
+
         other = "batch" if engine == "scalar" else "scalar"
-        run_failover(
-            dataclasses.replace(FailoverConfig(), engine=other),
-            recorder=Recorder(registry2),
-        )
-        assert totals == {
-            (s.name, s.labels): s.value for s in registry2.samples()
-        }
+        assert recorded(engine) == recorded(other)
 
 
 class TestCli:
