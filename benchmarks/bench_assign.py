@@ -12,15 +12,19 @@ solver fails the build.
 
 Two fast-engine timings are reported:
 
-* ``cold`` — a fresh ``GreedyAssigner`` per solve, paying the per-epoch
-  delta-matrix build;
-* ``warm`` — a persistent assigner re-solving a scaled epoch, the
-  steady-state migration-planner shape where traffic-independent VIP
-  structures are served from cache.
+* ``cold`` — a fresh ``GreedyAssigner`` per solve, paying the leg-matrix
+  build: what the controller pays for the first solve after its failure
+  set changed;
+* ``warm`` — the solve inside ``DuetController.rebalance`` on
+  consecutive epochs of drifted traffic, i.e. the path production takes:
+  the controller keeps one solver context per network state, so legs
+  and VIP structures are served from cache.  The number is the solver's
+  own ``AssignStats`` latency for that call; the whole call (solve plus
+  executing the plan) is reported beside it as ``rebalance_warm_s``.
 
-The gate applies to the *cold* speedup: it is the conservative number
-(every epoch pays matrix construction) and the one a chaos-remediation
-re-plan sees.
+The speedup gate applies to the *cold* number: it is the conservative
+one and the one a chaos-remediation re-plan sees.  ``warm`` must not
+exceed ``cold`` — a context that does not pay for itself fails the run.
 
 Usage::
 
@@ -36,15 +40,16 @@ import contextlib
 import json
 import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 import repro.core.fastassign as fastassign
 from repro.core.assignment import AssignmentConfig, GreedyAssigner
+from repro.core.controller import DuetController
 from repro.net.routing import EcmpRouter
 from repro.net.topology import FatTreeParams, Topology
-from repro.workload.vips import VipDemand, generate_population
+from repro.workload.vips import generate_population
 
 #: The bench fabric: 12 containers x 10 ToRs, 176 switches, 1152
 #: directional links — big enough that candidate scoring dominates and
@@ -70,7 +75,7 @@ def build_world(n_vips: int, seed: int):
     # let an infeasible head-of-line VIP end the solve (and the
     # benchmark) after a handful of placements.
     config = AssignmentConfig(stop_on_first_failure=False)
-    return topology, router, config, population.demands()
+    return topology, router, config, population
 
 
 def best_seconds(fn, repeats: int) -> float:
@@ -94,7 +99,8 @@ def reference_walk():
 
 
 def bench(n_vips: int, repeats: int, seed: int) -> Dict[str, object]:
-    topology, router, config, demands = build_world(n_vips, seed)
+    topology, router, config, population = build_world(n_vips, seed)
+    demands = population.demands()
 
     def solve(engine: str):
         backend = (
@@ -109,14 +115,25 @@ def bench(n_vips: int, repeats: int, seed: int) -> Dict[str, object]:
     scalar_s = best_seconds(lambda: solve("scalar"), repeats)
     fast_cold_s = best_seconds(lambda: solve("fast"), repeats)
 
-    # Warm epochs: a persistent assigner re-solving drifted traffic, as
-    # the sticky/non-sticky migrators do.  VIP structures are keyed on
-    # traffic-independent shape, so a uniformly scaled epoch is a pure
-    # cache hit.
-    warm = GreedyAssigner(topology, config, router=router)
-    warm.assign(demands)
-    drifted: List[VipDemand] = [d.scaled(1.1) for d in demands]
-    fast_warm_s = best_seconds(lambda: warm.assign(drifted), repeats)
+    # Warm epochs: consecutive sticky rebalances of one controller, each
+    # on differently drifted traffic.  The initial assignment builds the
+    # solver context; every rebalance after it finds it by key.
+    controller = DuetController(topology, population, config=config)
+    controller.run_initial_assignment()
+    stats = fastassign.stats_for("fast")
+    fast_warm_s = rebalance_warm_s = float("inf")
+    for epoch in range(repeats):
+        factor = 1.1 - 0.1 * (epoch % 3)
+        drifted = [d.scaled(factor) for d in demands]
+        solved_before = stats.solve_seconds_total
+        start = time.perf_counter()
+        controller.rebalance(drifted)
+        rebalance_warm_s = min(
+            rebalance_warm_s, time.perf_counter() - start,
+        )
+        fast_warm_s = min(
+            fast_warm_s, stats.solve_seconds_total - solved_before,
+        )
 
     # Identity rides along with every benchmark run.
     fast_result = solve("fast")
@@ -136,6 +153,7 @@ def bench(n_vips: int, repeats: int, seed: int) -> Dict[str, object]:
         "scalar_s": scalar_s,
         "fast_cold_s": fast_cold_s,
         "fast_warm_s": fast_warm_s,
+        "rebalance_warm_s": rebalance_warm_s,
         "speedup_cold": scalar_s / fast_cold_s,
         "speedup_warm": scalar_s / fast_warm_s,
     }
@@ -183,6 +201,14 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+    if numbers["fast_warm_s"] > numbers["fast_cold_s"]:
+        print(
+            f"FAIL: a warm epoch ({numbers['fast_warm_s']:.2f}s through "
+            f"DuetController.rebalance) costs more than a cold solve "
+            f"({numbers['fast_cold_s']:.2f}s)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

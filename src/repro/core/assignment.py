@@ -380,6 +380,11 @@ class GreedyAssigner:
     The two are placement-identical by contract — the differential tier
     (``tests/test_assign_differential.py``) reaches the walk by lowering
     that limit.
+
+    An assigner is built for one router, i.e. one frozen failure set,
+    and is meant to be kept across solves: everything it caches between
+    them (path fractions, leg matrices, demand structures) depends on
+    the topology and that failure set only.
     """
 
     def __init__(
@@ -466,6 +471,9 @@ class GreedyAssigner:
                 continue
             self._commit(demand, target, link_util, mem_util)
             placed[demand.vip_id] = target
+        # Load vectors are keyed on this solve's demands; an assigner
+        # that lives across epochs must not accumulate them.
+        self.calculator.invalidate()
         self.stats.record_solve(time.perf_counter() - started)
         return Assignment(
             topology=self.topology,
@@ -489,18 +497,18 @@ class GreedyAssigner:
         def policy(
             demand: VipDemand, link_util: np.ndarray, mem_util: np.ndarray
         ) -> Tuple[Optional[int], bool]:
-            choice = self.best_switch(demand, link_util, mem_util)
             current = old_map.get(demand.vip_id)
-            if current is not None and current not in failed:
-                keep_mru = self.placement_mru(
-                    demand, current, link_util, mem_util
-                )
-                # Staying put is allowed even when no fresh placement
-                # fits, as long as the current switch remains feasible.
-                if keep_mru is not None and keep_mru <= 1.0 and (
-                    choice is None or keep_mru - choice[1] <= delta
-                ):
-                    return current, False  # not worth the reshuffle
+            if current in failed:
+                current = None
+            choice, keep_mru = self.score(
+                demand, link_util, mem_util, current
+            )
+            # Staying put is allowed even when no fresh placement fits,
+            # as long as the current switch remains feasible.
+            if keep_mru is not None and keep_mru <= 1.0 and (
+                choice is None or keep_mru - choice[1] <= delta
+            ):
+                return current, False  # not worth the reshuffle
             if choice is None:
                 return None, True
             return choice[0], False
@@ -515,8 +523,24 @@ class GreedyAssigner:
     ) -> Optional[Tuple[int, float]]:
         """The feasible switch minimizing MRU for this demand, with its
         resulting MRU; None if every placement would exceed capacity."""
+        return self.score(demand, link_util, mem_util)[0]
+
+    def score(
+        self,
+        demand: VipDemand,
+        link_util: np.ndarray,
+        mem_util: np.ndarray,
+        current: Optional[int] = None,
+    ) -> Tuple[Optional[Tuple[int, float]], Optional[float]]:
+        """One scoring pass over the switches: :meth:`best_switch`'s
+        answer, and beside it the MRU of placing the demand on
+        ``current`` (:meth:`placement_mru`'s value; None when no switch
+        is named or it is infeasible) — the two numbers the sticky rule
+        weighs against each other."""
         if self._engine is not None:
-            return self._engine.best_switch(self, demand, link_util, mem_util)
+            return self._engine.score(
+                self, demand, link_util, mem_util, current,
+            )
         # The reference walk: each candidate's load vector in turn.
         candidates = self._effective_candidates(demand, link_util, mem_util)
         self.stats.candidate_evaluations += len(candidates)
@@ -531,7 +555,12 @@ class GreedyAssigner:
             )
             for switch_index in candidates
         )
-        return self._select_best(demand, scored)
+        choice = self._select_best(demand, scored)
+        if current is None:
+            return choice, None
+        return choice, self.placement_mru(
+            demand, current, link_util, mem_util, global_max=global_max,
+        )
 
     def _select_best(
         self,

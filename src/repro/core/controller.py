@@ -24,7 +24,10 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from repro.control import (
     ChannelSendError,
@@ -32,11 +35,7 @@ from repro.control import (
     PendingOpsLedger,
     RetryPolicy,
 )
-from repro.core.assignment import (
-    Assignment,
-    AssignmentConfig,
-    GreedyAssigner,
-)
+from repro.core.assignment import Assignment, AssignmentConfig
 from repro.core.migration import (
     MigrationPlan,
     StepKind,
@@ -55,6 +54,7 @@ from repro.net.failures import (
     FaultModel,
     isolated_switches,
 )
+from repro.net.routing import EcmpRouter
 from repro.net.topology import Topology
 from repro.obs.tracing import maybe_span, span_attrs, trace_event
 from repro.workload.vips import (
@@ -70,6 +70,11 @@ from repro.workload.vips import (
 
 class ControllerError(Exception):
     """Invalid controller operation."""
+
+
+#: What a solver context is valid for: the failed switches, the failed
+#: links and the assignment config it was built with.
+SolverKey = Tuple[FrozenSet[int], FrozenSet[int], AssignmentConfig]
 
 
 class SwitchProgrammingError(ControllerError):
@@ -320,6 +325,12 @@ class VipRecord:
 
 class DuetController:
     """The central controller plus the materialized data plane."""
+
+    #: The one solver context (see :meth:`_solver`): derived state, not
+    #: intent — never journaled, and a class-level default so that every
+    #: incarnation, however constructed (``restore`` bypasses
+    #: ``__init__``), starts without one.
+    _solver_context: Optional[Tuple[SolverKey, StickyMigrator]] = None
 
     def __init__(
         self,
@@ -657,10 +668,33 @@ class DuetController:
 
     # -- assignment lifecycle ------------------------------------------------------
 
+    def _solver_key(self) -> SolverKey:
+        return (
+            frozenset(self._failed_switches),
+            frozenset(self._failed_links),
+            self.config,
+        )
+
+    def _solver(self) -> StickyMigrator:
+        """The solver for the network as it is now.  Router, path
+        fractions and leg matrices depend on the failure set and the
+        config only, so one context is kept and reused for as long as
+        its key — compared here, at every solve — still describes the
+        controller: consecutive epochs solve warm, and no failure or
+        recovery op has to remember to invalidate anything."""
+        key = self._solver_key()
+        if self._solver_context is None or self._solver_context[0] != key:
+            router = EcmpRouter(
+                self.topology, failed_switches=key[0], failed_links=key[1],
+            )
+            self._solver_context = (
+                key, StickyMigrator(self.topology, self.config, router=router),
+            )
+        return self._solver_context[1]
+
     def run_initial_assignment(self) -> Assignment:
         """Compute and install the first VIP-switch assignment."""
-        assigner = GreedyAssigner(self.topology, self.config)
-        assignment = assigner.assign(self.population.demands())
+        assignment = self._solver().assigner.assign(self.population.demands())
         self._install_assignment(assignment)
         return assignment
 
@@ -1244,23 +1278,11 @@ class DuetController:
         switches from the candidate set, and executes the two-phase
         migration through the SMux stepping stone.
         """
-        from repro.core.migration import DEFAULT_STICKY_DELTA
-        from repro.net.routing import EcmpRouter
-
         if demands is None:
             demands = [v.demand() for v in self.population]
-        router = EcmpRouter(
-            self.topology,
-            failed_switches=self._failed_switches,
-            failed_links=self._failed_links,
+        new, plan = self._solver().reassign(
+            self.assignment, demands, delta,
         )
-        migrator = StickyMigrator(
-            self.topology,
-            self.config,
-            delta=delta if delta is not None else DEFAULT_STICKY_DELTA,
-            router=router,
-        )
-        new, plan = migrator.reassign(self.assignment, demands)
         self._execute_plan(plan, new)
         return plan
 

@@ -10,30 +10,33 @@ re-assignment runs at the ROADMAP scale.  This module batches that work:
   *legs* (ingress rack → s, Internet → s, diffuse → s, s → DIP rack),
   and each leg's path-fraction pattern depends only on the topology and
   the frozen failure set — never on the utilization state or the
-  placement history.  The engine therefore caches, per leg anchor, a CSR
-  matrix holding that leg's sparse (link, fraction) row for **every**
+  placement history.  The engine therefore caches, per leg anchor, a
+  sparse matrix holding that leg's (link, fraction) row for **every**
   candidate switch at once, built from the same
   :class:`~repro.core.assignment.LoadCalculator` path-fraction caches the
   scalar engine reads.
 * **One dense evaluation per VIP.**  Stacking the legs of one demand
-  gives the per-(candidate, link) utilization-delta matrix; a single
-  ``np.bincount`` over ``candidate * n_links + link`` accumulates it
-  densely, and one row-max against the current link-utilization vector
-  yields every candidate's post-placement link peak.  Greedy placement
-  becomes an argmin over that cached MRU vector instead of |S| topology
-  walks.
+  gives the per-(candidate, link) utilization-delta matrix; one
+  ``np.add.at`` per leg over ``candidate * n_links + link`` accumulates
+  it into a dense scratch matrix, and one row-max against the current
+  link-utilization vector yields every switch's post-placement link
+  peak.  Greedy placement becomes an argmin over that MRU vector instead
+  of |S| topology walks, and the sticky rule reads the current switch's
+  MRU off the same vector.
 * **Invalidation.**  Delta rows are *placement-invariant*: committing a
   VIP only changes the shared utilization vectors (which are inputs to
   the evaluation, not part of the cache), so placements invalidate
-  nothing.  Rows are keyed by the frozen :class:`VipDemand` structure;
-  only demand churn (new VIPs, shifted ingress/DIP sets) builds new rows,
-  and the caches self-limit via an entry budget (bulk clear, counted in
-  ``rows_invalidated``).
+  nothing.  Rows are keyed by the frozen :class:`VipDemand` structure
+  and hold only references to their leg matrices, so a row costs a few
+  hundred bytes and survives every epoch an assigner lives through; only
+  demand churn (new VIPs, shifted ingress/DIP sets) builds new rows.  A
+  failure changes the legs themselves, so it needs a new engine: the
+  controller keys its one solver context on the failure set.
 
 **Bit-identity with the scalar engine** is the design contract, enforced
 by ``tests/test_assign_differential.py``: every float is produced by the
-same IEEE-754 operation sequence as the scalar code (``np.bincount``
-accumulates per key in input order, exactly like the scalar dict loop;
+same IEEE-754 operation sequence as the scalar code (``np.add.at``
+accumulates per cell in input order, exactly like the scalar dict loop;
 weights, divisions and comparisons reuse the scalar expressions), and
 tie-breaking goes through the very same seeded RNG in
 :meth:`GreedyAssigner._select_best`.
@@ -53,17 +56,18 @@ from repro.workload.vips import VipDemand
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.assignment import GreedyAssigner, LoadCalculator
 
-#: Above this many dense cells (candidates x links) the bincount
-#: evaluation would allocate unreasonably large scratch rows; the
-#: assigner then runs the reference walk instead (recorded in
-#: ``AssignStats.fallbacks``).  16M cells = 128 MB of float64 scratch.
+#: Above this many dense cells (candidates x links) the evaluation's
+#: scratch matrix would be unreasonably large; the assigner then runs the
+#: reference walk instead (recorded in ``AssignStats.fallbacks``).
+#: 16M cells = 128 MB of float64 scratch.
 DENSE_CELL_LIMIT = 16_000_000
 
-#: Cached leg/demand structures are bulk-cleared once their summed entry
-#: counts pass these budgets (mirrors ``_LOAD_CACHE_MAX`` in the scalar
-#: calculator: a guard against unbounded growth, not a tuning knob).
+#: Cached leg matrices are bulk-cleared once their summed entry counts
+#: pass this budget, cached demand structures once there are this many
+#: (mirrors ``_LOAD_CACHE_MAX`` in the scalar calculator: guards against
+#: unbounded growth under demand churn, not tuning knobs).
 LEG_ENTRY_BUDGET = 8_000_000
-STRUCTURE_ENTRY_BUDGET = 4_000_000
+STRUCTURE_MAX = 65536
 
 #: Pending per-solve latencies kept for the metrics collector before the
 #: oldest are dropped (scrapes normally drain far earlier).
@@ -82,9 +86,12 @@ class AssignStats:
     solves: int = 0
     solve_seconds_total: float = 0.0
     candidate_evaluations: int = 0
-    rows_built: int = 0
+    rows_built: int = 0  # demand structures built: structure-cache misses
     rows_invalidated: int = 0
     fallbacks: int = 0
+    structure_hits: int = 0
+    leg_hits: int = 0
+    leg_misses: int = 0
     _pending_solve_seconds: List[float] = field(default_factory=list)
 
     def record_solve(self, seconds: float) -> None:
@@ -106,6 +113,9 @@ class AssignStats:
         self.rows_built = 0
         self.rows_invalidated = 0
         self.fallbacks = 0
+        self.structure_hits = 0
+        self.leg_hits = 0
+        self.leg_misses = 0
         self._pending_solve_seconds = []
 
 
@@ -128,15 +138,14 @@ def reset_assign_stats() -> None:
 
 
 class _LegMatrix:
-    """One leg's sparse (link, fraction) row for every switch, CSR-style.
+    """One leg's sparse (link, fraction) row for every switch.
 
-    ``keys`` pre-encodes ``switch * n_links + link`` so a demand's
-    stacked legs can be accumulated with a single ``np.bincount``.
+    ``keys`` encodes each entry's dense cell ``switch * n_links + link``
+    so a leg accumulates into the per-(switch, link) evaluation matrix
+    with one ``np.add.at``.
     """
 
-    __slots__ = (
-        "starts", "link_idx", "pf", "caphr", "keys", "unreachable", "nnz",
-    )
+    __slots__ = ("pf", "caphr", "keys", "unreachable", "nnz")
 
     def __init__(
         self,
@@ -158,23 +167,16 @@ class _LegMatrix:
             if len(idx):
                 parts_idx.append(idx)
                 parts_pf.append(val)
-        self.starts = np.zeros(n_switches + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.starts[1:])
         if parts_idx:
-            self.link_idx = np.concatenate(parts_idx)
+            link_idx = np.concatenate(parts_idx)
             self.pf = np.concatenate(parts_pf)
         else:
-            self.link_idx = np.empty(0, dtype=np.int64)
+            link_idx = np.empty(0, dtype=np.int64)
             self.pf = np.empty(0)
-        self.caphr = capacity[self.link_idx]
+        self.caphr = capacity[link_idx]
         row_ids = np.repeat(np.arange(n_switches, dtype=np.int64), lengths)
-        self.keys = row_ids * n_links + self.link_idx
-        self.nnz = int(len(self.link_idx))
-
-    def row(self, switch_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo = self.starts[switch_index]
-        hi = self.starts[switch_index + 1]
-        return self.link_idx[lo:hi], self.pf[lo:hi]
+        self.keys = row_ids * n_links + link_idx
+        self.nnz = int(len(link_idx))
 
 
 #: Weight-spec tags: how to turn a demand's traffic into one leg's
@@ -191,12 +193,14 @@ class _DemandStructure:
     Shared by every demand with the same ingress racks / ingress flags /
     DIP rack multiset; the per-epoch traffic volume only scales the leg
     weights (:meth:`weights`), so a shifted-traffic epoch reuses the
-    structure as-is — the delta matrix never goes stale.
+    structure as-is — the delta matrix never goes stale.  It holds
+    references to the engine's leg matrices, not copies of their
+    entries, so a structure is small enough to keep one per demand shape
+    for as long as the engine lives.
     """
 
     __slots__ = (
-        "legs", "specs", "leg_sizes", "keys", "pf", "caphr",
-        "reachable", "alive_dips", "all_unreachable", "nnz",
+        "legs", "specs", "reachable", "alive_dips", "all_unreachable", "nnz",
     )
 
     def __init__(
@@ -211,37 +215,26 @@ class _DemandStructure:
         self.specs = specs
         self.alive_dips = alive_dips
         self.all_unreachable = all_unreachable
-        self.leg_sizes = np.array([m.nnz for m in legs], dtype=np.int64)
-        if legs:
-            self.keys = np.concatenate([m.keys for m in legs])
-            self.pf = np.concatenate([m.pf for m in legs])
-            self.caphr = np.concatenate([m.caphr for m in legs])
-            reachable = np.ones(n_switches, dtype=bool)
-            for m in legs:
-                reachable &= ~m.unreachable
-            self.reachable = reachable
-        else:
-            self.keys = np.empty(0, dtype=np.int64)
-            self.pf = np.empty(0)
-            self.caphr = np.empty(0)
-            self.reachable = np.ones(n_switches, dtype=bool)
-        self.nnz = int(len(self.keys))
+        self.reachable = np.ones(n_switches, dtype=bool)
+        for m in legs:
+            self.reachable &= ~m.unreachable
+        self.nnz = sum(m.nnz for m in legs)
 
-    def weights(self, demand: VipDemand) -> np.ndarray:
+    def weights(self, demand: VipDemand) -> List[float]:
         """Per-leg traffic weights, one scalar per leg, in leg order —
         the exact expressions of the scalar ``_compute_load_vector``."""
         traffic = demand.traffic_bps
-        out = np.empty(len(self.specs))
-        for i, (tag, param) in enumerate(self.specs):
+        out: List[float] = []
+        for tag, param in self.specs:
             if tag == _W_INGRESS:
-                out[i] = traffic * param
+                out.append(traffic * param)
             elif tag == _W_INTERNET:
-                out[i] = traffic * demand.internet_fraction
+                out.append(traffic * demand.internet_fraction)
             elif tag == _W_DIFFUSE:
-                out[i] = traffic * demand.diffuse_intra_fraction
+                out.append(traffic * demand.diffuse_intra_fraction)
             else:
                 per_dip = traffic / self.alive_dips
-                out[i] = per_dip * param
+                out.append(per_dip * param)
         return out
 
 
@@ -283,7 +276,6 @@ class FastAssignEngine:
         self._legs: Dict[Tuple, _LegMatrix] = {}
         self._leg_entries = 0
         self._structures: Dict[Tuple, _DemandStructure] = {}
-        self._structure_entries = 0
         # Candidate bookkeeping shared with the scalar strategy: Aggs and
         # Cores in switch-index order, exactly as the scalar
         # ``_effective_candidates`` emits them.
@@ -293,23 +285,18 @@ class FastAssignEngine:
         ]
         if self.supported:
             self._build_container_index()
-
-    # -- cache management ----------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop every cached delta row (the leg path-fraction matrices
-        stay: like the calculator's path caches they depend only on the
-        topology and the frozen failure set)."""
-        self.stats.rows_invalidated += len(self._structures)
-        self._structures.clear()
-        self._structure_entries = 0
+            # Scratch for the per-(switch, link) evaluation, reused by
+            # every call instead of allocated by each.
+            self._dense = np.zeros((self.n_switches, self.n_links))
 
     # -- leg matrices --------------------------------------------------------
 
     def _leg(self, key: Tuple) -> _LegMatrix:
         cached = self._legs.get(key)
         if cached is not None:
+            self.stats.leg_hits += 1
             return cached
+        self.stats.leg_misses += 1
         calc = self.calculator
         rows: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         for s in range(self.n_switches):
@@ -338,6 +325,7 @@ class FastAssignEngine:
         key = _structure_key(demand)
         cached = self._structures.get(key)
         if cached is not None:
+            self.stats.structure_hits += 1
             return cached
         failed = self.calculator.router.failed_switches
         legs: List[_LegMatrix] = []
@@ -368,15 +356,10 @@ class FastAssignEngine:
         structure = _DemandStructure(
             self.n_switches, legs, specs, alive_dips, all_unreachable,
         )
-        if (
-            self._structure_entries + structure.nnz > STRUCTURE_ENTRY_BUDGET
-            and self._structures
-        ):
+        if len(self._structures) >= STRUCTURE_MAX:
             self.stats.rows_invalidated += len(self._structures)
             self._structures.clear()
-            self._structure_entries = 0
         self._structures[key] = structure
-        self._structure_entries += structure.nnz
         self.stats.rows_built += 1
         return structure
 
@@ -388,52 +371,60 @@ class FastAssignEngine:
     ) -> np.ndarray:
         """Post-placement link peak for *every* switch at once.
 
-        For untouched links the dense cell holds ``U + 0.0 == U`` so a
-        row max can only report a value the global base already covers —
-        the final ``max(global, peak, mem)`` matches the scalar
+        Legs accumulate into the dense scratch matrix in leg order
+        (``np.add.at`` applies its entries one by one, in order), which
+        is the scalar walk's per-link summation order.  For untouched
+        links the dense cell holds ``U + 0.0 == U`` so a row max can
+        only report a value the global base already covers — the final
+        ``max(global, peak, mem)`` matches the scalar
         ``max(base, touched-links peak, mem)`` exactly.
         """
         if structure.nnz == 0:
             return np.zeros(self.n_switches)
-        w = structure.weights(demand)
-        data = structure.pf * np.repeat(w, structure.leg_sizes)
-        util = data / structure.caphr
-        dense = np.bincount(
-            structure.keys, weights=util, minlength=self.dense_cells,
-        ).reshape(self.n_switches, self.n_links)
-        np.add(dense, link_util, out=dense)
+        dense = self._dense
+        dense.fill(0.0)
+        cells = dense.reshape(-1)
+        for leg, weight in zip(structure.legs, structure.weights(demand)):
+            util = leg.pf * weight
+            util /= leg.caphr
+            np.add.at(cells, leg.keys, util)
+        dense += link_util
         return dense.max(axis=1)
 
-    def best_switch(
+    def score(
         self,
         assigner: "GreedyAssigner",
         demand: VipDemand,
         link_util: np.ndarray,
         mem_util: np.ndarray,
-    ) -> Optional[Tuple[int, float]]:
-        """Engine-side half of :meth:`GreedyAssigner.best_switch`:
-        vectorized scoring, shared scalar selection."""
+        current: Optional[int] = None,
+    ) -> Tuple[Optional[Tuple[int, float]], Optional[float]]:
+        """Engine-side half of :meth:`GreedyAssigner.score`: one
+        vectorized pass prices every switch, the shared scalar selection
+        picks among the candidates, and the MRU of staying on
+        ``current`` is read off the same vector."""
         candidates = self.effective_candidates(
             assigner, demand, link_util, mem_util,
         )
         self.stats.candidate_evaluations += len(candidates)
         structure = self._structure(demand)
         if structure.all_unreachable:
-            return None
+            return None, None
         global_max = assigner._global_max(link_util, mem_util)
         mem_add = demand.n_dips / self.dip_capacity
         peaks = self._link_peaks(structure, demand, link_util)
         reachable = structure.reachable
 
-        def scored():
-            for s in candidates:
-                new_mem = mem_util[s] + mem_add
-                if new_mem > 1.0 + 1e-12 or not reachable[s]:
-                    yield s, None
-                    continue
-                yield s, max(global_max, float(peaks[s]), float(new_mem))
+        def mru_on(s: int) -> Optional[float]:
+            new_mem = mem_util[s] + mem_add
+            if new_mem > 1.0 + 1e-12 or not reachable[s]:
+                return None
+            return max(global_max, float(peaks[s]), float(new_mem))
 
-        return assigner._select_best(demand, scored())
+        choice = assigner._select_best(
+            demand, ((s, mru_on(s)) for s in candidates),
+        )
+        return choice, None if current is None else mru_on(current)
 
     # -- candidate generation (vectorized container decomposition) -----------
 

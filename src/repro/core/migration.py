@@ -126,8 +126,19 @@ def diff_assignments(
     )
 
 
+def _checked_delta(delta: float) -> float:
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    return delta
+
+
 class StickyMigrator:
-    """Sticky re-assignment (S4.2): move a VIP only for a >= delta MRU win."""
+    """Sticky re-assignment (S4.2): move a VIP only for a >= delta MRU win.
+
+    The migrator keeps one :class:`GreedyAssigner` for its router's
+    failure set, so every epoch after the first solves on warm
+    path-fraction and leg caches.
+    """
 
     def __init__(
         self,
@@ -136,25 +147,23 @@ class StickyMigrator:
         delta: float = DEFAULT_STICKY_DELTA,
         router: Optional[EcmpRouter] = None,
     ) -> None:
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
         self.topology = topology
         self.config = config
-        self.delta = delta
-        self.router = router
+        self.delta = _checked_delta(delta)
+        self.assigner = GreedyAssigner(topology, config, router=router)
 
     def reassign(
         self,
         old: Optional[Assignment],
         demands: Sequence[VipDemand],
+        delta: Optional[float] = None,
     ) -> Tuple[Assignment, MigrationPlan]:
-        """Compute the sticky assignment for the new epoch and its plan."""
-        assigner = GreedyAssigner(
-            self.topology, self.config, router=self.router,
-        )
+        """Compute the sticky assignment for the new epoch and its plan
+        (``delta``: this epoch's threshold instead of the migrator's)."""
+        delta = self.delta if delta is None else _checked_delta(delta)
         old_map = old.vip_to_switch if old else {}
-        new = assigner.place(
-            demands, assigner.keep_or_move(old_map, self.delta)
+        new = self.assigner.place(
+            demands, self.assigner.keep_or_move(old_map, delta)
         )
         return new, diff_assignments(old, new)
 
@@ -175,17 +184,14 @@ class NonStickyMigrator:
     ) -> None:
         self.topology = topology
         self.config = config
-        self.router = router
+        self.assigner = GreedyAssigner(topology, config, router=router)
 
     def reassign(
         self,
         old: Optional[Assignment],
         demands: Sequence[VipDemand],
     ) -> Tuple[Assignment, MigrationPlan]:
-        assigner = GreedyAssigner(
-            self.topology, self.config, router=self.router,
-        )
-        new = assigner.assign(demands)
+        new = self.assigner.assign(demands)
         return new, diff_assignments(old, new)
 
 
@@ -207,6 +213,7 @@ class OneTimeMigrator:
     ) -> None:
         self.topology = topology
         self.config = config
+        self.assigner = GreedyAssigner(topology, config)
         self._initial: Optional[Dict[int, int]] = None
 
     def reassign(
@@ -214,7 +221,7 @@ class OneTimeMigrator:
         old: Optional[Assignment],
         demands: Sequence[VipDemand],
     ) -> Tuple[Assignment, MigrationPlan]:
-        assigner = GreedyAssigner(self.topology, self.config)
+        assigner = self.assigner
         if self._initial is None:
             new = assigner.assign(demands)
             self._initial = dict(new.vip_to_switch)

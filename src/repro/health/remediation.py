@@ -41,8 +41,7 @@ from repro.health.detector import (
 )
 from repro.health.faults import FaultPlane, smux_key, switch_key
 from repro.health.probes import ProbeNetwork, ProbeScheduler, SimClock
-
-_HMUX_VIP_COUNTER = "duet_hmux_vip_packets_total"
+from repro.net.addressing import format_ip
 
 
 class RemediationLoop:
@@ -274,16 +273,16 @@ class HealthMonitor:
 
     # -- per-round plumbing -------------------------------------------------
 
-    def _hmux_counter_snapshot(self) -> Dict[Tuple[str, ...], float]:
+    def _hmux_counter_snapshot(self) -> Dict[Tuple[int, int], int]:
+        """Per-(switch, VIP) packets each HMux has forwarded: the source
+        of ``duet_hmux_vip_packets_total``, read off the switches rather
+        than through a scrape (which runs every collector)."""
         if self.registry is None:
             return {}
-        self.registry.collect()
-        counter = self.registry.get(_HMUX_VIP_COUNTER)
-        if counter is None:
-            return {}
         return {
-            tuple(value for _, value in sample.labels): sample.value
-            for sample in counter.samples()
+            (index, vip): packets
+            for index, agent in self.controller.switch_agents.items()
+            for vip, packets in agent.hmux.counters.per_vip_packets.items()
         }
 
     def _adopt_external(self, t: float) -> None:
@@ -302,11 +301,19 @@ class HealthMonitor:
         before = self._hmux_counter_snapshot()
         round_ = self.scheduler.run_round(t)
         after = self._hmux_counter_snapshot()
-        deltas = {
-            key: after[key] - before.get(key, 0.0)
-            for key in after
-            if after[key] != before.get(key, 0.0)
-        }
+        if self.registry is not None:
+            # The one scrape of the round, between the sweep and the
+            # remediation below: a quarantine wipes its mux, and the
+            # cumulative forwarded series only survives a wipe for the
+            # packets a scrape has already seen; the alert round that
+            # follows also reads the histograms collectors drain into.
+            self.registry.collect()
+        # Keyed as the registry labels the counter: (switch, VIP) strings.
+        deltas: Dict[Tuple[str, str], float] = {}
+        for (index, vip), packets in after.items():
+            moved = packets - before.get((index, vip), 0)
+            if moved:
+                deltas[(str(index), format_ip(vip))] = float(moved)
 
         if self._instruments is not None:
             probes = self._instruments["probes"]

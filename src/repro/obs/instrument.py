@@ -489,6 +489,14 @@ def register_assignment_metrics(
     fallbacks = registry.counter(
         f"{p}_assign_engine_fallbacks_total",
         "Solves that fell back to the scalar engine", ("engine",))
+    cache_hits = registry.counter(
+        f"{p}_assign_cache_hits_total",
+        "Solver cache lookups served from a kept entry",
+        ("engine", "cache"))
+    cache_misses = registry.counter(
+        f"{p}_assign_cache_misses_total",
+        "Solver cache lookups that had to build their entry",
+        ("engine", "cache"))
 
     def collect(_registry: MetricsRegistry) -> None:
         for name, stats in ASSIGN_STATS.items():
@@ -497,6 +505,12 @@ def register_assignment_metrics(
             rows_built.labels(name).set_total(stats.rows_built)
             rows_invalidated.labels(name).set_total(stats.rows_invalidated)
             fallbacks.labels(name).set_total(stats.fallbacks)
+            cache_hits.labels(name, "leg").set_total(stats.leg_hits)
+            cache_misses.labels(name, "leg").set_total(stats.leg_misses)
+            cache_hits.labels(name, "structure").set_total(
+                stats.structure_hits)
+            cache_misses.labels(name, "structure").set_total(
+                stats.rows_built)
             for seconds in stats.drain_pending_solves():
                 solve_seconds.labels(name).observe(seconds)
 

@@ -18,7 +18,9 @@ failures, both candidate strategies, all VIP orderings, small host-table
 budgets, and stop-on-first-failure both ways.  Every fifth scenario
 additionally replays five epochs of drifting traffic through a
 ``StickyMigrator`` on both backends and requires identical migration
-plans (steps, moved VIPs, shuffled traffic) at every epoch.
+plans (steps, moved VIPs, shuffled traffic) at every epoch.  A second
+pass over all scenarios holds the sticky rule's keep-MRU, read off the
+fast backend's scoring vector, equal to ``placement_mru``.
 """
 
 from __future__ import annotations
@@ -136,22 +138,65 @@ def test_engines_placement_identical(seed: int) -> None:
     if seed % MIGRATION_EVERY != 0:
         return
 
-    # 5 epochs of drifting traffic, each solved on both backends.
+    # 5 epochs of drifting traffic, each solved on both backends; a
+    # migrator keeps its assigner, so each backend gets its own.
     drift = random.Random(seed ^ 0xD81F7)
-    sticky = StickyMigrator(topology, config, router=router)
+    sticky_fast = StickyMigrator(topology, config, router=router)
+    with reference_walk():
+        sticky_scalar = StickyMigrator(topology, config, router=router)
+    assert sticky_fast.assigner.engine_name == "fast"
+    assert sticky_scalar.assigner.engine_name == "scalar"
     current_fast = current_scalar = None
     for _ in range(MIGRATION_EPOCHS):
         factor = drift.uniform(0.6, 1.5)
         epoch_demands = [d.scaled(factor) for d in demands]
-        current_fast, plan_fast = sticky.reassign(
+        current_fast, plan_fast = sticky_fast.reassign(
             current_fast, epoch_demands,
         )
-        with reference_walk():
-            current_scalar, plan_scalar = sticky.reassign(
-                current_scalar, epoch_demands,
-            )
+        current_scalar, plan_scalar = sticky_scalar.reassign(
+            current_scalar, epoch_demands,
+        )
         assert_assignments_identical(current_fast, current_scalar)
         assert_plans_identical(plan_fast, plan_scalar)
+
+
+@pytest.mark.parametrize("seed", range(N_SCENARIOS))
+def test_keep_mru_from_the_scoring_pass_is_placement_mru(seed: int) -> None:
+    """The sticky rule reads the MRU of staying put off the vector the
+    fast backend scored every switch with; the reference walk's
+    ``placement_mru`` is the oracle, bit for bit, at every state a
+    sticky epoch passes through."""
+    topology, router, demands, config = build_scenario(seed)
+    fast = GreedyAssigner(topology, config, router=router)
+    assert fast.engine_name == "fast"
+    old_map = fast.assign(demands).vip_to_switch
+    alive = [
+        s for s in range(topology.n_switches)
+        if s not in router.failed_switches
+    ]
+    pick = random.Random(seed ^ 0x5C0DE)
+    compared = feasible = 0
+    sticky = fast.keep_or_move(old_map, 0.05)
+
+    def checking(demand, link_util, mem_util):
+        nonlocal compared, feasible
+        # Where the VIP is (if anywhere) and one switch it is not on.
+        for current in {old_map.get(demand.vip_id), pick.choice(alive)}:
+            if current is None:
+                continue
+            choice, keep = fast.score(demand, link_util, mem_util, current)
+            assert keep == fast.placement_mru(
+                demand, current, link_util, mem_util,
+            )
+            assert choice == fast.best_switch(demand, link_util, mem_util)
+            compared += 1
+            feasible += keep is not None
+        return sticky(demand, link_util, mem_util)
+
+    fast.place([d.scaled(1.3) for d in demands], checking)
+    assert compared >= len(old_map)
+    # Vacuous only where nothing could be placed to begin with.
+    assert feasible > 0 or not old_map
 
 
 @pytest.mark.parametrize("seed", range(0, N_SCENARIOS, 10))
