@@ -594,7 +594,7 @@ class ChaosEngine:
             topology=dying.topology,
             # The surviving fault model keeps its RNG stream: a restart
             # does not reset the network's weather.
-            fault_model=dying._fault_model,
+            fault_model=dying.fault_model,
         )
         AntiEntropyReconciler(restored).converge()
         self.controller = restored

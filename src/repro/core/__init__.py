@@ -19,6 +19,7 @@ from repro.core.capacity import CapacityReport, binding_resource, find_capacity
 from repro.core.refine import AssignmentRefiner, RefinementResult
 from repro.core.replication import ReplicatedAssigner, ReplicatedAssignment
 from repro.core.snat import PortRange, SnatError, SnatPortManager, slots_of_dip
+from repro.core.intent import ControllerIntent
 from repro.core.controller import (
     ControllerError,
     DuetController,
@@ -63,6 +64,7 @@ __all__ = [
     "FastAssignEngine",
     "CapacityReport",
     "ControllerError",
+    "ControllerIntent",
     "DEFAULT_STICKY_DELTA",
     "DuetController",
     "FirstFitAssigner",

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
-    Tuple,
+    Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.control import (
@@ -36,6 +35,14 @@ from repro.control import (
     RetryPolicy,
 )
 from repro.core.assignment import Assignment, AssignmentConfig
+from repro.core.intent import (
+    REPLAYABLE_OPS,
+    ControllerIntent,
+    VipRecord,
+    assignment_to_state,
+    dip_to_dict,
+    vip_to_dict,
+)
 from repro.core.migration import (
     MigrationPlan,
     StepKind,
@@ -49,11 +56,7 @@ from repro.dataplane.smux import SMux
 from repro.dataplane.tables import TableEntryError, TableFullError
 from repro.net.addressing import Prefix, format_ip
 from repro.net.bgp import MuxKind, MuxRef, VipRouteTable
-from repro.net.failures import (
-    FailureScenario,
-    FaultModel,
-    isolated_switches,
-)
+from repro.net.failures import FaultModel
 from repro.net.routing import EcmpRouter
 from repro.net.topology import Topology
 from repro.obs.tracing import maybe_span, span_attrs, trace_event
@@ -291,46 +294,22 @@ class SwitchAgent:
         return withdrawn
 
 
-@dataclass
-class VipRecord:
-    """Controller-side state for one VIP."""
-
-    vip: Vip
-    dips: List[Dip]
-    assigned_switch: Optional[int] = None  # None: SMux-only
-
-    @property
-    def addr(self) -> int:
-        return self.vip.addr
-
-    def dip_addrs(self) -> List[int]:
-        return [d.addr for d in self.dips]
-
-    def encap_targets(self, virtualized: bool) -> List[int]:
-        """What the muxes encapsulate toward: DIP addresses on physical
-        clusters, host addresses (one entry per VM, Figure 6) when the
-        cluster is virtualized and switches cannot double-encapsulate."""
-        if virtualized:
-            return [host_address(d.server_id) for d in self.dips]
-        return self.dip_addrs()
-
-    def encap_weights(self) -> Optional[List[float]]:
-        """WCMP weights for heterogeneous pools (S5.2); None when all
-        DIPs are equal."""
-        weights = [d.weight for d in self.dips]
-        if all(w == weights[0] for w in weights):
-            return None
-        return weights
-
-
 class DuetController:
-    """The central controller plus the materialized data plane."""
+    """The central controller plus the materialized data plane.
 
-    #: The one solver context (see :meth:`_solver`): derived state, not
-    #: intent — never journaled, and a class-level default so that every
-    #: incarnation, however constructed (``restore`` bypasses
-    #: ``__init__``), starts without one.
-    _solver_context: Optional[Tuple[SolverKey, StickyMigrator]] = None
+    State comes in three kinds.  **Intent** — what the journal makes
+    durable — lives in exactly one :class:`~repro.core.intent.ControllerIntent`
+    (``self.intent``), written only through its named transitions.
+    **Dataplane** — route table, switch agents, SMuxes, host agents and
+    the control channel — belongs to the deployment and outlives a
+    controller crash.  Everything else here is **derived** or
+    per-incarnation (the DIP -> server index, the solver context, retry
+    RNG, ledger, counters) and starts over with each incarnation.
+
+    Every mutating op has one shape: validate -> ``_journal_op`` (append)
+    -> intent transitions interleaved with dataplane effects and crash
+    points -> commit.
+    """
 
     def __init__(
         self,
@@ -346,28 +325,44 @@ class DuetController:
         retry_backoff_s: float = 0.05,
         channel: Optional[ControlChannel] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        intent: Optional[ControllerIntent] = None,
+        dataplane=None,
     ) -> None:
+        """A fresh deployment registers ``population`` and announces the
+        SMux aggregates.  A restart (see :meth:`restore`) passes the
+        ``intent`` recovered from the journal — ``population`` and the
+        SMux fleet must then be the intent's own — and, for a warm one,
+        the surviving ``dataplane``
+        (:class:`~repro.durability.recovery.SurvivingDataplane`); it
+        programs nothing: the reconciler drives the dataplane to intent.
+        """
         if n_smuxes < 1:
             raise ControllerError("need at least one SMux")
         if max_program_attempts < 1:
             raise ControllerError("need at least one programming attempt")
+        if dataplane is not None and intent is None:
+            raise ControllerError("a surviving dataplane needs its intent")
         self.topology = topology
         self.population = population
         self.config = config
         self.hash_seed = hash_seed
         self.virtualized = virtualized
-        self.route_table = VipRouteTable()
-        self.assignment: Optional[Assignment] = None
         self.max_program_attempts = max_program_attempts
         self.retry_backoff_s = retry_backoff_s
         # Control-channel plumbing (see repro.control): every device
         # mutation below — switch agents, SMuxes, host agents — is
         # delivered as an epoch-fenced command.  The channel belongs to
         # the deployment (it survives controller crashes with the
-        # dataplane); the ledger and retry RNG are per-incarnation.
+        # dataplane: fencing watermarks, queued duplicates, injected
+        # weather); the ledger and retry RNG are per-incarnation.
+        if channel is None and dataplane is not None:
+            channel = dataplane.channel
         self.channel = channel if channel is not None else ControlChannel(
             seed=hash_seed ^ CHANNEL_SEED_SALT
         )
+        # In-flight unacked ops of a dead incarnation are re-derived
+        # from the journal's uncommitted tail (the roll-forward) — that
+        # is the ledger replay.
         self.ledger = PendingOpsLedger()
         self.retry_policy = (
             retry_policy if retry_policy is not None
@@ -379,53 +374,80 @@ class DuetController:
         self._retry_rng = random.Random(hash_seed ^ RETRY_RNG_SALT)
         self.programming_stats = ProgrammingStats()
         self._fault_model = fault_model
+        # The one solver context (see _solver): derived state, never
+        # journaled, so every incarnation starts without one.
+        self._solver_context: Optional[Tuple[SolverKey, StickyMigrator]] = None
         # Durability plumbing (see repro.durability): no journal until
-        # attach_journal, ops nest (cut_link -> fail_switch) so only the
-        # outermost journals, and the crash hook simulates process death
-        # at op-internal fault points.
+        # attach_journal; the crash hook simulates process death at
+        # op-internal fault points.
         self._journal = None
-        self._journal_depth = 0
         self._snapshot_interval = 64
         self._crash_hook = None
         # Observability plumbing (see repro.obs): a tracer wraps every
-        # outermost mutating op in a span, a tap samples forwarded flows.
+        # mutating op in a span, a tap samples forwarded flows.
         # Both stay None — zero overhead — until attached.
         self._tracer = None
         self._tap = None
 
-        self.switch_agents: Dict[int, SwitchAgent] = {
-            s.index: SwitchAgent(
-                s.index,
-                HMux(
-                    switch_ip=switch_loopback(s.index),
-                    tables=s.tables,
-                    hash_seed=hash_seed,
-                ),
-                self.route_table,
-                fault_model=fault_model,
-                channel=self.channel,
-            )
-            for s in topology.switches
-        }
-        self.smuxes: List[SMux] = [
-            SMux(i, SMUX_POOL.network + i, hash_seed=hash_seed)
-            for i in range(n_smuxes)
-        ]
-        self._next_smux_id = n_smuxes
-        self.host_agents: Dict[int, HostAgent] = {}
+        surviving_smuxes: Dict[int, SMux] = {}
+        if dataplane is None:
+            self.route_table = VipRouteTable()
+            self.switch_agents: Dict[int, SwitchAgent] = {
+                s.index: SwitchAgent(
+                    s.index,
+                    HMux(
+                        switch_ip=switch_loopback(s.index),
+                        tables=s.tables,
+                        hash_seed=hash_seed,
+                    ),
+                    self.route_table,
+                    fault_model=fault_model,
+                    channel=self.channel,
+                )
+                for s in topology.switches
+            }
+            self.host_agents: Dict[int, HostAgent] = {}
+        else:
+            self.route_table = dataplane.route_table
+            self.switch_agents = dataplane.switch_agents
+            self.host_agents = dataplane.host_agents
+            surviving_smuxes = {s.smux_id: s for s in dataplane.smuxes}
+            for agent in self.switch_agents.values():
+                agent.channel = self.channel
+                # A surviving fault model keeps its RNG stream unless
+                # the restart brings its own.
+                if fault_model is not None:
+                    agent.fault_model = fault_model
         self._dip_to_server: Dict[int, int] = {}
-        self._records: Dict[int, VipRecord] = {}
-        self._failed_switches: Set[int] = set()
-        self._failed_links: Set[int] = set()
-        self._snat_managers: Dict[int, object] = {}
-        #: VIPs the assignment wanted on an HMux but that are being served
-        #: by the SMux backstop instead (programming ultimately failed or
-        #: the target switch was dead) — the overflow set of S3.3.2.
-        self.degraded_vips: Set[int] = set()
-
-        for vip in population:
-            self._register_vip(vip)
-        self._announce_smux_aggregates()
+        if intent is None:
+            self.intent = ControllerIntent(topology, config, range(n_smuxes))
+            self.smuxes: List[SMux] = [
+                self._new_smux(i) for i in self.intent.smux_ids
+            ]
+            for vip in population:
+                self._register_vip(vip)
+            self._announce_smux_aggregates()
+        else:
+            # A new incarnation of an existing deployment: bumping the
+            # epoch fences off every command the dead one still had in
+            # flight (on a cold restart nothing of it survives, but the
+            # bump keeps "new incarnation -> new epoch" uniform).
+            self.channel.bump_epoch()
+            self.intent = intent
+            # The SMux fleet the intent wants: adopt survivors, stand up
+            # fresh (empty) instances for the rest — the reconciler
+            # programs them.  Ids are monotone, so ascending order
+            # matches a never-crashed twin.
+            self.smuxes = sorted(
+                (
+                    surviving_smuxes.get(i) or self._new_smux(i)
+                    for i in intent.smux_ids
+                ),
+                key=lambda s: s.smux_id,
+            )
+            for record in intent.records.values():
+                for dip in record.dips:
+                    self._dip_to_server[dip.addr] = dip.server_id
 
     # -- control channel ---------------------------------------------------------
 
@@ -457,8 +479,7 @@ class DuetController:
                 "port-based pools are not supported on virtualized "
                 "clusters (the ACL pools address DIPs directly)"
             )
-        record = VipRecord(vip=vip, dips=list(vip.dips))
-        self._records[vip.addr] = record
+        record = self.intent.add_vip(vip)
         for dip in vip.dips:
             self._attach_dip(vip.addr, dip)
         for smux in self.smuxes:
@@ -485,6 +506,11 @@ class DuetController:
         )
         self._dip_to_server[dip.addr] = dip.server_id
 
+    def _new_smux(self, smux_id: int) -> SMux:
+        return SMux(
+            smux_id, SMUX_POOL.network + smux_id, hash_seed=self.hash_seed,
+        )
+
     def _announce_smux_aggregates(self) -> None:
         """"Each SMux announces all the VIPs" via aggregate prefixes, so
         LPM prefers any live HMux /32 (S3.3.1)."""
@@ -508,6 +534,8 @@ class DuetController:
         intent — so the journal is sufficient from the moment it is
         attached, and a post-recovery attach absorbs the replayed tail.
         """
+        # Looked up on the module at every call: the benchmark wraps
+        # ``recovery.snapshot_state`` by name.
         from repro.durability.recovery import snapshot_state
         from repro.workload.serialization import params_to_dict
 
@@ -552,35 +580,23 @@ class DuetController:
         record (with the yielded effects dict) lands after the op
         completes.  An exception — above all :class:`SimulatedCrash` —
         skips the commit, leaving the op for recovery to roll forward.
-        Nested ops (``cut_link`` promoting ``fail_switch``) journal only
-        at the outermost level: replay mirrors the nesting.
+        An op the intent cannot replay is refused before it is
+        appended, so a new op without a replay entry fails on its first
+        call instead of at the next crash.  Journaled ops do not nest:
+        replay applies each record once, at top level.
         """
+        if op not in REPLAYABLE_OPS:
+            raise ControllerError(
+                f"op {op!r} has no replay entry in ControllerIntent"
+            )
         effects: Dict[str, Any] = {}
-        if self._journal_depth > 0:
-            # Nested op: neither journaled nor given its own root span
-            # (it runs inside the outer op's span, so any switch-agent
-            # spans it opens still land in the right causal tree).
-            self._journal_depth += 1
-            try:
-                yield effects
-            finally:
-                self._journal_depth -= 1
-            return
         with maybe_span(self._tracer, f"op:{op}", **span_attrs(params)):
             if self._journal is None:
-                self._journal_depth += 1
-                try:
-                    yield effects
-                finally:
-                    self._journal_depth -= 1
+                yield effects
                 return
             seq = self._journal.append(op, params)
             trace_event(self._tracer, "journal.append", op=op, seq=seq)
-            self._journal_depth += 1
-            try:
-                yield effects
-            finally:
-                self._journal_depth -= 1
+            yield effects
             self._journal.commit(seq, effects or None)
             trace_event(self._tracer, "journal.commit", op=op, seq=seq)
             self._maybe_snapshot()
@@ -670,8 +686,8 @@ class DuetController:
 
     def _solver_key(self) -> SolverKey:
         return (
-            frozenset(self._failed_switches),
-            frozenset(self._failed_links),
+            frozenset(self.intent.failed_switches),
+            frozenset(self.intent.failed_links),
             self.config,
         )
 
@@ -695,19 +711,15 @@ class DuetController:
     def run_initial_assignment(self) -> Assignment:
         """Compute and install the first VIP-switch assignment."""
         assignment = self._solver().assigner.assign(self.population.demands())
-        self._install_assignment(assignment)
+        self.apply_assignment(assignment)
         return assignment
 
     def apply_assignment(self, new: Assignment) -> MigrationPlan:
         """Migrate from the current assignment to ``new`` (two-phase,
         through the SMux stepping stone)."""
-        plan = diff_assignments(self.assignment, new)
+        plan = diff_assignments(self.intent.assignment, new)
         self._execute_plan(plan, new)
         return plan
-
-    def _install_assignment(self, assignment: Assignment) -> None:
-        plan = diff_assignments(self.assignment, assignment)
-        self._execute_plan(plan, assignment)
 
     def _execute_plan(self, plan: MigrationPlan, new: Assignment) -> None:
         # All three entry points (apply_assignment, initial install,
@@ -716,10 +728,7 @@ class DuetController:
         # re-run on replay.  Params capture the PRE-execution target; the
         # degraded reconciliation below is re-derived from the effects.
         params = {
-            "target": {
-                "map": [[vid, sw] for vid, sw in new.vip_to_switch.items()],
-                "unassigned": list(new.unassigned),
-            },
+            "target": assignment_to_state(new),
             "plan": [
                 [step.kind.value, step.vip_id, step.switch_index]
                 for step in plan.steps
@@ -729,70 +738,54 @@ class DuetController:
             effects["degraded_ids"] = self._execute_plan_steps(plan, new)
 
     def _execute_plan_steps(self, plan: MigrationPlan, new: Assignment) -> List[int]:
-        vips_by_id = {v.vip_id: v for v in self.population}
+        intent = self.intent
+        # Adopt the target first; each step then reconciles it with what
+        # actually landed (a degraded VIP drops out of the stored
+        # assignment), so the next sticky rebalance retries degraded
+        # VIPs instead of believing they are already placed.
+        intent.install_assignment(new)
+        records = intent.records_by_vip_id()
         degraded_ids: List[int] = []
         for step in plan.steps:
-            vip = vips_by_id.get(step.vip_id)
-            if vip is None:
+            record = records.get(step.vip_id)
+            if record is None:
                 continue
             self._crash_point(f"plan:{step.kind.value}:{step.vip_id}")
-            record = self._records[vip.addr]
-            agent = self.switch_agents[step.switch_index]
             if step.kind is StepKind.WITHDRAW:
-                if agent.hmux.has_vip(vip.addr):
-                    if vip.port_pools:
-                        agent.remove_vip_port_rules(
-                            vip.addr, [port for port, _ in vip.port_pools]
-                        )
-                    agent.remove_vip(vip.addr)
-                record.assigned_switch = None
-            else:
-                if step.switch_index in self._failed_switches:
-                    # An arbitrary Assignment (or a failure racing the
-                    # plan) must never program a dead switch and
-                    # re-announce its routes: the VIP stays on the SMux
-                    # backstop until a rebalance re-homes it.
-                    self.programming_stats.skipped_dead_switch += 1
-                    self._degrade(record)
-                    degraded_ids.append(step.vip_id)
-                    continue
-                if self._program_vip_with_retry(
-                    record, vip, step.switch_index
-                ):
-                    record.assigned_switch = step.switch_index
-                    self.degraded_vips.discard(vip.addr)
-                else:
-                    self._degrade(record)
-                    degraded_ids.append(step.vip_id)
-        # Reconcile the stored assignment with what actually landed, so
-        # the next sticky rebalance retries degraded VIPs instead of
-        # believing they are already placed.
-        for vip_id in degraded_ids:
-            new.vip_to_switch.pop(vip_id, None)
-            if vip_id not in new.unassigned:
-                new.unassigned.append(vip_id)
-        self.assignment = new
+                self._withdraw_from_hmux(record, step.switch_index)
+            elif not self._program_or_degrade(record, step.switch_index):
+                degraded_ids.append(step.vip_id)
         return degraded_ids
 
-    def _degrade_and_reconcile(self, record: VipRecord) -> None:
-        """Degrade a VIP outside plan execution: mark it SMux-only and
-        drop it from the stored assignment so the next rebalance retries
-        the placement."""
-        self._degrade(record)
-        if self.assignment is not None:
-            vip_id = record.vip.vip_id
-            self.assignment.vip_to_switch.pop(vip_id, None)
-            if vip_id not in self.assignment.unassigned:
-                self.assignment.unassigned.append(vip_id)
+    def _withdraw_from_hmux(self, record: VipRecord, switch_index: int) -> None:
+        """Phase one of the S4.2 migration (and of a removal): withdraw
+        the /32 (traffic falls to the SMux aggregates with connection
+        state intact) and free the tables, port rules included."""
+        agent = self.switch_agents[switch_index]
+        vip = record.vip
+        if agent.hmux.has_vip(vip.addr):
+            if vip.port_pools:
+                agent.remove_vip_port_rules(
+                    vip.addr, [port for port, _ in vip.port_pools]
+                )
+            agent.remove_vip(vip.addr)
+        self.intent.withdraw(record)
 
-    def _degrade(self, record: VipRecord) -> None:
-        """Leave a VIP SMux-only (the overflow path of S3.3.2): the SMux
-        aggregates already cover it, so service continues — degraded, not
-        down."""
-        record.assigned_switch = None
-        if record.addr not in self.degraded_vips:
-            self.degraded_vips.add(record.addr)
+    def _program_or_degrade(self, record: VipRecord, switch_index: int) -> bool:
+        """Program + announce a VIP on a switch and record where it
+        landed; True when it is now served there.  A dead switch (an
+        arbitrary Assignment, or a failure racing the op, must never
+        program one and re-announce its routes) or an unprogrammable one
+        leaves the VIP degraded on the SMux backstop until a rebalance
+        re-homes it."""
+        if switch_index in self.intent.failed_switches:
+            self.programming_stats.skipped_dead_switch += 1
+        elif self._program_vip_with_retry(record, record.vip, switch_index):
+            self.intent.place(record, switch_index)
+            return True
+        if self.intent.unplace(record, degraded=True):
             self.programming_stats.degraded += 1
+        return False
 
     def _program_vip_with_retry(
         self, record: VipRecord, vip: Vip, switch_index: int
@@ -868,7 +861,7 @@ class DuetController:
     def add_vip(self, vip: Vip) -> None:
         """"A new VIP is first added to SMuxes, and then the migration
         algorithm decides the right destination." """
-        if vip.addr in self._records:
+        if vip.addr in self.intent.records:
             raise ControllerError(f"VIP {format_ip(vip.addr)} already exists")
         if vip.port_pools and self.virtualized:
             # _register_vip rejects this too, but validation must precede
@@ -877,25 +870,20 @@ class DuetController:
                 "port-based pools are not supported on virtualized "
                 "clusters (the ACL pools address DIPs directly)"
             )
-        from repro.durability.recovery import vip_to_dict
-
         with self._journal_op("add_vip", {"vip": vip_to_dict(vip)}):
             self._register_vip(vip)
             self.population.add(vip)
 
     def remove_vip(self, vip_addr: int) -> None:
         """Remove from its HMux (if any) and from all SMuxes."""
-        record = self._records.get(vip_addr)
-        if record is None:
-            raise ControllerError(f"VIP {format_ip(vip_addr)} unknown")
+        self._require(vip_addr)
         with self._journal_op("remove_vip", {"vip": vip_addr}):
-            self._remove_vip_effects(record)
+            self._remove_vip_effects(self.intent.remove_vip(vip_addr))
 
     def _remove_vip_effects(self, record: VipRecord) -> None:
         vip_addr = record.addr
-        del self._records[vip_addr]
         if record.assigned_switch is not None:
-            self.switch_agents[record.assigned_switch].remove_vip(vip_addr)
+            self._withdraw_from_hmux(record, record.assigned_switch)
         for smux in self.smuxes:
             if smux.has_vip(vip_addr):
                 self.send_command(
@@ -912,8 +900,6 @@ class DuetController:
             )
             del self._dip_to_server[dip.addr]
         self.population.remove(vip_addr)
-        self.degraded_vips.discard(vip_addr)
-        self._snat_managers.pop(vip_addr, None)
 
     def add_dip(self, vip_addr: int, dip: Dip) -> None:
         """DIP addition with the SMux bounce (S5.2): resilient hashing
@@ -921,24 +907,16 @@ class DuetController:
         DIP set updated, then the VIP is re-programmed on its HMux."""
         record = self._require(vip_addr)
         switch = record.assigned_switch
-        params = {
-            "vip": vip_addr,
-            "dip": {
-                "addr": dip.addr,
-                "server_id": dip.server_id,
-                "weight": dip.weight,
-            },
-            "switch": switch,
-        }
+        params = {"vip": vip_addr, "dip": dip_to_dict(dip), "switch": switch}
         with self._journal_op("add_dip", params) as effects:
             if switch is not None:
                 # Step 1: withdraw -> SMuxes take over with connection state.
                 self._crash_point("add_dip:withdraw")
                 self.switch_agents[switch].remove_vip(vip_addr)
-                record.assigned_switch = None
+                self.intent.withdraw(record)
             # Step 2: add the DIP everywhere.
             self._crash_point("add_dip:update")
-            record.dips.append(dip)
+            self.intent.add_dip(record, dip)
             self._attach_dip(vip_addr, dip)
             for smux in self.smuxes:
                 self._push_vip_to_smux(smux, record)
@@ -947,14 +925,7 @@ class DuetController:
             # leaves the VIP on the SMux backstop instead of raising).
             if switch is not None:
                 self._crash_point("add_dip:reprogram")
-                if switch in self._failed_switches:
-                    self.programming_stats.skipped_dead_switch += 1
-                    self._degrade_and_reconcile(record)
-                elif self._program_vip_with_retry(record, record.vip, switch):
-                    record.assigned_switch = switch
-                    self.degraded_vips.discard(vip_addr)
-                else:
-                    self._degrade_and_reconcile(record)
+                self._program_or_degrade(record, switch)
             effects["assigned"] = record.assigned_switch
 
     def migrate_vip(self, vip_addr: int, to_switch: int) -> Optional[int]:
@@ -971,7 +942,7 @@ class DuetController:
         record = self._require(vip_addr)
         if to_switch not in self.switch_agents:
             raise ControllerError(f"unknown switch {to_switch}")
-        if to_switch in self._failed_switches:
+        if to_switch in self.intent.failed_switches:
             raise ControllerError(
                 f"cannot migrate {format_ip(vip_addr)} to failed "
                 f"switch {to_switch}"
@@ -979,7 +950,6 @@ class DuetController:
         from_switch = record.assigned_switch
         if from_switch == to_switch:
             return from_switch
-        vip = record.vip
         tracer = self._tracer
         params = {"vip": vip_addr, "from": from_switch, "to": to_switch}
         with self._journal_op("migrate_vip", params) as effects:
@@ -988,15 +958,7 @@ class DuetController:
                     tracer, "migrate.withdraw", switch=from_switch,
                 ):
                     self._crash_point("migrate:withdraw")
-                    agent = self.switch_agents[from_switch]
-                    if agent.hmux.has_vip(vip_addr):
-                        if vip.port_pools:
-                            agent.remove_vip_port_rules(
-                                vip_addr,
-                                [port for port, _ in vip.port_pools],
-                            )
-                        agent.remove_vip(vip_addr)
-                    record.assigned_switch = None
+                    self._withdraw_from_hmux(record, from_switch)
             # Stepping stone: between withdraw and reprogram the SMux
             # aggregates carry the VIP (S4.2) — record which mux.
             with maybe_span(
@@ -1006,22 +968,7 @@ class DuetController:
                 self._crash_point("migrate:transit")
             with maybe_span(tracer, "migrate.reprogram", switch=to_switch):
                 self._crash_point("migrate:reprogram")
-                if to_switch in self._failed_switches:
-                    # Unreachable from the front door (validated above)
-                    # but kept for replay: the switch may have failed
-                    # between journal append and roll-forward.
-                    self.programming_stats.skipped_dead_switch += 1
-                    self._degrade_and_reconcile(record)
-                elif self._program_vip_with_retry(record, vip, to_switch):
-                    record.assigned_switch = to_switch
-                    self.degraded_vips.discard(vip_addr)
-                    if self.assignment is not None:
-                        vip_id = vip.vip_id
-                        self.assignment.vip_to_switch[vip_id] = to_switch
-                        if vip_id in self.assignment.unassigned:
-                            self.assignment.unassigned.remove(vip_id)
-                else:
-                    self._degrade_and_reconcile(record)
+                self._program_or_degrade(record, to_switch)
             effects["assigned"] = record.assigned_switch
         return record.assigned_switch
 
@@ -1030,20 +977,15 @@ class DuetController:
         HMux keeps other connections intact; SMuxes drop only the dead
         DIP's connections."""
         record = self._require(vip_addr)
-        matching = [d for d in record.dips if d.addr == dip_addr]
-        if not matching:
-            raise ControllerError(
-                f"{format_ip(dip_addr)} is not a DIP of {format_ip(vip_addr)}"
-            )
+        dip = self._require_dip(record, dip_addr)
         if len(record.dips) == 1:
             raise ControllerError(
                 f"cannot remove the last DIP of {format_ip(vip_addr)}"
             )
-        dip = matching[0]
         with self._journal_op(
             "remove_dip", {"vip": vip_addr, "dip": dip_addr}
         ):
-            record.dips.remove(dip)
+            self.intent.remove_dip(record, dip)
             if record.assigned_switch is not None:
                 target = (
                     host_address(dip.server_id) if self.virtualized
@@ -1072,25 +1014,11 @@ class DuetController:
     def fail_switch(self, switch_index: int) -> List[int]:
         """An HMux dies: its routes are withdrawn and its VIPs fall back
         to the SMuxes (converged state).  Returns the affected VIPs."""
-        if switch_index in self._failed_switches:
+        if switch_index in self.intent.failed_switches:
             return []
         with self._journal_op("fail_switch", {"switch": switch_index}):
-            self._failed_switches.add(switch_index)
-            agent = self.switch_agents[switch_index]
-            affected = agent.hmux.vips()
-            agent.fail()
-            for vip_addr in affected:
-                record = self._records[vip_addr]
-                record.assigned_switch = None
-                # Reconcile the stored assignment too: the sticky rebalance
-                # diffs against it, and a mapping to the dead switch would
-                # make the displaced VIP look already-placed — it would
-                # never be re-programmed after the switch recovers.
-                if self.assignment is not None:
-                    vip_id = record.vip.vip_id
-                    self.assignment.vip_to_switch.pop(vip_id, None)
-                    if vip_id not in self.assignment.unassigned:
-                        self.assignment.unassigned.append(vip_id)
+            affected = self.intent.fail_switch(switch_index)
+            self.switch_agents[switch_index].fail()
         return affected
 
     def recover_switch(self, switch_index: int) -> None:
@@ -1098,17 +1026,14 @@ class DuetController:
         empty ASIC and announces nothing, so recovery is invisible to
         traffic.  Its displaced VIPs return via the sticky rebalance path
         (S4.2) — call :meth:`rebalance` to re-home them."""
-        if switch_index not in self._failed_switches:
+        intent = self.intent
+        if switch_index not in intent.failed_switches:
             raise ControllerError(
                 f"switch {switch_index} is not failed"
             )
-        remaining = self._failed_switches - {switch_index}
-        scenario = FailureScenario(
-            name="recovery-check",
-            failed_switches=frozenset(remaining),
-            failed_links=frozenset(self._failed_links),
-        )
-        if switch_index in isolated_switches(self.topology, scenario):
+        if switch_index in intent.isolated(
+            intent.failed_switches - {switch_index}
+        ):
             raise ControllerError(
                 f"switch {switch_index} is still isolated by failed "
                 "links; restore connectivity first"
@@ -1119,7 +1044,7 @@ class DuetController:
                 f"switch {switch_index} recovered with residual state"
             )
         with self._journal_op("recover_switch", {"switch": switch_index}):
-            self._failed_switches.discard(switch_index)
+            intent.recover_switch(switch_index)
 
     def fail_smux(self, smux_id: int) -> None:
         """"SMux failure ... Switches detect SMux failure through BGP,
@@ -1132,6 +1057,7 @@ class DuetController:
         with self._journal_op("fail_smux", {"smux": smux_id}):
             ref = MuxRef.smux(smux_id)
             self.route_table.withdraw_all(ref)
+            self.intent.remove_smux(smux_id)
             self.smuxes = alive
             # Late duplicates addressed to the dead instance must not
             # be mistaken for commands to a future one (ids are never
@@ -1144,16 +1070,12 @@ class DuetController:
         a route must never attract traffic the mux cannot serve).
         SMux ids are never reused: lingering state on a crashed instance
         must not be mistaken for the new one."""
-        smux_id = self._next_smux_id
+        smux_id = self.intent.next_smux_id
         with self._journal_op("add_smux", {"smux_id": smux_id}):
-            smux = SMux(
-                smux_id,
-                SMUX_POOL.network + smux_id,
-                hash_seed=self.hash_seed,
-            )
-            self._next_smux_id = smux_id + 1
-            for addr in sorted(self._records):
-                record = self._records[addr]
+            smux = self._new_smux(smux_id)
+            self.intent.add_smux(smux_id)
+            for addr in sorted(self.intent.records):
+                record = self.intent.records[addr]
                 self._push_vip_to_smux(smux, record)
                 for port, pool in record.vip.port_pools:
                     self.send_command(
@@ -1176,39 +1098,25 @@ class DuetController:
         switch the cut disconnects from every live core is failed, and
         the affected VIPs fall to the SMuxes.  Returns the switches
         promoted to failed."""
-        link = self.topology.links[link_index]
+        self._require_link(link_index)
         with self._journal_op(
             "cut_link", {"link": link_index, "bidirectional": bidirectional}
         ):
-            self._failed_links.add(link_index)
-            if bidirectional:
-                self._failed_links.add(
-                    self.topology.link_between(link.dst, link.src).index
-                )
-            scenario = FailureScenario(
-                name="link-cut",
-                failed_switches=frozenset(self._failed_switches),
-                failed_links=frozenset(self._failed_links),
-            )
-            promoted = sorted(isolated_switches(self.topology, scenario))
+            promoted = self.intent.cut_link(link_index, bidirectional)
             for switch_index in promoted:
-                self.fail_switch(switch_index)
+                self.switch_agents[switch_index].fail()
         return promoted
 
     def restore_link(self, link_index: int, *, bidirectional: bool = True) -> None:
         """Repair a cut cable.  Switches that were failed-by-isolation
         stay failed until :meth:`recover_switch` — physical connectivity
         returning does not mean the switch rejoined BGP."""
-        link = self.topology.links[link_index]
+        self._require_link(link_index)
         with self._journal_op(
             "restore_link",
             {"link": link_index, "bidirectional": bidirectional},
         ):
-            self._failed_links.discard(link_index)
-            if bidirectional:
-                self._failed_links.discard(
-                    self.topology.link_between(link.dst, link.src).index
-                )
+            self.intent.restore_link(link_index, bidirectional)
 
     # -- end-to-end forwarding (for tests/examples) ------------------------------------
 
@@ -1281,7 +1189,7 @@ class DuetController:
         if demands is None:
             demands = [v.demand() for v in self.population]
         new, plan = self._solver().reassign(
-            self.assignment, demands, delta,
+            self.intent.assignment, demands, delta,
         )
         self._execute_plan(plan, new)
         return plan
@@ -1292,11 +1200,10 @@ class DuetController:
         """Set up SNAT for a VIP: carve disjoint port ranges, compute the
         ECMP slots pointing at each DIP, and push a
         :class:`~repro.dataplane.hostagent.SnatConfig` to every HA."""
-        from repro.core.snat import SnatPortManager, slots_of_dip
+        from repro.core.snat import SnatPortManager
 
         record = self._require(vip_addr)
-        manager = self._snat_managers.get(vip_addr)
-        probe = manager if manager is not None else SnatPortManager(vip_addr)
+        probe = self.intent.snat.get(vip_addr) or SnatPortManager(vip_addr)
         # Validate exhaustion before journaling: each allocation takes
         # min(range_size, remaining), so n allocations need
         # (n-1)*range_size + 1 ports.  A journaled op must not fail
@@ -1308,29 +1215,9 @@ class DuetController:
                 f"cover {len(record.dips)} DIPs"
             )
         with self._journal_op("enable_snat", {"vip": vip_addr}):
-            if manager is None:
-                manager = probe
-                self._snat_managers[vip_addr] = manager
-            dip_addrs = record.dip_addrs()
             for dip in record.dips:
-                from repro.dataplane.hostagent import SnatConfig
-
-                port_range = manager.allocate(dip.addr)
-                snat_config = SnatConfig(
-                    vip=vip_addr,
-                    n_slots=len(dip_addrs),
-                    my_slots=slots_of_dip(
-                        dip_addrs, dip.addr, hash_seed=self.hash_seed
-                    ),
-                    port_range=port_range.as_tuple(),
-                    hash_seed=self.hash_seed,
-                )
-                self.send_command(
-                    f"host:{dip.server_id}",
-                    "host_configure_snat",
-                    lambda dip=dip, cfg=snat_config: self.host_agents[
-                        dip.server_id
-                    ].configure_snat(dip.addr, cfg),
+                self.push_snat_config(
+                    record, dip, self.intent.allocate_snat(vip_addr, dip.addr),
                 )
 
     def grant_snat_range(self, vip_addr: int, dip_addr: int):
@@ -1338,21 +1225,13 @@ class DuetController:
         runs out of available ports, it receives another set from the
         Duet controller", S5.2).  Returns the new range and re-pushes the
         config."""
-        from repro.core.snat import SnatError, slots_of_dip
-        from repro.dataplane.hostagent import SnatConfig
-
         record = self._require(vip_addr)
-        manager = self._snat_managers.get(vip_addr)
+        manager = self.intent.snat.get(vip_addr)
         if manager is None:
             raise ControllerError(
                 f"SNAT not enabled for VIP {format_ip(vip_addr)}"
             )
-        matching = [d for d in record.dips if d.addr == dip_addr]
-        if not matching:
-            raise ControllerError(
-                f"{format_ip(dip_addr)} is not a DIP of {format_ip(vip_addr)}"
-            )
-        dip = matching[0]
+        dip = self._require_dip(record, dip_addr)
         if manager.remaining_ports < 1:
             raise ControllerError(
                 f"SNAT port space of VIP {format_ip(vip_addr)} exhausted"
@@ -1360,25 +1239,34 @@ class DuetController:
         with self._journal_op(
             "grant_snat_range", {"vip": vip_addr, "dip": dip_addr}
         ):
-            port_range = manager.allocate(dip_addr)
-            dip_addrs = record.dip_addrs()
-            snat_config = SnatConfig(
-                vip=vip_addr,
-                n_slots=len(dip_addrs),
-                my_slots=slots_of_dip(
-                    dip_addrs, dip.addr, hash_seed=self.hash_seed
-                ),
-                port_range=port_range.as_tuple(),
-                hash_seed=self.hash_seed,
-            )
-            self.send_command(
-                f"host:{dip.server_id}",
-                "host_configure_snat",
-                lambda: self.host_agents[dip.server_id].configure_snat(
-                    dip.addr, snat_config
-                ),
-            )
+            port_range = self.intent.allocate_snat(vip_addr, dip_addr)
+            self.push_snat_config(record, dip, port_range)
         return port_range
+
+    def push_snat_config(self, record: VipRecord, dip: Dip, port_range) -> None:
+        """Tell ``dip``'s host agent which source ports it owns and
+        which ECMP slots point at it (a snapshot of the pool as it is
+        now)."""
+        from repro.core.snat import slots_of_dip
+        from repro.dataplane.hostagent import SnatConfig
+
+        dip_addrs = record.dip_addrs()
+        snat_config = SnatConfig(
+            vip=record.addr,
+            n_slots=len(dip_addrs),
+            my_slots=slots_of_dip(
+                dip_addrs, dip.addr, hash_seed=self.hash_seed
+            ),
+            port_range=port_range.as_tuple(),
+            hash_seed=self.hash_seed,
+        )
+        self.send_command(
+            f"host:{dip.server_id}",
+            "host_configure_snat",
+            lambda: self.host_agents[dip.server_id].configure_snat(
+                dip.addr, snat_config
+            ),
+        )
 
     # -- datacenter monitoring (S6, Figure 9) -------------------------------------------
 
@@ -1442,10 +1330,10 @@ class DuetController:
         for dip_addr, healthy in sorted(self.collect_health_reports().items()):
             if healthy:
                 continue
+            records = self.intent.records
             record = next(
-                (self._records[addr] for addr in sorted(self._records)
-                 if any(d.addr == dip_addr
-                        for d in self._records[addr].dips)),
+                (records[addr] for addr in sorted(records)
+                 if records[addr].dip(dip_addr) is not None),
                 None,
             )
             if record is None or len(record.dips) <= 1:
@@ -1461,15 +1349,30 @@ class DuetController:
 
     def records(self) -> Dict[int, VipRecord]:
         """Read-only view: VIP address -> controller record."""
-        return dict(self._records)
+        return dict(self.intent.records)
+
+    @property
+    def assignment(self) -> Optional[Assignment]:
+        """The stored assignment the next sticky rebalance diffs against."""
+        return self.intent.assignment
+
+    @property
+    def degraded_vips(self) -> Set[int]:
+        """VIPs served by the SMux backstop although the assignment
+        wanted them on an HMux (S3.3.2)."""
+        return self.intent.degraded
 
     @property
     def failed_switches(self) -> Set[int]:
-        return set(self._failed_switches)
+        return set(self.intent.failed_switches)
 
     @property
     def failed_links(self) -> Set[int]:
-        return set(self._failed_links)
+        return set(self.intent.failed_links)
+
+    @property
+    def fault_model(self) -> Optional[FaultModel]:
+        return self._fault_model
 
     def live_mux_refs(self) -> Set[MuxRef]:
         """Every mux a route may legitimately point at right now."""
@@ -1477,16 +1380,16 @@ class DuetController:
         refs.update(
             MuxRef.hmux(index)
             for index in self.switch_agents
-            if index not in self._failed_switches
+            if index not in self.intent.failed_switches
         )
         return refs
 
     def snat_enabled(self, vip_addr: int) -> bool:
-        return vip_addr in self._snat_managers
+        return vip_addr in self.intent.snat
 
     def snat_managers(self) -> Dict[int, object]:
         """Read-only view of the per-VIP SNAT port managers."""
-        return dict(self._snat_managers)
+        return dict(self.intent.snat)
 
     def set_fault_model(self, fault_model: Optional[FaultModel]) -> None:
         """Swap the transient-fault injector on every switch agent (the
@@ -1501,12 +1404,25 @@ class DuetController:
 
     def hmux_vip_count(self) -> int:
         return sum(
-            1 for r in self._records.values()
+            1 for r in self.intent.records.values()
             if r.assigned_switch is not None
         )
 
+    def _require_link(self, link_index: int) -> None:
+        if not 0 <= link_index < self.topology.n_links:
+            raise ControllerError(f"unknown link {link_index}")
+
     def _require(self, vip_addr: int) -> VipRecord:
-        record = self._records.get(vip_addr)
+        record = self.intent.records.get(vip_addr)
         if record is None:
             raise ControllerError(f"VIP {format_ip(vip_addr)} unknown")
         return record
+
+    def _require_dip(self, record: VipRecord, dip_addr: int) -> Dip:
+        dip = record.dip(dip_addr)
+        if dip is None:
+            raise ControllerError(
+                f"{format_ip(dip_addr)} is not a DIP of "
+                f"{format_ip(record.addr)}"
+            )
+        return dip

@@ -8,10 +8,12 @@ The Duet controller is the single brain that owns VIP->switch intent
   mutating controller op appends an intent record *before* side effects
   and a commit record (with outcome effects) after; periodic snapshot
   checkpoints truncate the log.
-* :mod:`repro.durability.recovery` — snapshot + log replay into an
-  :class:`~repro.durability.recovery.IntentState`, including roll-forward
-  of ops whose execution was interrupted mid-plan, and materialization
-  of a restored :class:`~repro.core.controller.DuetController` over the
+* :mod:`repro.durability.recovery` — snapshot + log replay into the
+  controller's own :class:`~repro.core.intent.ControllerIntent` (its
+  ``from_journal``: the transitions the live ops ran, including
+  roll-forward of ops whose execution was interrupted mid-plan), and
+  construction of a restored
+  :class:`~repro.core.controller.DuetController` around it over the
   surviving (or an empty) dataplane.
 * :mod:`repro.durability.reconcile` — the anti-entropy reconciler that
   diffs recovered intent against live SwitchAgent/SMux/HostAgent state
@@ -24,7 +26,6 @@ from repro.durability.journal import (
     WriteAheadJournal,
 )
 from repro.durability.recovery import (
-    IntentState,
     RecoveryError,
     SurvivingDataplane,
     harvest_dataplane,
@@ -39,7 +40,6 @@ from repro.durability.reconcile import (
 
 __all__ = [
     "AntiEntropyReconciler",
-    "IntentState",
     "JournalError",
     "ReconcileReport",
     "RecoveryError",

@@ -7,9 +7,10 @@ rolled-forward ``add_dip`` never reached the switch, a cold restart has
 no dataplane at all.  :class:`AntiEntropyReconciler` diffs intent
 against every layer — switch tables, /32 and aggregate announcements,
 SMux coverage, host-agent registrations, SNAT configs — and repairs
-drift through the controller's own machinery
-(``_program_vip_with_retry``, ``_degrade_and_reconcile``), so repairs
-obey the same retry/backoff/degrade semantics as normal operation.
+drift through the controller's own machinery (``_program_or_degrade``:
+the guarded retry path plus the intent's ``place``/``unplace``
+transitions), so repairs obey the same retry/backoff/degrade semantics
+as normal operation.
 
 Convergence: each round re-checks every category and repairs what it
 finds; a round that makes zero repairs proves a fixed point.  Repairs
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.core.intent import assignment_to_state
 from repro.net.addressing import Prefix, format_ip
 from repro.net.bgp import MuxRef
 from repro.workload.vips import SMUX_AGGREGATES
@@ -65,7 +67,7 @@ class AntiEntropyReconciler:
         """Repair drift in bounded rounds; stops at a zero-repair round."""
         from repro.obs.tracing import maybe_span
 
-        tracer = getattr(self.controller, "_tracer", None)
+        tracer = self.controller.tracer
         stats = self.controller.programming_stats
         repairs: List[str] = []
         rounds = 0
@@ -111,7 +113,7 @@ class AntiEntropyReconciler:
         state is lost with the switch)."""
         c = self.controller
         found = []
-        for index in sorted(c._failed_switches):
+        for index in sorted(c.intent.failed_switches):
             agent = c.switch_agents[index]
             residual = (
                 agent.hmux.vips()
@@ -126,10 +128,11 @@ class AntiEntropyReconciler:
 
     def _sync_host_agents(self, repair: bool) -> List[str]:
         c = self.controller
+        records = c.intent.records
         found = []
         # Registrations the intent wants.
-        for addr in sorted(c._records):
-            record = c._records[addr]
+        for addr in sorted(records):
+            record = records[addr]
             for dip in record.dips:
                 agent = c.host_agents.get(dip.server_id)
                 if agent is None or dip.addr not in agent._dip_to_vip:
@@ -140,9 +143,7 @@ class AntiEntropyReconciler:
                     if repair:
                         c._attach_dip(addr, dip)
         # Registrations the intent no longer has.
-        intended = {
-            d.addr for r in c._records.values() for d in r.dips
-        }
+        intended = {d.addr for r in records.values() for d in r.dips}
         for server in sorted(c.host_agents):
             agent = c.host_agents[server]
             for dip_addr in agent.dips():
@@ -161,15 +162,16 @@ class AntiEntropyReconciler:
 
     def _sync_switch_programming(self, repair: bool) -> List[str]:
         c = self.controller
+        records = c.intent.records
         found = []
         by_switch: Dict[int, List[int]] = {}
-        for addr in sorted(c._records):
-            record = c._records[addr]
+        for addr in sorted(records):
+            record = records[addr]
             if record.assigned_switch is not None:
                 by_switch.setdefault(record.assigned_switch, []).append(addr)
         for index in sorted(c.switch_agents):
             agent = c.switch_agents[index]
-            if index in c._failed_switches:
+            if index in c.intent.failed_switches:
                 # Intent-failed switches were wiped above; anything the
                 # intent still maps here is an intent bug, not drift.
                 continue
@@ -189,8 +191,7 @@ class AntiEntropyReconciler:
                         agent.remove_vip_port_rules(addr, installed)
                     agent.remove_vip(addr)
             for addr in expected:
-                record = c._records[addr]
-                found += self._sync_one_vip(agent, record, repair)
+                found += self._sync_one_vip(agent, records[addr], repair)
         return found
 
     def _sync_one_vip(self, agent, record, repair: bool) -> List[str]:
@@ -206,8 +207,7 @@ class AntiEntropyReconciler:
                 f"{agent.switch_index} but not programmed"
             )
             if repair:
-                if not c._program_vip_with_retry(record, vip, agent.switch_index):
-                    c._degrade_and_reconcile(record)
+                c._program_or_degrade(record, agent.switch_index)
             return [desc]
         found = []
         current = agent.hmux.dips_of(addr)
@@ -241,10 +241,7 @@ class AntiEntropyReconciler:
                     if installed:
                         agent.remove_vip_port_rules(addr, installed)
                     agent.remove_vip(addr)
-                    if not c._program_vip_with_retry(
-                        record, vip, agent.switch_index
-                    ):
-                        c._degrade_and_reconcile(record)
+                    c._program_or_degrade(record, agent.switch_index)
                     return found
         expected_ports = {port for port, _ in vip.port_pools}
         installed_ports = {
@@ -270,7 +267,7 @@ class AntiEntropyReconciler:
     def _sync_announcements(self, repair: bool) -> List[str]:
         c = self.controller
         found = []
-        records = c._records
+        records = c.intent.records
         live_smux_refs = {MuxRef.smux(s.smux_id) for s in c.smuxes}
         aggregates = set(SMUX_AGGREGATES)
         # /32s: exactly the assigned record's agent announces it.
@@ -324,15 +321,16 @@ class AntiEntropyReconciler:
         """Every SMux serves every VIP with the intended targets —
         the full-coverage backstop property (S3.3.1)."""
         c = self.controller
+        records = c.intent.records
         found = []
         expected_ports = {
             (addr, port): list(pool)
-            for addr, record in c._records.items()
+            for addr, record in records.items()
             for port, pool in record.vip.port_pools
         }
         for smux in c.smuxes:
-            for addr in sorted(c._records):
-                record = c._records[addr]
+            for addr in sorted(records):
+                record = records[addr]
                 target = record.encap_targets(c.virtualized)
                 if (
                     not smux.has_vip(addr)
@@ -374,7 +372,7 @@ class AntiEntropyReconciler:
                         "smux_remove_vip_port",
                         lambda s=smux, a=addr, p=port: s.remove_vip_port(a, p),
                     )
-            for addr in sorted(set(smux.vips()) - set(c._records)):
+            for addr in sorted(set(smux.vips()) - set(records)):
                 found.append(
                     f"SMux {smux.smux_id} still serves removed VIP "
                     f"{format_ip(addr)}"
@@ -392,46 +390,30 @@ class AntiEntropyReconciler:
         allocated range.  Older configs with the right range are left
         alone even when their slot snapshot is stale — re-pushing would
         diverge from a twin that never re-pushed either."""
-        from repro.core.snat import slots_of_dip
-        from repro.dataplane.hostagent import SnatConfig
-
         c = self.controller
         found = []
-        for vip_addr in sorted(c._snat_managers):
-            manager = c._snat_managers[vip_addr]
-            record = c._records.get(vip_addr)
+        for vip_addr in sorted(c.intent.snat):
+            manager = c.intent.snat[vip_addr]
+            record = c.intent.records.get(vip_addr)
             if record is None:
                 continue
-            dip_addrs = record.dip_addrs()
             for dip in record.dips:
                 ranges = manager.ranges_of(dip.addr)
                 if not ranges:
                     continue
                 agent = c.host_agents.get(dip.server_id)
-                want = ranges[-1].as_tuple()
                 have = None if agent is None else agent.snat_config_of(dip.addr)
-                if have is not None and have.port_range == want:
+                if (
+                    have is not None
+                    and have.port_range == ranges[-1].as_tuple()
+                ):
                     continue
                 found.append(
                     f"SNAT config for DIP {format_ip(dip.addr)} of VIP "
                     f"{format_ip(vip_addr)} missing or stale"
                 )
                 if repair and agent is not None:
-                    snat_config = SnatConfig(
-                        vip=vip_addr,
-                        n_slots=len(dip_addrs),
-                        my_slots=slots_of_dip(
-                            dip_addrs, dip.addr, hash_seed=c.hash_seed
-                        ),
-                        port_range=want,
-                        hash_seed=c.hash_seed,
-                    )
-                    c.send_command(
-                        f"host:{dip.server_id}",
-                        "host_configure_snat",
-                        lambda a=agent, d=dip, cfg=snat_config:
-                            a.configure_snat(d.addr, cfg),
-                    )
+                    c.push_snat_config(record, dip, ranges[-1])
         return found
 
 
@@ -482,7 +464,7 @@ def controller_fingerprint(controller) -> Dict[str, Any]:
     manager state.
     """
     c = controller
-    assignment = c.assignment
+    intent = c.intent
     return {
         "records": [
             [
@@ -491,18 +473,15 @@ def controller_fingerprint(controller) -> Dict[str, Any]:
                 record.assigned_switch,
                 [d.addr for d in record.dips],
             ]
-            for record in c._records.values()
+            for record in intent.records.values()
         ],
         "population": [v.vip_id for v in c.population],
-        "assignment": None if assignment is None else {
-            "map": [[vid, sw] for vid, sw in assignment.vip_to_switch.items()],
-            "unassigned": list(assignment.unassigned),
-        },
-        "degraded": sorted(c.degraded_vips),
-        "failed_switches": sorted(c._failed_switches),
-        "failed_links": sorted(c._failed_links),
+        "assignment": assignment_to_state(intent.assignment),
+        "degraded": sorted(intent.degraded),
+        "failed_switches": sorted(intent.failed_switches),
+        "failed_links": sorted(intent.failed_links),
         "smux_ids": [s.smux_id for s in c.smuxes],
-        "next_smux_id": c._next_smux_id,
+        "next_smux_id": intent.next_smux_id,
         "routes": sorted(
             (
                 f"{format_ip(prefix.network)}/{prefix.length}",
@@ -519,7 +498,7 @@ def controller_fingerprint(controller) -> Dict[str, Any]:
             str(s.smux_id): _smux_table_fingerprint(s) for s in c.smuxes
         },
         "snat": [
-            [vip, c._snat_managers[vip].to_state()]
-            for vip in sorted(c._snat_managers)
+            [vip, intent.snat[vip].to_state()]
+            for vip in sorted(intent.snat)
         ],
     }

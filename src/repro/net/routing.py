@@ -54,16 +54,21 @@ class EcmpRouter:
         self.topology = topology
         self.failed_switches: FrozenSet[int] = frozenset(failed_switches)
         self.failed_links: FrozenSet[int] = frozenset(failed_links)
-        self._adjacency = self._build_adjacency()
+        self._adjacency, self._incoming = self._build_adjacency()
         self._dist_cache: Dict[int, np.ndarray] = {}
         self._fraction_cache: Dict[Tuple[int, int], Dict[int, float]] = {}
 
-    def _build_adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Per-switch list of (neighbor, link_index), failures removed."""
+    def _build_adjacency(
+        self,
+    ) -> Tuple[List[List[Tuple[int, int]]], List[List[int]]]:
+        """Per-switch list of (neighbor, link_index) over live outgoing
+        links, and per-switch list of the switches with a live link
+        *into* it — the two differ once one direction of a cable is cut."""
         topo = self.topology
         adjacency: List[List[Tuple[int, int]]] = [
             [] for _ in range(topo.n_switches)
         ]
+        incoming: List[List[int]] = [[] for _ in range(topo.n_switches)]
         for link in topo.links:
             if link.index in self.failed_links:
                 continue
@@ -72,16 +77,18 @@ class EcmpRouter:
             if link.dst in self.failed_switches:
                 continue
             adjacency[link.src].append((link.dst, link.index))
-        return adjacency
+            incoming[link.dst].append(link.src)
+        return adjacency, incoming
 
     # -- reachability ------------------------------------------------------
 
     def distances_to(self, dst: int) -> np.ndarray:
         """Hop distance from every switch to ``dst`` (UNREACHABLE if none).
 
-        Because every link in the topology is duplex (both directions exist
-        or neither), BFS over the forward adjacency from ``dst`` yields the
-        reverse distances too.
+        BFS from ``dst`` against the direction of travel: a switch is
+        one hop further than ``dst``'s frontier when it has a live link
+        *into* it.  (Walking outgoing links instead is the same thing
+        only while both directions of every cable fail together.)
         """
         cached = self._dist_cache.get(dst)
         if cached is not None:
@@ -96,7 +103,7 @@ class EcmpRouter:
                 depth += 1
                 next_frontier: List[int] = []
                 for node in frontier:
-                    for neighbor, _link in self._adjacency[node]:
+                    for neighbor in self._incoming[node]:
                         if dist[neighbor] == UNREACHABLE:
                             dist[neighbor] = depth
                             next_frontier.append(neighbor)

@@ -9,11 +9,16 @@ ops), and hold the restored-and-reconciled controller to
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import replace
+from typing import Dict
 
+import numpy as np
 import pytest
 
 from repro.chaos.engine import ChaosConfig, ChaosEngine, build_controller
+from repro.core.assignment import Assignment
 from repro.core.controller import DuetController, SimulatedCrash
 from repro.durability import (
     AntiEntropyReconciler,
@@ -22,9 +27,11 @@ from repro.durability import (
     controller_fingerprint,
     harvest_dataplane,
 )
+from repro.durability.recovery import snapshot_state
 from repro.net.addressing import Prefix
 from repro.net.failures import FaultModel
-from repro.workload.vips import Dip
+from repro.net.topology import FatTreeParams, Topology
+from repro.workload.vips import DIP_POOL, VIP_POOL, Dip, Vip, VipPopulation
 
 
 def make_controller(seed: int = 11, n_vips: int = 12) -> DuetController:
@@ -139,6 +146,183 @@ def _mutate(controller: DuetController) -> None:
     controller.recover_switch(0)
 
 
+# -- a scripted deployment and the golden journal ---------------------------
+#
+# Hand-built — no workload generator, no solver — so the journal it
+# writes depends on the controller and the journal format alone.
+# ``tests/data/journal_parent.jsonl`` is ``golden_journal()`` as written
+# by the commit *before* the controller and its replay shared one
+# ``ControllerIntent``; ``tests/data/make_journal_parent.py`` regenerates
+# it (and what that commit restored it to) from a checkout of your
+# choice.
+
+GOLDEN_JOURNAL = pathlib.Path(__file__).parent / "data" / "journal_parent.jsonl"
+GOLDEN_EXPECTED = GOLDEN_JOURNAL.with_name("journal_parent.expected.json")
+
+
+def scripted_controller() -> DuetController:
+    """12 switches, 10 VIPs of 2-4 DIPs (VIP 0 with a port pool), no
+    assignment yet."""
+    topology = Topology(FatTreeParams(
+        n_containers=2, tors_per_container=3, aggs_per_container=2,
+        n_cores=2, servers_per_tor=8,
+    ))
+    vips = []
+    next_dip = DIP_POOL.network + 1
+    for i in range(10):
+        dips = []
+        for j in range(2 + i % 3):
+            server = (5 * i + 7 * j) % topology.params.n_servers
+            dips.append(Dip(
+                addr=next_dip, server_id=server,
+                tor=topology.server_tor(server),
+            ))
+            next_dip += 1
+        vips.append(Vip(
+            vip_id=i, addr=VIP_POOL.network + 1 + i, dips=tuple(dips),
+            traffic_bps=1e8 * (i + 1), ingress_racks=(),
+            internet_fraction=1.0,
+            port_pools=((80, (dips[0].addr,)),) if i == 0 else (),
+        ))
+    return DuetController(
+        topology, VipPopulation(topology, vips), n_smuxes=2, hash_seed=7,
+    )
+
+
+def explicit_assignment(
+    controller: DuetController, placement: Dict[int, int],
+) -> Assignment:
+    """``placement`` (vip_id -> switch) as an Assignment, every other
+    VIP unassigned."""
+    topology = controller.topology
+    return Assignment(
+        topology=topology,
+        config=controller.config,
+        vip_to_switch=dict(placement),
+        unassigned=[
+            v.vip_id for v in controller.population
+            if v.vip_id not in placement
+        ],
+        link_utilization=np.zeros(topology.n_links),
+        memory_utilization=np.zeros(topology.n_switches),
+        demands={},
+    )
+
+
+def fresh_dip_on(controller: DuetController, server: int) -> Dip:
+    """The next unused DIP address, on ``server``."""
+    return Dip(
+        addr=max(
+            d.addr for r in controller.records().values() for d in r.dips
+        ) + 1,
+        server_id=server,
+        tor=controller.topology.server_tor(server),
+    )
+
+
+def fresh_dip(controller: DuetController, vip_addr: int) -> Dip:
+    """A new DIP for the VIP, next to its first one."""
+    return fresh_dip_on(
+        controller, controller.record(vip_addr).dips[0].server_id,
+    )
+
+
+def fresh_vip(controller: DuetController, vip_id: int) -> Vip:
+    server = (3 * vip_id) % controller.topology.params.n_servers
+    return Vip(
+        vip_id=vip_id, addr=VIP_POOL.network + 1 + vip_id,
+        dips=(fresh_dip_on(controller, server),),
+        traffic_bps=5e7, ingress_racks=(), internet_fraction=1.0,
+    )
+
+
+def uplinks(controller: DuetController, tor: int):
+    """The ToR -> Agg link indices of one rack."""
+    return [
+        link.index for link in controller.topology.links
+        if link.src == tor
+    ]
+
+
+def drive_every_op(c: DuetController) -> None:
+    """Some forty mixed lifecycle ops through the public API, reaching all 14
+    journaled op names — including the ones no chaos schedule generates
+    (``migrate_vip``, ``grant_snat_range``, one-way ``cut_link`` /
+    ``restore_link``, ``apply_assignment`` onto a dead switch)."""
+    topology = c.topology
+    tors, aggs = topology.tors(), topology.aggs()
+    addr = {v.vip_id: v.addr for v in c.population}
+    c.apply_assignment(explicit_assignment(
+        c, {i: (tors + aggs)[i % 10] for i in range(9)},
+    ))
+    c.enable_snat(addr[0])
+    c.grant_snat_range(addr[0], c.record(addr[0]).dips[1].addr)
+    c.fail_switch(tors[0])                       # hosts VIP 0
+    c.add_smux()
+    # VIP 0 back onto the dead switch (degrades), VIP 1 moves, VIP 9 lands.
+    c.apply_assignment(explicit_assignment(c, {
+        **{i: (tors + aggs)[i % 10] for i in range(2, 9)},
+        0: tors[0], 1: aggs[0], 9: tors[1],
+    }))
+    c.remove_dip(addr[2], c.record(addr[2]).dips[-1].addr)
+    c.add_dip(addr[3], fresh_dip(c, addr[3]))    # bounces off its HMux
+    c.add_dip(addr[0], fresh_dip(c, addr[0]))    # SMux-only: no bounce
+    c.recover_switch(tors[0])
+    c.migrate_vip(addr[0], tors[0])              # degraded -> placed
+    c.migrate_vip(addr[4], aggs[1])              # HMux -> HMux
+    one_way = uplinks(c, tors[2])[0]
+    c.cut_link(one_way, bidirectional=False)
+    c.restore_link(one_way, bidirectional=False)
+    for link in uplinks(c, tors[1]):             # the second cut isolates
+        c.cut_link(link)                         # tors[1]: VIPs 1/9 fall
+    for link in uplinks(c, tors[1]):
+        c.restore_link(link)
+    c.recover_switch(tors[1])
+    c.fail_smux(0)
+    c.add_vip(fresh_vip(c, 10))
+    c.remove_vip(addr[5])
+    c.add_dip(addr[6], fresh_dip(c, addr[6]))
+    c.remove_dip(addr[6], c.record(addr[6]).dips[0].addr)
+    c.enable_snat(addr[7])
+    c.add_smux()
+    c.fail_switch(aggs[1])                       # VIP 4 falls
+    c.apply_assignment(explicit_assignment(c, {
+        **dict(c.assignment.vip_to_switch), 1: tors[3], 9: tors[1], 10: tors[4],
+    }))
+    c.migrate_vip(addr[8], tors[5])
+    c.add_vip(fresh_vip(c, 11))
+    c.add_dip(VIP_POOL.network + 1 + 11, fresh_dip(c, VIP_POOL.network + 1 + 11))
+    c.recover_switch(aggs[1])
+    c.grant_snat_range(addr[7], c.record(addr[7]).dips[0].addr)
+    c.remove_vip(addr[0])                        # takes its SNAT grants along
+    c.cut_link(uplinks(c, aggs[0])[-1])          # Agg-Core: isolates nothing
+    c.restore_link(uplinks(c, aggs[0])[-1])
+    c.remove_dip(addr[3], c.record(addr[3]).dips[0].addr)
+
+
+def golden_journal() -> WriteAheadJournal:
+    """``drive_every_op`` journaled from the start, ending with the
+    controller dying inside one last ``add_dip`` (an uncommitted tail
+    op) — and carrying the retired ``engine`` config key."""
+    controller = scripted_controller()
+    journal = WriteAheadJournal()
+    controller.attach_journal(journal)
+    drive_every_op(controller)
+    victim = next(
+        a for a, r in controller.records().items()
+        if r.assigned_switch is not None
+    )
+    controller.set_crash_hook(lambda label: label == "add_dip:reprogram")
+    with pytest.raises(SimulatedCrash):
+        controller.add_dip(victim, fresh_dip(controller, victim))
+    journal.meta["config"]["engine"] = "fast"
+    return journal
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 class TestRestore:
     def test_warm_restore_equals_live(self):
         controller, _ = journaled_controller()
@@ -172,6 +356,29 @@ class TestRestore:
         AntiEntropyReconciler(cold).converge()
         assert cold.config == controller.config
         assert controller_fingerprint(cold) == controller_fingerprint(controller)
+
+        # The same for a journal the *parent* commit wrote (some forty mixed ops
+        # and an uncommitted tail op): this commit replays it to the
+        # snapshot the parent would write and reconciles it to the
+        # fingerprint the parent reached ...
+        expected = json.loads(GOLDEN_EXPECTED.read_text(encoding="utf-8"))
+        golden = WriteAheadJournal.load(str(GOLDEN_JOURNAL))
+        assert golden.meta["config"]["engine"] == "fast"
+        assert [r["op"] for r in golden.uncommitted()] == ["add_dip"]
+        replayed = DuetController.restore(golden)
+        assert canonical(snapshot_state(replayed)) == canonical(
+            expected["snapshot"]
+        )
+        assert AntiEntropyReconciler(replayed).converge().converged
+        assert canonical(controller_fingerprint(replayed)) == canonical(
+            expected["fingerprint"]
+        )
+        # ... and, driven through the same ops, writes the same journal
+        # byte for byte: no record (meta, snapshot, op params, effects)
+        # changed shape.
+        assert golden_journal().to_lines() == (
+            GOLDEN_JOURNAL.read_text(encoding="utf-8").splitlines()
+        )
 
     def test_snapshot_interval_bounds_tail(self):
         controller, journal = journaled_controller(interval=2)

@@ -144,6 +144,78 @@ class TestPathFractions:
         assert a is b
 
 
+def hops_from(topo, src, cut):
+    """Reference: forward BFS from ``src`` over the links not in ``cut``."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for link in topo.links:
+                if (
+                    link.src == node and link.index not in cut
+                    and link.dst not in dist
+                ):
+                    dist[link.dst] = dist[node] + 1
+                    nxt.append(link.dst)
+        frontier = nxt
+    return dist
+
+
+class TestSingleDirectionCuts:
+    """``cut_link(i, bidirectional=False)`` is a journaled controller op:
+    the router must route (or refuse) correctly when only one direction
+    of a cable is down.  The distance BFS used to walk *outgoing* links
+    from the destination, which is the reverse distance only for duplex
+    cuts; a one-way cut then left ``path_fractions`` with an empty
+    next-hop list (ZeroDivisionError)."""
+
+    def cuts(self, topo):
+        for link in topo.links:
+            yield {link.index}
+            yield {link.index, topo.link_between(link.dst, link.src).index}
+
+    def test_distances_are_directed_hop_counts(self, tiny_topology):
+        topo = tiny_topology
+        for cut in self.cuts(topo):
+            router = EcmpRouter(topo, failed_links=cut)
+            forward = [hops_from(topo, s, cut) for s in range(topo.n_switches)]
+            for dst in range(topo.n_switches):
+                dist = router.distances_to(dst)
+                for src in range(topo.n_switches):
+                    assert dist[src] == forward[src].get(dst, UNREACHABLE), (
+                        cut, src, dst,
+                    )
+
+    def test_mass_is_conserved_and_unreachable_means_unreachable(
+        self, tiny_topology,
+    ):
+        topo = tiny_topology
+        # Every one-way cut, plus a ToR whose uplinks are all cut in the
+        # sending direction only: it can be reached but cannot send.
+        mute = topo.tors(0)[0]
+        cuts = [{link.index} for link in topo.links]
+        cuts.append({link.index for link in topo.links if link.src == mute})
+        refused = set()
+        for cut in cuts:
+            router = EcmpRouter(topo, failed_links=cut)
+            for src in range(topo.n_switches):
+                reachable = hops_from(topo, src, cut)
+                for dst in range(topo.n_switches):
+                    if src == dst:
+                        continue
+                    if dst not in reachable:
+                        refused.add(src)
+                        with pytest.raises(UnreachableError):
+                            router.path_fractions(src, dst)
+                        continue
+                    fractions = router.path_fractions(src, dst)
+                    assert not cut & set(fractions)
+                    assert outflow(topo, fractions, src) == pytest.approx(1.0)
+                    assert inflow(topo, fractions, dst) == pytest.approx(1.0)
+        assert refused == {mute}
+
+
 class TestNextHopsAndSampling:
     def test_next_hops_toward_dst(self, router, topo):
         src, dst = topo.tors(0)[0], topo.tors(1)[0]

@@ -198,13 +198,17 @@ def test_every_failure_set_mutation_changes_the_key(ops) -> None:
                 except ControllerError:
                     pass  # still isolated by cut links: nothing changed
         elif op == "cut_link":
-            # Both directions: the router's BFS takes every link to be
-            # duplex, so a one-way cut is outside what it can route.
-            controller.cut_link(pick % topology.n_links)
+            controller.cut_link(
+                pick % topology.n_links,
+                bidirectional=(pick // topology.n_links) % 2 == 0,
+            )
         elif op == "restore_link":
             cut = sorted(controller.failed_links)
             if cut:
-                controller.restore_link(cut[pick % len(cut)])
+                controller.restore_link(
+                    cut[pick % len(cut)],
+                    bidirectional=(pick // len(cut)) % 2 == 0,
+                )
         else:
             controller.rebalance()
         failed_after = (controller.failed_switches, controller.failed_links)
