@@ -170,8 +170,8 @@ class ControlChannel:
         self._refresh_fault_free()
 
     def _refresh_fault_free(self) -> None:
-        # Cached so the zero-fault send path (production steady state,
-        # and the bench_channel overhead gate) skips all fault sampling.
+        # Cached so the zero-fault send path (production steady state)
+        # skips all fault sampling.
         self._fault_free = (
             self.loss_prob == 0.0
             and self.delay_prob == 0.0

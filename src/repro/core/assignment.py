@@ -198,8 +198,6 @@ class LoadCalculator:
         self._load_cache: Dict[
             Tuple[VipDemand, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._load_hits = 0
-        self._load_misses = 0
         alive_cores = [
             c for c in topology.cores()
             if c not in self.router.failed_switches
@@ -278,7 +276,6 @@ class LoadCalculator:
         key = (demand, switch_index)
         cached = self._load_cache.get(key)
         if cached is not None:
-            self._load_hits += 1
             return cached
         idx, util = self._compute_load_vector(demand, switch_index)
         idx.setflags(write=False)
@@ -286,21 +283,12 @@ class LoadCalculator:
         if len(self._load_cache) >= _LOAD_CACHE_MAX:
             self._load_cache.clear()
         self._load_cache[key] = (idx, util)
-        self._load_misses += 1
         return idx, util
 
     def invalidate(self) -> None:
         """Drop the memoized load vectors (path-fraction caches stay:
         they depend only on the topology and the frozen failure set)."""
         self._load_cache.clear()
-
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters for the load-vector memo."""
-        return {
-            "hits": self._load_hits,
-            "misses": self._load_misses,
-            "size": len(self._load_cache),
-        }
 
     def _compute_load_vector(
         self, demand: VipDemand, switch_index: int

@@ -136,16 +136,14 @@ class SwitchAgent:
         switch_index: int,
         hmux: HMux,
         route_table: VipRouteTable,
+        channel: ControlChannel,
         fault_model: Optional[FaultModel] = None,
-        channel: Optional[ControlChannel] = None,
     ) -> None:
         self.switch_index = switch_index
         self.hmux = hmux
         self.route_table = route_table
         self.mux_ref = MuxRef.hmux(switch_index)
         self.fault_model = fault_model
-        # The control channel this agent is programmed over; None means
-        # direct in-process calls (bare agents in unit tests/benchmarks).
         self.channel = channel
         self.device_id = f"switch:{switch_index}"
         # Route-announce versions captured at announce time, passed back
@@ -166,12 +164,10 @@ class SwitchAgent:
             )
 
     def _send(self, op: str, fn):
-        """Deliver one device mutation over the control channel (or
-        directly when no channel is attached).  Channel loss/partition
-        surfaces as :class:`SwitchProgrammingError` so the controller's
-        retry/degrade path treats it like any transient RPC fault."""
-        if self.channel is None:
-            return fn()
+        """Deliver one device mutation over the control channel.  Channel
+        loss/partition surfaces as :class:`SwitchProgrammingError` so the
+        controller's retry/degrade path treats it like any transient RPC
+        fault."""
         try:
             return self.channel.send(self.device_id, op, fn)
         except ChannelSendError as error:
@@ -289,8 +285,7 @@ class SwitchAgent:
             mux=str(self.mux_ref), routes=withdrawn,
         )
         self.hmux.reset()
-        if self.channel is not None:
-            self.channel.purge_device(self.device_id)
+        self.channel.purge_device(self.device_id)
         return withdrawn
 
 
@@ -401,8 +396,8 @@ class DuetController:
                         hash_seed=hash_seed,
                     ),
                     self.route_table,
+                    self.channel,
                     fault_model=fault_model,
-                    channel=self.channel,
                 )
                 for s in topology.switches
             }

@@ -213,9 +213,6 @@ class ResilientHashTable:
     def members(self) -> Tuple[int, ...]:
         return tuple(sorted(self._weights))
 
-    def weight_of(self, member: int) -> float:
-        return self._weights[member]
-
     def slot_of(self, flow: FiveTuple) -> int:
         return five_tuple_hash(flow, self.seed) % self.n_slots
 

@@ -27,6 +27,7 @@ that invariant honest.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +63,22 @@ def default_wcmp_slots(
     if weights is None:
         return n_targets
     return max(n_targets, sum(max(1, round(w)) for w in weights))
+
+
+def layout_mutator(method):
+    """Marks a programming op of a mux (:class:`HMux` here,
+    :class:`~repro.dataplane.smux.SMux` likewise): the one path by which
+    ``layout_version`` moves, once per call that returns.  A public
+    method that changes what the pipeline would do and is not wrapped is
+    caught by ``tests/test_batch_properties.py``."""
+
+    @functools.wraps(method)
+    def programmed(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
+        self._layout_version += 1
+        return result
+
+    return programmed
 
 
 class HMuxAction(enum.Enum):
@@ -146,6 +163,7 @@ class HMux:
         caches on this: unchanged version == identical forwarding."""
         return self._layout_version
 
+    @layout_mutator
     def reset(self) -> None:
         """Power-cycle the switch: every table entry and counter is gone.
 
@@ -162,10 +180,10 @@ class HMux:
         self._vips.clear()
         self._port_vips.clear()
         self._evolved_vips.clear()
-        self._layout_version += 1
 
     # -- programming -----------------------------------------------------------
 
+    @layout_mutator
     def program_vip(
         self,
         vip: int,
@@ -221,8 +239,8 @@ class HMux:
             is_tip=is_tip,
         )
         self._evolved_vips.discard(vip)
-        self._layout_version += 1
 
+    @layout_mutator
     def program_vip_port(
         self,
         vip: int,
@@ -263,22 +281,21 @@ class HMux:
             ),
             port=port,
         )
-        self._layout_version += 1
 
+    @layout_mutator
     def remove_vip(self, vip: int) -> None:
         """Uninstall a VIP, freeing all three tables' entries."""
         state = self._vips.pop(vip, None)
         if state is None:
             raise HMuxError(f"VIP {format_ip(vip)} not programmed")
         self._evolved_vips.discard(vip)
-        self._layout_version += 1
         self._teardown(state, from_acl=False)
 
+    @layout_mutator
     def remove_vip_port(self, vip: int, port: int) -> None:
         state = self._port_vips.pop((vip, port), None)
         if state is None:
             raise HMuxError(f"VIP {format_ip(vip)}:{port} not programmed")
-        self._layout_version += 1
         self._teardown(state, from_acl=True)
 
     def _teardown(self, state: _VipState, from_acl: bool) -> None:
@@ -295,6 +312,7 @@ class HMux:
             if index in state.hash_table.members:
                 self.tunnel_table.free_block(index, 1)
 
+    @layout_mutator
     def remove_dip(self, vip: int, encap_ip: int) -> int:
         """Remove one target from a live VIP using resilient hashing:
         only flows that hashed to the removed target are remapped (S5.1).
@@ -304,7 +322,6 @@ class HMux:
         rewritten = state.hash_table.remove_member(victim)
         self.tunnel_table.free_block(victim, 1)
         self._evolved_vips.add(vip)
-        self._layout_version += 1
         return rewritten
 
     def add_dip(self, vip: int, encap_ip: int) -> None:

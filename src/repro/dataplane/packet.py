@@ -137,9 +137,6 @@ class Packet:
 
     # -- NAT-style rewrites ----------------------------------------------------
 
-    def with_flow(self, flow: FiveTuple) -> "Packet":
-        return replace(self, flow=flow)
-
     def rewrite_dst(self, dst_ip: int, dst_port: Optional[int] = None) -> "Packet":
         """Rewrite the inner destination (the HA does this before handing
         the packet to the server process)."""

@@ -22,6 +22,7 @@ from repro.dataplane.hashing import (
     ResilientHashTable,
     five_tuple_hash,
 )
+from repro.dataplane.hmux import default_wcmp_slots, layout_mutator
 from repro.dataplane.packet import (
     DEFAULT_PACKET_BYTES,
     FiveTuple,
@@ -82,8 +83,6 @@ class _VipMapping:
         n_slots: Optional[int] = None,
     ) -> "_VipMapping":
         if n_slots is None:
-            from repro.dataplane.hmux import default_wcmp_slots
-
             n_slots = default_wcmp_slots(len(dips), weights)
         table = ResilientHashTable(
             list(range(len(dips))), n_slots=n_slots, seed=seed,
@@ -137,6 +136,7 @@ class SMux:
 
     # -- VIP map management (pushed by the controller) ---------------------------
 
+    @layout_mutator
     def set_vip(
         self,
         vip: int,
@@ -164,9 +164,9 @@ class SMux:
             self.hash_seed,
             n_slots=n_slots,
         )
-        self._layout_version += 1
         self._evict_connections(vip, survivors=set(dips))
 
+    @layout_mutator
     def set_vip_port(
         self,
         vip: int,
@@ -190,23 +190,22 @@ class SMux:
             self.hash_seed,
             n_slots=n_slots,
         )
-        self._layout_version += 1
         self._evict_connections(vip, port, survivors=set(dips))
 
+    @layout_mutator
     def remove_vip_port(self, vip: int, port: int) -> None:
         if (vip, port) not in self._port_vips:
             raise SMuxError(f"VIP {format_ip(vip)}:{port} not installed")
         del self._port_vips[(vip, port)]
-        self._layout_version += 1
         self._evict_connections(vip, port)
 
+    @layout_mutator
     def remove_vip(self, vip: int) -> None:
         if vip not in self._vips:
             raise SMuxError(f"VIP {format_ip(vip)} not installed")
         del self._vips[vip]
         for key in [k for k in self._port_vips if k[0] == vip]:
             del self._port_vips[key]
-        self._layout_version += 1
         self._evict_connections(vip)
 
     def _evict_connections(

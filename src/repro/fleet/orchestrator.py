@@ -134,9 +134,6 @@ class SoakFleet:
             payload["hang_s"] = self.fleet.hang_s
         return payload
 
-    def _injected(self, seed: int) -> bool:
-        return seed in self.fleet.crash_seeds or seed in self.fleet.hang_seeds
-
     # -- run ----------------------------------------------------------------
 
     def run(self) -> FleetReport:

@@ -199,9 +199,6 @@ class FaultPlane:
 
     # -- introspection (for the scorecard only) -----------------------------
 
-    def active_faults(self) -> List[FaultRecord]:
-        return [rec for rec in self.log if rec.active]
-
     def record_for(self, target: str) -> Optional[FaultRecord]:
         return self._open.get(target)
 
@@ -209,11 +206,6 @@ class FaultPlane:
         rec = self._open.get(target)
         if rec is not None and rec.detected_t is None:
             rec.detected_t = t
-
-    def mark_remediated(self, target: str, t: float) -> None:
-        rec = self._open.get(target)
-        if rec is not None and rec.remediated_t is None:
-            rec.remediated_t = t
 
     def to_dict(self) -> Dict[str, object]:
         return {"faults": [rec.to_dict() for rec in self.log]}

@@ -24,12 +24,14 @@ GRAY_VIP            ``migrate_vip`` to the least-loaded healthy switch
 
 A :class:`SimulatedCrash` raised inside any of these ops propagates —
 the monitor never swallows it, so crash chaos exercises recovery of
-detector-initiated ops too.
+detector-initiated ops too.  Verdicts of the same round that were still
+waiting behind the crashing op are kept and applied on the next round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.controller import ControllerError, DuetController
 from repro.health.detector import (
@@ -204,6 +206,11 @@ class HealthMonitor:
         self.detector = HealthDetector(self.config, registry)
         self.remediation = RemediationLoop(controller, self.detector)
         self.timeline: List[Dict[str, object]] = []
+        # Verdicts emitted but not yet applied.  Non-empty between rounds
+        # only after a SimulatedCrash unwound run_round mid-remediation:
+        # the detector never re-emits a verdict, so the ones behind the
+        # crashing op wait here (the monitor outlives the controller).
+        self._unapplied: Deque[Verdict] = deque()
         self._transitions_seen = 0
         self._instruments = None
         if registry is not None:
@@ -347,7 +354,9 @@ class HealthMonitor:
                     tr["from"], tr["to"]
                 ).inc()
 
-        for verdict in verdicts:
+        self._unapplied.extend(verdicts)
+        while self._unapplied:
+            verdict = self._unapplied.popleft()
             self.timeline.append({
                 "type": "verdict", "t": verdict.t, "kind": verdict.kind.value,
                 "target": verdict.target, "detail": verdict.detail,

@@ -192,10 +192,6 @@ class VipRouteTable:
     def announced_by(self, mux: MuxRef) -> Set[Prefix]:
         return set(self._announcements.get(mux, set()))
 
-    def announcing_muxes(self) -> Set[MuxRef]:
-        """Every mux currently announcing at least one prefix."""
-        return set(self._announcements)
-
     def stale_routes(
         self, live: Set[MuxRef]
     ) -> List[Tuple[Prefix, MuxRef]]:
@@ -287,11 +283,6 @@ class BgpTimings:
     @property
     def vip_add_s(self) -> float:
         """End-to-end latency to add a VIP to an HMux and converge."""
-        return self.fib_update_vip_s + self.announce_propagation_s
-
-    @property
-    def vip_remove_s(self) -> float:
-        """End-to-end latency to remove a VIP from an HMux and converge."""
         return self.fib_update_vip_s + self.announce_propagation_s
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 GBPS = 1_000_000_000
 
@@ -340,9 +340,6 @@ class Topology:
             raise TopologyError(f"switch {tor_index} is not a ToR")
         per = self.params.servers_per_tor
         return range(tor_index * per, (tor_index + 1) * per)
-
-    def iter_links(self) -> Iterable[Link]:
-        return iter(self.links)
 
     def __repr__(self) -> str:
         p = self.params

@@ -478,16 +478,6 @@ class AlertEvaluator:
 
     # -- metrics mirror ------------------------------------------------------
 
-    def _increase_since(
-        self,
-        selectors,
-        after_t: Optional[float],
-        now: float,
-    ) -> float:
-        """Reset-aware increase over points *after* ``after_t`` (the
-        last point at or before it is the baseline)."""
-        return self._sum(selectors, after_t, now, True)
-
     def _cum_total(self, selectors) -> float:
         """Whole-run reset-aware increase: the final cumulative value of
         every matched series — O(series), no window scan."""
@@ -626,9 +616,6 @@ class AlertEvaluator:
         return fired
 
     # -- reporting ----------------------------------------------------------
-
-    def active_alerts(self) -> List[AlertIncident]:
-        return [i for i in self.incidents if i.open]
 
     def budgets(self) -> Dict[str, Dict[str, float]]:
         """Whole-run error-budget accounting per SLO, from the counters

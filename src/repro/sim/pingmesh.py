@@ -49,9 +49,6 @@ class PingSeries:
             [r.latency_s for r in self.results if r.latency_s is not None]
         )
 
-    def times_s(self) -> np.ndarray:
-        return np.asarray([r.time_s for r in self.results])
-
     def availability(self) -> float:
         """Fraction of probes answered."""
         if not self.results:

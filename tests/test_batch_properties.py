@@ -8,16 +8,31 @@ after arbitrary DIP-removal sequences:
 * removal protection holds — a removal only rewrites the slots of the
   removed member; every other flow keeps its target (paper S5.1),
 * batched ECMP selection over those layouts picks the same target the
-  scalar ``select`` does for every flow.
+  scalar ``select`` does for every flow,
+* the caches' key is structural: every public method of ``HMux`` and
+  ``SMux`` is classified as read-only or as a programming op, and a
+  programming op that changes what the pipeline forwards moves
+  ``layout_version``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dataplane import BatchHMux, FlowBatch, HMux, ResilientHashTable
+from repro.dataplane import (
+    BatchHMux,
+    FlowBatch,
+    HashingError,
+    HMux,
+    HMuxError,
+    ResilientHashTable,
+    SMux,
+    SMuxError,
+    TableEntryError,
+)
 from repro.dataplane.packet import FiveTuple, PROTO_TCP, Packet
 from repro.net.topology import SwitchTableSpec
 
@@ -133,3 +148,139 @@ def test_slot_layout_is_weight_proportional() -> None:
     assert counts[2] == 2 * counts[3]
     assert counts[1] + counts[2] + counts[3] == 12
     assert len(table.slots()) == 12
+
+
+# -- layout_version is structural --------------------------------------------
+#
+# BatchHMux/BatchSMux serve cached slot layouts until ``layout_version``
+# moves, so a programming op that forgets to move it is silent stale
+# forwarding.  Every public method is therefore classified below; a new
+# one fails ``test_every_public_mux_method_is_classified`` until it is.
+
+MUX_VIPS = [VIP + k for k in range(3)]
+MUX_PORTS = [80, 443]
+MUX_DIPS = [DIP_BASE + j for j in range(6)]
+
+#: Never change what the pipeline forwards (``process`` and the
+#: connection-table methods move ``conn_version``, not the layout;
+#: ``HMux.add_dip`` always raises).
+LAYOUT_READ_ONLY = {
+    HMux: {
+        "add_dip", "process", "has_vip", "has_vip_port",
+        "has_evolved_layout", "vips", "is_tip", "port_rules",
+        "slot_targets", "port_slot_targets", "dips_of",
+        "tunnel_entries_used", "ecmp_entries_used", "host_entries_used",
+    },
+    SMux: {
+        "has_vip", "vips", "dips_of", "port_vips", "slot_dips",
+        "port_slot_dips", "process", "connection_count", "connections",
+        "pinned_dip", "pin_connection", "expire_connection",
+    },
+}
+
+_vip = st.sampled_from(MUX_VIPS)
+_port = st.sampled_from(MUX_PORTS)
+_dip = st.sampled_from(MUX_DIPS)
+_dips = st.lists(_dip, max_size=4, unique=True)
+
+#: Programming ops: arguments that change forwarding on the mux
+#: ``programmed`` builds, and a strategy for arbitrary (often invalid)
+#: ones.
+LAYOUT_MUTATORS = {
+    HMux: {
+        "reset": ((), st.tuples()),
+        "program_vip": ((MUX_VIPS[1], MUX_DIPS[:2]), st.tuples(_vip, _dips)),
+        "program_vip_port": (
+            (MUX_VIPS[0], 443, MUX_DIPS[:2]), st.tuples(_vip, _port, _dips),
+        ),
+        "remove_vip": ((MUX_VIPS[0],), st.tuples(_vip)),
+        "remove_vip_port": ((MUX_VIPS[0], 80), st.tuples(_vip, _port)),
+        "remove_dip": ((MUX_VIPS[0], MUX_DIPS[0]), st.tuples(_vip, _dip)),
+    },
+    SMux: {
+        "set_vip": ((MUX_VIPS[1], MUX_DIPS[:2]), st.tuples(_vip, _dips)),
+        "set_vip_port": (
+            (MUX_VIPS[0], 443, MUX_DIPS[:2]), st.tuples(_vip, _port, _dips),
+        ),
+        "remove_vip_port": ((MUX_VIPS[0], 80), st.tuples(_vip, _port)),
+        "remove_vip": ((MUX_VIPS[0],), st.tuples(_vip)),
+    },
+}
+
+MUTATOR_CASES = [
+    (cls, name) for cls, ops in LAYOUT_MUTATORS.items() for name in ops
+]
+
+
+def programmed(cls):
+    """A mux serving ``MUX_VIPS[0]`` VIP-wide and on port 80."""
+    if cls is HMux:
+        mux = HMux(0x0A00_0001, tables=TABLES)
+        mux.program_vip(MUX_VIPS[0], MUX_DIPS[:3])
+        mux.program_vip_port(MUX_VIPS[0], 80, MUX_DIPS[3:5])
+    else:
+        mux = SMux(0, 0x1E00_0001)
+        mux.set_vip(MUX_VIPS[0], MUX_DIPS[:3])
+        mux.set_vip_port(MUX_VIPS[0], 80, MUX_DIPS[3:5])
+    return mux
+
+
+def forwarding(mux):
+    """Everything the batch engines cache: per-slot targets and DIP sets
+    of every VIP, per-slot targets of every port rule."""
+    if isinstance(mux, HMux):
+        return (
+            {v: (mux.slot_targets(v), mux.dips_of(v)) for v in mux.vips()},
+            {k: mux.port_slot_targets(*k) for k in mux.port_rules()},
+        )
+    return (
+        {v: (mux.slot_dips(v), mux.dips_of(v)) for v in mux.vips()},
+        {k: mux.port_slot_dips(*k) for k in mux.port_vips()},
+    )
+
+
+@pytest.mark.parametrize("cls", [HMux, SMux])
+def test_every_public_mux_method_is_classified(cls) -> None:
+    public = {
+        name for name, member in vars(cls).items()
+        if not name.startswith("_") and callable(member)
+    }
+    mutators = set(LAYOUT_MUTATORS[cls])
+    assert not LAYOUT_READ_ONLY[cls] & mutators
+    assert public == LAYOUT_READ_ONLY[cls] | mutators
+
+
+@pytest.mark.parametrize("cls, name", MUTATOR_CASES)
+def test_each_programming_op_moves_layout_version(cls, name) -> None:
+    mux = programmed(cls)
+    before, version = forwarding(mux), mux.layout_version
+    getattr(mux, name)(*LAYOUT_MUTATORS[cls][name][0])
+    assert forwarding(mux) != before, "example no longer changes forwarding"
+    assert mux.layout_version != version
+
+
+def _programming_ops(cls):
+    return st.lists(
+        st.one_of(*(
+            st.tuples(st.just(name), args)
+            for name, (_, args) in LAYOUT_MUTATORS[cls].items()
+        )),
+        max_size=16,
+    )
+
+
+@pytest.mark.parametrize("cls", [HMux, SMux])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_changed_forwarding_means_changed_layout_version(cls, data) -> None:
+    """Across arbitrary programming sequences, rejected calls included:
+    whenever what the mux forwards differs, so does the cache key."""
+    mux = programmed(cls)
+    for name, args in data.draw(_programming_ops(cls)):
+        before, version = forwarding(mux), mux.layout_version
+        try:
+            getattr(mux, name)(*args)
+        except (HMuxError, SMuxError, HashingError, TableEntryError):
+            pass
+        if forwarding(mux) != before:
+            assert mux.layout_version != version, (name, args)

@@ -271,7 +271,7 @@ class TestPendingOpsLedger:
 # ---------------------------------------------------------------------------
 
 def bare_agent() -> SwitchAgent:
-    return SwitchAgent(0, HMux(SWITCH_IP), VipRouteTable())
+    return SwitchAgent(0, HMux(SWITCH_IP), VipRouteTable(), ControlChannel())
 
 
 def agent_state(agent: SwitchAgent):

@@ -202,6 +202,36 @@ class TestCrashDuringRemediation:
         track = engine.monitor.detector.track(switch_key(victim))
         assert track.state.value == "quarantined"
 
+    def test_verdicts_behind_the_crashing_one_are_still_applied(self):
+        """duet-e2e hazard 6 (chaos seed 21022): one probe round emits
+        ``restore-switch 3`` then ``quarantine-switch 4``; the armed
+        crash fires inside the first verdict's rebalance and unwinds
+        ``run_round``.  The detector already holds switch 4 QUARANTINED
+        and never re-emits, so the monitor must keep the second verdict
+        and apply it on the next round — or switch 4's routes stay
+        announced over a dead switch (a §5.1 blackhole)."""
+        engine = ChaosEngine(ChaosConfig(
+            seed=21022, n_events=30, n_vips=24, channel_loss=0.3,
+            channel_delay=0.2, crash_prob=0.02, no_oracle=True, slo=True,
+        ))
+        report = engine.run()
+        assert report.crashes == 1
+        assert report.violations == []
+        timeline = engine.monitor.timeline
+        verdict = next(
+            e for e in timeline
+            if e["type"] == "verdict" and e["kind"] == "quarantine-switch"
+            and e["target"] == "switch:4"
+        )
+        failover = next(
+            e for e in timeline
+            if e["type"] == "remediation" and e["op"] == "fail_switch"
+            and e["target"] == "switch:4"
+        )
+        # Applied by the round after the one the crash unwound.
+        period = engine.monitor.config.probe_period_s
+        assert failover["t"] == pytest.approx(verdict["t"] + period)
+
     def test_repro_recover_replays_the_failover(self, tmp_path, capsys):
         engine, report, victim = self.scripted_run()
         journal_path = tmp_path / "health-crash.jsonl"
