@@ -173,6 +173,14 @@ class FlowBatch:
             outer=outer,
         )
 
+    def fields(self) -> np.ndarray:
+        """The inner five-tuples as one ``(5, n)`` uint64 block, rows in
+        :class:`FiveTuple` field order."""
+        return np.array((
+            self.src_ip, self.dst_ip, self.src_port, self.dst_port,
+            self.protocol,
+        ))
+
     def hashes(self, seed: int = 0) -> np.ndarray:
         """The shared five-tuple hash of every row (inner flow)."""
         return five_tuple_hash_batch(
@@ -196,22 +204,25 @@ class _LayoutIndex:
 
     __slots__ = ("keys", "vips", "n_slots", "base", "slot_targets")
 
-    def __init__(self, entries: List[Tuple[int, int, List[int]]]) -> None:
-        # entries: (key, vip-to-count-against, per-slot targets)
-        entries = sorted(entries, key=lambda e: e[0])
-        self.keys = np.array([e[0] for e in entries], dtype=np.uint64)
-        self.vips = np.array([e[1] for e in entries], dtype=np.uint64)
-        self.n_slots = np.array(
-            [len(e[2]) for e in entries], dtype=np.uint64,
-        )
-        lengths = [len(e[2]) for e in entries]
-        self.base = np.concatenate(
-            ([0], np.cumsum(lengths[:-1]))
-        ).astype(np.int64) if entries else np.empty(0, np.int64)
+    def __init__(
+        self,
+        keys: Sequence[int] = (),
+        vips: Sequence[int] = (),
+        layouts: Sequence[Sequence[int]] = (),
+    ) -> None:
+        # Parallel sequences in any order: key, VIP to count against,
+        # per-slot targets.  The layouts are packed in the order given;
+        # only the small per-key arrays are sorted.
+        lengths = np.fromiter(map(len, layouts), np.int64, len(layouts))
+        unsorted = np.array(keys, dtype=np.uint64)
+        order = np.argsort(unsorted)
+        self.keys = unsorted[order]
+        self.vips = np.array(vips, dtype=np.uint64)[order]
+        self.n_slots = lengths.astype(np.uint64)[order]
+        self.base = (np.cumsum(lengths) - lengths)[order]
         self.slot_targets = (
-            np.concatenate([np.asarray(e[2], dtype=np.int64)
-                            for e in entries])
-            if entries else np.empty(0, np.int64)
+            np.concatenate(layouts, dtype=np.int64)
+            if layouts else np.empty(0, np.int64)
         )
 
     def lookup(
@@ -296,9 +307,9 @@ class BatchHMux:
     def __init__(self, hmux: HMux) -> None:
         self.hmux = hmux
         self._version: Optional[int] = None
-        self._host = _LayoutIndex([])
-        self._tips = _LayoutIndex([])
-        self._acl = _LayoutIndex([])
+        self._host = _LayoutIndex()
+        self._tips = _LayoutIndex()
+        self._acl = _LayoutIndex()
 
     # -- cache maintenance -------------------------------------------------
 
@@ -318,9 +329,9 @@ class BatchHMux:
              self.hmux.port_slot_targets(vip, port))
             for vip, port in self.hmux.port_rules()
         ]
-        self._host = _LayoutIndex(host_entries)
-        self._tips = _LayoutIndex(tip_entries)
-        self._acl = _LayoutIndex(acl_entries)
+        self._host = _LayoutIndex(*zip(*host_entries))
+        self._tips = _LayoutIndex(*zip(*tip_entries))
+        self._acl = _LayoutIndex(*zip(*acl_entries))
         self._version = self.hmux.layout_version
 
     # -- data plane --------------------------------------------------------
@@ -439,8 +450,8 @@ class BatchSMux:
     With ``pin_connections=True`` (the default) the engine honours and
     maintains the SMux connection table exactly like the scalar path:
     pinned flows keep their DIP, fresh flows are pinned after selection.
-    The SMux's own table is the only connection state — every matched
-    row costs one lookup in it, and a miss pins the flow.
+    The SMux's own columnar table is the only connection state, and a
+    batch resolves against it in one ``SMux.lookup_or_pin`` call.
     ``pin_connections=False`` skips connection state entirely —
     a stateless mode for fluid-scale replays of ephemeral probe traffic
     where affinity is irrelevant (it deviates from scalar semantics and
@@ -451,23 +462,20 @@ class BatchSMux:
         self.smux = smux
         self.pin_connections = pin_connections
         self._version: Optional[int] = None
-        self._vips = _LayoutIndex([])
-        self._ports = _LayoutIndex([])
+        self._vips = _LayoutIndex()
+        self._ports = _LayoutIndex()
 
     def _refresh(self) -> None:
         if self._version == self.smux.layout_version:
             return
-        vip_entries = [
-            (vip, vip, self.smux.slot_dips(vip))
-            for vip in self.smux.vips()
-        ]
-        port_entries = [
-            (int(_acl_key(np.uint64(vip), np.uint64(port))), vip,
-             self.smux.port_slot_dips(vip, port))
-            for vip, port in self.smux.port_vips()
-        ]
-        self._vips = _LayoutIndex(vip_entries)
-        self._ports = _LayoutIndex(port_entries)
+        (vips, layouts), (ports, port_layouts) = self.smux.slot_layouts()
+        self._vips = _LayoutIndex(vips, vips, layouts)
+        self._ports = _LayoutIndex(
+            [int(_acl_key(np.uint64(vip), np.uint64(port)))
+             for vip, port in ports],
+            [vip for vip, _port in ports],
+            port_layouts,
+        )
         self._version = self.smux.layout_version
 
     def process(self, batch: FlowBatch) -> BatchSMuxResult:
@@ -485,14 +493,7 @@ class BatchSMux:
                        np.where(vip_found, vip_dip, -1)).astype(np.int64)
 
         if self.pin_connections:
-            smux = self.smux
-            for i in np.nonzero(matched)[0].tolist():
-                flow = batch.flow_at(i)
-                pin = smux.pinned_dip(flow)
-                if pin is None:
-                    smux.pin_connection(flow, int(dip[i]))
-                else:
-                    dip[i] = pin
+            dip = self.smux.lookup_or_pin(hashes, batch.fields(), dip)
 
         counters = self.smux.counters
         n_hit = int(np.count_nonzero(matched))

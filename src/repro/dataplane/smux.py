@@ -15,13 +15,12 @@ is the functional data plane with the constants attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataplane.hashing import (
-    EcmpSelector,
-    ResilientHashTable,
-    five_tuple_hash,
-)
+import numpy as np
+
+from repro.dataplane.conntable import ConnectionTable
+from repro.dataplane.hashing import ResilientHashTable, five_tuple_hash
 from repro.dataplane.hmux import default_wcmp_slots, layout_mutator
 from repro.dataplane.packet import (
     DEFAULT_PACKET_BYTES,
@@ -72,7 +71,10 @@ class _VipMapping:
     """
 
     dips: List[int]
-    table: "ResilientHashTable"
+    #: int64 array, element ``s`` the DIP of hash slot ``s``.  A mapping is
+    #: rebuilt whole by every ``set_vip``, so this is flattened once here
+    #: and the batch engine only concatenates these arrays.
+    slot_dips: np.ndarray
 
     @classmethod
     def build(
@@ -88,10 +90,13 @@ class _VipMapping:
             list(range(len(dips))), n_slots=n_slots, seed=seed,
             weights=weights,
         )
-        return cls(dips=dips, table=table)
+        return cls(
+            dips=dips,
+            slot_dips=np.array([dips[m] for m in table.slots()], np.int64),
+        )
 
-    def select(self, flow: FiveTuple, seed: int) -> int:
-        return self.dips[self.table.select(flow)]
+    def select(self, flow_hash: int) -> int:
+        return self.slot_dips.item(flow_hash % len(self.slot_dips))
 
 
 class SMux:
@@ -100,7 +105,10 @@ class SMux:
     The connection table maps a live flow to its DIP so that membership
     changes never remap established connections — Ananta semantics
     ("SMuxes maintain detailed connection state to ensure that existing
-    connections continue to go to the right DIPs", S5.2).
+    connections continue to go to the right DIPs", S5.2).  It is one
+    columnar :class:`~repro.dataplane.conntable.ConnectionTable`, probed
+    a flow at a time here and a batch at a time by
+    :meth:`lookup_or_pin`.
     """
 
     def __init__(
@@ -117,7 +125,7 @@ class SMux:
         self.counters = SMuxCounters()
         self._vips: Dict[int, _VipMapping] = {}
         self._port_vips: Dict[Tuple[int, int], _VipMapping] = {}
-        self._connections: Dict[FiveTuple, int] = {}
+        self._connections = ConnectionTable()
         self._layout_version = 0
         self._conn_version = 0
 
@@ -164,7 +172,7 @@ class SMux:
             self.hash_seed,
             n_slots=n_slots,
         )
-        self._evict_connections(vip, survivors=set(dips))
+        self._evict_connections(vip, survivors=dips)
 
     @layout_mutator
     def set_vip_port(
@@ -190,7 +198,7 @@ class SMux:
             self.hash_seed,
             n_slots=n_slots,
         )
-        self._evict_connections(vip, port, survivors=set(dips))
+        self._evict_connections(vip, port, survivors=dips)
 
     @layout_mutator
     def remove_vip_port(self, vip: int, port: int) -> None:
@@ -212,20 +220,12 @@ class SMux:
         self,
         vip: int,
         port: Optional[int] = None,
-        survivors: AbstractSet[int] = frozenset(),
+        survivors: Collection[int] = (),
     ) -> None:
         """Drop the connections pinned to ``vip`` (only those of its
         ``port`` pool when given) whose DIP is not among ``survivors`` —
-        the one O(connections) sweep every VIP-map change runs."""
-        stale = [
-            flow for flow, dip in self._connections.items()
-            if flow.dst_ip == vip
-            and (port is None or flow.dst_port == port)
-            and dip not in survivors
-        ]
-        for flow in stale:
-            del self._connections[flow]
-        if stale:
+        the one sweep every VIP-map change runs."""
+        if self._connections.evict(vip, port, survivors):
             self._conn_version += 1
 
     def has_vip(self, vip: int) -> bool:
@@ -251,14 +251,30 @@ class SMux:
         mapping = self._vips.get(vip)
         if mapping is None:
             raise SMuxError(f"VIP {format_ip(vip)} not installed")
-        return [mapping.dips[m] for m in mapping.table.slots()]
+        return mapping.slot_dips.tolist()
 
     def port_slot_dips(self, vip: int, port: int) -> List[int]:
         """Per-slot DIP of a port-specific pool."""
         mapping = self._port_vips.get((vip, port))
         if mapping is None:
             raise SMuxError(f"VIP {format_ip(vip)}:{port} not installed")
-        return [mapping.dips[m] for m in mapping.table.slots()]
+        return mapping.slot_dips.tolist()
+
+    def slot_layouts(self) -> Tuple[
+        Tuple[List[int], List[np.ndarray]],
+        Tuple[List[Tuple[int, int]], List[np.ndarray]],
+    ]:
+        """Every pool's cached slot -> DIP array as ``(keys, arrays)``
+        in step: the VIP-wide pools keyed by VIP, then the port pools
+        keyed by ``(vip, port)``.  What :meth:`slot_dips` /
+        :meth:`port_slot_dips` return one list at a time, without the
+        copies; the arrays are the live ones, not to be written."""
+        return (
+            (list(self._vips),
+             [m.slot_dips for m in self._vips.values()]),
+            (list(self._port_vips),
+             [m.slot_dips for m in self._port_vips.values()]),
+        )
 
     # -- data plane ----------------------------------------------------------------
 
@@ -266,50 +282,58 @@ class SMux:
         """Load-balance one packet: select (or recall) the DIP and
         encapsulate.  Returns None when the destination is not a VIP we
         know (counted as a drop)."""
-        vip = packet.flow.dst_ip
+        flow = packet.flow
+        vip = flow.dst_ip
         # Port-specific pools match first, mirroring the HMux's ACL
         # precedence (Figure 8).
-        mapping = self._port_vips.get((vip, packet.flow.dst_port))
+        mapping = self._port_vips.get((vip, flow.dst_port))
         if mapping is None:
             mapping = self._vips.get(vip)
         if mapping is None:
             self.counters.drops_no_vip += 1
             return None
-        dip = self._connections.get(packet.flow)
+        flow_hash = five_tuple_hash(flow, self.hash_seed)
+        dip = self._connections.get(flow_hash, flow)
         if dip is None:
-            dip = mapping.select(packet.flow, self.hash_seed)
-            self._connections[packet.flow] = dip
+            dip = mapping.select(flow_hash)
+            self._connections.pin(flow_hash, flow, dip)
             self._conn_version += 1
             self.counters.connections += 1
         self.counters.count(vip, packet.size_bytes)
         return packet.encapsulate(self.smux_ip, dip)
+
+    def lookup_or_pin(
+        self, hashes: np.ndarray, fields: np.ndarray, choice: np.ndarray,
+    ) -> np.ndarray:
+        """The connection-table step of :meth:`process` for a whole
+        batch: per row the pinned DIP, or ``choice`` (the DIP its pool's
+        layout selects) after pinning the flow to it; negative ``choice``
+        rows matched no pool and are skipped.  ``hashes`` are the rows'
+        ``five_tuple_hash`` under this SMux's seed, ``fields`` their
+        ``(5, n)`` uint64 five-tuples."""
+        dip, pinned = self._connections.lookup_or_pin(hashes, fields, choice)
+        self._conn_version += pinned
+        self.counters.connections += pinned
+        return dip
 
     def connection_count(self) -> int:
         return len(self._connections)
 
     def connections(self) -> List[FiveTuple]:
         """The flows currently pinned in the connection table."""
-        return list(self._connections)
+        return [flow for flow, _dip in self._connections.items()]
 
     def pinned_dip(self, flow: FiveTuple) -> Optional[int]:
         """The DIP a live connection is pinned to, if any."""
-        return self._connections.get(flow)
-
-    def pin_connection(self, flow: FiveTuple, dip: int) -> bool:
-        """Record a new connection pin — the exact state transition the
-        scalar path performs on a flow's first packet, exposed so the
-        batch engine can maintain identical connection state.  Returns
-        False (and changes nothing) when the flow is already pinned."""
-        if flow in self._connections:
-            return False
-        self._connections[flow] = dip
-        self._conn_version += 1
-        self.counters.connections += 1
-        return True
+        return self._connections.get(
+            five_tuple_hash(flow, self.hash_seed), flow,
+        )
 
     def expire_connection(self, flow: FiveTuple) -> bool:
         """Remove one connection-table entry (idle timeout)."""
-        expired = self._connections.pop(flow, None) is not None
+        expired = self._connections.pop(
+            five_tuple_hash(flow, self.hash_seed), flow,
+        ) is not None
         if expired:
             self._conn_version += 1
         return expired

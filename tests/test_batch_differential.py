@@ -13,17 +13,22 @@ populations, and failure states).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.engine import ChaosConfig, build_controller
+from repro.core.controller import DuetController, SimulatedCrash
 from repro.dataplane import (
     BatchHMux,
     BatchSMux,
     FlowBatch,
     HMux,
     SMux,
+    five_tuple_hash,
 )
 from repro.dataplane.packet import (
     FiveTuple,
@@ -31,7 +36,14 @@ from repro.dataplane.packet import (
     PROTO_UDP,
     Packet,
 )
+from repro.durability import (
+    AntiEntropyReconciler,
+    WriteAheadJournal,
+    harvest_dataplane,
+)
+from repro.net.bgp import MuxKind
 from repro.net.topology import SwitchTableSpec
+from repro.workload.vips import CLIENT_POOL, Dip
 
 SWITCH_IP = 0x0A00_0001
 SMUX_IP = 0x0A00_0101
@@ -448,3 +460,211 @@ def test_smux_differential_property(scenario) -> None:
         for k in shrinks:
             mux.set_vip(VIP_BASE + k, [DIP_BASE + 16 * k])
     assert_smux_equivalent(scalar, batched, packets, engine=engine)
+
+
+# ---------------------------------------------------------------------------
+# The stateful batch path stays in numpy
+# ---------------------------------------------------------------------------
+
+def test_stateful_batch_never_leaves_numpy(monkeypatch) -> None:
+    """Tier-1 cannot time the engine, so it forbids the slow path
+    instead: with every way of lifting a row out of a batch disabled, a
+    pinning batch (new, established and repeated flows), an evicting
+    ``set_vip`` and a second batch must still go through."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the stateful batch path left numpy")
+
+    smux = SMux(0, SMUX_IP, hash_seed=7)
+    pools = {
+        VIP_BASE + k: [DIP_BASE + 16 * k + j for j in range(4)]
+        for k in range(8)
+    }
+    for vip, dips in pools.items():
+        smux.set_vip(vip, dips)
+    smux.set_vip_port(VIP_BASE + 1, 8080, [DIP_BASE + 0xE0, DIP_BASE + 0xE1])
+    engine = BatchSMux(smux)
+    rng = np.random.default_rng(11)
+
+    def batch(src_ip: np.ndarray) -> FlowBatch:
+        return FlowBatch.from_fields(
+            src_ip, VIP_BASE + src_ip % 9,              # VIP_BASE+8: no VIP
+            1024 + src_ip % 50, np.where(src_ip % 3, 80, 8080),
+            np.full(len(src_ip), PROTO_TCP),
+        )
+
+    for name in ("flow_at", "packet_at"):
+        monkeypatch.setattr(FlowBatch, name, forbidden)
+    monkeypatch.setattr(FiveTuple, "__init__", forbidden)
+
+    established = rng.integers(0, 1 << 32, 1024, dtype=np.uint64)
+    first = engine.process(batch(established)).dip
+    fresh = rng.integers(0, 1 << 32, 2048, dtype=np.uint64)
+    rows = np.concatenate([established, fresh, fresh[:1024]])
+    assert len(rows) == 4096
+    mixed = batch(rows)
+    served = mixed.dst_ip != VIP_BASE + 8
+    second = engine.process(mixed).dip
+    assert np.array_equal(second[:1024], first)
+    assert np.array_equal(second[3072:], second[1024:2048])     # repeats
+    assert np.array_equal(second >= 0, served)
+    distinct = len(np.unique(rows[served]))
+    assert smux.connection_count() == smux.counters.connections == distinct
+
+    # Withdraw two of VIP_BASE+2's four DIPs: exactly their pins go.
+    vip, keep = VIP_BASE + 2, pools[VIP_BASE + 2][:2]
+    hit = mixed.dst_ip == vip
+    withdrawn = hit & ~np.isin(second, keep)
+    assert withdrawn.any() and (hit & ~withdrawn).any()
+    smux.set_vip(vip, keep)
+    assert smux.connection_count() == distinct - len(np.unique(rows[withdrawn]))
+    third = engine.process(mixed).dip
+    assert np.array_equal(third[~withdrawn], second[~withdrawn])
+    assert np.isin(third[withdrawn], keep).all()
+    assert smux.connection_count() == distinct
+
+
+# ---------------------------------------------------------------------------
+# Controller level: affinity across DIP churn, migration, failover, crash
+# ---------------------------------------------------------------------------
+
+class _Twin:
+    """A small journaled controller whose SMux traffic goes through
+    ``BatchSMux`` engines (``batched``) or scalar ``SMux.process``."""
+
+    def __init__(self, batched: bool) -> None:
+        self.batched = batched
+        self.controller = build_controller(
+            ChaosConfig(seed=7, n_vips=8, n_smuxes=2)
+        )
+        self.controller.attach_journal(WriteAheadJournal(), snapshot_interval=64)
+        self.engines: Dict[int, BatchSMux] = {}
+
+    def forward(self, packets: Sequence[Packet]) -> List[int]:
+        """The DIP each packet is encapsulated to, resolved the way the
+        fabric would (``DuetController.forward`` minus the host agent)."""
+        controller = self.controller
+        dips: List[int] = [-1] * len(packets)
+        via_smux: Dict[int, List[int]] = {}
+        for i, packet in enumerate(packets):
+            mux = controller.route_table.resolve(
+                packet.flow.dst_ip,
+                five_tuple_hash(packet.flow, controller.hash_seed ^ 0xECC),
+            )
+            if mux.kind is MuxKind.HMUX:
+                hmux = controller.switch_agents[mux.ident].hmux
+                dips[i] = hmux.process(packet).selected_ip
+            else:
+                via_smux.setdefault(mux.ident, []).append(i)
+        for smux in controller.smuxes:
+            rows = via_smux.get(smux.smux_id, [])
+            if not self.batched:
+                for i in rows:
+                    dips[i] = smux.process(packets[i]).outer[0].dst_ip
+                continue
+            engine = self.engines.setdefault(smux.smux_id, BatchSMux(smux))
+            assert engine.smux is smux      # warm restore keeps the object
+            got = engine.process(
+                FlowBatch.from_packets([packets[i] for i in rows])
+            )
+            for i, dip in zip(rows, got.dip.tolist()):
+                dips[i] = dip
+        return dips
+
+    def crash_and_restore(self, op: Callable[[DuetController], None]) -> None:
+        """Die inside ``op`` (an ``add_dip``, journaled but not yet
+        applied), then warm-restart from the journal and reconcile."""
+        self.controller.set_crash_hook(lambda label: label == "add_dip:update")
+        with pytest.raises(SimulatedCrash):
+            op(self.controller)
+        self.controller = DuetController.restore(
+            self.controller.journal,
+            dataplane=harvest_dataplane(self.controller),
+            topology=self.controller.topology,
+        )
+        AntiEntropyReconciler(self.controller).converge()
+
+    def pins(self) -> Dict[int, Dict[FiveTuple, int]]:
+        return {
+            smux.smux_id: {f: smux.pinned_dip(f) for f in smux.connections()}
+            for smux in self.controller.smuxes
+        }
+
+
+def test_controller_affinity_differential() -> None:
+    """ROADMAP: the batch path is "differential-equal to today's scalar
+    SMux across DIP churn, migration and crash-restart".  Two twins take
+    the same control ops; after each, the same flows go through
+    ``BatchSMux`` on one and ``SMux.process`` on the other."""
+    scalar, batched = _Twin(batched=False), _Twin(batched=True)
+    reference = scalar.controller
+    hosted: Dict[int, List[int]] = {}
+    for addr, record in sorted(reference.records().items()):
+        if len(record.dips) >= 3:
+            hosted.setdefault(record.assigned_switch, []).append(addr)
+    # The switch that fails hosts two of the VIPs under test, so their
+    # pool changes and the migration act on live SMux connection state.
+    victim = max(hosted, key=lambda switch: len(hosted[switch]))
+    shrunk, moved = hosted.pop(victim)[:2]
+    grown = min(min(addrs) for addrs in hosted.values())
+    elsewhere = next(
+        i for i in sorted(reference.switch_agents)
+        if i not in (victim, reference.vip_location(grown))
+    )
+    server = reference.record(grown).dips[0].server_id
+    top = max(d.addr for r in reference.records().values() for d in r.dips)
+
+    def new_dip(offset: int) -> Dip:
+        return Dip(
+            addr=top + offset, server_id=server,
+            tor=reference.topology.server_tor(server),
+        )
+
+    steps: List[Tuple[str, Callable[[_Twin], None]]] = [
+        ("add_dip", lambda t: t.controller.add_dip(grown, new_dip(1))),
+        ("remove_dip", lambda t: t.controller.remove_dip(
+            shrunk, t.controller.record(shrunk).dips[0].addr)),
+        ("fail_switch", lambda t: t.controller.fail_switch(victim)),
+        ("remove_dip on the backstop", lambda t: t.controller.remove_dip(
+            shrunk, t.controller.record(shrunk).dips[0].addr)),
+        ("add_dip on the backstop",
+         lambda t: t.controller.add_dip(shrunk, new_dip(2))),
+        ("migrate_vip", lambda t: t.controller.migrate_vip(moved, elsewhere)),
+        ("recover_switch", lambda t: t.controller.recover_switch(victim)),
+        ("crash in add_dip + restore", lambda t: t.crash_and_restore(
+            lambda c: c.add_dip(shrunk, new_dip(3)))),
+        ("remove_dip after restore", lambda t: t.controller.remove_dip(
+            shrunk, t.controller.record(shrunk).dips[0].addr)),
+    ]
+
+    rng = random.Random(0xAFF1)
+    vips = sorted(reference.records())
+    packets = [
+        Packet(FiveTuple(
+            CLIENT_POOL.network + rng.randrange(1 << 12), rng.choice(vips),
+            rng.randrange(1024, 1024 + 16), 80, PROTO_TCP,
+        ))
+        for _ in range(600)
+    ]
+    assert scalar.forward(packets) == batched.forward(packets)
+    for name, step in steps:
+        before = scalar.pins()
+        for twin in (scalar, batched):
+            step(twin)
+        # Connection state outlives the op wherever its DIP does
+        # (S3.3, S5.2) ...
+        pools = {
+            addr: {d.addr for d in record.dips}
+            for addr, record in scalar.controller.records().items()
+        }
+        after = scalar.pins()
+        for smux_id, held in before.items():
+            for flow, dip in held.items():
+                if dip in pools[flow.dst_ip]:
+                    assert after[smux_id].get(flow) == dip, (name, flow)
+        # ... and the batch engine serves and leaves exactly the state
+        # the scalar path does.
+        assert scalar.forward(packets) == batched.forward(packets), name
+        assert scalar.pins() == batched.pins(), name
+        for a, b in zip(scalar.controller.smuxes, batched.controller.smuxes):
+            assert a.counters == b.counters, name
+    assert any(scalar.pins().values())

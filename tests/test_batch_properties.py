@@ -173,8 +173,8 @@ LAYOUT_READ_ONLY = {
     },
     SMux: {
         "has_vip", "vips", "dips_of", "port_vips", "slot_dips",
-        "port_slot_dips", "process", "connection_count", "connections",
-        "pinned_dip", "pin_connection", "expire_connection",
+        "port_slot_dips", "slot_layouts", "process", "lookup_or_pin",
+        "connection_count", "connections", "pinned_dip", "expire_connection",
     },
 }
 

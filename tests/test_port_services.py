@@ -167,6 +167,24 @@ class TestControllerPortServices:
             assert mux.kind is MuxKind.SMUX
             assert delivered.flow.dst_ip in http_pool
 
+    @pytest.mark.xfail(
+        strict=True, raises=KeyError,
+        reason="remove_dip never shrinks Vip.port_pools, so the removed "
+               "DIP stays in the HMux ACL group and the SMux port pool "
+               "(a S5.1 blackhole; ROADMAP open item 3)",
+    )
+    def test_removed_dip_leaves_its_port_pool(self, topology):
+        controller, vip = self._controller(topology)
+        removed = vip.port_pools[0][1][0]
+        controller.remove_dip(vip.addr, removed)
+        for i in range(40):
+            # Today: a port-80 flow still hashes to the removed DIP and
+            # forward() dies in _dip_to_server.
+            delivered, _ = controller.forward(
+                client_packet(vip.addr, i, port=80)
+            )
+            assert delivered.flow.dst_ip != removed
+
     def test_virtualized_with_ports_rejected(self, topology):
         vip = make_port_vip(topology)
         population = VipPopulation(topology, [vip])
