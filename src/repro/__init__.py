@@ -14,7 +14,6 @@ implements the complete system in simulation:
   packet streams;
 * :mod:`repro.core` -- the paper's contribution: MRU-greedy VIP
   assignment, sticky migration, SMux provisioning, the controller;
-* :mod:`repro.ananta` -- the pure software baseline;
 * :mod:`repro.sim` -- mux queueing/latency models and testbed scenarios;
 * :mod:`repro.experiments` -- one driver per paper figure.
 

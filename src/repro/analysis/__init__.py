@@ -8,7 +8,6 @@ from repro.analysis.export import (
 )
 from repro.analysis.plot import (
     decimate,
-    histogram_line,
     sparkline,
     timeseries_line,
 )
@@ -18,22 +17,19 @@ from repro.analysis.reporting import (
     render_series,
     render_table,
 )
-from repro.analysis.stats import Summary, crossover_index, geometric_mean, ratio
+from repro.analysis.stats import Summary, ratio
 
 __all__ = [
     "Cdf",
     "Summary",
-    "crossover_index",
     "decimate",
     "export_json",
     "export_rows_csv",
     "export_series_csv",
-    "histogram_line",
     "sparkline",
     "timeseries_line",
     "format_seconds",
     "format_si",
-    "geometric_mean",
     "lorenz_points",
     "ratio",
     "render_series",

@@ -87,25 +87,3 @@ def timeseries_line(
         f"{label} t=[{times[0]:.3g}s..{times[-1]:.3g}s] {scale}\n"
         f"  {sparkline(compact)}"
     )
-
-
-def histogram_line(
-    label: str,
-    values: Sequence[float],
-    *,
-    bins: int = 40,
-) -> str:
-    """A sparkline of a value distribution (log-binned-free histogram)."""
-    if not len(values):
-        return f"{label}: (empty)"
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        return f"{label}: constant {lo:.3g}"
-    counts = [0] * bins
-    for value in values:
-        index = min(bins - 1, int((value - lo) / (hi - lo) * bins))
-        counts[index] += 1
-    return (
-        f"{label} range=[{lo:.3g}..{hi:.3g}] n={len(values)}\n"
-        f"  {sparkline([float(c) for c in counts])}"
-    )

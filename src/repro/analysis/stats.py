@@ -41,23 +41,3 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("inf")
     return numerator / denominator
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    if (arr <= 0).any():
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.log(arr).mean()))
-
-
-def crossover_index(
-    series_a: Sequence[float], series_b: Sequence[float]
-) -> int:
-    """First index where series_a <= series_b (e.g. where a latency curve
-    crosses a reference); -1 when it never does."""
-    if len(series_a) != len(series_b):
-        raise ValueError("series must be the same length")
-    for index, (a, b) in enumerate(zip(series_a, series_b)):
-        if a <= b:
-            return index
-    return -1

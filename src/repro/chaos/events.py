@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controller import DuetController
-from repro.net.failures import FailureScenario, isolated_switches
 from repro.workload.vips import Dip, Vip
 
 
@@ -170,6 +169,13 @@ NO_ORACLE_WEIGHTS: Dict[EventKind, float] = {
 }
 
 
+#: Concurrent-damage caps: at most this fraction of the switches failed
+#: (silently or not), this many SMuxes in the fleet, this many cables cut.
+MAX_FAILED_SWITCH_FRACTION = 0.34
+MAX_SMUXES = 6
+MAX_CUT_CABLES = 3
+
+
 class EventGenerator:
     """Seeded generator of feasible chaos events.
 
@@ -186,10 +192,6 @@ class EventGenerator:
         seed: int = 0,
         weights: Optional[Dict[EventKind, float]] = None,
         *,
-        max_failed_switch_fraction: float = 0.34,
-        max_smuxes: int = 6,
-        max_cut_cables: int = 3,
-        max_vips: Optional[int] = None,
         fault_plane=None,
         channel_loss: float = 0.0,
         channel_delay: float = 0.0,
@@ -211,14 +213,9 @@ class EventGenerator:
         if weights:
             self.weights.update(weights)
         self.max_failed_switches = max(
-            1, int(controller.topology.n_switches * max_failed_switch_fraction)
+            1, int(controller.topology.n_switches * MAX_FAILED_SWITCH_FRACTION)
         )
-        self.max_smuxes = max_smuxes
-        self.max_cut_cables = max_cut_cables
-        self.max_vips = (
-            max_vips if max_vips is not None
-            else max(4, 2 * len(controller.population))
-        )
+        self.max_vips = max(4, 2 * len(controller.population))
         records = controller.records()
         self._next_vip_id = 1 + max(
             (r.vip.vip_id for r in records.values()), default=-1
@@ -288,16 +285,12 @@ class EventGenerator:
         )
 
     def _build_recover_switch(self) -> Optional[ChaosEvent]:
-        c = self.controller
-        feasible = []
-        for switch in sorted(c.failed_switches):
-            scenario = FailureScenario(
-                name="feasibility",
-                failed_switches=frozenset(c.failed_switches - {switch}),
-                failed_links=frozenset(c.failed_links),
-            )
-            if switch not in isolated_switches(c.topology, scenario):
-                feasible.append(switch)
+        failed = self.controller.failed_switches
+        isolated = self.controller.intent.isolated
+        feasible = [
+            switch for switch in sorted(failed)
+            if switch not in isolated(failed - {switch})
+        ]
         if not feasible:
             return None
         return ChaosEvent(
@@ -313,7 +306,7 @@ class EventGenerator:
         })
 
     def _build_add_smux(self) -> Optional[ChaosEvent]:
-        if len(self.controller.smuxes) >= self.max_smuxes:
+        if len(self.controller.smuxes) >= MAX_SMUXES:
             return None
         return ChaosEvent(EventKind.ADD_SMUX)
 
@@ -347,7 +340,7 @@ class EventGenerator:
 
     def _build_cut_link(self) -> Optional[ChaosEvent]:
         c = self.controller
-        if len(c.failed_links) >= 2 * self.max_cut_cables:
+        if len(c.failed_links) >= 2 * MAX_CUT_CABLES:
             return None
         intact = [i for i in self._cables if i not in c.failed_links]
         if not intact:
@@ -538,12 +531,11 @@ class EventGenerator:
 
     def _build_channel_partition(self) -> Optional[ChaosEvent]:
         c = self.controller
-        channel = getattr(c, "channel", None)
-        if channel is None or self.channel_partitions <= 0:
+        if self.channel_partitions <= 0:
             return None
         partitioned = {
             int(dev.split(":", 1)[1])
-            for dev in channel.partitioned
+            for dev in c.channel.partitioned
             if dev.startswith("switch:")
         }
         if len(partitioned) >= self.channel_partitions:
@@ -558,10 +550,7 @@ class EventGenerator:
         })
 
     def _build_channel_heal(self) -> Optional[ChaosEvent]:
-        c = self.controller
-        channel = getattr(c, "channel", None)
-        if channel is None:
-            return None
+        channel = self.controller.channel
         partitioned = sorted(
             int(dev.split(":", 1)[1])
             for dev in channel.partitioned

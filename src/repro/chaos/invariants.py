@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.controller import DuetController
-from repro.dataplane.hashing import five_tuple_hash
 from repro.dataplane.hostagent import HostAgentError
 from repro.dataplane.packet import FiveTuple, Packet, make_tcp_packet
 from repro.net.addressing import Prefix, format_ip
@@ -52,6 +51,10 @@ class Violation:
         return f"[{self.invariant}] {self.detail}"
 
 
+#: Reachability probes (distinct flows) sent to each VIP per check.
+PROBES_PER_VIP = 2
+
+
 def _probe_packet(vip_addr: int, index: int) -> Packet:
     return make_tcp_packet(
         CLIENT_POOL.network + 0x4000 + index, vip_addr, 33000 + index, 80,
@@ -64,11 +67,9 @@ class InvariantChecker:
     def __init__(
         self,
         controller: DuetController,
-        probes_per_vip: int = 2,
         registry=None,
     ) -> None:
         self.controller = controller
-        self.probes_per_vip = probes_per_vip
         #: Optional :class:`repro.obs.registry.MetricsRegistry` — when
         #: set, the battery also asserts the metric conservation laws.
         self.registry = registry
@@ -153,7 +154,7 @@ class InvariantChecker:
         violations: List[Violation] = []
         for addr, record in sorted(c.records().items()):
             dip_addrs = set(record.dip_addrs())
-            for index in range(self.probes_per_vip):
+            for index in range(PROBES_PER_VIP):
                 packet = _probe_packet(addr, index)
                 try:
                     delivered, _mux = c.forward(packet)
@@ -302,14 +303,12 @@ class InvariantChecker:
         mutate a device: the channel's ``stale_applied`` counter records
         every delivery that got past the (epoch, seq) fence and still
         applied.  It must stay 0 for the life of the deployment."""
-        channel = getattr(self.controller, "channel", None)
-        if channel is None:
-            return []
-        if channel.stats.stale_applied == 0:
+        stale_applied = self.controller.channel.stats.stale_applied
+        if stale_applied == 0:
             return []
         return [Violation(
             "channel-fencing",
-            f"{channel.stats.stale_applied} stale/duplicate control "
+            f"{stale_applied} stale/duplicate control "
             "command(s) were applied past the (epoch, seq) fence",
         )]
 
@@ -413,10 +412,9 @@ class FlowAffinityTracker:
         for flow in self._flows_for(vip_addr):
             self._prime_flow(flow, vip_addr)
 
-    def _resolve(self, flow: FiveTuple, vip_addr: int):
+    def _resolve(self, flow: FiveTuple):
         """(mux_ref, pre-existing pin on the resolving SMux or None)."""
-        flow_hash = five_tuple_hash(flow, self.controller.hash_seed ^ 0xECC)
-        mux = self.controller.route_table.resolve(vip_addr, flow_hash)
+        mux = self.controller.resolve_mux(flow)
         pin = None
         if mux.kind is MuxKind.SMUX:
             for smux in self.controller.smuxes:
@@ -428,7 +426,7 @@ class FlowAffinityTracker:
     def _prime_flow(self, flow: FiveTuple, vip_addr: int) -> None:
         packet = Packet(flow=flow)
         try:
-            mux, pin = self._resolve(flow, vip_addr)
+            mux, pin = self._resolve(flow)
             delivered, _ = self.controller.forward(packet)
         except Exception:
             # Unreachable right now (e.g. all DIPs flapped down); try
@@ -524,7 +522,7 @@ class FlowAffinityTracker:
                 continue  # delivery would fail; re-check once healthy
             packet = Packet(flow=flow)
             try:
-                mux, pin = self._resolve(flow, vip_addr)
+                mux, pin = self._resolve(flow)
                 delivered, _ = c.forward(packet)
             except HostAgentError as error:
                 if dip_addrs & unhealthy:

@@ -11,7 +11,6 @@ from repro.core.fastassign import (
     ASSIGN_STATS,
     AssignStats,
     FastAssignEngine,
-    reset_assign_stats,
     stats_for,
 )
 from repro.core.baselines import FirstFitAssigner, RandomAssigner
@@ -98,7 +97,6 @@ __all__ = [
     "duet_provisioning",
     "failover_traffic",
     "find_capacity",
-    "reset_assign_stats",
     "slots_of_dip",
     "stats_for",
     "surviving_vip_traffic",

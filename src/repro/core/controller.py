@@ -49,13 +49,14 @@ from repro.core.migration import (
     StickyMigrator,
     diff_assignments,
 )
+from repro.dataplane.hashing import five_tuple_hash
 from repro.dataplane.hmux import HMux, HMuxError
 from repro.dataplane.hostagent import HostAgent
-from repro.dataplane.packet import Packet
+from repro.dataplane.packet import FiveTuple, Packet
 from repro.dataplane.smux import SMux
 from repro.dataplane.tables import TableEntryError, TableFullError
 from repro.net.addressing import Prefix, format_ip
-from repro.net.bgp import MuxKind, MuxRef, VipRouteTable
+from repro.net.bgp import ROUTE_HASH_SALT, MuxKind, MuxRef, VipRouteTable
 from repro.net.failures import FaultModel
 from repro.net.routing import EcmpRouter
 from repro.net.topology import Topology
@@ -316,10 +317,8 @@ class DuetController:
         hash_seed: int = 0,
         virtualized: bool = False,
         fault_model: Optional[FaultModel] = None,
-        max_program_attempts: int = 3,
-        retry_backoff_s: float = 0.05,
         channel: Optional[ControlChannel] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         intent: Optional[ControllerIntent] = None,
         dataplane=None,
     ) -> None:
@@ -333,8 +332,6 @@ class DuetController:
         """
         if n_smuxes < 1:
             raise ControllerError("need at least one SMux")
-        if max_program_attempts < 1:
-            raise ControllerError("need at least one programming attempt")
         if dataplane is not None and intent is None:
             raise ControllerError("a surviving dataplane needs its intent")
         self.topology = topology
@@ -342,8 +339,6 @@ class DuetController:
         self.config = config
         self.hash_seed = hash_seed
         self.virtualized = virtualized
-        self.max_program_attempts = max_program_attempts
-        self.retry_backoff_s = retry_backoff_s
         # Control-channel plumbing (see repro.control): every device
         # mutation below — switch agents, SMuxes, host agents — is
         # delivered as an epoch-fenced command.  The channel belongs to
@@ -359,13 +354,7 @@ class DuetController:
         # from the journal's uncommitted tail (the roll-forward) — that
         # is the ledger replay.
         self.ledger = PendingOpsLedger()
-        self.retry_policy = (
-            retry_policy if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=max_program_attempts,
-                base_backoff_s=retry_backoff_s,
-            )
-        )
+        self.retry_policy = retry_policy
         self._retry_rng = random.Random(hash_seed ^ RETRY_RNG_SALT)
         self.programming_stats = ProgrammingStats()
         self._fault_model = fault_model
@@ -545,8 +534,11 @@ class DuetController:
                 "config": asdict(self.config),
                 "hash_seed": self.hash_seed,
                 "virtualized": self.virtualized,
-                "max_program_attempts": self.max_program_attempts,
-                "retry_backoff_s": self.retry_backoff_s,
+                # Twins of two retry_policy fields, from when they were
+                # constructor knobs; still written so the journal format
+                # (and every digest over it) is unchanged.
+                "max_program_attempts": self.retry_policy.max_attempts,
+                "retry_backoff_s": self.retry_policy.base_backoff_s,
                 "retry_policy": asdict(self.retry_policy),
                 "snapshot_interval": self._snapshot_interval,
             })
@@ -1115,18 +1107,22 @@ class DuetController:
 
     # -- end-to-end forwarding (for tests/examples) ------------------------------------
 
+    def resolve_mux(self, flow: FiveTuple) -> MuxRef:
+        """The mux the fabric's LPM + ECMP delivers ``flow`` to (raises
+        :class:`~repro.net.bgp.RouteResolutionError` on a blackhole)."""
+        flow_hash = five_tuple_hash(flow, self.hash_seed ^ ROUTE_HASH_SALT)
+        return self.route_table.resolve(flow.dst_ip, flow_hash)
+
     def forward(self, packet: Packet) -> Tuple[Packet, MuxRef]:
         """Emulate the fabric: resolve the VIP via LPM, run the packet
         through the selected mux, deliver through the host agent.
 
         Returns (packet as the server sees it, the mux that handled it).
         """
-        from repro.dataplane.hashing import five_tuple_hash
         from repro.obs.tracing import PacketTap
 
         tap_record = None if self._tap is None else self._tap.begin(packet.flow)
-        flow_hash = five_tuple_hash(packet.flow, self.hash_seed ^ 0xECC)
-        mux = self.route_table.resolve(packet.flow.dst_ip, flow_hash)
+        mux = self.resolve_mux(packet.flow)
         PacketTap.hop(tap_record, "route.resolve", mux=str(mux))
         if mux.kind is MuxKind.HMUX:
             result = self.switch_agents[mux.ident].hmux.process(packet)

@@ -106,18 +106,6 @@ class AssignStats:
         self._pending_solve_seconds = []
         return pending
 
-    def reset(self) -> None:
-        self.solves = 0
-        self.solve_seconds_total = 0.0
-        self.candidate_evaluations = 0
-        self.rows_built = 0
-        self.rows_invalidated = 0
-        self.fallbacks = 0
-        self.structure_hits = 0
-        self.leg_hits = 0
-        self.leg_misses = 0
-        self._pending_solve_seconds = []
-
 
 #: Process-wide stats, one per engine flavor ("fast" / "scalar"), so the
 #: obs collector sees every assigner the controller or experiments spin
@@ -130,11 +118,6 @@ ASSIGN_STATS: Dict[str, AssignStats] = {
 
 def stats_for(engine: str) -> AssignStats:
     return ASSIGN_STATS[engine]
-
-
-def reset_assign_stats() -> None:
-    for stats in ASSIGN_STATS.values():
-        stats.reset()
 
 
 class _LegMatrix:

@@ -49,12 +49,6 @@ ACTION_NO_MATCH = 0
 ACTION_ENCAPSULATED = 1
 ACTION_REENCAPSULATED = 2
 
-_ACTION_TO_ENUM = {
-    ACTION_NO_MATCH: HMuxAction.NO_MATCH,
-    ACTION_ENCAPSULATED: HMuxAction.ENCAPSULATED,
-    ACTION_REENCAPSULATED: HMuxAction.REENCAPSULATED,
-}
-
 
 class BatchError(Exception):
     """Invalid batch construction or lookup."""

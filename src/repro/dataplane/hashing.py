@@ -292,34 +292,3 @@ class ResilientHashTable:
             counts[member] += 1
             rewritten += 1
         return rewritten
-
-
-def snat_port_for_entry(
-    src_ip: int,
-    dst_ip: int,
-    dst_port: int,
-    protocol: int,
-    target_slot: int,
-    n_slots: int,
-    port_range: Tuple[int, int],
-    seed: int = 0,
-) -> Optional[int]:
-    """Find a source port whose five-tuple hashes to ``target_slot``.
-
-    This is the host agent's SNAT trick (paper S5.2): because the HA knows
-    the HMux hash function, it chooses the local port of an *outgoing*
-    connection so the return traffic's ECMP lookup lands on the tunnel
-    entry pointing back at this very DIP.  Scans the assigned port range;
-    None when no port in the range works (caller then requests another
-    range from the controller).
-    """
-    lo, hi = port_range
-    if not 0 <= lo <= hi <= 0xFFFF:
-        raise HashingError(f"invalid port range: {port_range}")
-    if not 0 <= target_slot < n_slots:
-        raise HashingError(f"slot out of range: {target_slot}/{n_slots}")
-    for port in range(lo, hi + 1):
-        flow = FiveTuple(src_ip, dst_ip, port, dst_port, protocol)
-        if five_tuple_hash(flow, seed) % n_slots == target_slot:
-            return port
-    return None

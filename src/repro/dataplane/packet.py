@@ -20,7 +20,6 @@ from repro.net.addressing import format_ip
 PROTO_TCP = 6
 PROTO_UDP = 17
 PROTO_ICMP = 1
-PROTO_IPIP = 4
 
 #: Default MTU-sized packet used for pps<->bps conversions (the paper's
 #: capacity arithmetic assumes 1,500-byte packets: "300K packets/sec ...

@@ -99,14 +99,14 @@ def restore_controller(
         topology = Topology(params_from_dict(meta["topology"]))
     # Journals outlive releases: drop config keys this version has
     # retired (e.g. the old ``engine`` selector) instead of refusing to
-    # restore.
+    # restore.  The meta's ``max_program_attempts`` / ``retry_backoff_s``
+    # are not read: ``retry_policy`` holds both.
     known = {f.name for f in fields(AssignmentConfig)}
     config = AssignmentConfig(**{
         key: value for key, value in meta.get("config", {}).items()
         if key in known
     })
     intent = ControllerIntent.from_journal(journal, topology, config)
-    retry_meta = meta.get("retry_policy")
     controller = DuetController(
         topology,
         VipPopulation(topology, [r.vip for r in intent.records.values()]),
@@ -114,9 +114,7 @@ def restore_controller(
         hash_seed=meta.get("hash_seed", 0),
         virtualized=meta.get("virtualized", False),
         fault_model=fault_model,
-        max_program_attempts=meta.get("max_program_attempts", 3),
-        retry_backoff_s=meta.get("retry_backoff_s", 0.05),
-        retry_policy=None if retry_meta is None else RetryPolicy(**retry_meta),
+        retry_policy=RetryPolicy(**meta.get("retry_policy", {})),
         intent=intent,
         dataplane=dataplane,
     )

@@ -20,7 +20,7 @@ aggregate regardless of worker count or completion order:
 """
 
 from repro.fleet.merge import FleetReport, merge_results, summarize_report
-from repro.fleet.metrics import FleetMetrics, register_fleet_metrics
+from repro.fleet.metrics import FleetMetrics
 from repro.fleet.orchestrator import (
     DEFAULT_FLEET_RETRY,
     FleetConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "load_quarantine",
     "merge_results",
     "pool_map_reports",
-    "register_fleet_metrics",
     "replay_quarantine",
     "run_seed_task",
     "summarize_report",

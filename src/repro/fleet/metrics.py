@@ -52,8 +52,3 @@ class FleetMetrics:
             "duet_fleet_workers",
             "Worker processes the supervisor fans out over",
         )
-
-
-def register_fleet_metrics(registry: MetricsRegistry) -> FleetMetrics:
-    """Idempotently create the family on ``registry``."""
-    return FleetMetrics(registry)

@@ -4,8 +4,7 @@ Three probe families, mirroring what Duet's production ancestors run:
 
 * **VIP probes** — end-to-end pings through the real forwarding path
   (route table -> mux -> host agent), every ``probe_period_s`` like the
-  paper's 3 ms testbed pingmesh (Figures 11-13).  These populate
-  per-VIP :class:`~repro.sim.pingmesh.PingSeries` and are the only
+  paper's 3 ms testbed pingmesh (Figures 11-13).  These are the only
   signal that can see a gray failure.
 * **Liveness heartbeats** — per-switch and per-SMux reachability pings
   to the device CPU.  A silently dead device misses them; a gray device
@@ -23,15 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.controller import ControllerError, DuetController
-from repro.dataplane.hashing import five_tuple_hash
 from repro.dataplane.hostagent import HostAgentError
 from repro.dataplane.packet import Packet, make_tcp_packet
 from repro.health.faults import FaultPlane, dip_key, smux_key, switch_key
 from repro.net.bgp import MuxKind, RouteResolutionError
-from repro.sim.pingmesh import PingSeries, ProbeResult
 from repro.workload.vips import CLIENT_POOL
 
 #: Paper testbed cadence: one ping every 3 ms (S5.1, Figure 11).
@@ -73,20 +70,13 @@ class ProbeOutcome:
 
 
 class ProbeNetwork:
-    """Sends individual probes; accounts per-(mux, VIP) offered load.
+    """Sends individual probes, one :class:`ProbeOutcome` each.
 
-    The per-target ``sent``/``answered`` counters below count probes the
-    prober *offered* to each mux.  The metrics registry counts packets
-    the mux actually *processed* — the detector cross-checks the two to
-    tell mux-level loss (never counted) from post-mux loss (counted,
-    then failed at the host agent).
+    A VIP outcome names the mux the prober *offered* the probe to.  The
+    metrics registry counts packets the mux actually *processed* — the
+    detector cross-checks the two to tell mux-level loss (never counted)
+    from post-mux loss (counted, then failed at the host agent).
     """
-
-    #: Per-VIP probe history kept in memory; older results are trimmed
-    #: so an arbitrarily long soak holds bounded state.  Generous vs the
-    #: detector's windows (~15-30 rounds), so trimming never costs
-    #: evidence.
-    MAX_SERIES_RESULTS = 4096
 
     def __init__(
         self,
@@ -97,19 +87,6 @@ class ProbeNetwork:
         self.controller = controller
         self.fault_plane = fault_plane
         self.rng = random.Random(seed ^ 0x9B0E)
-        self.series: Dict[int, PingSeries] = {}
-        # (mux_key, vip) -> probes offered / answered, cumulative.
-        self.offered: Dict[Tuple[str, int], int] = {}
-        self.answered: Dict[Tuple[str, int], int] = {}
-
-    def _series(self, vip: int) -> PingSeries:
-        series = self.series.get(vip)
-        if series is None:
-            series = PingSeries(vip=vip, label=f"vip-{vip:#x}")
-            self.series[vip] = series
-        elif len(series.results) >= 2 * self.MAX_SERIES_RESULTS:
-            del series.results[:-self.MAX_SERIES_RESULTS]
-        return series
 
     def _latency(self, kind: MuxKind) -> float:
         base = _HMUX_BASE_LATENCY_S if kind is MuxKind.HMUX else _SMUX_BASE_LATENCY_S
@@ -139,20 +116,13 @@ class ProbeNetwork:
             20000 + (seq % 8191),
             80,
         )
-        flow_hash = five_tuple_hash(
-            packet.flow, self.controller.hash_seed ^ 0xECC
-        )
         try:
-            mux = self.controller.route_table.resolve(vip_addr, flow_hash)
+            mux = self.controller.resolve_mux(packet.flow)
         except RouteResolutionError:
-            self._series(vip_addr).add(ProbeResult(t, None, "none"))
             return ProbeOutcome(
                 kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=False,
                 vip=vip_addr,
             )
-
-        mkey = f"{mux.kind.value}:{mux.ident}"
-        self.offered[(mkey, vip_addr)] = self.offered.get((mkey, vip_addr), 0) + 1
 
         if mux.kind is MuxKind.HMUX:
             physically_dropped = self.fault_plane.hmux_drops(mux.ident, vip_addr)
@@ -160,7 +130,6 @@ class ProbeNetwork:
             physically_dropped = self.fault_plane.smux_drops(mux.ident)
 
         if physically_dropped:
-            self._series(vip_addr).add(ProbeResult(t, None, mux.kind.value))
             return ProbeOutcome(
                 kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=False,
                 vip=vip_addr, mux_kind=mux.kind.value, mux_ident=mux.ident,
@@ -177,13 +146,6 @@ class ProbeNetwork:
             ok = False
 
         latency = self._latency(mux.kind) if ok else None
-        self._series(vip_addr).add(
-            ProbeResult(t, latency, mux.kind.value if ok or post_mux else "none")
-        )
-        if ok:
-            self.answered[(mkey, vip_addr)] = (
-                self.answered.get((mkey, vip_addr), 0) + 1
-            )
         return ProbeOutcome(
             kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=ok,
             vip=vip_addr, mux_kind=mux.kind.value, mux_ident=mux.ident,

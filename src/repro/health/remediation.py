@@ -272,7 +272,7 @@ class HealthMonitor:
 
     def rebind(self, controller: DuetController) -> None:
         """Repoint at a restored controller after crash recovery; the
-        detector's suspicion state and probe series survive the crash
+        detector's suspicion state survives the crash
         (the monitor is a separate failure domain from the controller)."""
         self.controller = controller
         self.network.controller = controller

@@ -14,16 +14,10 @@ from repro.net.failures import (
     container_failure,
     link_failures,
     random_container_failure,
-    random_link_failures,
     random_switch_failures,
     switch_failures,
 )
-from repro.net.routing import (
-    EcmpRouter,
-    LinkLoadAccumulator,
-    RoutingError,
-    UnreachableError,
-)
+from repro.net.routing import EcmpRouter, RoutingError, UnreachableError
 from repro.net.topology import (
     FatTreeParams,
     Link,
@@ -43,7 +37,6 @@ __all__ = [
     "FailureScenario",
     "FatTreeParams",
     "Link",
-    "LinkLoadAccumulator",
     "LpmTable",
     "MuxKind",
     "MuxRef",
@@ -62,7 +55,6 @@ __all__ = [
     "paper_scale",
     "parse_ip",
     "random_container_failure",
-    "random_link_failures",
     "random_switch_failures",
     "switch_failures",
     "testbed_scale",

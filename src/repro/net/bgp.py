@@ -100,6 +100,12 @@ class _NextHopSet:
         return tuple(self._hops)
 
 
+#: Salt the fabric's ECMP route hash XORs into a deployment's
+#: ``hash_seed``, so picking among equal-cost muxes (``resolve``'s
+#: ``flow_hash``) is decorrelated from the muxes' own DIP-selection hash.
+ROUTE_HASH_SALT = 0xECC
+
+
 class VipRouteTable:
     """The network-wide VIP routing view.
 
@@ -229,18 +235,6 @@ class VipRouteTable:
         _prefix, hops = match
         assert isinstance(hops, _NextHopSet)
         return hops.select(flow_hash)
-
-    def resolve_with_prefix(
-        self, vip: int, flow_hash: int = 0
-    ) -> Tuple[Prefix, MuxRef]:
-        match = self._lpm.lookup_with_prefix(vip)
-        if match is None:
-            raise RouteResolutionError(
-                f"no route for VIP {format_ip(vip)}"
-            )
-        prefix, hops = match
-        assert isinstance(hops, _NextHopSet)
-        return prefix, hops.select(flow_hash)
 
     def has_route(self, vip: int) -> bool:
         return self._lpm.lookup(vip) is not None

@@ -144,24 +144,6 @@ def link_failures(
     )
 
 
-def random_link_failures(
-    topology: Topology, count: int, rng: "random.Random | int"
-) -> FailureScenario:
-    """Fail ``count`` random physical cables (both directions each)."""
-    rng = as_rng(rng)
-    # Sample among forward-direction link indices only (even indices come
-    # first per duplex pair ordering is not guaranteed, so sample cables by
-    # canonical (min, max) endpoint pairs).
-    cables = sorted({
-        tuple(sorted((link.src, link.dst))) for link in topology.links
-    })
-    if count > len(cables):
-        raise ValueError("cannot fail more cables than exist")
-    picked = rng.sample(cables, count)
-    indices = [topology.link_between(a, b).index for a, b in picked]
-    return link_failures(topology, indices, bidirectional=True)
-
-
 class FaultModel:
     """Transient-fault hook for switch programming operations.
 
@@ -261,19 +243,3 @@ def isolated_switches(
         if not any(router.is_reachable(switch, core) for core in cores):
             isolated.add(switch)
     return isolated
-
-
-def promote_isolated(
-    topology: Topology, scenario: FailureScenario
-) -> FailureScenario:
-    """Return a scenario where isolated-but-alive switches are treated as
-    failed (paper S5.1)."""
-    extra = isolated_switches(topology, scenario)
-    if not extra:
-        return scenario
-    return FailureScenario(
-        name=scenario.name + "+isolated",
-        failed_switches=scenario.failed_switches | frozenset(extra),
-        failed_links=scenario.failed_links,
-        failed_container=scenario.failed_container,
-    )

@@ -15,7 +15,7 @@ experiments (Figure 19) reroute through traffic.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
@@ -174,72 +174,3 @@ class EcmpRouter:
         for link, fraction in self.path_fractions(src, dst).items():
             vector[link] = fraction
         return vector
-
-    def ecmp_next_hops(self, at: int, dst: int) -> List[int]:
-        """Switches the ECMP DAG uses as next hops from ``at`` toward
-        ``dst`` (empty when at == dst)."""
-        if at == dst:
-            return []
-        dist = self.distances_to(dst)
-        if dist[at] == UNREACHABLE or at in self.failed_switches:
-            raise UnreachableError(at, dst)
-        return [
-            neighbor
-            for neighbor, _link in self._adjacency[at]
-            if dist[neighbor] == dist[at] - 1
-        ]
-
-    def sample_path(self, src: int, dst: int, flow_hash: int) -> List[int]:
-        """One concrete switch path chosen deterministically by a flow hash,
-        emulating per-flow ECMP.  Returns [src, ..., dst]."""
-        path = [src]
-        at = src
-        guard = self.topology.n_switches + 1
-        while at != dst:
-            hops = self.ecmp_next_hops(at, dst)
-            at = hops[flow_hash % len(hops)]
-            # Decorrelate the choice at successive hops the way hardware
-            # hash rotation does, so one flow does not always pick index 0.
-            flow_hash = (flow_hash * 0x9E3779B1 + 0x7F4A7C15) & 0xFFFFFFFF
-            path.append(at)
-            guard -= 1
-            if guard == 0:  # pragma: no cover - defensive
-                raise RoutingError("routing loop detected")
-        return path
-
-
-class LinkLoadAccumulator:
-    """Accumulates traffic onto per-link load vectors via a router.
-
-    Used both by the assignment algorithm (to price candidate placements)
-    and by the failure experiments (to measure max link utilization,
-    Figure 19).
-    """
-
-    def __init__(self, router: EcmpRouter) -> None:
-        self.router = router
-        self.load = np.zeros(router.topology.n_links)
-
-    def add_flow(self, src: int, dst: int, volume_bps: float) -> None:
-        """Spread ``volume_bps`` of traffic from src to dst over ECMP."""
-        if volume_bps < 0:
-            raise ValueError("traffic volume must be non-negative")
-        for link, fraction in self.router.path_fractions(src, dst).items():
-            self.load[link] += volume_bps * fraction
-
-    def add_flows(
-        self, flows: Iterable[Tuple[int, int, float]]
-    ) -> None:
-        for src, dst, volume in flows:
-            self.add_flow(src, dst, volume)
-
-    def utilization(self) -> np.ndarray:
-        """Per-link utilization (load / capacity)."""
-        capacities = np.asarray(self.router.topology.link_capacities())
-        return self.load / capacities
-
-    def max_utilization(self) -> float:
-        """The MLU across all links (0.0 on an idle network)."""
-        if not len(self.load):
-            return 0.0
-        return float(self.utilization().max())

@@ -141,7 +141,6 @@ def build_default_policies(
 STATE_INACTIVE = "inactive"
 STATE_PENDING = "pending"
 STATE_FIRING = "firing"
-STATE_RESOLVED = "resolved"
 
 
 @dataclass
@@ -218,13 +217,10 @@ class _CumSeries:
         self,
         start_t: Optional[float],
         end_t: float,
-        inclusive_base: bool,
     ) -> float:
-        """Increase over ``(start_t, end_t]``.  The baseline is the last
-        point before ``start_t`` (at-or-before when ``inclusive_base``,
-        matching "since last evaluation" semantics); without one, the
-        oldest retained point — the same truncation behaviour as the
-        ring buffer itself."""
+        """Increase over ``[start_t, end_t]``.  The baseline is the last
+        point before ``start_t``; without one, the oldest retained point
+        — the same truncation behaviour as the ring buffer itself."""
         times = self.times
         if not times:
             return 0.0
@@ -233,8 +229,7 @@ class _CumSeries:
             return 0.0
         base_cum = self.cums[0]
         if start_t is not None:
-            bisect_fn = bisect_right if inclusive_base else bisect_left
-            idx_base = bisect_fn(times, start_t) - 1
+            idx_base = bisect_left(times, start_t) - 1
             if idx_base >= 0:
                 base_cum = self.cums[idx_base]
         return max(0.0, self.cums[idx_end] - base_cum)
@@ -443,7 +438,6 @@ class AlertEvaluator:
         selectors,
         start_t: Optional[float],
         end_t: float,
-        inclusive_base: bool,
     ) -> float:
         total = 0.0
         cums = self._cums
@@ -459,7 +453,7 @@ class AlertEvaluator:
                 if state is None:
                     state = cums[id(buf)] = _CumSeries()
                     state.ingest(buf)
-                total += state.increase(start_t, end_t, inclusive_base)
+                total += state.increase(start_t, end_t)
         return total
 
     def _burn(
@@ -469,10 +463,10 @@ class AlertEvaluator:
         numerically identical to :meth:`CompiledSlo.burn_rate` but two
         bisects per series instead of an O(window) rescan."""
         start_t = now - window_s
-        total = self._sum(slo.total, start_t, now, False)
+        total = self._sum(slo.total, start_t, now)
         if total <= 0:
             return None
-        good = self._sum(slo.good, start_t, now, False)
+        good = self._sum(slo.good, start_t, now)
         rate = min(1.0, max(0.0, 1.0 - good / total))
         return rate / (1.0 - slo.objective)
 

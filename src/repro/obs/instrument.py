@@ -34,7 +34,7 @@ from registry samples:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.addressing import format_ip
 from repro.obs.registry import MetricsRegistry
@@ -340,23 +340,19 @@ class ControllerInstrumentation:
             self.journal_truncated.set_total(journal.records_truncated)
             self.journal_tail.set(len(journal.tail()))
 
-        # Control channel + ledger (guarded: bare controllers built
-        # without the channel plumbing still instrument cleanly).
-        channel = getattr(c, "channel", None)
-        if channel is not None:
-            channel_stats = channel.stats.as_dict()
-            for key, counter in self.channel_counters.items():
-                counter.set_total(channel_stats[key])
-            self.g_channel_partitioned.set(len(channel.partitioned))
-            self.g_channel_queued.set(channel.queued_dups())
-            self.g_channel_epoch.set(channel.epoch)
-            for seconds in channel.drain_convergences():
-                self.channel_convergence.observe(seconds)
-        ledger = getattr(c, "ledger", None)
-        if ledger is not None:
-            for key, counter in self.ledger_counters.items():
-                counter.set_total(getattr(ledger, key))
-            self.g_channel_pending.set(len(ledger.pending()))
+        # Control channel + ledger.
+        channel = c.channel
+        channel_stats = channel.stats.as_dict()
+        for key, counter in self.channel_counters.items():
+            counter.set_total(channel_stats[key])
+        self.g_channel_partitioned.set(len(channel.partitioned))
+        self.g_channel_queued.set(channel.queued_dups())
+        self.g_channel_epoch.set(channel.epoch)
+        for seconds in channel.drain_convergences():
+            self.channel_convergence.observe(seconds)
+        for key, counter in self.ledger_counters.items():
+            counter.set_total(getattr(c.ledger, key))
+        self.g_channel_pending.set(len(c.ledger.pending()))
 
 
 def instrument_controller(
@@ -370,77 +366,6 @@ def instrument_controller(
     instrumentation handle (keep it: ``rebind`` re-observes a restored
     controller)."""
     return ControllerInstrumentation(controller, registry, prefix=prefix)
-
-
-def instrument_hmux(
-    hmux,
-    registry: MetricsRegistry,
-    *,
-    switch: int = 0,
-    prefix: str = DEFAULT_PREFIX,
-    collector_name: Optional[str] = None,
-) -> None:
-    """Standalone HMux mirror, for benchmarks and micro-tests that have
-    no controller."""
-    packets = registry.counter(
-        f"{prefix}_hmux_packets_total",
-        "Packets forwarded by each HMux", ("switch",))
-    total_bytes = registry.counter(
-        f"{prefix}_hmux_bytes_total",
-        "Bytes forwarded by each HMux", ("switch",))
-    no_match = registry.counter(
-        f"{prefix}_hmux_no_match_total",
-        "Packets an HMux had no entry for", ("switch",))
-    vip_packets = registry.counter(
-        f"{prefix}_hmux_vip_packets_total",
-        "Per-VIP packets forwarded by each HMux", ("switch", "vip"))
-
-    def collect(_registry: MetricsRegistry) -> None:
-        counters = hmux.counters
-        packets.labels(switch).set_total(counters.packets)
-        total_bytes.labels(switch).set_total(counters.bytes)
-        no_match.labels(switch).set_total(counters.no_match)
-        for vip, count in counters.per_vip_packets.items():
-            vip_packets.labels(switch, format_ip(vip)).set_total(count)
-
-    registry.register_collector(
-        collector_name or f"hmux:{switch}", collect,
-    )
-
-
-def instrument_smux(
-    smux,
-    registry: MetricsRegistry,
-    *,
-    prefix: str = DEFAULT_PREFIX,
-    collector_name: Optional[str] = None,
-) -> None:
-    """Standalone SMux mirror (benchmarks / micro-tests)."""
-    packets = registry.counter(
-        f"{prefix}_smux_packets_total",
-        "Packets forwarded by each SMux", ("smux",))
-    total_bytes = registry.counter(
-        f"{prefix}_smux_bytes_total",
-        "Bytes forwarded by each SMux", ("smux",))
-    drops = registry.counter(
-        f"{prefix}_smux_drops_no_vip_total",
-        "Packets an SMux dropped for an unknown VIP", ("smux",))
-    vip_packets = registry.counter(
-        f"{prefix}_smux_vip_packets_total",
-        "Per-VIP packets forwarded by each SMux", ("smux", "vip"))
-
-    def collect(_registry: MetricsRegistry) -> None:
-        counters = smux.counters
-        sid = smux.smux_id
-        packets.labels(sid).set_total(counters.packets)
-        total_bytes.labels(sid).set_total(counters.bytes)
-        drops.labels(sid).set_total(counters.drops_no_vip)
-        for vip, count in counters.per_vip_packets.items():
-            vip_packets.labels(sid, format_ip(vip)).set_total(count)
-
-    registry.register_collector(
-        collector_name or f"smux:{smux.smux_id}", collect,
-    )
 
 
 #: Epoch solves range from sub-millisecond smoke topologies to multi-

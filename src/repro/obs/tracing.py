@@ -152,18 +152,6 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         return [s for s in self._spans.values() if s.name == name]
 
-    def descendants(self, span: Span) -> List[Span]:
-        out: List[Span] = []
-        frontier = [span.span_id]
-        while frontier:
-            nxt: List[int] = []
-            for child in self._spans.values():
-                if child.parent_id in frontier:
-                    out.append(child)
-                    nxt.append(child.span_id)
-            frontier = nxt
-        return out
-
     def clear(self) -> None:
         if self._stack:
             raise TracingError("cannot clear with open spans")

@@ -25,12 +25,6 @@ from repro.sim.queueing import (
     smux_cpu_utilization,
     smux_station,
 )
-from repro.sim.packetsim import (
-    PacketLevelMux,
-    PacketSimStats,
-    md1_mean_wait,
-    overload_drop_rate,
-)
 from repro.sim.scenarios import (
     FailoverConfig,
     HMuxCapacityConfig,
@@ -58,8 +52,6 @@ __all__ = [
     "NETWORK_RTT",
     "NETWORK_RTT_MEDIAN_S",
     "OperationSample",
-    "PacketLevelMux",
-    "PacketSimStats",
     "PingSeries",
     "ProbeResult",
     "SMUX_BASE_LATENCY",
@@ -68,8 +60,6 @@ __all__ = [
     "ScenarioResult",
     "SmuxFailureConfig",
     "breakdown",
-    "md1_mean_wait",
-    "overload_drop_rate",
     "hmux_station",
     "run_failover",
     "run_hmux_capacity",

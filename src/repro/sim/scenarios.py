@@ -18,7 +18,13 @@ import numpy as np
 from repro.dataplane.hashing import five_tuple_hash_batch
 from repro.dataplane.packet import PROTO_ICMP
 from repro.net.addressing import Prefix
-from repro.net.bgp import BgpTimings, MuxKind, MuxRef, RouteResolutionError, VipRouteTable
+from repro.net.bgp import (
+    ROUTE_HASH_SALT,
+    BgpTimings,
+    MuxRef,
+    RouteResolutionError,
+    VipRouteTable,
+)
 from repro.sim.control import ControlPlaneModel
 from repro.sim.pingmesh import PingSeries, ProbeResult
 from repro.sim.queueing import (
@@ -82,10 +88,6 @@ class _MuxFleet:
         station = self.stations[ref]
         return station.latency_sample(now_s, rng)
 
-
-#: Hash seed the probe path uses (distinct from the mux data-plane seed
-#: so probe spreading is not polarized with the mux ECMP layer).
-_PROBE_HASH_SEED = 0xECC
 
 #: RTT histogram buckets for scenario probes (testbed RTTs run from
 #: ~100 µs on an HMux to milliseconds on an overloaded SMux).
@@ -188,7 +190,7 @@ def _run_probes(
             src_ports,
             np.full(n, 7, np.uint64),         # echo port
             np.full(n, PROTO_ICMP, np.uint64),
-            _PROBE_HASH_SEED,
+            ROUTE_HASH_SALT,
         )
         batched.append((label, vip, times, hashes))
     n_steps = max((len(t) for _, _, t, _ in batched), default=0)

@@ -1,4 +1,4 @@
-"""Workload synthesis: VIP populations, traces, packet streams."""
+"""Workload synthesis: VIP populations, traces, ping probes."""
 
 from repro.workload.distributions import (
     DipCountModel,
@@ -7,7 +7,7 @@ from repro.workload.distributions import (
     empirical_cdf,
     share_concentration,
 )
-from repro.workload.flowgen import PingProbe, PoissonPacketStream, TimedPacket
+from repro.workload.flowgen import PingProbe, TimedPacket
 from repro.workload.serialization import (
     SerializationError,
     load_population,
@@ -41,7 +41,6 @@ __all__ = [
     "HOST_POOL",
     "IngressModel",
     "PingProbe",
-    "PoissonPacketStream",
     "SMUX_AGGREGATES",
     "SerializationError",
     "SMUX_POOL",

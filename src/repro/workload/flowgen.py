@@ -1,27 +1,19 @@
-"""Packet/flow generation for the discrete-event experiments.
+"""Probe generation for the discrete-event experiments.
 
-The testbed experiments (Figures 1 and 11-13) drive muxes with packet
-streams at controlled rates and measure latency with periodic pings.
-This module provides deterministic, seeded generators for both.
+The testbed experiments (Figures 11-13) measure latency and availability
+with periodic pings.  This module provides the deterministic, seeded
+probe generator.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.dataplane.packet import (
-    DEFAULT_PACKET_BYTES,
-    FiveTuple,
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    Packet,
-)
+from repro.dataplane.packet import PROTO_ICMP, FiveTuple, Packet
 from repro.workload.vips import CLIENT_POOL
 
 
@@ -31,88 +23,6 @@ class TimedPacket:
 
     time_s: float
     packet: Packet
-
-
-class PoissonPacketStream:
-    """Poisson arrivals of UDP packets to a set of VIPs.
-
-    Mirrors the paper's Figure 11 setup ("we send UDP traffic to 10 of
-    the VIPs"): each packet goes to a uniformly chosen VIP from a fresh
-    random flow, so traffic hashes across all mux ECMP entries.
-    """
-
-    def __init__(
-        self,
-        vips: Sequence[int],
-        rate_pps: float,
-        *,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
-        flows_per_vip: int = 64,
-        seed: int = 0,
-    ) -> None:
-        if not vips:
-            raise ValueError("need at least one destination VIP")
-        if rate_pps <= 0:
-            raise ValueError("rate must be positive")
-        self.vips = list(vips)
-        self.rate_pps = rate_pps
-        self.packet_bytes = packet_bytes
-        self.seed = seed
-        self._flows = self._make_flows(flows_per_vip)
-        # One Poisson process per stream, lazily materialized from t=0
-        # and cached so any window query reads the same realization:
-        # generate(0, 1) then generate(1, 2) is exactly generate(0, 2).
-        self._arrival_times: List[float] = []
-        self._arrival_flows: List[int] = []
-        self._gen_rng = random.Random((seed << 16) ^ 0xFACE)
-        self._gen_now = 0.0
-
-    def _make_flows(self, flows_per_vip: int) -> List[FiveTuple]:
-        rng = random.Random(self.seed)
-        flows: List[FiveTuple] = []
-        for vip in self.vips:
-            for _ in range(flows_per_vip):
-                client = CLIENT_POOL.network + rng.randrange(1 << 18)
-                flows.append(FiveTuple(
-                    src_ip=client,
-                    dst_ip=vip,
-                    src_port=rng.randrange(1024, 65536),
-                    dst_port=80,
-                    protocol=PROTO_UDP,
-                ))
-        return flows
-
-    def _extend_to(self, end_s: float) -> None:
-        """Materialize the process until the first arrival at or beyond
-        ``end_s`` has been drawn (so every arrival < ``end_s`` is cached)."""
-        while self._gen_now < end_s:
-            self._gen_now += self._gen_rng.expovariate(self.rate_pps)
-            self._arrival_times.append(self._gen_now)
-            self._arrival_flows.append(
-                self._gen_rng.randrange(len(self._flows))
-            )
-
-    def generate(self, start_s: float, end_s: float) -> Iterator[TimedPacket]:
-        """Packets with exponential inter-arrival times in [start, end).
-
-        Windows compose: the stream is ONE Poisson process from t=0, so
-        consecutive (or overlapping, or repeated) windows all observe
-        the same arrival realization — ``generate(0, 1)`` followed by
-        ``generate(1, 2)`` yields exactly the packets of
-        ``generate(0, 2)``.  Arrivals are cached up to the furthest
-        window end queried so far (memory grows with ``rate_pps *
-        max(end_s)``)."""
-        if end_s <= start_s:
-            return
-        self._extend_to(end_s)
-        times = self._arrival_times
-        lo = bisect.bisect_left(times, start_s)
-        for index in range(lo, len(times)):
-            now = times[index]
-            if now >= end_s:
-                return
-            flow = self._flows[self._arrival_flows[index]]
-            yield TimedPacket(now, Packet(flow, size_bytes=self.packet_bytes))
 
 
 class PingProbe:

@@ -6,10 +6,8 @@ import pytest
 from repro.analysis import (
     Cdf,
     Summary,
-    crossover_index,
     format_seconds,
     format_si,
-    geometric_mean,
     lorenz_points,
     ratio,
     render_series,
@@ -83,17 +81,6 @@ class TestStats:
     def test_ratio(self):
         assert ratio(10, 2) == 5
         assert ratio(1, 0) == float("inf")
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_crossover(self):
-        assert crossover_index([5, 4, 3], [4, 4, 4]) == 1
-        assert crossover_index([5, 5], [1, 1]) == -1
-        with pytest.raises(ValueError):
-            crossover_index([1], [1, 2])
 
 
 class TestFormatting:

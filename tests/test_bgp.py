@@ -134,13 +134,6 @@ class TestLpmPreference:
         other = parse_ip("10.0.0.8")
         assert table.resolve(other).kind is MuxKind.SMUX
 
-    def test_resolve_with_prefix_reports_winner(self, table):
-        table.announce(AGG, MuxRef.smux(0))
-        table.announce(Prefix.host(VIP), MuxRef.hmux(5))
-        prefix, mux = table.resolve_with_prefix(VIP)
-        assert prefix == Prefix.host(VIP)
-        assert mux == MuxRef.hmux(5)
-
 
 class TestEcmpSets:
     def test_multiple_smuxes_share_aggregate(self, table):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.chaos.engine import ChaosConfig, ChaosEngine, build_controller
+from repro.control import RetryPolicy
 from repro.core.assignment import Assignment
 from repro.core.controller import DuetController, SimulatedCrash
 from repro.durability import (
@@ -378,6 +379,20 @@ class TestRestore:
         # changed shape.
         assert golden_journal().to_lines() == (
             GOLDEN_JOURNAL.read_text(encoding="utf-8").splitlines()
+        )
+
+    def test_restores_parent_journal_carrying_retired_retry_meta(self):
+        """The parent wrote ``max_program_attempts`` / ``retry_backoff_s``
+        into the meta beside ``retry_policy``; the constructor no longer
+        takes them, and the restore reads the policy alone."""
+        golden = WriteAheadJournal.load(str(GOLDEN_JOURNAL))
+        assert golden.meta["max_program_attempts"] == 3
+        assert golden.meta["retry_backoff_s"] == 0.05
+        restored = DuetController.restore(golden)
+        assert restored.retry_policy == RetryPolicy(**golden.meta["retry_policy"])
+        expected = json.loads(GOLDEN_EXPECTED.read_text(encoding="utf-8"))
+        assert canonical(snapshot_state(restored)) == canonical(
+            expected["snapshot"]
         )
 
     def test_snapshot_interval_bounds_tail(self):

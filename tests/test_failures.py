@@ -9,9 +9,7 @@ from repro.net.failures import (
     container_failure,
     isolated_switches,
     link_failures,
-    promote_isolated,
     random_container_failure,
-    random_link_failures,
     random_switch_failures,
     switch_failures,
 )
@@ -70,10 +68,6 @@ class TestScenarios:
         )
         assert scenario.failed_links == frozenset([link.index])
 
-    def test_random_link_failures(self, tiny_topology):
-        scenario = random_link_failures(tiny_topology, 2, random.Random(3))
-        assert len(scenario.failed_links) == 4  # 2 cables, both directions
-
 
 class TestSideEffects:
     def test_dead_tors(self, tiny_topology):
@@ -106,15 +100,6 @@ class TestIsolation:
         scenario = switch_failures(tiny_topology, tiny_topology.aggs(0))
         isolated = isolated_switches(tiny_topology, scenario)
         assert set(tiny_topology.tors(0)) <= isolated
-
-    def test_promote_isolated(self, tiny_topology):
-        scenario = switch_failures(tiny_topology, tiny_topology.aggs(0))
-        promoted = promote_isolated(tiny_topology, scenario)
-        assert set(tiny_topology.tors(0)) <= promoted.failed_switches
-
-    def test_promote_noop_when_nothing_isolated(self, tiny_topology):
-        scenario = switch_failures(tiny_topology, [tiny_topology.tors(0)[0]])
-        assert promote_isolated(tiny_topology, scenario) is scenario
 
     def test_tor_isolated_by_link_cuts(self, tiny_topology):
         tor = tiny_topology.tors(0)[0]
@@ -159,12 +144,6 @@ class TestRngPlumbing:
             == random_container_failure(
                 tiny_topology, random.Random(2)
             ).failed_container
-        )
-        assert (
-            random_link_failures(tiny_topology, 2, 9).failed_links
-            == random_link_failures(
-                tiny_topology, 2, random.Random(9)
-            ).failed_links
         )
 
     def test_transient_fault_model_seed_forms_agree(self):

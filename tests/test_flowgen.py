@@ -1,46 +1,12 @@
-"""Tests for repro.workload.flowgen: packet streams and ping probes."""
+"""Tests for repro.workload.flowgen: ping probes."""
 
 import pytest
 
-from repro.dataplane.packet import PROTO_ICMP, PROTO_UDP
-from repro.workload.flowgen import PingProbe, PoissonPacketStream
+from repro.dataplane.packet import PROTO_ICMP
+from repro.workload.flowgen import PingProbe
 from repro.net.addressing import parse_ip
 
 VIPS = [parse_ip("10.0.0.1"), parse_ip("10.0.0.2")]
-
-
-class TestPoissonStream:
-    def test_rate_approximately_met(self):
-        stream = PoissonPacketStream(VIPS, rate_pps=2000.0, seed=1)
-        packets = list(stream.generate(0.0, 5.0))
-        assert len(packets) == pytest.approx(10_000, rel=0.1)
-
-    def test_times_ordered_and_bounded(self):
-        stream = PoissonPacketStream(VIPS, rate_pps=500.0, seed=2)
-        times = [p.time_s for p in stream.generate(1.0, 2.0)]
-        assert times == sorted(times)
-        assert all(1.0 <= t < 2.0 for t in times)
-
-    def test_targets_all_vips(self):
-        stream = PoissonPacketStream(VIPS, rate_pps=1000.0, seed=3)
-        targets = {p.packet.flow.dst_ip for p in stream.generate(0.0, 1.0)}
-        assert targets == set(VIPS)
-
-    def test_udp_packets(self):
-        stream = PoissonPacketStream(VIPS, rate_pps=100.0, seed=4)
-        packet = next(iter(stream.generate(0.0, 1.0))).packet
-        assert packet.flow.protocol == PROTO_UDP
-
-    def test_deterministic(self):
-        a = list(PoissonPacketStream(VIPS, 100.0, seed=5).generate(0, 1))
-        b = list(PoissonPacketStream(VIPS, 100.0, seed=5).generate(0, 1))
-        assert [p.time_s for p in a] == [p.time_s for p in b]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PoissonPacketStream([], 100.0)
-        with pytest.raises(ValueError):
-            PoissonPacketStream(VIPS, 0.0)
 
 
 class TestPingProbe:
@@ -64,59 +30,6 @@ class TestPingProbe:
     def test_validation(self):
         with pytest.raises(ValueError):
             PingProbe(VIPS[0], interval_s=0.0)
-
-
-def _key(packet):
-    return (packet.time_s, packet.packet.flow, packet.packet.size_bytes)
-
-
-class TestWindowedGeneration:
-    """generate() must read one cached Poisson realization: windowed
-    queries concatenate to exactly the one-pass sequence."""
-
-    def test_two_windows_equal_one_pass(self):
-        one_pass = PoissonPacketStream(VIPS, 500.0, seed=11)
-        windowed = PoissonPacketStream(VIPS, 500.0, seed=11)
-        got = list(windowed.generate(0.0, 1.0)) + \
-            list(windowed.generate(1.0, 2.0))
-        want = list(one_pass.generate(0.0, 2.0))
-        assert [_key(p) for p in got] == [_key(p) for p in want]
-
-    def test_many_uneven_windows_equal_one_pass(self):
-        import random as _random
-
-        edges = [0.0]
-        rng = _random.Random(3)
-        while edges[-1] < 3.0:
-            edges.append(edges[-1] + rng.uniform(0.01, 0.6))
-        one_pass = PoissonPacketStream(VIPS, 800.0, seed=12)
-        windowed = PoissonPacketStream(VIPS, 800.0, seed=12)
-        got = []
-        for lo, hi in zip(edges, edges[1:]):
-            got.extend(windowed.generate(lo, hi))
-        want = [p for p in one_pass.generate(0.0, edges[-1])]
-        assert [_key(p) for p in got] == [_key(p) for p in want]
-
-    def test_rereading_a_window_is_idempotent(self):
-        stream = PoissonPacketStream(VIPS, 400.0, seed=13)
-        first = [_key(p) for p in stream.generate(0.5, 1.5)]
-        stream.generate(2.0, 4.0)  # extend the realization past it
-        again = [_key(p) for p in stream.generate(0.5, 1.5)]
-        assert first == again
-
-    def test_out_of_order_windows_share_realization(self):
-        forward = PoissonPacketStream(VIPS, 600.0, seed=14)
-        backward = PoissonPacketStream(VIPS, 600.0, seed=14)
-        a = [_key(p) for p in forward.generate(0.0, 1.0)]
-        b = [_key(p) for p in forward.generate(1.0, 2.0)]
-        b2 = [_key(p) for p in backward.generate(1.0, 2.0)]
-        a2 = [_key(p) for p in backward.generate(0.0, 1.0)]
-        assert (a, b) == (a2, b2)
-
-    def test_empty_and_inverted_windows(self):
-        stream = PoissonPacketStream(VIPS, 100.0, seed=15)
-        assert list(stream.generate(1.0, 1.0)) == []
-        assert list(stream.generate(2.0, 1.0)) == []
 
 
 class TestProbeFieldsMatchesGenerate:

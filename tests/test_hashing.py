@@ -8,7 +8,6 @@ from repro.dataplane.hashing import (
     HashingError,
     ResilientHashTable,
     five_tuple_hash,
-    snat_port_for_entry,
 )
 from repro.dataplane.packet import FiveTuple, PROTO_TCP
 
@@ -179,33 +178,3 @@ class TestResilientHashTable:
         for p, owner in before.items():
             if owner != victim:
                 assert table.select(p) == owner
-
-
-class TestSnatPortSearch:
-    def test_finds_matching_port(self):
-        port = snat_port_for_entry(
-            src_ip=0x08000001, dst_ip=0x0A000001, dst_port=80,
-            protocol=PROTO_TCP, target_slot=3, n_slots=8,
-            port_range=(1024, 2048),
-        )
-        assert port is not None
-        f = FiveTuple(0x08000001, 0x0A000001, port, 80, PROTO_TCP)
-        assert five_tuple_hash(f) % 8 == 3
-
-    def test_returns_none_when_range_too_small(self):
-        port = snat_port_for_entry(
-            src_ip=1, dst_ip=2, dst_port=80, protocol=PROTO_TCP,
-            target_slot=0, n_slots=1 << 16, port_range=(1024, 1026),
-        )
-        # With 65536 slots and 3 candidate ports the search usually fails.
-        if port is not None:
-            f = FiveTuple(1, 2, port, 80, PROTO_TCP)
-            assert five_tuple_hash(f) % (1 << 16) == 0
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(HashingError):
-            snat_port_for_entry(1, 2, 80, PROTO_TCP, 0, 8, (5000, 1000))
-
-    def test_invalid_slot_rejected(self):
-        with pytest.raises(HashingError):
-            snat_port_for_entry(1, 2, 80, PROTO_TCP, 9, 8, (1000, 2000))

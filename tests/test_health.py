@@ -25,7 +25,6 @@ from repro.health.probes import ProbeOutcome, ProbeRound
 from repro.health.remediation import RemediationLoop
 from repro.net.addressing import format_ip
 from repro.obs import MetricsRegistry, instrument_controller
-from repro.sim.pingmesh import ProbeResult
 
 PERIOD = 0.003
 
@@ -118,17 +117,30 @@ class TestFaultPlane:
 
 
 class TestProbeNetwork:
-    def test_series_history_is_bounded(self):
-        network = ProbeNetwork(None, FaultPlane())
-        network.MAX_SERIES_RESULTS = 8
-        for i in range(40):
-            network._series(0x0A000001).add(
-                ProbeResult(i * PERIOD, 0.001, "hmux")
-            )
-        series = network.series[0x0A000001]
-        assert len(series.results) <= 2 * network.MAX_SERIES_RESULTS
-        # Trimming keeps the most recent results.
-        assert series.results[-1].time_s == 39 * PERIOD
+    def test_vip_outcome_names_the_offered_mux(self):
+        """The outcome is the prober's whole record of a probe: which
+        mux it was offered to, whether it came back, how fast."""
+        controller = build_controller(ChaosConfig(seed=0))
+        plane = FaultPlane()
+        network = ProbeNetwork(controller, plane)
+        vip, switch = next(
+            (addr, record.assigned_switch)
+            for addr, record in sorted(controller.records().items())
+            if record.assigned_switch is not None
+        )
+        served = network.probe_vip(vip, PERIOD, seq=0)
+        assert served.ok and not served.post_mux
+        assert (served.kind, served.vip) == ("vip", vip)
+        assert (served.mux_kind, served.mux_ident) == ("hmux", switch)
+        assert served.latency_s > 0
+
+        plane.silent_fail_switch(switch, t=2 * PERIOD)
+        before = controller.switch_agents[switch].hmux.counters.packets
+        dropped = network.probe_vip(vip, 3 * PERIOD, seq=1)
+        assert not dropped.ok and dropped.latency_s is None
+        assert (dropped.mux_kind, dropped.mux_ident) == ("hmux", switch)
+        # Lost before the mux: offered, never counted.
+        assert controller.switch_agents[switch].hmux.counters.packets == before
 
 
 class TestMuxStateMachine:

@@ -13,7 +13,6 @@ from repro.analysis.export import (
 )
 from repro.analysis.plot import (
     decimate,
-    histogram_line,
     sparkline,
     timeseries_line,
 )
@@ -79,18 +78,6 @@ class TestTimeseriesLine:
     def test_all_dropped(self):
         text = timeseries_line("x", [0.0, 1.0], [float("nan")] * 2)
         assert "all dropped" in text
-
-
-class TestHistogramLine:
-    def test_basic(self):
-        text = histogram_line("d", [1.0, 1.0, 2.0, 9.0])
-        assert "n=4" in text
-
-    def test_constant(self):
-        assert "constant" in histogram_line("d", [3.0, 3.0])
-
-    def test_empty(self):
-        assert "(empty)" in histogram_line("d", [])
 
 
 class TestCsvExport:

@@ -1,4 +1,4 @@
-"""Tests for repro.net.routing: ECMP path fractions and link loads."""
+"""Tests for repro.net.routing: ECMP distances and path fractions."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.net.routing import (
     EcmpRouter,
-    LinkLoadAccumulator,
     UNREACHABLE,
     UnreachableError,
 )
@@ -214,61 +213,3 @@ class TestSingleDirectionCuts:
                     assert outflow(topo, fractions, src) == pytest.approx(1.0)
                     assert inflow(topo, fractions, dst) == pytest.approx(1.0)
         assert refused == {mute}
-
-
-class TestNextHopsAndSampling:
-    def test_next_hops_toward_dst(self, router, topo):
-        src, dst = topo.tors(0)[0], topo.tors(1)[0]
-        hops = router.ecmp_next_hops(src, dst)
-        assert set(hops) == set(topo.aggs(0))
-
-    def test_next_hops_at_destination_empty(self, router):
-        assert router.ecmp_next_hops(4, 4) == []
-
-    def test_sample_path_valid(self, router, topo):
-        src, dst = topo.tors(0)[0], topo.tors(2)[2]
-        for flow_hash in range(20):
-            path = router.sample_path(src, dst, flow_hash)
-            assert path[0] == src
-            assert path[-1] == dst
-            assert len(path) == router.hop_distance(src, dst) + 1
-            for a, b in zip(path, path[1:]):
-                assert b in topo.neighbors(a)
-
-    def test_sample_path_spreads_over_hashes(self, router, topo):
-        src, dst = topo.tors(0)[0], topo.tors(2)[2]
-        paths = {tuple(router.sample_path(src, dst, h)) for h in range(64)}
-        assert len(paths) > 1  # ECMP actually uses multiple paths
-
-
-class TestLinkLoadAccumulator:
-    def test_single_flow_load(self, router, topo):
-        acc = LinkLoadAccumulator(router)
-        acc.add_flow(topo.tors(0)[0], topo.tors(0)[1], 4e9)
-        # 4 Gbps split over 2 aggs: 2 Gbps per link on 10G links.
-        util = acc.utilization()
-        nonzero = util[util > 0]
-        assert nonzero.max() == pytest.approx(0.2)
-
-    def test_total_load_conserved(self, router, topo):
-        acc = LinkLoadAccumulator(router)
-        acc.add_flow(topo.tors(0)[0], topo.tors(1)[0], 1e9)
-        hops = router.hop_distance(topo.tors(0)[0], topo.tors(1)[0])
-        # Each unit of traffic appears on exactly `hops` links' worth.
-        assert acc.load.sum() == pytest.approx(1e9 * hops)
-
-    def test_add_flows_batch(self, router, topo):
-        acc = LinkLoadAccumulator(router)
-        acc.add_flows([
-            (topo.tors(0)[0], topo.tors(1)[0], 1e9),
-            (topo.tors(1)[0], topo.tors(0)[0], 1e9),
-        ])
-        assert acc.max_utilization() > 0
-
-    def test_negative_volume_rejected(self, router):
-        acc = LinkLoadAccumulator(router)
-        with pytest.raises(ValueError):
-            acc.add_flow(0, 1, -1.0)
-
-    def test_zero_on_idle(self, router):
-        assert LinkLoadAccumulator(router).max_utilization() == 0.0

@@ -83,7 +83,7 @@ class TestCumSeries:
         cum.ingest(buf)
         for start, end in [(0, 5), (1.5, 4), (2, 5), (4.5, 5), (6, 7)]:
             expected = reset_aware_increase(buf.tail_window(start, end))
-            assert cum.increase(start, end, False) == expected
+            assert cum.increase(start, end) == expected
 
     def test_incremental_ingest_equals_bulk(self):
         points = [(t, t * 2.0) for t in range(10)]
