@@ -32,7 +32,7 @@ from repro.durability import (
     controller_fingerprint,
     harvest_dataplane,
 )
-from repro.workload.vips import VIP_POOL
+from repro.workload.vips import VIP_POOL, Dip, Vip
 
 from tests.test_durability import (
     explicit_assignment,
@@ -89,6 +89,21 @@ def move_three(c: DuetController) -> None:
     c.apply_assignment(explicit_assignment(c, placement))
 
 
+def add_pooled_vip(c: DuetController) -> None:
+    """VIP 10 on an Agg: three DIPs, port 80 served by the first two."""
+    base = max(d.addr for r in c.records().values() for d in r.dips) + 1
+    dips = tuple(
+        Dip(addr=base + k, server_id=4 * k, tor=c.topology.server_tor(4 * k))
+        for k in range(3)
+    )
+    c.add_vip(Vip(
+        vip_id=10, addr=addr_of(10), dips=dips, traffic_bps=5e7,
+        ingress_racks=(), internet_fraction=1.0,
+        port_pools=((80, (dips[0].addr, dips[1].addr)),),
+    ))
+    c.migrate_vip(addr_of(10), agg(c, 2))
+
+
 def onto_dead_switch(c: DuetController) -> None:
     placement = dict(c.assignment.vip_to_switch)
     placement.update({3: tor(c, 0), 9: tor(c, 0), 4: agg(c, 3)})
@@ -110,6 +125,10 @@ SCENARIOS: Dict[str, Scenario] = {
     "remove_dip": Scenario(
         nothing,
         lambda c: c.remove_dip(addr_of(2), c.record(addr_of(2)).dips[-1].addr),
+    ),
+    "remove_dip:port_pool": Scenario(
+        add_pooled_vip,
+        lambda c: c.remove_dip(addr_of(10), c.record(addr_of(10)).dips[0].addr),
     ),
     "migrate_vip": Scenario(
         nothing, lambda c: c.migrate_vip(addr_of(0), agg(c, 3)),
@@ -239,6 +258,8 @@ def test_op_crashed_anywhere_restores_to_its_twin(name: str) -> None:
     twin = placed_controller()
     scenario.prepare(twin)
     scenario.run(twin)
+    # The op's own convergence covered everything it touched.
+    assert AntiEntropyReconciler(twin).diff() == []
     want = controller_fingerprint(twin)
     for mode in crash_modes(scenario):
         for warm in (True, False):

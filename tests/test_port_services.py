@@ -9,6 +9,7 @@ from repro.core.assignment import AssignmentConfig, GreedyAssigner
 from repro.core.controller import ControllerError, DuetController
 from repro.dataplane.packet import make_tcp_packet
 from repro.dataplane.smux import SMux, SMuxError
+from repro.durability import WriteAheadJournal
 from repro.net.bgp import MuxKind
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.vips import (
@@ -167,23 +168,48 @@ class TestControllerPortServices:
             assert mux.kind is MuxKind.SMUX
             assert delivered.flow.dst_ip in http_pool
 
-    @pytest.mark.xfail(
-        strict=True, raises=KeyError,
-        reason="remove_dip never shrinks Vip.port_pools, so the removed "
-               "DIP stays in the HMux ACL group and the SMux port pool "
-               "(a S5.1 blackhole; ROADMAP open item 3)",
-    )
     def test_removed_dip_leaves_its_port_pool(self, topology):
         controller, vip = self._controller(topology)
         removed = vip.port_pools[0][1][0]
         controller.remove_dip(vip.addr, removed)
+        survivor = vip.port_pools[0][1][1]
         for i in range(40):
-            # Today: a port-80 flow still hashes to the removed DIP and
-            # forward() dies in _dip_to_server.
             delivered, _ = controller.forward(
                 client_packet(vip.addr, i, port=80)
             )
-            assert delivered.flow.dst_ip != removed
+            assert delivered.flow.dst_ip == survivor
+        switch = controller.vip_location(vip.addr)
+        hmux = controller.switch_agents[switch].hmux
+        assert hmux.dips_of(vip.addr, 80) == [survivor]
+        for smux in controller.smuxes:
+            assert set(smux.port_slot_dips(vip.addr, 80)) == {survivor}
+
+    def test_removal_keeps_surviving_port_flows_in_place(self, topology):
+        """The port pool shrinks by resilient removal: a port-21 flow
+        whose DIP survives keeps it."""
+        controller, vip = self._controller(topology)
+        ftp = [client_packet(vip.addr, i, port=21) for i in range(40)]
+        before = [controller.forward(p)[0].flow.dst_ip for p in ftp]
+        removed = vip.port_pools[1][1][0]
+        controller.remove_dip(vip.addr, removed)
+        after = [controller.forward(p)[0].flow.dst_ip for p in ftp]
+        assert removed in before and removed not in after
+        assert all(a == b for a, b in zip(after, before) if b != removed)
+
+    def test_last_dip_of_a_port_pool_is_refused(self, topology):
+        controller, vip = self._controller(topology)
+        controller.attach_journal(WriteAheadJournal())
+        first, second = vip.port_pools[0][1]
+        controller.remove_dip(vip.addr, first)
+        appended = controller.journal.ops_appended
+        with pytest.raises(ControllerError, match=":80"):
+            controller.remove_dip(vip.addr, second)
+        assert controller.journal.ops_appended == appended
+        assert second in controller.record(vip.addr).dip_addrs()
+        # The health reaper skips it too.
+        server = controller.record(vip.addr).dip(second).server_id
+        controller.host_agents[server].set_health(second, False)
+        assert controller.reap_failed_dips() == []
 
     def test_virtualized_with_ports_rejected(self, topology):
         vip = make_port_vip(topology)
