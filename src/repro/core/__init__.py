@@ -18,15 +18,9 @@ from repro.core.capacity import CapacityReport, binding_resource, find_capacity
 from repro.core.refine import AssignmentRefiner, RefinementResult
 from repro.core.replication import ReplicatedAssigner, ReplicatedAssignment
 from repro.core.snat import PortRange, SnatError, SnatPortManager, slots_of_dip
-from repro.core.intent import ControllerIntent
-from repro.core.controller import (
-    ControllerError,
-    DuetController,
-    ProgrammingStats,
-    SwitchAgent,
-    SwitchProgrammingError,
-    VipRecord,
-)
+from repro.core.intent import ControllerIntent, VipRecord
+from repro.core.agent import ControllerError, SwitchAgent, SwitchProgrammingError
+from repro.core.controller import DuetController, ProgrammingStats
 from repro.core.linkload import (
     LinkUtilizationComputer,
     UtilizationReport,

@@ -122,8 +122,10 @@ class HostAgent:
         self._healthy.discard(dip)
         self._snat_configs.pop(dip, None)
 
-    def dips(self) -> List[int]:
-        return sorted(self._dip_to_vip)
+    def registrations(self) -> Dict[int, List[int]]:
+        """VIP -> its DIPs registered here, in registration order (a
+        read-only view)."""
+        return self._vip_local_dips
 
     # -- health -------------------------------------------------------------------
 

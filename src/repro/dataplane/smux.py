@@ -14,6 +14,7 @@ is the functional data plane with the constants attached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,26 @@ class SMuxCounters:
         self.per_vip_packets[vip] = self.per_vip_packets.get(vip, 0) + 1
 
 
+@functools.lru_cache(maxsize=4096)
+def _slot_layout(
+    dips: Tuple[int, ...],
+    weights: Optional[Tuple[float, ...]],
+    seed: int,
+    n_slots: Optional[int],
+) -> np.ndarray:
+    """The slot -> DIP layout of a pool, read-only.  A pure function of
+    its arguments, so the SMuxes of a fleet — pushed the same pools, and
+    hashing alike (S3.3.1) — share one build per pool."""
+    if n_slots is None:
+        n_slots = default_wcmp_slots(len(dips), weights)
+    table = ResilientHashTable(
+        list(range(len(dips))), n_slots=n_slots, seed=seed, weights=weights,
+    )
+    layout = np.array([dips[m] for m in table.slots()], np.int64)
+    layout.flags.writeable = False
+    return layout
+
+
 @dataclass
 class _VipMapping:
     """One VIP's DIP set with the exact slot layout an HMux would build.
@@ -84,16 +105,10 @@ class _VipMapping:
         seed: int,
         n_slots: Optional[int] = None,
     ) -> "_VipMapping":
-        if n_slots is None:
-            n_slots = default_wcmp_slots(len(dips), weights)
-        table = ResilientHashTable(
-            list(range(len(dips))), n_slots=n_slots, seed=seed,
-            weights=weights,
-        )
-        return cls(
-            dips=dips,
-            slot_dips=np.array([dips[m] for m in table.slots()], np.int64),
-        )
+        return cls(dips=dips, slot_dips=_slot_layout(
+            tuple(dips), None if weights is None else tuple(weights), seed,
+            n_slots,
+        ))
 
     def select(self, flow_hash: int) -> int:
         return self.slot_dips.item(flow_hash % len(self.slot_dips))
@@ -234,10 +249,15 @@ class SMux:
     def vips(self) -> List[int]:
         return sorted(self._vips)
 
-    def dips_of(self, vip: int) -> List[int]:
-        mapping = self._vips.get(vip)
+    def dips_of(self, vip: int, port: Optional[int] = None) -> List[int]:
+        """A VIP's DIP set, or its ``port`` pool's."""
+        mapping = (
+            self._vips.get(vip) if port is None
+            else self._port_vips.get((vip, port))
+        )
         if mapping is None:
-            raise SMuxError(f"VIP {format_ip(vip)} not installed")
+            where = format_ip(vip) if port is None else f"{format_ip(vip)}:{port}"
+            raise SMuxError(f"VIP {where} not installed")
         return list(mapping.dips)
 
     def port_vips(self) -> List[Tuple[int, int]]:

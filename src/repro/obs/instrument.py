@@ -149,7 +149,7 @@ class ControllerInstrumentation:
                 ("degraded", "VIPs degraded to SMux-only"),
                 ("skipped_dead_switch", "Plan steps that targeted a "
                                         "failed switch"),
-                ("unwinds", "Partial-VIP teardowns after faults"),
+                ("unwinds", "Programming attempts abandoned to a fault"),
             )
         }
         self.prog_backoff = r.counter(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import replace
 from typing import Dict
 
 import numpy as np
@@ -496,19 +495,22 @@ class TestRestore:
 
 
 # ---------------------------------------------------------------------------
-# Unwind sweep: a fault at every op index leaves the switch clean
+# Faulted programming: a retry lands what a never-faulted twin holds, and
+# an abandoned one leaves the switch clean
 # ---------------------------------------------------------------------------
 
 class FaultAtCall(FaultModel):
-    """Fault exactly on the Nth programming call (1-based), once."""
+    """Fault exactly on the Nth programming call (1-based), once — or,
+    with ``every_after``, on every call past the Nth."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, every_after: bool = False) -> None:
         self.n = n
+        self.every_after = every_after
         self.calls = 0
 
     def attempt(self, op: str, switch_index: int, vip: int) -> bool:
         self.calls += 1
-        return self.calls == self.n
+        return self.calls > self.n if self.every_after else self.calls == self.n
 
 
 def _switch_view(controller, agent, addr):
@@ -520,80 +522,71 @@ def _switch_view(controller, agent, addr):
     )
 
 
-def _pooled_record(controller):
-    """An assigned record augmented with two port pools, so one
-    programming pass is three faultable ops."""
-    addr, record = next(
-        (a, r) for a, r in sorted(controller.records().items())
-        if r.assigned_switch is not None and len(r.dips) >= 2
+def _with_pooled_vip(seed: int = 17):
+    """A controller plus a new SMux-only VIP of three DIPs with two port
+    pools, so programming it is three faultable writes (the entry, then
+    one rule per pool); and the switch it will migrate to."""
+    controller = make_controller(seed=seed)
+    topology = controller.topology
+    base = max(
+        d.addr for r in controller.records().values() for d in r.dips
+    ) + 1
+    servers = [5 * k % topology.params.n_servers for k in range(3)]
+    dips = tuple(
+        Dip(addr=base + k, server_id=s, tor=topology.server_tor(s))
+        for k, s in enumerate(servers)
     )
-    dips = record.dip_addrs()
-    record.vip = replace(
-        record.vip,
-        port_pools=((80, (dips[0],)), (443, tuple(dips[:2]))),
+    vip = Vip(
+        vip_id=max(v.vip_id for v in controller.population) + 1,
+        addr=max(controller.records()) + 1, dips=dips, traffic_bps=5e7,
+        ingress_racks=(), internet_fraction=1.0,
+        port_pools=((80, (dips[0].addr,)), (443, (dips[0].addr, dips[1].addr))),
     )
-    return addr, record
+    controller.add_vip(vip)
+    return controller, vip.addr, topology.aggs()[0]
 
 
-class TestUnwindSweep:
-    def test_unwind_at_every_op_index_is_clean_and_idempotent(self):
-        controller = make_controller(seed=17)
-        addr, record = _pooled_record(controller)
-        agent = controller.switch_agents[record.assigned_switch]
-        agent.remove_vip(addr)
-        clean = _switch_view(controller, agent, addr)
-        targets = record.encap_targets(controller.virtualized)
-        ops = [
-            lambda: agent.add_vip(addr, targets, record.encap_weights()),
-            lambda: agent.add_vip_port_rules(
-                addr, [record.vip.port_pools[0]]
-            ),
-            lambda: agent.add_vip_port_rules(
-                addr, [record.vip.port_pools[1]]
-            ),
-        ]
-        for installed in range(len(ops) + 1):
-            for op in ops[:installed]:
-                op()
-            unwinds_before = controller.programming_stats.unwinds
-            controller._unwind_partial_vip(agent, record.vip)
-            assert _switch_view(controller, agent, addr) == clean, (
-                f"unwind after {installed} ops left residue"
-            )
-            controller._unwind_partial_vip(agent, record.vip)
-            assert _switch_view(controller, agent, addr) == clean, (
-                f"double unwind after {installed} ops not idempotent"
-            )
-            assert controller.programming_stats.unwinds == unwinds_before + 2
-
-    def test_retry_after_fault_at_every_op_index_converges(self):
-        """Whichever op the transient fault hits, the retry starts from
-        a clean switch and the final programmed state is identical to a
-        never-faulted run."""
-        reference = make_controller(seed=17)
-        ref_addr, ref_record = _pooled_record(reference)
-        ref_agent = reference.switch_agents[ref_record.assigned_switch]
-        ref_agent.remove_vip(ref_addr)
-        assert reference._program_vip_with_retry(
-            ref_record, ref_record.vip, ref_record.assigned_switch
-        )
-        want = _switch_view(reference, ref_agent, ref_addr)
+class TestFaultedProgramming:
+    def test_fault_at_every_write_of_a_migration_matches_the_twin(self):
+        """Whichever write of the programming pass the transient fault
+        hits, the retry lands the switch exactly where a never-faulted
+        migration does."""
+        twin, addr, target = _with_pooled_vip()
+        assert twin.migrate_vip(addr, target) == target
+        want = _switch_view(twin, twin.switch_agents[target], addr)
         for fault_at in (1, 2, 3):
-            controller = make_controller(seed=17)
-            addr, record = _pooled_record(controller)
-            agent = controller.switch_agents[record.assigned_switch]
-            agent.remove_vip(addr)
+            controller, addr, target = _with_pooled_vip()
+            before = controller.stats_snapshot()
             controller.set_fault_model(FaultAtCall(fault_at))
-            stats = controller.programming_stats
-            faults_before = stats.transient_faults
-            assert controller._program_vip_with_retry(
-                record, record.vip, record.assigned_switch
-            ), f"fault at op {fault_at} never recovered"
-            assert stats.transient_faults == faults_before + 1
-            assert stats.unwinds >= 1
-            assert _switch_view(controller, agent, addr) == want, (
-                f"fault at op {fault_at} changed the converged state"
+            assert controller.migrate_vip(addr, target) == target, (
+                f"fault at write {fault_at} never recovered"
             )
+            after = controller.stats_snapshot()
+            for key in ("transient_faults", "unwinds", "retries"):
+                assert after[key] - before[key] == 1, key
+            agent = controller.switch_agents[target]
+            assert _switch_view(controller, agent, addr) == want, (
+                f"fault at write {fault_at} changed the converged state"
+            )
+            assert AntiEntropyReconciler(controller).diff() == []
+
+    def test_exhausted_retries_leave_the_switch_clean_and_the_vip_degraded(self):
+        """The entry lands but every port rule faults: once the retry
+        budget is spent the VIP degrades to the SMux backstop and the
+        switch holds nothing of it."""
+        controller, addr, target = _with_pooled_vip()
+        agent = controller.switch_agents[target]
+        clean = _switch_view(controller, agent, addr)
+        before = controller.stats_snapshot()
+        controller.set_fault_model(FaultAtCall(1, every_after=True))
+        assert controller.migrate_vip(addr, target) is None
+        after = controller.stats_snapshot()
+        delta = {key: after[key] - before[key] for key in after}
+        assert delta["op_timeouts"] == delta["degraded"] == 1
+        assert delta["unwinds"] == delta["transient_faults"] == delta["attempts"] > 1
+        assert addr in controller.degraded_vips
+        assert _switch_view(controller, agent, addr) == clean
+        assert AntiEntropyReconciler(controller).diff() == []
 
 
 class TestCapacityExhaustion:

@@ -33,7 +33,7 @@ def encapped(i=0, target=DIP):
 
 class TestRegistration:
     def test_register_and_list(self, agent):
-        assert agent.dips() == [DIP]
+        assert agent.registrations() == {VIP: [DIP]}
 
     def test_duplicate_rejected(self, agent):
         with pytest.raises(HostAgentError):
@@ -41,7 +41,7 @@ class TestRegistration:
 
     def test_unregister(self, agent):
         agent.unregister_dip(DIP)
-        assert agent.dips() == []
+        assert agent.registrations() == {}
 
     def test_unregister_unknown(self, agent):
         with pytest.raises(HostAgentError):
