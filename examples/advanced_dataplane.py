@@ -96,7 +96,7 @@ def tip_demo() -> None:
         switch.program_vip(tip, partition, is_tip=True)
         tip_switches.append(switch)
     print(
-        f"  front switch uses {front.tunnel_entries_used()} tunnel "
+        f"  front switch uses {len(front.tunnel_table)} tunnel "
         f"entries for {n_dips} DIPs"
     )
     reached = set()

@@ -30,9 +30,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.controller import DuetController
-from repro.dataplane.hostagent import HostAgentError
-from repro.dataplane.packet import FiveTuple, Packet, make_tcp_packet
+from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED, FlowBatch
+from repro.dataplane.packet import PROTO_TCP, FiveTuple, Packet
 from repro.net.addressing import Prefix, format_ip
 from repro.net.bgp import MuxKind, RouteResolutionError
 from repro.workload.vips import CLIENT_POOL
@@ -53,12 +55,6 @@ class Violation:
 
 #: Reachability probes (distinct flows) sent to each VIP per check.
 PROBES_PER_VIP = 2
-
-
-def _probe_packet(vip_addr: int, index: int) -> Packet:
-    return make_tcp_packet(
-        CLIENT_POOL.network + 0x4000 + index, vip_addr, 33000 + index, 80,
-    )
 
 
 class InvariantChecker:
@@ -151,37 +147,44 @@ class InvariantChecker:
         unhealthy = {
             dip for dip, ok in c.collect_health_reports().items() if not ok
         }
+        records = sorted(c.records().items())
+        n = len(records) * PROBES_PER_VIP
+        index = np.tile(np.arange(PROBES_PER_VIP), len(records))
+        result = c.forward_batch(FlowBatch.from_fields(
+            CLIENT_POOL.network + 0x4000 + index,
+            np.repeat([addr for addr, _ in records], PROBES_PER_VIP),
+            33000 + index, np.full(n, 80), np.full(n, PROTO_TCP),
+        ))
         violations: List[Violation] = []
-        for addr, record in sorted(c.records().items()):
+        for row, (status, dip) in enumerate(zip(
+            result.status.tolist(), result.dip.tolist(),
+        )):
+            vip_row, index = divmod(row, PROBES_PER_VIP)
+            addr, record = records[vip_row]
             dip_addrs = set(record.dip_addrs())
-            for index in range(PROBES_PER_VIP):
-                packet = _probe_packet(addr, index)
-                try:
-                    delivered, _mux = c.forward(packet)
-                except HostAgentError:
-                    # Delivery toward a DIP the health feed currently
-                    # marks dead: expected while the flap is unreaped.
-                    if dip_addrs & unhealthy:
-                        continue
-                    violations.append(Violation(
-                        "reachability",
-                        f"VIP {format_ip(addr)} probe {index} failed at "
-                        "the host agent with no unhealthy DIPs",
-                    ))
-                except Exception as error:  # noqa: BLE001 — any failure is the finding
-                    violations.append(Violation(
-                        "reachability",
-                        f"VIP {format_ip(addr)} probe {index} failed: "
-                        f"{type(error).__name__}: {error}",
-                    ))
-                else:
-                    if delivered.flow.dst_ip not in dip_addrs:
-                        violations.append(Violation(
-                            "reachability",
-                            f"VIP {format_ip(addr)} probe {index} landed "
-                            f"on {format_ip(delivered.flow.dst_ip)}, not "
-                            "one of its DIPs",
-                        ))
+            if status == HOST_REFUSED:
+                # Delivery toward a DIP the health feed currently
+                # marks dead: expected while the flap is unreaped.
+                if dip_addrs & unhealthy:
+                    continue
+                violations.append(Violation(
+                    "reachability",
+                    f"VIP {format_ip(addr)} probe {index} failed at "
+                    "the host agent with no unhealthy DIPs",
+                ))
+            elif status != FORWARD_OK:
+                error = result.errors[row]
+                violations.append(Violation(
+                    "reachability",
+                    f"VIP {format_ip(addr)} probe {index} failed: "
+                    f"{type(error).__name__}: {error}",
+                ))
+            elif dip not in dip_addrs:
+                violations.append(Violation(
+                    "reachability",
+                    f"VIP {format_ip(addr)} probe {index} landed "
+                    f"on {format_ip(dip)}, not one of its DIPs",
+                ))
         return violations
 
     def check_table_capacity(self) -> List[Violation]:
@@ -392,9 +395,10 @@ class FlowAffinityTracker:
     def prime(self) -> None:
         """Establish expectations for every VIP that lacks them."""
         tracked = set(self._vip_of.values())
-        for addr in sorted(self.controller.records()):
-            if addr not in tracked:
-                self._prime_vip(addr)
+        self._prime([
+            (flow, addr) for addr in sorted(self.controller.records())
+            if addr not in tracked for flow in self._flows_for(addr)
+        ])
 
     def _flows_for(self, vip_addr: int) -> List[FiveTuple]:
         return [
@@ -409,46 +413,45 @@ class FlowAffinityTracker:
         ]
 
     def _prime_vip(self, vip_addr: int) -> None:
-        for flow in self._flows_for(vip_addr):
-            self._prime_flow(flow, vip_addr)
+        self._prime([(flow, vip_addr) for flow in self._flows_for(vip_addr)])
 
-    def _resolve(self, flow: FiveTuple):
-        """(mux_ref, pre-existing pin on the resolving SMux or None)."""
-        mux = self.controller.resolve_mux(flow)
-        pin = None
-        if mux.kind is MuxKind.SMUX:
-            for smux in self.controller.smuxes:
-                if smux.smux_id == mux.ident:
-                    pin = smux.pinned_dip(flow)
-                    break
-        return mux, pin
+    def _prime(self, flows: List[Tuple[FiveTuple, int]]) -> None:
+        """(Re-)establish the expectation of each ``(flow, vip)``: one
+        batch through the controller."""
+        result = self.controller.forward_batch(
+            FlowBatch.from_packets([Packet(flow) for flow, _ in flows])
+        )
+        for row, (flow, vip_addr) in enumerate(flows):
+            self._establish(flow, vip_addr, result, row)
 
-    def _prime_flow(self, flow: FiveTuple, vip_addr: int) -> None:
-        packet = Packet(flow=flow)
-        try:
-            mux, pin = self._resolve(flow)
-            delivered, _ = self.controller.forward(packet)
-        except Exception:
+    def _establish(
+        self, flow: FiveTuple, vip_addr: int, result, row: int,
+    ) -> None:
+        """Expect ``flow`` to stay where row ``row`` of ``result``
+        delivered it."""
+        self._vip_of[flow] = vip_addr
+        if result.status[row] != FORWARD_OK:
             # Unreachable right now (e.g. all DIPs flapped down); try
             # again after the next event.
             self._expected.pop(flow, None)
-            self._vip_of[flow] = vip_addr
             return
-        record = self.controller.records().get(vip_addr)
+        mux = result.mux[row]
         self._expected[flow] = _Expectation(
-            dip=delivered.flow.dst_ip,
+            dip=int(result.dip[row]),
             mux_key=(mux.kind.value, mux.ident),
-            dip_set=self._provenance(mux, pin, vip_addr, record),
+            dip_set=self._provenance(
+                mux, int(result.pin[row]), vip_addr,
+                self.controller.intent.records.get(vip_addr),
+            ),
         )
-        self._vip_of[flow] = vip_addr
 
-    def _provenance(self, mux, pin, vip_addr, record):
+    def _provenance(self, mux, pin: int, vip_addr, record):
         """The DIP set a fresh delivery's choice was hashed over, or
         ``None`` when the choice came from non-transferable state: a
-        pre-existing SMux pin, or an HMux layout evolved by resilient
-        removals (which protects flows in place but matches no fresh
-        build)."""
-        if pin is not None or record is None:
+        pre-existing SMux pin (``pin`` >= 0), or an HMux layout evolved
+        by resilient removals (which protects flows in place but matches
+        no fresh build)."""
+        if pin >= 0 or record is None:
             return None
         if mux.kind is MuxKind.HMUX:
             agent = self.controller.switch_agents.get(mux.ident)
@@ -477,12 +480,17 @@ class FlowAffinityTracker:
     # -- the check ---------------------------------------------------------
 
     def check(self) -> List[Violation]:
+        """Forward every tracked flow once, as one batch (flows are
+        distinct, so each row sees the state it would alone), then judge
+        each; flows a legitimate remap re-establishes are forwarded
+        again, as a second batch, as the re-establishing packet."""
         c = self.controller
         records = c.records()
         unhealthy = {
             dip for dip, ok in c.collect_health_reports().items() if not ok
         }
-        violations: List[Violation] = []
+        # (flow, vip, expectation or None to establish one, DIP set)
+        plan: List[Tuple[FiveTuple, int, Optional[_Expectation], Set[int]]] = []
         for flow, vip_addr in list(self._vip_of.items()):
             record = records.get(vip_addr)
             if record is None:
@@ -491,14 +499,11 @@ class FlowAffinityTracker:
                 self._drop_vip(vip_addr)
                 continue
             expectation = self._expected.get(flow)
-            if expectation is None:
-                self._prime_flow(flow, vip_addr)
-                continue
             dip_addrs = set(record.dip_addrs())
-            if expectation.dip not in dip_addrs:
-                # The flow's DIP was removed: resilient hashing remaps
-                # exactly these flows.  Establish the new expectation.
-                self._prime_flow(flow, vip_addr)
+            if expectation is None or expectation.dip not in dip_addrs:
+                # Untracked, or the flow's DIP was removed (resilient
+                # hashing remaps exactly these flows): establish anew.
+                plan.append((flow, vip_addr, None, dip_addrs))
                 continue
             if (
                 expectation.dip_set is not None
@@ -520,31 +525,34 @@ class FlowAffinityTracker:
                 self._expected[flow] = expectation
             if expectation.dip in unhealthy:
                 continue  # delivery would fail; re-check once healthy
-            packet = Packet(flow=flow)
-            try:
-                mux, pin = self._resolve(flow)
-                delivered, _ = c.forward(packet)
-            except HostAgentError as error:
-                if dip_addrs & unhealthy:
+            plan.append((flow, vip_addr, expectation, dip_addrs))
+
+        result = c.forward_batch(
+            FlowBatch.from_packets([Packet(flow) for flow, *_ in plan])
+        )
+        violations: List[Violation] = []
+        again: List[Tuple[FiveTuple, int]] = []
+        for row, (flow, vip_addr, expectation, dip_addrs) in enumerate(plan):
+            if expectation is None:
+                self._establish(flow, vip_addr, result, row)
+                continue
+            status = result.status[row]
+            if status != FORWARD_OK:
+                if status == HOST_REFUSED and dip_addrs & unhealthy:
                     # The flow was remapped onto a flapped-down DIP the
                     # controller has not reaped yet; re-establish once
                     # the pool heals.
                     self._expected.pop(flow, None)
                     continue
+                error = result.errors[row]
                 violations.append(Violation(
                     "flow-affinity",
                     f"established flow to VIP {format_ip(vip_addr)} "
                     f"stopped forwarding: {type(error).__name__}: {error}",
                 ))
                 continue
-            except Exception as error:  # noqa: BLE001
-                violations.append(Violation(
-                    "flow-affinity",
-                    f"established flow to VIP {format_ip(vip_addr)} "
-                    f"stopped forwarding: {type(error).__name__}: {error}",
-                ))
-                continue
-            got = delivered.flow.dst_ip
+            mux, pin = result.mux[row], int(result.pin[row])
+            got = int(result.dip[row])
             mux_key = (mux.kind.value, mux.ident)
             if got == expectation.dip:
                 if mux_key != expectation.mux_key:
@@ -556,7 +564,7 @@ class FlowAffinityTracker:
                         dip=got,
                         mux_key=mux_key,
                         dip_set=self._provenance(
-                            mux, pin, vip_addr, record
+                            mux, pin, vip_addr, records[vip_addr]
                         ),
                     )
                 continue
@@ -569,19 +577,17 @@ class FlowAffinityTracker:
                 expectation.dip_set is not None
                 and bool(dip_addrs - expectation.dip_set)
             )
-            stale_pin = pin is not None and pin == got
-            if moved_mux and (set_drifted or stale_pin):
+            stale_pin = pin == got
+            if (moved_mux and (set_drifted or stale_pin)) or (
+                not moved_mux and dips_added
+            ):
                 # Legitimate remap (see class docstring): the flow
                 # landed on a mux whose view of the VIP differs from
-                # where the expectation was established.
-                self._prime_flow(flow, vip_addr)
-                continue
-            if not moved_mux and dips_added:
-                # A DIP was added since the expectation was
-                # established: the add_dip bounce rebuilt this mux's
+                # where the expectation was established — or a DIP was
+                # added since, and the add_dip bounce rebuilt this mux's
                 # table over a set it never hashed before (S5.2 —
                 # additions defeat resilient hashing).
-                self._prime_flow(flow, vip_addr)
+                again.append((flow, vip_addr))
                 continue
             violations.append(Violation(
                 "flow-affinity",
@@ -589,4 +595,6 @@ class FlowAffinityTracker:
                 f"{format_ip(expectation.dip)} to {format_ip(got)} "
                 f"via {mux}",
             ))
+        if again:
+            self._prime(again)
         return violations

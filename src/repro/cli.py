@@ -995,23 +995,23 @@ def _cmd_incident(args) -> int:
 def _drive_quickstart_traffic(controller, recorder, flows_per_vip: int) -> None:
     """Forward a deterministic burst of client flows through the live
     deployment, ticking the recorder as the burst progresses so the
-    time series has real movement in it."""
-    from repro.core.controller import ControllerError
-    from repro.dataplane.packet import make_tcp_packet
+    time series has real movement in it.  One batch per VIP; a flow
+    that fails to forward is simply not delivered."""
+    import numpy as np
+
+    from repro.dataplane.batch import FlowBatch
+    from repro.dataplane.packet import PROTO_TCP
     from repro.workload.vips import CLIENT_POOL
 
     index = 0
     for vip_addr in sorted(controller.records()):
-        for _ in range(flows_per_vip):
-            packet = make_tcp_packet(
-                CLIENT_POOL.network + 0x2000 + (index % 0x3FFF),
-                vip_addr, 30000 + (index % 20000), 80,
-            )
-            try:
-                controller.forward(packet)
-            except ControllerError:
-                pass
-            index += 1
+        rows = np.arange(index, index + flows_per_vip)
+        controller.forward_batch(FlowBatch.from_fields(
+            CLIENT_POOL.network + 0x2000 + rows % 0x3FFF,
+            np.full(flows_per_vip, vip_addr), 30000 + rows % 20000,
+            np.full(flows_per_vip, 80), np.full(flows_per_vip, PROTO_TCP),
+        ))
+        index += flows_per_vip
         if index % 64 == 0:
             recorder.tick()
     recorder.tick()
@@ -1091,8 +1091,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.core.controller import ControllerError
-    from repro.dataplane.packet import make_tcp_packet
+    import numpy as np
+
+    from repro.dataplane.batch import FlowBatch
+    from repro.dataplane.packet import PROTO_TCP
     from repro.durability import WriteAheadJournal
     from repro.net.addressing import format_ip
     from repro.obs import PacketTap, Tracer
@@ -1125,15 +1127,11 @@ def _cmd_trace(args) -> int:
     assigned = controller.migrate_vip(vip_addr, to_switch)
 
     if tap is not None:
-        for index in range(8):
-            packet = make_tcp_packet(
-                CLIENT_POOL.network + 0x1000 + index, vip_addr,
-                41000 + index, 80,
-            )
-            try:
-                controller.forward(packet)
-            except ControllerError:
-                break
+        rows = np.arange(8)
+        controller.forward_batch(FlowBatch.from_fields(
+            CLIENT_POOL.network + 0x1000 + rows, np.full(8, vip_addr),
+            41000 + rows, np.full(8, 80), np.full(8, PROTO_TCP),
+        ))
 
     lines = [
         f"migrate {format_ip(vip_addr)}: switch {from_switch} -> "

@@ -152,12 +152,6 @@ class Assignment:
             vid for vid, s in self.vip_to_switch.items() if s == switch_index
         )
 
-    def switch_dip_count(self, switch_index: int) -> int:
-        return sum(
-            self.demands[vid].n_dips
-            for vid in self.vips_on_switch(switch_index)
-        )
-
 
 #: Past this many memoized load vectors the cache is dropped wholesale
 #: (greedy + refine on the paper's scale stay far below it; the cap only

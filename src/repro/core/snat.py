@@ -98,14 +98,6 @@ class SnatPortManager:
         """
         return len(self._held.pop(dip, ()))
 
-    def holder_of(self, port: int) -> Optional[int]:
-        """Which DIP holds the range covering ``port`` (None if free)."""
-        for dip, ranges in self._held.items():
-            for r in ranges:
-                if r.lo <= port <= r.hi:
-                    return dip
-        return None
-
     def to_state(self) -> Dict:
         """JSON-safe dump for the controller's journal snapshots.  Held
         ranges keep their insertion order — a restored manager must hand

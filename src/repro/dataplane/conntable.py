@@ -146,7 +146,7 @@ class ConnectionTable:
 
     def lookup_or_pin(
         self, hashes: np.ndarray, fields: np.ndarray, choice: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve a batch as if its rows arrived one by one: a row whose
         flow is in the table reads the pinned DIP, any other is pinned to
         its ``choice`` — so of several rows carrying one new flow the
@@ -155,17 +155,15 @@ class ConnectionTable:
 
         ``hashes`` is the ``(n,)`` five-tuple hash, ``fields`` the
         ``(5, n)`` uint64 block ``src_ip, dst_ip, src_port, dst_port,
-        protocol``.  Returns the per-row DIP (``choice`` where nothing was
-        pinned before) and the number of flows pinned by this call.
+        protocol``.  Returns the per-row DIP and the per-row DIP pinned
+        before the call (-1 where none); the table grows by the number of
+        flows pinned.
         """
-        out = choice.copy()
+        prior = np.full(choice.shape, -1, np.int64)
         tags = np.maximum(hashes, np.uint64(_MIN_TAG))
-        rows = np.nonzero(choice >= 0)[0]
-        pinned = 0
-        while rows.size:
-            absent = self._lookup(tags, fields, rows, out)
-            if not absent.size:
-                break
+        absent = self._lookup(tags, fields, np.nonzero(choice >= 0)[0], prior)
+        out = np.where(prior < 0, choice, prior)
+        while absent.size:
             # Of the absent rows with one hash only the first pins now.
             # The others look again: a repeat of that flow then reads the
             # pin, a different flow with the same hash pins in its turn.
@@ -175,9 +173,8 @@ class ConnectionTable:
             self._place(tags[pins], fields.take(pins, axis=1), choice[pins])
             self._live += pins.size
             self._vips.update(fields[1, pins].tolist())
-            pinned += pins.size
-            rows = np.delete(absent, first)
-        return out, pinned
+            absent = self._lookup(tags, fields, np.delete(absent, first), out)
+        return out, prior
 
     def _lookup(
         self, tags: np.ndarray, fields: np.ndarray, rows: np.ndarray,
@@ -188,7 +185,7 @@ class ConnectionTable:
         pass probes one slot per unresolved row."""
         want = tags[rows]
         slot = (want & np.uint64(self._mask)).astype(np.intp)
-        absent: List[np.ndarray] = []
+        absent: List[np.ndarray] = [rows[:0]]
         step = 0
         while rows.size:
             seen = self._tag[slot]

@@ -20,7 +20,6 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -219,13 +218,6 @@ class ResilientHashTable:
     def select(self, flow: FiveTuple) -> int:
         """The member serving this flow."""
         return self._slots[self.slot_of(flow)]
-
-    def slot_counts(self) -> Dict[int, int]:
-        """How many slots each member currently owns."""
-        counts: Dict[int, int] = {m: 0 for m in self._weights}
-        for member in self._slots:
-            counts[member] += 1
-        return counts
 
     def slots(self) -> Tuple[int, ...]:
         return tuple(self._slots)

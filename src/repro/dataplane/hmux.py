@@ -434,15 +434,6 @@ class HMux:
             for index in state.hash_table.members
         ]
 
-    def tunnel_entries_used(self) -> int:
-        return len(self.tunnel_table)
-
-    def ecmp_entries_used(self) -> int:
-        return self.ecmp_table.used_entries
-
-    def host_entries_used(self) -> int:
-        return len(self.host_table)
-
     def _require_vip(self, vip: int, port: Optional[int] = None) -> _VipState:
         """The VIP's entry, or its ``port`` pool's."""
         state = (

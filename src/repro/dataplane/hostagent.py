@@ -17,7 +17,7 @@ As in Ananta (paper S2.1), every server runs a host agent that:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dataplane.hashing import five_tuple_hash
@@ -152,46 +152,47 @@ class HostAgent:
         """
         if not packet.is_encapsulated:
             raise PacketError("host agent received a bare packet")
-        # The innermost tunnel header carries what the mux aimed at: a
-        # DIP address (physical clusters) or this host's own address
-        # (virtualized clusters, Figure 6 — the switch cannot target the
-        # VM directly).
-        encap_target = packet.outer[-1].dst_ip
-        inner = packet
-        while inner.is_encapsulated:
-            inner = inner.decapsulate()
-
-        # SNAT return traffic: match an existing lease first.
-        lease = self._snat_leases.get((
-            inner.flow.src_ip, inner.flow.src_port,
-            inner.flow.dst_ip, inner.flow.dst_port,
+        flow = packet.flow
+        # The innermost tunnel header carries what the mux aimed at.
+        return replace(packet, outer=()).rewrite_dst(self.deliver(
+            packet.outer[-1].dst_ip,
+            (flow.src_ip, flow.src_port, flow.dst_ip, flow.dst_port),
+            five_tuple_hash(flow, self.hash_seed), packet.wire_bytes,
         ))
-        if lease is not None:
-            delivered = inner.rewrite_dst(lease.dip)
-            self._meter(lease.vip, packet.wire_bytes)
-            return delivered
 
-        vip = inner.flow.dst_ip
-        if encap_target in self._dip_to_vip:
-            # Physical cluster: the mux addressed the DIP itself.
-            if encap_target not in self._healthy:
+    def deliver(
+        self, target: int, flow: Tuple[int, int, int, int], flow_hash: int,
+        wire_bytes: int,
+    ) -> int:
+        """The local DIP a packet tunneled to ``target`` goes to, metered;
+        ``flow`` is its inner ``(src_ip, src_port, VIP, dst_port)``,
+        ``flow_hash`` its five-tuple hash under :attr:`hash_seed`.  An SNAT
+        lease wins, then a healthy DIP ``target`` (physical clusters), else
+        the hash picks a healthy local DIP of the VIP (virtualized ones:
+        ``target`` is this host, Figure 6).  :meth:`receive` and the
+        controller's batch path both deliver through here."""
+        lease = self._snat_leases.get(flow)
+        vip = flow[2]
+        if lease is not None:
+            dip, vip = lease.dip, lease.vip
+        elif target in self._dip_to_vip:
+            if target not in self._healthy:
                 raise HostAgentError(
-                    f"encap target {format_ip(encap_target)} is unhealthy"
+                    f"encap target {format_ip(target)} is unhealthy"
                 )
-            self._meter(vip, packet.wire_bytes)
-            return inner.rewrite_dst(encap_target)
-        local = [d for d in self._vip_local_dips.get(vip, []) if d in self._healthy]
-        if not local:
-            raise HostAgentError(
-                f"no healthy local DIP for VIP {format_ip(vip)}"
-            )
-        if len(local) == 1:
-            dip = local[0]
+            dip = target
         else:
+            local = [
+                d for d in self._vip_local_dips.get(vip, []) if d in self._healthy
+            ]
+            if not local:
+                raise HostAgentError(
+                    f"no healthy local DIP for VIP {format_ip(vip)}"
+                )
             # "At the host, the HA selects the DIP by hashing the 5-tuple"
-            dip = local[five_tuple_hash(inner.flow, self.hash_seed) % len(local)]
-        self._meter(vip, packet.wire_bytes)
-        return inner.rewrite_dst(dip)
+            dip = local[flow_hash % len(local)]
+        self._meter(vip, wire_bytes)
+        return dip
 
     # -- outbound path (DSR) -----------------------------------------------------------
 

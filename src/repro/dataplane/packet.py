@@ -10,7 +10,6 @@ where the packet is decapsulated and re-encapsulated in flight).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -103,12 +102,6 @@ class Packet:
         return self.flow.dst_ip
 
     @property
-    def routable_src(self) -> int:
-        if self.outer:
-            return self.outer[0].src_ip
-        return self.flow.src_ip
-
-    @property
     def encap_depth(self) -> int:
         return len(self.outer)
 
@@ -173,17 +166,6 @@ def make_tcp_packet(
     """Convenience constructor for a bare TCP packet."""
     return Packet(
         flow=FiveTuple(src_ip, dst_ip, src_port, dst_port, PROTO_TCP),
-        size_bytes=size_bytes,
-    )
-
-
-def make_udp_packet(
-    src_ip: int, dst_ip: int, src_port: int, dst_port: int,
-    size_bytes: int = DEFAULT_PACKET_BYTES,
-) -> Packet:
-    """Convenience constructor for a bare UDP packet."""
-    return Packet(
-        flow=FiveTuple(src_ip, dst_ip, src_port, dst_port, PROTO_UDP),
         size_bytes=size_bytes,
     )
 

@@ -324,17 +324,20 @@ class SMux:
 
     def lookup_or_pin(
         self, hashes: np.ndarray, fields: np.ndarray, choice: np.ndarray,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The connection-table step of :meth:`process` for a whole
         batch: per row the pinned DIP, or ``choice`` (the DIP its pool's
         layout selects) after pinning the flow to it; negative ``choice``
         rows matched no pool and are skipped.  ``hashes`` are the rows'
         ``five_tuple_hash`` under this SMux's seed, ``fields`` their
-        ``(5, n)`` uint64 five-tuples."""
-        dip, pinned = self._connections.lookup_or_pin(hashes, fields, choice)
+        ``(5, n)`` uint64 five-tuples.  Also returns each row's pin from
+        before the call (-1 where none)."""
+        held = len(self._connections)
+        dip, prior = self._connections.lookup_or_pin(hashes, fields, choice)
+        pinned = len(self._connections) - held
         self._conn_version += pinned
         self.counters.connections += pinned
-        return dip
+        return dip, prior
 
     def connection_count(self) -> int:
         return len(self._connections)

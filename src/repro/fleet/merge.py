@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.chaos.engine import ChaosConfig
 
@@ -72,12 +72,6 @@ class FleetReport:
     @property
     def violating_seeds(self) -> List[int]:
         return [r["seed"] for r in self.results if not r["ok"]]
-
-    def result_for(self, seed: int) -> Optional[Dict[str, Any]]:
-        for result in self.results:
-            if result["seed"] == seed:
-                return result
-        return None
 
     def to_dict(self) -> Dict[str, Any]:
         return {

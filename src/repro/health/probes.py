@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.controller import ControllerError, DuetController
-from repro.dataplane.hostagent import HostAgentError
-from repro.dataplane.packet import Packet, make_tcp_packet
+import numpy as np
+
+from repro.core.controller import DuetController
+from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED, FlowBatch
+from repro.dataplane.packet import PROTO_TCP
 from repro.health.faults import FaultPlane, dip_key, smux_key, switch_key
-from repro.net.bgp import MuxKind, RouteResolutionError
+from repro.net.bgp import MuxKind
 from repro.workload.vips import CLIENT_POOL
 
 #: Paper testbed cadence: one ping every 3 ms (S5.1, Figure 11).
@@ -70,7 +72,7 @@ class ProbeOutcome:
 
 
 class ProbeNetwork:
-    """Sends individual probes, one :class:`ProbeOutcome` each.
+    """Sends VIP probes through the controller's forwarding path.
 
     A VIP outcome names the mux the prober *offered* the probe to.  The
     metrics registry counts packets the mux actually *processed* — the
@@ -92,65 +94,45 @@ class ProbeNetwork:
         base = _HMUX_BASE_LATENCY_S if kind is MuxKind.HMUX else _SMUX_BASE_LATENCY_S
         return base * (0.9 + 0.2 * self.rng.random())
 
-    # -- probe families -----------------------------------------------------
-
-    def probe_switch(self, index: int, t: float) -> ProbeOutcome:
-        ok = not self.fault_plane.switch_heartbeat_drops(index)
-        return ProbeOutcome(kind="switch", target=switch_key(index), t=t, ok=ok)
-
-    def probe_smux(self, smux_id: int, t: float) -> ProbeOutcome:
-        ok = not self.fault_plane.smux_heartbeat_drops(smux_id)
-        return ProbeOutcome(kind="smux", target=smux_key(smux_id), t=t, ok=ok)
-
-    def probe_dip(self, dip: int, vip: int, healthy: bool, t: float) -> ProbeOutcome:
-        return ProbeOutcome(
-            kind="dip", target=dip_key(dip), t=t, ok=healthy, vip=vip
+    def probe_vips(
+        self, vip_addrs: Sequence[int], t: float, seq: int,
+    ) -> List[ProbeOutcome]:
+        """One end-to-end ping per entry of ``vip_addrs``, the ``k``-th
+        numbered ``seq + k``: the number varies the flow so consecutive
+        probes ECMP-spread across SMuxes and exercise distinct hashes.
+        Every probe is resolved and offered to the fault plane in order;
+        the ones it lets through are forwarded as one batch."""
+        n = len(vip_addrs)
+        seqs = np.arange(seq, seq + n, dtype=np.uint64)
+        fields = (
+            CLIENT_POOL.network + 0x7000 + seqs % 251,
+            np.asarray(vip_addrs, np.uint64), 20000 + seqs % 8191,
+            np.full(n, 80), np.full(n, PROTO_TCP),
         )
-
-    def probe_vip(self, vip_addr: int, t: float, seq: int) -> ProbeOutcome:
-        """One end-to-end ping.  ``seq`` varies the flow so consecutive
-        probes ECMP-spread across SMuxes and exercise distinct hashes."""
-        packet = make_tcp_packet(
-            CLIENT_POOL.network + 0x7000 + (seq % 251),
-            vip_addr,
-            20000 + (seq % 8191),
-            80,
-        )
-        try:
-            mux = self.controller.resolve_mux(packet.flow)
-        except RouteResolutionError:
-            return ProbeOutcome(
-                kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=False,
-                vip=vip_addr,
+        muxes = self.controller.resolve_batch(FlowBatch.from_fields(*fields))
+        plane = self.fault_plane
+        rows = np.flatnonzero([
+            mux is not None and not (
+                plane.hmux_drops(mux.ident, vip) if mux.kind is MuxKind.HMUX
+                else plane.smux_drops(mux.ident)
             )
-
-        if mux.kind is MuxKind.HMUX:
-            physically_dropped = self.fault_plane.hmux_drops(mux.ident, vip_addr)
-        else:
-            physically_dropped = self.fault_plane.smux_drops(mux.ident)
-
-        if physically_dropped:
-            return ProbeOutcome(
-                kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=False,
-                vip=vip_addr, mux_kind=mux.kind.value, mux_ident=mux.ident,
-            )
-
-        post_mux = False
-        try:
-            self.controller.forward(packet)
-            ok = True
-        except HostAgentError:
-            ok = False
-            post_mux = True
-        except ControllerError:
-            ok = False
-
-        latency = self._latency(mux.kind) if ok else None
-        return ProbeOutcome(
-            kind="vip", target=f"vip:{vip_addr:#x}", t=t, ok=ok,
-            vip=vip_addr, mux_kind=mux.kind.value, mux_ident=mux.ident,
-            post_mux=post_mux, latency_s=latency,
-        )
+            for mux, vip in zip(muxes, vip_addrs)
+        ])
+        status = dict(zip(rows.tolist(), self.controller.forward_batch(
+            FlowBatch.from_fields(*(column[rows] for column in fields))
+        ).status.tolist()))
+        outcomes = []
+        for k, (mux, vip) in enumerate(zip(muxes, vip_addrs)):
+            # No status: no route, or lost before the mux (never counted).
+            ok = status.get(k) == FORWARD_OK
+            outcomes.append(ProbeOutcome(
+                kind="vip", target=f"vip:{vip:#x}", t=t, ok=ok, vip=vip,
+                mux_kind=None if mux is None else mux.kind.value,
+                mux_ident=None if mux is None else mux.ident,
+                post_mux=status.get(k) == HOST_REFUSED,
+                latency_s=self._latency(mux.kind) if ok else None,
+            ))
+        return outcomes
 
 
 @dataclass
@@ -183,33 +165,42 @@ class ProbeScheduler:
 
     def run_round(self, t: float) -> ProbeRound:
         controller = self.network.controller
+        plane = self.network.fault_plane
         round_ = ProbeRound(t=t)
         out = round_.outcomes
-
-        for index in sorted(controller.switch_agents):
-            out.append(self.network.probe_switch(index, t))
-
-        for smux in sorted(controller.smuxes, key=lambda s: s.smux_id):
-            out.append(self.network.probe_smux(smux.smux_id, t))
+        out.extend(
+            ProbeOutcome(kind="switch", target=switch_key(index), t=t,
+                         ok=not plane.switch_heartbeat_drops(index))
+            for index in sorted(controller.switch_agents)
+        )
+        out.extend(
+            ProbeOutcome(kind="smux", target=smux_key(smux.smux_id), t=t,
+                         ok=not plane.smux_heartbeat_drops(smux.smux_id))
+            for smux in sorted(controller.smuxes, key=lambda s: s.smux_id)
+        )
 
         records = controller.records()
-        dip_to_vip: Dict[int, int] = {}
-        for addr in sorted(records):
-            round_.vip_dips[addr] = [dip.addr for dip in records[addr].dips]
-            for dip in records[addr].dips:
-                dip_to_vip[dip.addr] = addr
+        round_.vip_dips = {
+            addr: records[addr].dip_addrs() for addr in sorted(records)
+        }
+        dip_to_vip = {
+            dip: addr for addr, dips in round_.vip_dips.items() for dip in dips
+        }
         for server in sorted(controller.host_agents):
             report = controller.host_agents[server].health_report()
             for dip in sorted(report):
                 vip = dip_to_vip.get(dip)
-                if vip is None:
-                    continue
-                out.append(self.network.probe_dip(dip, vip, report[dip], t))
+                if vip is not None:
+                    out.append(ProbeOutcome(
+                        kind="dip", target=dip_key(dip), t=t, ok=report[dip],
+                        vip=vip,
+                    ))
 
-        for addr in sorted(records):
-            for _ in range(self.vip_probes_per_round):
-                out.append(self.network.probe_vip(addr, t, self._seq))
-                self._seq += 1
-
+        vips = [
+            addr for addr in sorted(records)
+            for _ in range(self.vip_probes_per_round)
+        ]
+        out.extend(self.network.probe_vips(vips, t, self._seq))
+        self._seq += len(vips)
         self.rounds_run += 1
         return round_

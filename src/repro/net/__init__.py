@@ -12,7 +12,6 @@ from repro.net.bgp import BgpTimings, MuxKind, MuxRef, RouteResolutionError, Vip
 from repro.net.failures import (
     FailureScenario,
     container_failure,
-    link_failures,
     random_container_failure,
     random_switch_failures,
     switch_failures,
@@ -51,7 +50,6 @@ __all__ = [
     "VipRouteTable",
     "container_failure",
     "format_ip",
-    "link_failures",
     "paper_scale",
     "parse_ip",
     "random_container_failure",

@@ -91,11 +91,6 @@ class _NextHopSet:
         self._hops.remove(hop)
         return True
 
-    def select(self, flow_hash: int) -> MuxRef:
-        if not self._hops:
-            raise RouteResolutionError("empty next-hop set")
-        return self._hops[flow_hash % len(self._hops)]
-
     def members(self) -> Tuple[MuxRef, ...]:
         return tuple(self._hops)
 
@@ -126,6 +121,8 @@ class VipRouteTable:
         self._versions: Dict[Tuple[Prefix, MuxRef], int] = {}
         self._version_clock = 0
         self.stale_withdraws_ignored = 0
+        # VIP -> next_hops(VIP), emptied by every route change.
+        self._hop_cache: Dict[int, Tuple[MuxRef, ...]] = {}
 
     # -- announcements -----------------------------------------------------
 
@@ -138,6 +135,7 @@ class VipRouteTable:
         assert isinstance(hops, _NextHopSet)
         added = hops.add(mux)
         if added:
+            self._hop_cache.clear()
             self._announcements.setdefault(mux, set()).add(prefix)
             self._version_clock += 1
             self._versions[(prefix, mux)] = self._version_clock
@@ -177,6 +175,7 @@ class VipRouteTable:
         assert isinstance(hops, _NextHopSet)
         removed = hops.remove(mux)
         if removed:
+            self._hop_cache.clear()
             self._versions.pop((prefix, mux), None)
             owned = self._announcements.get(mux)
             if owned is not None:
@@ -227,17 +226,19 @@ class VipRouteTable:
         Raises :class:`RouteResolutionError` when nothing covers the VIP
         (a blackhole — the simulator counts these as drops).
         """
-        match = self._lpm.lookup_with_prefix(vip)
-        if match is None:
-            raise RouteResolutionError(
-                f"no route for VIP {format_ip(vip)}"
-            )
-        _prefix, hops = match
-        assert isinstance(hops, _NextHopSet)
-        return hops.select(flow_hash)
+        hops = self.next_hops(vip)
+        if not hops:
+            raise RouteResolutionError(f"no route for VIP {format_ip(vip)}")
+        return hops[flow_hash % len(hops)]
 
-    def has_route(self, vip: int) -> bool:
-        return self._lpm.lookup(vip) is not None
+    def next_hops(self, vip: int) -> Tuple[MuxRef, ...]:
+        """The ECMP set LPM picks for ``vip``, ordered as :meth:`resolve`
+        indexes it by flow hash; empty when nothing covers the VIP."""
+        hops = self._hop_cache.get(vip)
+        if hops is None:
+            match = self._lpm.lookup(vip)
+            hops = self._hop_cache[vip] = () if match is None else match.members()
+        return hops
 
     def routes(self) -> Iterator[Tuple[Prefix, Tuple[MuxRef, ...]]]:
         for prefix, hops in self._lpm.entries():

@@ -127,23 +127,6 @@ def random_switch_failures(
     return switch_failures(topology, picked)
 
 
-def link_failures(
-    topology: Topology, links: Sequence[int], *, bidirectional: bool = True
-) -> FailureScenario:
-    """Fail specific links; by default both directions of each cable (a
-    physical cut kills both)."""
-    failed: Set[int] = set()
-    for index in links:
-        link = topology.links[index]
-        failed.add(index)
-        if bidirectional:
-            failed.add(topology.link_between(link.dst, link.src).index)
-    return FailureScenario(
-        name=f"link-failure-{'-'.join(str(l) for l in sorted(failed))}",
-        failed_links=frozenset(failed),
-    )
-
-
 class FaultModel:
     """Transient-fault hook for switch programming operations.
 

@@ -116,13 +116,6 @@ class EcmpRouter:
             return False
         return bool(self.distances_to(dst)[src] != UNREACHABLE)
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Hop count of the shortest path; raises if unreachable."""
-        dist = int(self.distances_to(dst)[src])
-        if dist == UNREACHABLE or src in self.failed_switches:
-            raise UnreachableError(src, dst)
-        return dist
-
     # -- ECMP path fractions ------------------------------------------------
 
     def path_fractions(self, src: int, dst: int) -> Dict[int, float]:

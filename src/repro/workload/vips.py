@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.net.addressing import AddressAllocator, Prefix
 from repro.net.topology import Topology
@@ -101,13 +101,6 @@ class Vip:
     def n_dips(self) -> int:
         return len(self.dips)
 
-    def dip_weights(self) -> Optional[Tuple[float, ...]]:
-        """Per-DIP WCMP weights, or None when the pool is homogeneous."""
-        weights = tuple(d.weight for d in self.dips)
-        if all(w == weights[0] for w in weights):
-            return None
-        return weights
-
     def dip_tors(self) -> Tuple[Tuple[int, int], ...]:
         """(ToR, number of DIPs there), the granularity assignment needs."""
         counts: Dict[int, int] = {}
@@ -186,9 +179,6 @@ class VipPopulation:
 
     def by_addr(self, addr: int) -> Vip:
         return self._by_addr[addr]
-
-    def has_addr(self, addr: int) -> bool:
-        return addr in self._by_addr
 
     def add(self, vip: Vip) -> None:
         """Add a VIP to the population (controller VIP lifecycle, S5.2)."""

@@ -13,6 +13,7 @@ populations, and failure states).
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,16 +21,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.engine import ChaosConfig, build_controller
+from repro.chaos.engine import ChaosConfig, apply_event, build_controller
+from repro.chaos.events import EventGenerator
 from repro.core.controller import DuetController, SimulatedCrash
 from repro.dataplane import (
+    ACTION_ENCAPSULATED,
+    ACTION_NO_MATCH,
     BatchHMux,
     BatchSMux,
     FlowBatch,
     HMux,
+    HMuxAction,
+    HMuxResult,
+    HostAgentError,
     SMux,
     five_tuple_hash,
 )
+from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED, MUX_DROP, NO_ROUTE
 from repro.dataplane.packet import (
     FiveTuple,
     PROTO_TCP,
@@ -41,9 +49,18 @@ from repro.durability import (
     WriteAheadJournal,
     harvest_dataplane,
 )
-from repro.net.bgp import MuxKind
-from repro.net.topology import SwitchTableSpec
-from repro.workload.vips import CLIENT_POOL, Dip
+from repro.net.addressing import format_ip
+from repro.net.bgp import ROUTE_HASH_SALT, MuxKind, MuxRef, RouteResolutionError
+from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
+from repro.obs.tracing import PacketTap
+from repro.workload.distributions import DipCountModel
+from repro.workload.vips import (
+    CLIENT_POOL,
+    HOST_POOL,
+    Dip,
+    Vip,
+    generate_population,
+)
 
 SWITCH_IP = 0x0A00_0001
 SMUX_IP = 0x0A00_0101
@@ -95,18 +112,26 @@ def assert_hmux_equivalent(
     expected = [scalar.process(p) for p in packets]
     engine = engine if engine is not None else BatchHMux(batched)
     got = engine.process(FlowBatch.from_packets(packets))
-    assert len(got) == len(expected)
+    assert len(got.action) == len(got.target) == len(expected)
     for i, want in enumerate(expected):
-        have = got.result_at(i)
+        have = lift_hmux_row(got, packets[i], i)
         assert have.action is want.action, f"row {i}: {have} != {want}"
         assert have.packet == want.packet, f"row {i}: {have} != {want}"
         assert have.selected_ip == want.selected_ip, f"row {i}"
     assert scalar.counters == batched.counters
-    # The array view must agree with the lifted results too.
-    for i, want in enumerate(expected):
-        target = int(got.target[i])
-        assert target == (want.selected_ip if want.selected_ip is not None
-                          else -1)
+
+
+def lift_hmux_row(got, packet: Packet, i: int) -> HMuxResult:
+    """The scalar result row ``i`` of a batch HMux pass stands for."""
+    code, target = int(got.action[i]), int(got.target[i])
+    if code == ACTION_NO_MATCH:
+        assert target == -1
+        return HMuxResult(HMuxAction.NO_MATCH, packet)
+    if code == ACTION_ENCAPSULATED:
+        out = packet.encapsulate(SWITCH_IP, target)
+        return HMuxResult(HMuxAction.ENCAPSULATED, out, target)
+    out = packet.decapsulate().encapsulate(SWITCH_IP, target)
+    return HMuxResult(HMuxAction.REENCAPSULATED, out, target)
 
 
 def assert_smux_equivalent(
@@ -115,8 +140,11 @@ def assert_smux_equivalent(
 ) -> None:
     expected = [scalar.process(p) for p in packets]
     engine = engine if engine is not None else BatchSMux(batched)
-    got = engine.process(FlowBatch.from_packets(packets))
-    assert got.packets() == expected
+    got = engine.process(FlowBatch.from_packets(packets)).dip.tolist()
+    assert [
+        None if dip < 0 else packet.encapsulate(SMUX_IP, dip)
+        for packet, dip in zip(packets, got)
+    ] == expected
     assert scalar.counters == batched.counters
     assert dict(
         (f, scalar.pinned_dip(f)) for f in scalar.connections()
@@ -668,3 +696,261 @@ def test_controller_affinity_differential() -> None:
         for a, b in zip(scalar.controller.smuxes, batched.controller.smuxes):
             assert a.counters == b.counters, name
     assert any(scalar.pins().values())
+
+
+# ---------------------------------------------------------------------------
+# The product path: DuetController.forward_batch vs the scalar composition
+# ---------------------------------------------------------------------------
+
+def scalar_forward(
+    controller: DuetController, packet: Packet, hops: Optional[list] = None,
+) -> Tuple[Optional[MuxRef], int, int]:
+    """The fabric one packet at a time, composed from the scalar parts:
+    the LPM + ECMP route, ``HMux.process`` / ``SMux.process``, then
+    ``HostAgent.receive``.  Returns (mux, DIP or -1, status); appends to
+    ``hops`` what a tapped ``forward_batch`` records for the row."""
+    hops = [] if hops is None else hops
+    flow = packet.flow
+    flow_hash = five_tuple_hash(flow, controller.hash_seed ^ ROUTE_HASH_SALT)
+    try:
+        mux = controller.route_table.resolve(flow.dst_ip, flow_hash)
+    except RouteResolutionError:
+        return None, -1, NO_ROUTE
+    hops.append({"hop": "route.resolve", "mux": str(mux)})
+    if mux.kind is MuxKind.HMUX:
+        out = controller.switch_agents[mux.ident].hmux.process(packet).packet
+        out = out if out.is_encapsulated else None
+    else:
+        smux = next(
+            (s for s in controller.smuxes if s.smux_id == mux.ident), None,
+        )
+        out = None if smux is None else smux.process(packet)
+    if out is None:
+        return mux, -1, MUX_DROP
+    target = out.outer[0].dst_ip
+    hops.append({"hop": f"{mux.kind.value}.encap", "mux": str(mux),
+                 "target": format_ip(target)})
+    if controller.virtualized:
+        server = target - HOST_POOL.network if HOST_POOL.contains(target) else None
+    else:
+        server = controller._dip_to_server.get(target)
+    if server not in controller.host_agents:
+        return mux, -1, MUX_DROP
+    try:
+        dip = controller.host_agents[server].receive(out).flow.dst_ip
+    except HostAgentError:
+        return mux, -1, HOST_REFUSED
+    hops.append({"hop": "host.decap", "server": server})
+    return mux, dip, FORWARD_OK
+
+
+def device_state(controller: DuetController) -> dict:
+    """Everything forwarding writes: mux counters, SMux pins and
+    connection versions, host meters."""
+    return {
+        "hmux": {
+            i: asdict(agent.hmux.counters)
+            for i, agent in controller.switch_agents.items()
+        },
+        "smux": {
+            s.smux_id: (
+                asdict(s.counters), s.conn_version,
+                {f: s.pinned_dip(f) for f in s.connections()},
+            )
+            for s in controller.smuxes
+        },
+        "host": {
+            server: {v: (m.packets, m.bytes) for v, m in agent.meters.items()}
+            for server, agent in controller.host_agents.items()
+        },
+    }
+
+
+def add_port_vip(controller: DuetController) -> None:
+    """A VIP with two port pools (Figure 8) on four fresh DIPs."""
+    records = controller.records()
+    top = max(d.addr for r in records.values() for d in r.dips)
+    dips = tuple(
+        Dip(addr=top + 1 + i, server_id=i,
+            tor=controller.topology.server_tor(i))
+        for i in range(4)
+    )
+    controller.add_vip(Vip(
+        vip_id=1 + max(r.vip.vip_id for r in records.values()),
+        addr=1 + max(records), dips=dips, traffic_bps=1e8,
+        ingress_racks=(), internet_fraction=1.0,
+        port_pools=((80, (dips[0].addr, dips[1].addr)),
+                    (21, (dips[2].addr, dips[3].addr))),
+    ))
+
+
+def open_snat_leases(controller: DuetController) -> List[FiveTuple]:
+    """SNAT one VIP and open an outbound lease per DIP; returns the
+    return-traffic flows those leases expect (S5.2)."""
+    vip = min(controller.records())
+    controller.enable_snat(vip)
+    flows = []
+    for k, dip in enumerate(controller.record(vip).dips):
+        lease = controller.host_agents[dip.server_id].open_outbound(
+            dip.addr, CLIENT_POOL.network + 0x900 + k, 443, PROTO_TCP,
+        )
+        flows.append(FiveTuple(
+            lease.remote_ip, vip, lease.remote_port, lease.vip_port, PROTO_TCP,
+        ))
+    return flows
+
+
+def traffic(controller: DuetController, rng: random.Random,
+            extra: Sequence[FiveTuple] = ()) -> List[Packet]:
+    """Client flows to every VIP on three ports, from a small source
+    space (so flows repeat across steps and meet their SMux pins), plus
+    a blackholed address and ``extra``."""
+    flows = [
+        FiveTuple(CLIENT_POOL.network + rng.randrange(64), vip,
+                  rng.randrange(1024, 1040), port, PROTO_TCP)
+        for vip in sorted(controller.records()) for port in (80, 21, 443)
+    ]
+    # No route at all; no VIP behind the SMux aggregates.
+    for dst in (0x7F000001, max(controller.records()) + 0x40):
+        flows.append(FiveTuple(CLIENT_POOL.network, dst, 1024, 80, PROTO_TCP))
+    return [Packet(flow) for flow in [*flows, *extra]]
+
+
+def assert_forward_batch_matches(
+    scalar: DuetController, batched: DuetController, packets: List[Packet],
+) -> None:
+    """One batch on ``batched``, the scalar composition on ``scalar``:
+    per-row mux, DIP and status, tap hops, and every device effect."""
+    tap = batched.tap
+    seen = tap.seen if tap is not None else 0
+    hops: List[list] = [[] for _ in packets]
+    expected = [scalar_forward(scalar, p, h) for p, h in zip(packets, hops)]
+    got = batched.forward_batch(FlowBatch.from_packets(packets))
+    for i, (mux, dip, status) in enumerate(expected):
+        row = (got.mux[i], int(got.dip[i]), int(got.status[i]))
+        assert row == (mux, dip, status), (i, packets[i].flow)
+        assert (i in got.errors) == (status != FORWARD_OK)
+    assert device_state(scalar) == device_state(batched)
+    if tap is not None:
+        sampled = {r.index: r.hops for r in tap.records()}
+        for i, want in enumerate(hops):
+            if (seen + i) % tap.sample_every == 0:
+                assert sampled[seen + i] == want, i
+
+
+@pytest.mark.parametrize("virtualized", [False, True])
+def test_forward_batch_differential(virtualized: bool) -> None:
+    """Twins take the same chaos events (failed switches and links,
+    degraded VIPs under programming faults, DIP flaps, SNAT, SMux
+    churn); after each, the same traffic goes through ``forward_batch``
+    on one and the scalar muxes and host agents on the other."""
+    for seed in range(20 if not virtualized else 4):
+        if virtualized:
+            twins = [_virtualized_controller(seed) for _ in range(2)]
+        else:
+            config = ChaosConfig(seed=seed, n_vips=10,
+                                 fail_prob=0.3 if seed % 2 else 0.0)
+            twins = [build_controller(config) for _ in range(2)]
+        scalar, batched = twins
+        snat: List[FiveTuple] = []
+        if not virtualized:
+            for twin in twins:
+                add_port_vip(twin)
+                twin.rebalance()
+                snat = open_snat_leases(twin)
+        batched.attach_tap(PacketTap(sample_every=3, capacity=1 << 20))
+        generator = EventGenerator(batched, seed=seed)
+        rng = random.Random(seed)
+        for step in range(12):
+            event = generator.next_event()
+            if step == 6:
+                # A /32 from a switch that never programmed the VIP.
+                event = generator.sabotage_event()
+            for twin in twins:
+                apply_event(twin, event)
+            if step == 11:
+                # Stale routes to an SMux the controller does not hold.
+                for twin in twins:
+                    table, ref = twin.route_table, MuxRef.smux(99)
+                    for prefix in table.announced_by(MuxRef.smux(
+                        twin.smuxes[0].smux_id
+                    )):
+                        table.announce(prefix, ref)
+            assert_forward_batch_matches(
+                scalar, batched, traffic(batched, rng, snat),
+            )
+
+
+def _virtualized_controller(seed: int) -> DuetController:
+    topology = Topology(FatTreeParams(
+        n_containers=2, tors_per_container=3,
+        aggs_per_container=2, n_cores=2, servers_per_tor=6,
+    ))
+    population = generate_population(
+        topology, n_vips=10, total_traffic_bps=8e9,
+        dip_model=DipCountModel(median_large=8.0, max_dips=14), seed=seed,
+    )
+    controller = DuetController(
+        topology, population, n_smuxes=2, virtualized=True, hash_seed=seed,
+    )
+    controller.run_initial_assignment()
+    return controller
+
+
+@st.composite
+def batch_orders(draw):
+    """A chaos seed, distinct flows, a permutation and a split point."""
+    seed = draw(st.integers(0, 40))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 31),
+                  st.sampled_from([80, 21, 443])),
+        unique=True, min_size=1, max_size=48,
+    ))
+    order = draw(st.permutations(range(len(keys))))
+    split = draw(st.integers(0, len(keys)))
+    return seed, keys, order, split
+
+
+@given(batch_orders())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_forward_batch_is_order_independent(scenario) -> None:
+    """Distinct flows do not interact: permuting a batch, or splitting
+    it in two, gives every row the same mux, DIP, status and pre-batch
+    pin, and leaves the devices in the same state."""
+    seed, keys, order, split = scenario
+    worlds = []
+    for _ in range(3):
+        controller = build_controller(ChaosConfig(seed=seed, n_vips=10))
+        vips = sorted(controller.records())
+        # Half the VIPs fall back to the SMuxes, so pins matter ...
+        for switch in sorted({controller.vip_location(v) for v in vips[::2]}):
+            controller.fail_switch(switch)
+        # ... and some flows are pinned before the batch.
+        warm = [Packet(FiveTuple(CLIENT_POOL.network + s, vips[v], 2000, p, 6))
+                for v, s, p in keys[::3]]
+        controller.forward_batch(FlowBatch.from_packets(warm))
+        worlds.append(controller)
+    packets = [
+        Packet(FiveTuple(CLIENT_POOL.network + s, vips[v], 2000, p, 6))
+        for v, s, p in keys
+    ]
+
+    def rows(result, index):
+        return {
+            i: (result.mux[k], int(result.dip[k]), int(result.status[k]),
+                int(result.pin[k]))
+            for k, i in enumerate(index)
+        }
+
+    whole = rows(worlds[0].forward_batch(FlowBatch.from_packets(packets)),
+                 range(len(packets)))
+    permuted = rows(worlds[1].forward_batch(
+        FlowBatch.from_packets([packets[i] for i in order])), order)
+    halves = {}
+    for part in (range(split), range(split, len(packets))):
+        halves.update(rows(worlds[2].forward_batch(
+            FlowBatch.from_packets([packets[i] for i in part])), part))
+    assert whole == permuted == halves
+    assert device_state(worlds[0]) == device_state(worlds[1]) \
+        == device_state(worlds[2])

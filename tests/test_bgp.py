@@ -74,7 +74,7 @@ class TestStaleWithdrawRace:
         table.announce(host, ref)
         version = table.announce_version(host, ref)
         assert table.withdraw(host, ref, version=version)
-        assert not table.has_route(VIP)
+        assert table.next_hops(VIP) == ()
         assert table.stale_withdraws_ignored == 0
 
     def test_versionless_withdraw_is_unconditional(self, table):
@@ -85,7 +85,7 @@ class TestStaleWithdrawRace:
         table.announce(host, ref)
         # Session-loss semantics: no version, always applies.
         assert table.withdraw(host, ref)
-        assert not table.has_route(VIP)
+        assert table.next_hops(VIP) == ()
 
     def test_reannounce_gets_fresh_version(self, table):
         ref = MuxRef.hmux(3)
@@ -176,9 +176,9 @@ class TestWithdrawAll:
         assert table.withdraw_all(MuxRef.hmux(9)) == 0
 
     def test_has_route(self, table):
-        assert not table.has_route(VIP)
+        assert table.next_hops(VIP) == ()
         table.announce(AGG, MuxRef.smux(0))
-        assert table.has_route(VIP)
+        assert table.next_hops(VIP) == (MuxRef.smux(0),)
 
     def test_routes_iteration(self, table):
         table.announce(AGG, MuxRef.smux(0))

@@ -95,18 +95,23 @@ class TableMachine(RuleBasedStateMachine):
         st.tuples(flows, st.one_of(dips, st.just(-1))), max_size=64,
     ))
     def lookup_or_pin(self, rows: List[Tuple[FiveTuple, int]]) -> None:
-        expected, new = [], 0
+        expected, prior, new = [], [], 0
+        before = dict(self.model)
         for flow, choice in rows:
             if choice < 0:
                 expected.append(-1)
+                prior.append(-1)
                 continue
             if flow not in self.model:
                 self.model[flow] = choice
                 new += 1
             expected.append(self.model[flow])
-        got, pinned = self.table.lookup_or_pin(*batch_arrays(self.hash_fn, rows))
+            prior.append(before.get(flow, -1))
+        held = len(self.table)
+        got, was = self.table.lookup_or_pin(*batch_arrays(self.hash_fn, rows))
         assert got.tolist() == expected
-        assert pinned == new
+        assert was.tolist() == prior
+        assert len(self.table) - held == new
 
     @rule(
         vip=st.sampled_from(VIPS),
@@ -167,7 +172,7 @@ def test_growth_churn_and_slot_reuse(hash_fn) -> None:
 
     def resolve(batch: List[FiveTuple]) -> None:
         rows = [(flow, DIPS[flow.src_ip % 5]) for flow in batch]
-        got, _pinned = table.lookup_or_pin(*batch_arrays(hash_fn, rows))
+        got, _prior = table.lookup_or_pin(*batch_arrays(hash_fn, rows))
         for flow, choice in rows:
             model.setdefault(flow, choice)
         assert got.tolist() == [model[flow] for flow in batch]

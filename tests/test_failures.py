@@ -8,12 +8,21 @@ from repro.net.failures import (
     FailureScenario,
     container_failure,
     isolated_switches,
-    link_failures,
     random_container_failure,
     random_switch_failures,
     switch_failures,
 )
+from repro.core.assignment import AssignmentConfig
+from repro.core.intent import ControllerIntent
 from repro.net.topology import SwitchKind
+
+
+def cut_links(topology, links, bidirectional=True):
+    """The failed links after cutting ``links`` the controller's way."""
+    intent = ControllerIntent(topology, AssignmentConfig())
+    for index in links:
+        intent.cut_link(index, bidirectional)
+    return frozenset(intent.failed_links)
 
 
 class TestScenarios:
@@ -57,16 +66,15 @@ class TestScenarios:
 
     def test_link_failure_bidirectional_by_default(self, tiny_topology):
         link = tiny_topology.links[0]
-        scenario = link_failures(tiny_topology, [link.index])
         reverse = tiny_topology.link_between(link.dst, link.src)
-        assert {link.index, reverse.index} == set(scenario.failed_links)
+        assert cut_links(tiny_topology, [link.index]) == {
+            link.index, reverse.index,
+        }
 
     def test_link_failure_unidirectional(self, tiny_topology):
         link = tiny_topology.links[0]
-        scenario = link_failures(
-            tiny_topology, [link.index], bidirectional=False
-        )
-        assert scenario.failed_links == frozenset([link.index])
+        failed = cut_links(tiny_topology, [link.index], bidirectional=False)
+        assert failed == frozenset([link.index])
 
 
 class TestSideEffects:
@@ -107,7 +115,9 @@ class TestIsolation:
             tiny_topology.link_between(tor, agg).index
             for agg in tiny_topology.aggs(0)
         ]
-        scenario = link_failures(tiny_topology, cuts)
+        scenario = FailureScenario(
+            "cuts", failed_links=cut_links(tiny_topology, cuts),
+        )
         assert tor in isolated_switches(tiny_topology, scenario)
 
 

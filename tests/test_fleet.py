@@ -155,7 +155,7 @@ class TestQuarantine:
         assert [q["seed"] for q in report.quarantined] == [1]
         assert report.quarantined[0]["reason"] == "timeout"
         assert fleet.metrics.worker_failures.value("timeout") == 1
-        assert report.result_for(0) is not None
+        assert any(result["seed"] == 0 for result in report.results)
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

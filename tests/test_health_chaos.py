@@ -65,6 +65,32 @@ class TestNoOracleSoak:
         )
 
 
+def test_product_probers_never_forward_per_packet(monkeypatch):
+    """Tier-1 cannot time the probe path, so it forbids the slow one:
+    with the scalar muxes and host delivery disabled, a stacked seed —
+    lossy channel, crashes, health loop, SLO alerting — still runs clean
+    and summarizes exactly as it does with them (the health sweep, the
+    invariant battery and the affinity tracker all forward in batches)."""
+    from repro.dataplane import HMux, HostAgent, SMux
+    from repro.fleet import summarize_report
+
+    config = ChaosConfig(
+        seed=2, n_events=20, channel_loss=0.3, channel_delay=0.2,
+        crash_prob=0.1, no_oracle=True, slo=True,
+    )
+    reference = summarize_report(ChaosEngine(config).run())
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a product prober forwarded one packet")
+
+    for cls, name in ((HMux, "process"), (SMux, "process"),
+                      (HostAgent, "receive")):
+        monkeypatch.setattr(cls, name, forbidden)
+    report = ChaosEngine(config).run()
+    assert report.ok and report.crashes > 0 and report.incidents
+    assert summarize_report(report) == reference
+
+
 class TestReplayDeterminism:
     def test_scripted_replay_is_bit_identical(self):
         config = no_oracle_config(seed=7, n_events=50, background_loss=0.02)

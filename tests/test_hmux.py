@@ -8,7 +8,7 @@ from repro.dataplane.hmux import (
     HMuxError,
     UnsupportedOperation,
 )
-from repro.dataplane.packet import make_tcp_packet, make_udp_packet
+from repro.dataplane.packet import make_tcp_packet
 from repro.dataplane.tables import TableFullError
 from repro.net.addressing import parse_ip
 from repro.net.topology import SwitchTableSpec
@@ -78,7 +78,7 @@ class TestProgramming:
         assert result.action is HMuxAction.ENCAPSULATED
         assert result.selected_ip in DIPS
         assert result.packet.routable_dst == result.selected_ip
-        assert result.packet.routable_src == SWITCH_IP
+        assert result.packet.outer[0].src_ip == SWITCH_IP
 
     def test_inner_packet_preserved(self, hmux):
         hmux.program_vip(VIP, DIPS)
@@ -104,9 +104,9 @@ class TestProgramming:
     def test_remove_vip_frees_everything(self, hmux):
         hmux.program_vip(VIP, DIPS)
         hmux.remove_vip(VIP)
-        assert hmux.tunnel_entries_used() == 0
-        assert hmux.ecmp_entries_used() == 0
-        assert hmux.host_entries_used() == 0
+        assert len(hmux.tunnel_table) == 0
+        assert hmux.ecmp_table.used_entries == 0
+        assert len(hmux.host_table) == 0
         assert hmux.process(packet()).action is HMuxAction.NO_MATCH
 
     def test_remove_unknown_vip(self, hmux):
@@ -115,9 +115,9 @@ class TestProgramming:
 
     def test_table_accounting(self, hmux):
         hmux.program_vip(VIP, DIPS)
-        assert hmux.tunnel_entries_used() == len(DIPS)
-        assert hmux.ecmp_entries_used() == len(DIPS)
-        assert hmux.host_entries_used() == 1
+        assert len(hmux.tunnel_table) == len(DIPS)
+        assert hmux.ecmp_table.used_entries == len(DIPS)
+        assert len(hmux.host_table) == 1
 
     def test_vips_and_dips_introspection(self, hmux):
         hmux.program_vip(VIP, DIPS)
@@ -140,23 +140,23 @@ class TestCapacityAndRollback:
         hmux = HMux(SWITCH_IP, SwitchTableSpec(tunnel_table=4))
         with pytest.raises(TableFullError):
             hmux.program_vip(VIP, DIPS + [parse_ip("100.0.1.1")])
-        assert hmux.tunnel_entries_used() == 0
-        assert hmux.ecmp_entries_used() == 0
-        assert hmux.host_entries_used() == 0
+        assert len(hmux.tunnel_table) == 0
+        assert hmux.ecmp_table.used_entries == 0
+        assert len(hmux.host_table) == 0
 
     def test_ecmp_exhaustion_rolls_back_tunnel(self):
         hmux = HMux(SWITCH_IP, SwitchTableSpec(ecmp_table=2, tunnel_table=512))
         with pytest.raises(TableFullError):
             hmux.program_vip(VIP, DIPS)  # needs 4 ECMP entries
-        assert hmux.tunnel_entries_used() == 0
+        assert len(hmux.tunnel_table) == 0
 
     def test_host_table_exhaustion_rolls_back(self):
         hmux = HMux(SWITCH_IP, SwitchTableSpec(host_table=1))
         hmux.program_vip(VIP, DIPS[:1])
         with pytest.raises(TableFullError):
             hmux.program_vip(VIP2, DIPS[1:2])
-        assert hmux.tunnel_entries_used() == 1
-        assert hmux.ecmp_entries_used() == 1
+        assert len(hmux.tunnel_table) == 1
+        assert hmux.ecmp_table.used_entries == 1
 
 
 class TestSelection:
@@ -193,7 +193,7 @@ class TestDipRemoval:
     def test_remove_dip_frees_tunnel_entry(self, hmux):
         hmux.program_vip(VIP, DIPS)
         hmux.remove_dip(VIP, DIPS[0])
-        assert hmux.tunnel_entries_used() == len(DIPS) - 1
+        assert len(hmux.tunnel_table) == len(DIPS) - 1
         assert DIPS[0] not in hmux.dips_of(VIP)
 
     def test_remove_unknown_dip(self, hmux):
@@ -205,7 +205,7 @@ class TestDipRemoval:
         hmux.program_vip(VIP, DIPS)
         hmux.remove_dip(VIP, DIPS[1])
         hmux.remove_vip(VIP)
-        assert hmux.tunnel_entries_used() == 0
+        assert len(hmux.tunnel_table) == 0
 
     def test_add_dip_unsupported(self, hmux):
         """The S5.2 invariant: the hardware path cannot add a DIP."""
@@ -251,7 +251,7 @@ class TestTipIndirection:
         front = HMux(SWITCH_IP, SwitchTableSpec(tunnel_table=512))
         tips = [parse_ip("10.1.0.0") + i for i in range(512)]
         front.program_vip(VIP, tips)
-        assert front.tunnel_entries_used() == 512
+        assert len(front.tunnel_table) == 512
 
 
 class TestPortBasedRules:
@@ -278,7 +278,7 @@ class TestPortBasedRules:
         hmux.program_vip_port(VIP, 80, DIPS[:2])
         hmux.remove_vip_port(VIP, 80)
         assert hmux.process(packet(port=80)).action is HMuxAction.NO_MATCH
-        assert hmux.tunnel_entries_used() == 0
+        assert len(hmux.tunnel_table) == 0
 
     def test_duplicate_port_rule_rejected(self, hmux):
         hmux.program_vip_port(VIP, 80, DIPS[:2])
@@ -293,7 +293,7 @@ class TestVirtualizedClusters:
         hip1 = parse_ip("20.0.0.1")
         hip2 = parse_ip("20.0.0.2")
         hmux.program_vip(VIP, [hip1, hip1, hip2])
-        assert hmux.tunnel_entries_used() == 3
+        assert len(hmux.tunnel_table) == 3
         targets = {hmux.process(packet(i)).selected_ip for i in range(100)}
         assert targets <= {hip1, hip2}
 

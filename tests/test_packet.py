@@ -13,7 +13,6 @@ from repro.dataplane.packet import (
     PacketError,
     bps_to_pps,
     make_tcp_packet,
-    make_udp_packet,
     pps_to_bps,
 )
 from repro.net.addressing import parse_ip
@@ -56,7 +55,7 @@ class TestEncapDecap:
     def test_encapsulate_sets_outer(self):
         packet = make_tcp_packet(CLIENT, VIP, 1234, 80).encapsulate(MUX, DIP)
         assert packet.routable_dst == DIP
-        assert packet.routable_src == MUX
+        assert packet.outer[0].src_ip == MUX
         assert packet.encap_depth == 1
 
     def test_decapsulate_roundtrip(self):
@@ -95,7 +94,7 @@ class TestEncapDecap:
 
     @given(st.integers(min_value=0, max_value=5))
     def test_encap_depth_matches_operations(self, depth):
-        packet = make_udp_packet(CLIENT, VIP, 1, 2)
+        packet = Packet(FiveTuple(CLIENT, VIP, 1, 2, PROTO_UDP))
         for i in range(depth):
             packet = packet.encapsulate(MUX, DIP + i)
         assert packet.encap_depth == depth
@@ -120,7 +119,7 @@ class TestRewrites:
         assert reply.flow.src_port == 80
 
     def test_rewrite_preserves_other_fields(self):
-        packet = make_udp_packet(CLIENT, VIP, 5, 6, size_bytes=99)
+        packet = Packet(FiveTuple(CLIENT, VIP, 5, 6, PROTO_UDP), size_bytes=99)
         out = packet.rewrite_dst(DIP)
         assert out.size_bytes == 99
         assert out.flow.protocol == PROTO_UDP

@@ -142,7 +142,10 @@ class TestAssignmentCapacityProperty:
         # Switch memory: total DIPs per switch within the tunnel table.
         capacity = topology.params.tables.dip_capacity
         for s in range(topology.n_switches):
-            assert assignment.switch_dip_count(s) <= capacity
+            assert sum(
+                assignment.demands[v].n_dips
+                for v in assignment.vips_on_switch(s)
+            ) <= capacity
         # Host table: global /32 budget.
         assert assignment.n_assigned <= topology.params.tables.host_table
 
@@ -193,7 +196,7 @@ class TestMigrationPlanProperty:
             else:
                 table.announce(prefix, ref)
             for d in demands:
-                assert table.has_route(d.addr)
+                assert table.next_hops(d.addr)
         # Final state matches the new assignment.
         for vip_id, switch in new.vip_to_switch.items():
             resolved = table.resolve(addr_of[vip_id])

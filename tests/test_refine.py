@@ -61,7 +61,9 @@ class TestRefinement:
         assert refined.mru <= 1.0 + 1e-9
         capacity = topology.params.tables.dip_capacity
         for s in range(topology.n_switches):
-            assert refined.switch_dip_count(s) <= capacity
+            assert sum(
+                refined.demands[v].n_dips for v in refined.vips_on_switch(s)
+            ) <= capacity
 
     def test_same_vips_assigned(self, world):
         topology, population = world

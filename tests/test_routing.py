@@ -45,15 +45,15 @@ class TestDistances:
 
     def test_same_container_tor_distance(self, router, topo):
         tors = topo.tors(0)
-        assert router.hop_distance(tors[0], tors[1]) == 2  # via an agg
+        assert router.distances_to(tors[1])[tors[0]] == 2  # via an agg
 
     def test_cross_container_tor_distance(self, router, topo):
         a = topo.tors(0)[0]
         b = topo.tors(1)[0]
-        assert router.hop_distance(a, b) == 4  # tor-agg-core-agg-tor
+        assert router.distances_to(b)[a] == 4  # tor-agg-core-agg-tor
 
     def test_tor_to_core_distance(self, router, topo):
-        assert router.hop_distance(topo.tors(0)[0], topo.cores()[0]) == 2
+        assert router.distances_to(topo.cores()[0])[topo.tors(0)[0]] == 2
 
     def test_reachability(self, router, topo):
         assert router.is_reachable(0, topo.n_switches - 1)
@@ -63,7 +63,7 @@ class TestDistances:
         assert not r.is_reachable(1, 0)
         assert not r.is_reachable(0, 1)
         with pytest.raises(UnreachableError):
-            r.hop_distance(1, 0)
+            r.path_fractions(1, 0)
 
 
 class TestPathFractions:

@@ -50,8 +50,14 @@ class TestSnatPortManager:
     def test_holder_lookup(self):
         manager = SnatPortManager(VIP, range_size=100)
         r = manager.allocate(DIPS[1])
-        assert manager.holder_of(r.lo) == DIPS[1]
-        assert manager.holder_of(r.hi + 1) is None
+        def holders(port):
+            return [
+                dip for dip in DIPS
+                if any(h.lo <= port <= h.hi for h in manager.ranges_of(dip))
+            ]
+
+        assert holders(r.lo) == [DIPS[1]]
+        assert holders(r.hi + 1) == []
 
     def test_exhaustion(self):
         manager = SnatPortManager(VIP, range_size=30_000, floor=1024)

@@ -181,7 +181,7 @@ class DuetControllerMachine(RuleBasedStateMachine):
     @invariant()
     def every_vip_resolves(self):
         for vip in self._live_vips():
-            assert self.controller.route_table.has_route(vip.addr)
+            assert self.controller.route_table.next_hops(vip.addr)
 
     @invariant()
     def table_capacities_respected(self):

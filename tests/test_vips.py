@@ -127,7 +127,7 @@ class TestMutation:
         before = len(pop)
         pop.add(vip)
         assert len(pop) == before + 1
-        assert pop.has_addr(vip.addr)
+        assert vip.addr in {v.addr for v in pop}
         assert pop.by_addr(vip.addr) is vip
         assert vip in list(pop)
 
@@ -143,7 +143,7 @@ class TestMutation:
         vip = pop.vips[3]
         removed = pop.remove(vip.addr)
         assert removed is vip
-        assert not pop.has_addr(vip.addr)
+        assert vip.addr not in {v.addr for v in pop}
         assert len(pop) == 19
         assert vip not in list(pop)
 

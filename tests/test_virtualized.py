@@ -51,14 +51,14 @@ class TestDipWeights:
             topology, n_vips=30, total_traffic_bps=5e9,
             heterogeneous_fraction=1.0, seed=1,
         )
-        mixed = [v for v in population if v.dip_weights() is not None]
+        mixed = [v for v in population if len({d.weight for d in v.dips}) > 1]
         assert len(mixed) >= 0.8 * sum(1 for v in population if v.n_dips >= 2)
 
     def test_homogeneous_by_default(self, topology):
         population = generate_population(
             topology, n_vips=10, total_traffic_bps=5e9, seed=1,
         )
-        assert all(v.dip_weights() is None for v in population)
+        assert all(len({d.weight for d in v.dips}) == 1 for v in population)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
