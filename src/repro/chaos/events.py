@@ -215,7 +215,7 @@ class EventGenerator:
         self.max_failed_switches = max(
             1, int(controller.topology.n_switches * MAX_FAILED_SWITCH_FRACTION)
         )
-        self.max_vips = max(4, 2 * len(controller.population))
+        self.max_vips = max(4, 2 * len(controller.intent.records))
         records = controller.records()
         self._next_vip_id = 1 + max(
             (r.vip.vip_id for r in records.values()), default=-1
@@ -357,7 +357,7 @@ class EventGenerator:
 
     def _build_add_vip(self) -> Optional[ChaosEvent]:
         c = self.controller
-        if len(c.population) >= self.max_vips:
+        if len(c.intent.records) >= self.max_vips:
             return None
         n_servers = c.topology.params.n_servers
         n_dips = self.rng.randint(1, 4)
@@ -380,7 +380,7 @@ class EventGenerator:
 
     def _build_remove_vip(self) -> Optional[ChaosEvent]:
         c = self.controller
-        if len(c.population) < 2:
+        if len(c.intent.records) < 2:
             return None
         return ChaosEvent(EventKind.REMOVE_VIP, {
             "vip": self.rng.choice(sorted(c.records())),

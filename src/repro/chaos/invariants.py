@@ -9,19 +9,25 @@ paper's availability and consistency claims made executable:
   SMux aggregates backstop everything); delivery may only fail toward a
   DIP currently reported unhealthy (a flap the controller has not yet
   reaped).
-* **lpm-preference** — a VIP assigned to a live HMux resolves to that
-  HMux via its /32; an unassigned (or degraded) VIP resolves to an SMux.
 * **route-liveness** — no route points at a dead mux (a withdrawn HMux
   or a failed SMux attracting traffic would be a blackhole).
 * **table-capacity** — no switch table exceeds its ASIC capacity.
-* **failed-switch-state** — a dead switch holds no table entries and no
-  announcements (state is lost with the switch, S5.1).
-* **consistency** — controller records, HMux programming, and the SMux
-  full-coverage property all agree.
 * **snat-disjoint** — per-VIP SNAT port ranges never overlap (S5.2).
+* **intent-matches-dataplane** — every device holds exactly what the
+  controller intends: the anti-entropy diff of
+  :mod:`repro.core.converge` is empty.  That one statement covers HMux,
+  SMux and host entries, a /32 announced by anyone but the serving HMux
+  (or missing from it), stale or missing SMux aggregates (full SMux
+  coverage, S3.3.1), and residual state on a failed switch (S5.1).
+* **channel-fencing** — no stale or duplicate control command applied.
+* **metrics-conservation** — the telemetry registry's conservation laws.
 * **flow-affinity** (stateful, via :class:`FlowAffinityTracker`) —
   established flows keep their DIP across events unrelated to their
   VIP's pool: resilient hashing on HMuxes, connection state on SMuxes.
+
+What the diff cannot see is guaranteed by the intent's own transitions:
+a degraded VIP is never placed, a failed switch holds no record, and
+``DuetController.population`` is a view of the records.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ import numpy as np
 from repro.core.controller import DuetController
 from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED, FlowBatch
 from repro.dataplane.packet import PROTO_TCP, FiveTuple, Packet
-from repro.net.addressing import Prefix, format_ip
-from repro.net.bgp import MuxKind, RouteResolutionError
+from repro.net.addressing import format_ip
+from repro.net.bgp import MuxKind
 from repro.workload.vips import CLIENT_POOL
 
 from repro.chaos.events import ChaosEvent, EventKind
@@ -73,11 +79,8 @@ class InvariantChecker:
     def check(self) -> List[Violation]:
         violations: List[Violation] = []
         violations += self.check_route_liveness()
-        violations += self.check_lpm_preference()
         violations += self.check_reachability()
         violations += self.check_table_capacity()
-        violations += self.check_failed_switch_state()
-        violations += self.check_consistency()
         violations += self.check_snat_disjoint()
         violations += self.check_intent_matches_dataplane()
         violations += self.check_channel_fencing()
@@ -95,52 +98,6 @@ class InvariantChecker:
             )
             for prefix, mux in self.controller.route_table.stale_routes(live)
         ]
-
-    def check_lpm_preference(self) -> List[Violation]:
-        c = self.controller
-        violations: List[Violation] = []
-        for addr, record in sorted(c.records().items()):
-            host = Prefix.host(addr)
-            announcers = c.route_table.announcers(host)
-            if record.assigned_switch is not None:
-                switch = record.assigned_switch
-                if switch in c.failed_switches:
-                    violations.append(Violation(
-                        "lpm-preference",
-                        f"VIP {format_ip(addr)} recorded on failed "
-                        f"switch {switch}",
-                    ))
-                    continue
-                expected = c.switch_agents[switch].mux_ref
-                if announcers != (expected,):
-                    violations.append(Violation(
-                        "lpm-preference",
-                        f"VIP {format_ip(addr)} /32 announcers "
-                        f"{[str(a) for a in announcers]}, expected "
-                        f"[{expected}]",
-                    ))
-            else:
-                if announcers:
-                    violations.append(Violation(
-                        "lpm-preference",
-                        f"SMux-only VIP {format_ip(addr)} has /32 "
-                        f"announcers {[str(a) for a in announcers]}",
-                    ))
-                    continue
-                try:
-                    mux = c.route_table.resolve(addr)
-                except RouteResolutionError:
-                    violations.append(Violation(
-                        "lpm-preference",
-                        f"VIP {format_ip(addr)} has no route at all",
-                    ))
-                    continue
-                if mux.kind is not MuxKind.SMUX:
-                    violations.append(Violation(
-                        "lpm-preference",
-                        f"SMux-only VIP {format_ip(addr)} resolves to {mux}",
-                    ))
-        return violations
 
     def check_reachability(self) -> List[Violation]:
         c = self.controller
@@ -207,71 +164,6 @@ class InvariantChecker:
                     ))
         return violations
 
-    def check_failed_switch_state(self) -> List[Violation]:
-        c = self.controller
-        violations: List[Violation] = []
-        for index in sorted(c.failed_switches):
-            agent = c.switch_agents[index]
-            if agent.hmux.vips() or len(agent.hmux.host_table):
-                violations.append(Violation(
-                    "failed-switch-state",
-                    f"failed switch {index} still holds HMux table state",
-                ))
-            if c.route_table.announced_by(agent.mux_ref):
-                violations.append(Violation(
-                    "failed-switch-state",
-                    f"failed switch {index} still announces routes",
-                ))
-        return violations
-
-    def check_consistency(self) -> List[Violation]:
-        c = self.controller
-        records = c.records()
-        violations: List[Violation] = []
-        for addr, record in sorted(records.items()):
-            switch = record.assigned_switch
-            if switch is not None and not c.switch_agents[switch].hmux.has_vip(addr):
-                violations.append(Violation(
-                    "consistency",
-                    f"VIP {format_ip(addr)} recorded on switch {switch} "
-                    "but not programmed there",
-                ))
-            if addr in c.degraded_vips and switch is not None:
-                violations.append(Violation(
-                    "consistency",
-                    f"degraded VIP {format_ip(addr)} claims switch {switch}",
-                ))
-        by_switch: Dict[int, Set[int]] = {}
-        for addr, record in records.items():
-            if record.assigned_switch is not None:
-                by_switch.setdefault(record.assigned_switch, set()).add(addr)
-        for index, agent in sorted(c.switch_agents.items()):
-            programmed = set(agent.hmux.vips())
-            expected = by_switch.get(index, set())
-            for addr in sorted(programmed - expected):
-                violations.append(Violation(
-                    "consistency",
-                    f"switch {index} programs VIP {format_ip(addr)} that "
-                    "no record assigns to it",
-                ))
-        population_addrs = {v.addr for v in c.population}
-        if population_addrs != set(records):
-            violations.append(Violation(
-                "consistency",
-                "population and controller records disagree: "
-                f"{sorted(population_addrs ^ set(records))}",
-            ))
-        for smux in c.smuxes:
-            missing = set(records) - set(smux.vips())
-            if missing:
-                violations.append(Violation(
-                    "consistency",
-                    f"SMux {smux.smux_id} is missing VIPs "
-                    f"{[format_ip(a) for a in sorted(missing)]} — the "
-                    "backstop must cover every VIP",
-                ))
-        return violations
-
     def check_intent_matches_dataplane(self) -> List[Violation]:
         """The anti-entropy reconciler's diff, run in audit mode: the
         controller's intended state (records, assignment, SNAT grants)
@@ -285,21 +177,16 @@ class InvariantChecker:
         ]
 
     def check_snat_disjoint(self) -> List[Violation]:
-        c = self.controller
-        violations: List[Violation] = []
-        for vip_addr, manager in sorted(c.snat_managers().items()):
-            if not manager.validate_disjoint():
-                violations.append(Violation(
-                    "snat-disjoint",
-                    f"VIP {format_ip(vip_addr)} has overlapping SNAT "
-                    "port ranges",
-                ))
-            if vip_addr not in c.records():
-                violations.append(Violation(
-                    "snat-disjoint",
-                    f"SNAT manager for removed VIP {format_ip(vip_addr)}",
-                ))
-        return violations
+        return [
+            Violation(
+                "snat-disjoint",
+                f"VIP {format_ip(vip_addr)} has overlapping SNAT port ranges",
+            )
+            for vip_addr, manager in sorted(
+                self.controller.snat_managers().items()
+            )
+            if not manager.validate_disjoint()
+        ]
 
     def check_channel_fencing(self) -> List[Violation]:
         """No stale or duplicate control-channel delivery may ever

@@ -134,7 +134,7 @@ class DuetController:
     def __init__(
         self,
         topology: Topology,
-        population: VipPopulation,
+        population: Optional[VipPopulation] = None,
         *,
         n_smuxes: int = 2,
         config: AssignmentConfig = AssignmentConfig(),
@@ -146,20 +146,21 @@ class DuetController:
         intent: Optional[ControllerIntent] = None,
         dataplane=None,
     ) -> None:
-        """A fresh deployment registers ``population`` and converges the
-        dataplane to it.  A restart (see :meth:`restore`) passes the
-        ``intent`` recovered from the journal — ``population`` and the
-        SMux fleet must then be the intent's own — and, for a warm one,
-        the surviving ``dataplane``
+        """A fresh deployment registers ``population`` (read once, never
+        written) and converges the dataplane to it.  A restart (see
+        :meth:`restore`) passes instead the ``intent`` recovered from the
+        journal — the SMux fleet must then be the intent's own — and, for
+        a warm one, the surviving ``dataplane``
         (:class:`~repro.durability.recovery.SurvivingDataplane`); it
         programs nothing: the reconciler drives the dataplane to intent.
         """
         if n_smuxes < 1:
             raise ControllerError("need at least one SMux")
+        if intent is None and population is None:
+            raise ControllerError("a fresh deployment needs its population")
         if dataplane is not None and intent is None:
             raise ControllerError("a surviving dataplane needs its intent")
         self.topology = topology
-        self.population = population
         self.config = config
         self.hash_seed = hash_seed
         self.virtualized = virtualized
@@ -597,7 +598,6 @@ class DuetController:
         self._refuse_pools_if_virtualized(vip)
         with self._journal_op("add_vip", {"vip": vip_to_dict(vip)}):
             self.intent.add_vip(vip)
-            self.population.add(vip)
             converge(self, [vip.addr], switches=(), servers=_servers(vip.dips))
 
     def remove_vip(self, vip_addr: int) -> None:
@@ -606,7 +606,6 @@ class DuetController:
         switch = record.assigned_switch
         with self._journal_op("remove_vip", {"vip": vip_addr}):
             self.intent.remove_vip(vip_addr)
-            self.population.remove(vip_addr)
             converge(
                 self, [vip_addr], switches=() if switch is None else [switch],
                 servers=_servers(record.dips),
@@ -1072,6 +1071,14 @@ class DuetController:
         return dict(self.intent.records)
 
     @property
+    def population(self) -> VipPopulation:
+        """Read-only view: the VIPs of the records, in the order they
+        were added."""
+        return VipPopulation(
+            self.topology, [r.vip for r in self.intent.records.values()],
+        )
+
+    @property
     def assignment(self) -> Optional[Assignment]:
         """The stored assignment the next sticky rebalance diffs against."""
         return self.intent.assignment
@@ -1112,8 +1119,8 @@ class DuetController:
         return dict(self.intent.snat)
 
     def set_fault_model(self, fault_model: Optional[FaultModel]) -> None:
-        """Swap the transient-fault injector on every switch agent (the
-        chaos engine uses this to turn faults on/off mid-run)."""
+        """Swap the transient-fault injector on every switch agent, e.g.
+        to clear a permanent fault before re-homing its VIPs."""
         self._fault_model = fault_model
         for agent in self.switch_agents.values():
             agent.fault_model = fault_model

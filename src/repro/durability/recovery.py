@@ -36,7 +36,6 @@ from repro.core.intent import ControllerIntent, RecoveryError
 from repro.durability.journal import WriteAheadJournal
 from repro.net.topology import Topology
 from repro.workload.serialization import params_from_dict
-from repro.workload.vips import VipPopulation
 
 
 def snapshot_state(controller) -> Dict[str, Any]:
@@ -109,7 +108,6 @@ def restore_controller(
     intent = ControllerIntent.from_journal(journal, topology, config)
     controller = DuetController(
         topology,
-        VipPopulation(topology, [r.vip for r in intent.records.values()]),
         config=config,
         hash_seed=meta.get("hash_seed", 0),
         virtualized=meta.get("virtualized", False),

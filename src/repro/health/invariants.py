@@ -3,7 +3,8 @@
 The scorecard is the *judge*, not a participant: it reads the fault
 plane's injection log (which the detector never sees) and compares it
 with the detector's transition history and the remediation action log.
-The chaos engine runs it at the end of a no-oracle soak.
+In a no-oracle soak the chaos engine runs it after every step, beside
+the invariant battery.
 
 Invariants:
 

@@ -115,7 +115,7 @@ class TestSabotage:
         assert not sabotage_report.ok
         assert sabotage_report.first_violation_step == 40
         invariants = {v.invariant for v in sabotage_report.violations}
-        assert "lpm-preference" in invariants
+        assert "intent-matches-dataplane" in invariants
 
     def test_artifact_replays_to_same_violation(self, sabotage_report):
         artifact = sabotage_report.artifact

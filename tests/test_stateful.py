@@ -11,6 +11,10 @@ step:
   targeted,
 * switch table occupancy never exceeds capacity,
 * established flows never remap except when their own DIP disappears.
+* every device holds exactly what the controller intends (the
+  anti-entropy diff is empty), and the intent itself is consistent: no
+  record on a failed switch, degraded VIPs unplaced, SNAT only for live
+  VIPs, the population a view of the records.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.controller import ControllerError, DuetController
 from repro.dataplane.packet import make_tcp_packet
+from repro.durability.reconcile import AntiEntropyReconciler
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.distributions import DipCountModel
 from repro.workload.vips import CLIENT_POOL, Dip, generate_population
@@ -203,6 +208,24 @@ class DuetControllerMachine(RuleBasedStateMachine):
                     Prefix.host(vip.addr)
                 )
                 assert MuxRef.hmux(record.assigned_switch) in announcers
+
+    @invariant()
+    def dataplane_matches_intent(self):
+        assert AntiEntropyReconciler(self.controller).diff() == []
+
+    @invariant()
+    def intent_is_self_consistent(self):
+        """What the anti-entropy diff cannot see, the intent's own
+        transitions guarantee."""
+        intent = self.controller.intent
+        for addr, record in intent.records.items():
+            assert record.assigned_switch not in intent.failed_switches
+            if addr in intent.degraded:
+                assert record.assigned_switch is None
+        assert set(intent.snat) <= set(intent.records)
+        assert [v.addr for v in self.controller.population] == list(
+            self.controller.records()
+        )
 
 
 DuetControllerMachine.TestCase.settings = settings(
