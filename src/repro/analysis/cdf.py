@@ -31,14 +31,6 @@ class Cdf:
         index = min(index, len(self.xs) - 1)
         return float(self.xs[index])
 
-    def fraction_at_or_below(self, x: float) -> float:
-        """F(x): fraction of the sample <= x."""
-        return float(np.searchsorted(self.xs, x, side="right") / len(self.xs))
-
-    def at_points(self, points: Sequence[float]) -> List[Tuple[float, float]]:
-        """(x, F(x)) pairs at the given x values — figure series data."""
-        return [(float(x), self.fraction_at_or_below(x)) for x in points]
-
     def __len__(self) -> int:
         return len(self.xs)
 

@@ -1,18 +1,15 @@
-"""Machine-readable export of experiment results (CSV / JSON).
+"""Machine-readable export of experiment results (CSV).
 
-Every experiment result exposes ``rows()`` (and often series); these
-helpers write them out so downstream users can plot the figures with
-their tool of choice instead of scraping the text renderings.
+Every experiment result exposes ``rows()``; ``repro figures --export``
+writes them out so downstream users can plot the figures with their
+tool of choice instead of scraping the text renderings.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
-from typing import Any, Iterable, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Sequence, Union
 
 PathLike = Union[str, pathlib.Path]
 
@@ -34,36 +31,4 @@ def export_rows_csv(
                     f"row width {len(row)} != header width {len(headers)}"
                 )
             writer.writerow([str(cell) for cell in row])
-    return target
-
-
-def export_series_csv(
-    path: PathLike,
-    points: Sequence[tuple],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> pathlib.Path:
-    """Write an (x, y) series as a two-column CSV."""
-    return export_rows_csv(path, (x_label, y_label), points)
-
-
-class _NumpyEncoder(json.JSONEncoder):
-    """JSON encoder that understands numpy scalars and arrays."""
-
-    def default(self, obj: Any) -> Any:
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        return super().default(obj)
-
-
-def export_json(path: PathLike, payload: Any) -> pathlib.Path:
-    """Write any JSON-serializable payload (numpy-friendly)."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n")
     return target

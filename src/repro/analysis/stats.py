@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,3 @@ class Summary:
             p99=float(np.percentile(arr, 99)),
             maximum=float(arr.max()),
         )
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """A guarded ratio (inf when the denominator is zero)."""
-    if denominator == 0:
-        return float("inf")
-    return numerator / denominator

@@ -882,12 +882,6 @@ def _cmd_alerts(args) -> int:
     )
     merged = fleet.run()
 
-    totals = {
-        "incidents": 0, "true_positives": 0, "false_positives": 0,
-        "eligible_faults": 0, "matched_faults": 0, "faults_total": 0,
-    }
-    matched_by_kind: dict = {}
-    time_to_fire: list = []
     saved = 0
     violations = 0
     for result in merged.results:
@@ -896,12 +890,6 @@ def _cmd_alerts(args) -> int:
             violations += len(result["violations"])
             for violation in result["violations"]:
                 print(f"seed {seed}: VIOLATION {violation}")
-        scorecard = result["slo"]["scorecard"]
-        for key in totals:
-            totals[key] += scorecard[key]
-        for kind, n in scorecard["matched_by_kind"].items():
-            matched_by_kind[kind] = matched_by_kind.get(kind, 0) + n
-        time_to_fire.extend(scorecard["time_to_fire_s"])
         for inc_dict in result["incidents"]:
             suspect = inc_dict.get("suspected_cause") or {}
             print(f"seed {seed}: {inc_dict['incident_id']} "
@@ -919,32 +907,31 @@ def _cmd_alerts(args) -> int:
     if saved:
         print(f"{saved} incident artifact(s) -> {args.incident_dir}")
 
-    precision = (
-        totals["true_positives"] / totals["incidents"]
-        if totals["incidents"] else 1.0
-    )
-    recall = (
-        totals["matched_faults"] / totals["eligible_faults"]
-        if totals["eligible_faults"] else 1.0
-    )
-    print(f"{args.seeds} seed(s): {totals['incidents']} incidents, "
-          f"{totals['faults_total']} faults injected "
-          f"({totals['eligible_faults']} alert-eligible)")
+    # Summed over the completed seeds by the fleet merge; absent when
+    # every seed was quarantined.
+    card = merged.totals.get("slo_scorecard", {})
+    incidents = card.get("incidents", 0)
+    precision = card.get("precision", 1.0)
+    recall = card.get("recall", 1.0)
+    print(f"{args.seeds} seed(s): {incidents} incidents, "
+          f"{card.get('faults_total', 0)} faults injected "
+          f"({card.get('eligible_faults', 0)} alert-eligible)")
     kinds = ", ".join(
-        f"{kind} x{n}" for kind, n in sorted(matched_by_kind.items())
+        f"{kind} x{n}"
+        for kind, n in sorted(card.get("matched_by_kind", {}).items())
     )
     print(f"precision {precision:.3f}  recall {recall:.3f}  "
           f"matched kinds: {kinds or 'none'}")
-    if time_to_fire:
-        lats = sorted(time_to_fire)
-        print(f"time to fire: median {lats[len(lats) // 2] * 1e3:.1f} ms, "
-              f"max {lats[-1] * 1e3:.1f} ms")
+    if card.get("time_to_fire_s"):
+        print(f"time to fire: median "
+              f"{card['median_time_to_fire_s'] * 1e3:.1f} ms, "
+              f"max {card['max_time_to_fire_s'] * 1e3:.1f} ms")
 
     status = 0
     if violations:
         status = 1
-    if args.fault_free and totals["incidents"]:
-        print(f"FAIL: {totals['incidents']} alert incident(s) on a "
+    if args.fault_free and incidents:
+        print(f"FAIL: {incidents} alert incident(s) on a "
               "fault-free run (all false positives)")
         status = 1
     if args.min_precision is not None and precision < args.min_precision:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -57,7 +57,6 @@ from typing import (
     List,
     Optional,
     Set,
-    Tuple,
     Union,
 )
 
@@ -309,10 +308,6 @@ class ControlChannel:
 
     def queued_dups(self) -> int:
         return len(self._in_flight)
-
-    def device_watermark(self, device: str) -> Tuple[int, int]:
-        state = self._state(device)
-        return (state.applied_epoch, state.applied_seq)
 
     def note_convergence(self, seconds: float) -> None:
         self._pending_convergences.append(seconds)

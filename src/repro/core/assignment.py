@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
     Tuple,
@@ -146,11 +146,6 @@ class Assignment:
         if total == 0:
             return 1.0
         return self.assigned_traffic_bps() / total
-
-    def vips_on_switch(self, switch_index: int) -> List[int]:
-        return sorted(
-            vid for vid, s in self.vip_to_switch.items() if s == switch_index
-        )
 
 
 #: Past this many memoized load vectors the cache is dropped wholesale

@@ -35,8 +35,6 @@ from repro.core.intent import (
     ControllerIntent,
     VipRecord,
     assignment_to_state,
-    dip_to_dict,
-    vip_to_dict,
 )
 from repro.core.migration import (
     MigrationPlan,
@@ -61,6 +59,11 @@ from repro.net.failures import FaultModel
 from repro.net.routing import EcmpRouter
 from repro.net.topology import Topology
 from repro.obs.tracing import PacketTap, maybe_span, span_attrs, trace_event
+from repro.workload.serialization import (
+    dip_to_dict,
+    params_to_dict,
+    vip_to_dict,
+)
 from repro.workload.vips import (
     HOST_POOL, SMUX_POOL, Dip, Vip, VipPopulation, switch_loopback,
 )
@@ -288,7 +291,6 @@ class DuetController:
         # Looked up on the module at every call: the benchmark wraps
         # ``recovery.snapshot_state`` by name.
         from repro.durability.recovery import snapshot_state
-        from repro.workload.serialization import params_to_dict
 
         if snapshot_interval is not None:
             if snapshot_interval < 1:
@@ -1117,13 +1119,6 @@ class DuetController:
     def snat_managers(self) -> Dict[int, object]:
         """Read-only view of the per-VIP SNAT port managers."""
         return dict(self.intent.snat)
-
-    def set_fault_model(self, fault_model: Optional[FaultModel]) -> None:
-        """Swap the transient-fault injector on every switch agent, e.g.
-        to clear a permanent fault before re-homing its VIPs."""
-        self._fault_model = fault_model
-        for agent in self.switch_agents.values():
-            agent.fault_model = fault_model
 
     def vip_location(self, vip_addr: int) -> Optional[int]:
         """Switch hosting the VIP, or None when it is SMux-only."""

@@ -84,7 +84,6 @@ class AssignStats:
 
     engine: str
     solves: int = 0
-    solve_seconds_total: float = 0.0
     candidate_evaluations: int = 0
     rows_built: int = 0  # demand structures built: structure-cache misses
     rows_invalidated: int = 0
@@ -96,7 +95,6 @@ class AssignStats:
 
     def record_solve(self, seconds: float) -> None:
         self.solves += 1
-        self.solve_seconds_total += seconds
         if len(self._pending_solve_seconds) < _MAX_PENDING_SOLVES:
             self._pending_solve_seconds.append(seconds)
 

@@ -40,56 +40,17 @@ from repro.core.migration import StepKind
 from repro.core.snat import PortRange, SnatPortManager
 from repro.net.failures import FailureScenario, isolated_switches
 from repro.net.topology import Topology
+from repro.workload.serialization import (
+    dip_from_dict,
+    dip_to_dict,
+    vip_from_dict,
+    vip_to_dict,
+)
 from repro.workload.vips import Dip, Vip, host_address
 
 
 class RecoveryError(Exception):
     """The journal cannot be turned back into a controller."""
-
-
-# -- VIP/DIP serialization (the save_population schema, reused) -------------
-
-def dip_to_dict(dip: Dip) -> Dict[str, Any]:
-    return {"addr": dip.addr, "server_id": dip.server_id, "weight": dip.weight}
-
-
-def dip_from_dict(data: Dict[str, Any], topology: Topology) -> Dip:
-    return Dip(
-        addr=data["addr"],
-        server_id=data["server_id"],
-        tor=topology.server_tor(data["server_id"]),
-        weight=data.get("weight", 1.0),
-    )
-
-
-def vip_to_dict(vip: Vip) -> Dict[str, Any]:
-    return {
-        "vip_id": vip.vip_id,
-        "addr": vip.addr,
-        "traffic_bps": vip.traffic_bps,
-        "internet_fraction": vip.internet_fraction,
-        "latency_sensitive": vip.latency_sensitive,
-        "ingress_racks": [[tor, frac] for tor, frac in vip.ingress_racks],
-        "port_pools": [[port, list(pool)] for port, pool in vip.port_pools],
-        "dips": [dip_to_dict(d) for d in vip.dips],
-    }
-
-
-def vip_from_dict(data: Dict[str, Any], topology: Topology) -> Vip:
-    return Vip(
-        vip_id=data["vip_id"],
-        addr=data["addr"],
-        dips=tuple(dip_from_dict(d, topology) for d in data["dips"]),
-        traffic_bps=data["traffic_bps"],
-        ingress_racks=tuple(
-            (tor, frac) for tor, frac in data.get("ingress_racks", [])
-        ),
-        internet_fraction=data.get("internet_fraction", 1.0),
-        port_pools=tuple(
-            (port, tuple(pool)) for port, pool in data.get("port_pools", [])
-        ),
-        latency_sensitive=data.get("latency_sensitive", False),
-    )
 
 
 def assignment_to_state(

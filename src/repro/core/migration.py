@@ -75,12 +75,6 @@ class MigrationPlan:
             return 0.0
         return self.traffic_shuffled_bps / self.total_traffic_bps
 
-    def withdrawals(self) -> List[MigrationStep]:
-        return [s for s in self.steps if s.kind is StepKind.WITHDRAW]
-
-    def announcements(self) -> List[MigrationStep]:
-        return [s for s in self.steps if s.kind is StepKind.ANNOUNCE]
-
     def validate_two_phase(self) -> bool:
         """True iff no announcement precedes any withdrawal (the property
         that guarantees freedom from transitional memory deadlock)."""

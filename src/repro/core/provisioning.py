@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.core.assignment import Assignment
 from repro.dataplane.smux import SMUX_CAPACITY_BPS
@@ -53,12 +53,6 @@ class SmuxProvisioning:
     worst_failover_bps: float
     migration_peak_bps: float
     worst_scenario: str
-
-    @property
-    def peak_bps(self) -> float:
-        return self.leftover_bps + max(
-            self.worst_failover_bps, self.migration_peak_bps
-        )
 
 
 def ananta_smux_count(

@@ -21,7 +21,7 @@ traffic shuffled — the ablation bench measures both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class RefinementResult:
     final_mru: float
     moves: int
     iterations: int
-
-    @property
-    def improvement(self) -> float:
-        return self.initial_mru - self.final_mru
 
 
 class AssignmentRefiner:
@@ -114,11 +110,6 @@ class AssignmentRefiner:
             moves=moves,
             iterations=iterations,
         )
-
-    def refine_fresh(self, demands: Sequence[VipDemand]) -> RefinementResult:
-        """Greedy assignment followed by refinement."""
-        greedy = GreedyAssigner(self.topology, self.config)
-        return self.refine(greedy.assign(demands))
 
     # -- internals -----------------------------------------------------------
 

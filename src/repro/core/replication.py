@@ -22,13 +22,12 @@ traffic exposure with k replicas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.assignment import (
-    Assignment,
     AssignmentConfig,
     AssignmentError,
     GreedyAssigner,
@@ -90,16 +89,6 @@ class ReplicatedAssignment:
             if all(s in scenario.failed_switches for s in switches):
                 exposed += self.demands[vip_id].traffic_bps
         return exposed
-
-    def degraded_traffic_bps(self, scenario: FailureScenario) -> float:
-        """Traffic of VIPs that lost >= 1 (but not all) replicas — served
-        by the HMux layer still, at reduced replica count."""
-        degraded = 0.0
-        for vip_id, switches in self.vip_to_switches.items():
-            dead = sum(1 for s in switches if s in scenario.failed_switches)
-            if 0 < dead < len(switches):
-                degraded += self.demands[vip_id].traffic_bps
-        return degraded
 
 
 class ReplicatedAssigner:

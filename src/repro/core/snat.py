@@ -14,7 +14,7 @@ the controller ships to each HA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.hashing import ResilientHashTable
@@ -87,16 +87,6 @@ class SnatPortManager:
 
     def ranges_of(self, dip: int) -> List[PortRange]:
         return list(self._held.get(dip, ()))
-
-    def release_dip(self, dip: int) -> int:
-        """Forget a removed DIP's ranges.
-
-        The port numbers themselves are not recycled until the VIP's
-        space wraps — matching production practice, where reuse too soon
-        risks colliding with lingering connections.  Returns the number
-        of ranges released.
-        """
-        return len(self._held.pop(dip, ()))
 
     def to_state(self) -> Dict:
         """JSON-safe dump for the controller's journal snapshots.  Held

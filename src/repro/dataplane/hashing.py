@@ -10,11 +10,10 @@ the 5-tuple of the *outgoing* connection hashes to the desired ECMP entry
 This module provides:
 
 * :func:`five_tuple_hash` — the shared deterministic hash,
-* :class:`EcmpSelector` — hash-indexed selection over a slot table,
 * :class:`ResilientHashTable` — Broadcom-style resilient hashing: removing
-  a member only remaps the flows of that member; adding a member may remap
-  others (which is exactly why Duet routes DIP *additions* through SMux,
-  S5.2),
+  a member only remaps the flows of that member; there is no add path,
+  because a build over a grown set remaps others (which is exactly why
+  Duet routes DIP *additions* through SMux, S5.2),
 * WCMP weighting (S5.2, heterogeneous servers).
 """
 
@@ -91,25 +90,6 @@ def five_tuple_hash_batch(
 
 class HashingError(Exception):
     """Invalid hashing configuration (no members, bad weights...)."""
-
-
-class EcmpSelector:
-    """Plain ECMP selection: hash modulo the member list.
-
-    This is the classic switch behaviour *without* resilient hashing: any
-    membership change can remap unrelated flows.  It models both the ECMP
-    spraying of traffic across SMuxes and pre-resilient-hash switches.
-    """
-
-    def __init__(self, members: Sequence[int], seed: int = 0) -> None:
-        if not members:
-            raise HashingError("ECMP group needs at least one member")
-        self.members: Tuple[int, ...] = tuple(members)
-        self.seed = seed
-
-    def select(self, flow: FiveTuple) -> int:
-        index = five_tuple_hash(flow, self.seed) % len(self.members)
-        return self.members[index]
 
 
 class ResilientHashTable:
@@ -251,36 +231,5 @@ class ResilientHashTable:
             )
             self._slots[index] = target
             counts[target] += 1
-            rewritten += 1
-        return rewritten
-
-    def add_member(self, member: int, weight: float = 1.0) -> int:
-        """Add a member, stealing slots to meet its quota (NOT resilient:
-        stolen slots remap existing flows).  Returns slots rewritten."""
-        if member in self._weights:
-            raise HashingError(f"member already present: {member}")
-        if weight <= 0:
-            raise HashingError("weights must be positive")
-        if len(self._weights) + 1 > self.n_slots:
-            raise HashingError("no slot capacity for another member")
-        self._weights[member] = weight
-        members = sorted(self._weights)
-        quota = self._quota(members)
-        counts = {m: 0 for m in members}
-        for m in self._slots:
-            counts[m] += 1
-        rewritten = 0
-        # Steal from the members most above their quota until the new
-        # member reaches its own quota.
-        need = quota[member]
-        while counts[member] < need:
-            donor = max(
-                (m for m in members if m != member),
-                key=lambda m: (counts[m] - quota[m], m),
-            )
-            index = self._slots.index(donor)
-            self._slots[index] = member
-            counts[donor] -= 1
-            counts[member] += 1
             rewritten += 1
         return rewritten

@@ -273,22 +273,15 @@ class SMux:
             raise SMuxError(f"VIP {format_ip(vip)} not installed")
         return mapping.slot_dips.tolist()
 
-    def port_slot_dips(self, vip: int, port: int) -> List[int]:
-        """Per-slot DIP of a port-specific pool."""
-        mapping = self._port_vips.get((vip, port))
-        if mapping is None:
-            raise SMuxError(f"VIP {format_ip(vip)}:{port} not installed")
-        return mapping.slot_dips.tolist()
-
     def slot_layouts(self) -> Tuple[
         Tuple[List[int], List[np.ndarray]],
         Tuple[List[Tuple[int, int]], List[np.ndarray]],
     ]:
         """Every pool's cached slot -> DIP array as ``(keys, arrays)``
         in step: the VIP-wide pools keyed by VIP, then the port pools
-        keyed by ``(vip, port)``.  What :meth:`slot_dips` /
-        :meth:`port_slot_dips` return one list at a time, without the
-        copies; the arrays are the live ones, not to be written."""
+        keyed by ``(vip, port)``.  What :meth:`slot_dips` returns one
+        VIP at a time, without the copies; the arrays are the live ones,
+        not to be written."""
         return (
             (list(self._vips),
              [m.slot_dips for m in self._vips.values()]),
@@ -351,12 +344,3 @@ class SMux:
         return self._connections.get(
             five_tuple_hash(flow, self.hash_seed), flow,
         )
-
-    def expire_connection(self, flow: FiveTuple) -> bool:
-        """Remove one connection-table entry (idle timeout)."""
-        expired = self._connections.pop(
-            five_tuple_hash(flow, self.hash_seed), flow,
-        ) is not None
-        if expired:
-            self._conn_version += 1
-        return expired

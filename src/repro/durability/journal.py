@@ -143,13 +143,6 @@ class WriteAheadJournal:
         out.extend(self._tail)
         return out
 
-    def uncommitted(self) -> List[Dict[str, Any]]:
-        """Op records with no commit — ops the controller died inside."""
-        return [
-            r for r in self._tail
-            if r["type"] == "op" and not self._committed.get(r["seq"], True)
-        ]
-
     def __len__(self) -> int:
         return len(self.records())
 

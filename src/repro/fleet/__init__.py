@@ -25,8 +25,6 @@ from repro.fleet.orchestrator import (
     DEFAULT_FLEET_RETRY,
     FleetConfig,
     SoakFleet,
-    fleet_workers_from_env,
-    pool_map_reports,
 )
 from repro.fleet.worker import (
     load_quarantine,
@@ -40,10 +38,8 @@ __all__ = [
     "FleetMetrics",
     "FleetReport",
     "SoakFleet",
-    "fleet_workers_from_env",
     "load_quarantine",
     "merge_results",
-    "pool_map_reports",
     "replay_quarantine",
     "run_seed_task",
     "summarize_report",

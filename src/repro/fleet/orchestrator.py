@@ -24,9 +24,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.chaos.engine import ChaosConfig, ChaosReport
+from repro.chaos.engine import ChaosConfig
 from repro.control.retry import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 
@@ -34,7 +34,6 @@ from repro.fleet.merge import FleetReport, merge_results
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.worker import (
     quarantine_artifact,
-    report_entry,
     run_seed_task,
     worker_entry,
 )
@@ -43,15 +42,6 @@ from repro.fleet.worker import (
 #: a crashed soak worker is rarely transient, so the budget is small and
 #: quarantine (with the artifact) is the real remediation.
 DEFAULT_FLEET_RETRY = RetryPolicy(max_attempts=2, base_backoff_s=0.0)
-
-
-def fleet_workers_from_env(default_cap: int = 8) -> int:
-    """Worker count for CI/pytest call sites: ``REPRO_FLEET_WORKERS``
-    when set, else the CPU count capped at ``default_cap``."""
-    env = os.environ.get("REPRO_FLEET_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(default_cap, os.cpu_count() or 1))
 
 
 def _mp_context():
@@ -63,11 +53,12 @@ def _mp_context():
 class FleetConfig:
     """Supervision knobs (never part of the merged report's identity).
 
-    ``crash_seeds`` / ``hang_seeds`` are deterministic worker-fault
-    injection for tests and the CI quarantine smoke: the listed seeds'
-    workers die with :data:`~repro.fleet.worker.CRASH_EXIT_CODE` (or
-    sleep ``hang_s``) on every attempt, exercising the retry ->
-    quarantine path without touching the chaos config.
+    ``crash_seeds`` (``repro chaos --inject-worker-crash``) is
+    deterministic worker-fault injection for tests and the CI quarantine
+    smoke: the listed seeds' workers die with
+    :data:`~repro.fleet.worker.CRASH_EXIT_CODE` on every attempt,
+    exercising the retry -> quarantine path without touching the chaos
+    config.
     """
 
     workers: int = 1
@@ -75,16 +66,12 @@ class FleetConfig:
     retry: RetryPolicy = DEFAULT_FLEET_RETRY
     quarantine_dir: Optional[str] = None
     crash_seeds: Tuple[int, ...] = ()
-    hang_seeds: Tuple[int, ...] = ()
-    hang_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.hang_seeds and self.timeout_s is None:
-            raise ValueError("hang injection needs a timeout to matter")
 
 
 class _Shard:
@@ -130,8 +117,6 @@ class SoakFleet:
         payload: Dict[str, Any] = {"config": self._config_for(seed).to_dict()}
         if seed in self.fleet.crash_seeds:
             payload["crash"] = True
-        if seed in self.fleet.hang_seeds:
-            payload["hang_s"] = self.fleet.hang_s
         return payload
 
     # -- run ----------------------------------------------------------------
@@ -139,12 +124,7 @@ class SoakFleet:
     def run(self) -> FleetReport:
         results: Dict[int, Dict[str, Any]] = {}
         quarantined: Dict[int, Dict[str, Any]] = {}
-        needs_processes = (
-            self.fleet.workers > 1
-            or self.fleet.crash_seeds
-            or self.fleet.hang_seeds
-        )
-        if needs_processes:
+        if self.fleet.workers > 1 or self.fleet.crash_seeds:
             self._run_sharded(results, quarantined)
         else:
             for seed in self.seeds:
@@ -263,59 +243,3 @@ class SoakFleet:
                         f"no result within {self.fleet.timeout_s:g}s; "
                         "worker killed",
                     )
-
-
-def pool_map_reports(
-    configs: Sequence[ChaosConfig],
-    workers: Optional[int] = None,
-) -> List[ChaosReport]:
-    """Run full ChaosEngine soaks for ``configs`` across workers and
-    return the complete :class:`ChaosReport` objects in input order.
-
-    This is the pytest-tier entry point: the 200-seed corpus fixtures
-    need live reports (traces, incident objects), not summaries.  A
-    worker failure falls back to re-running that config in-process, so
-    the result is always complete and identical to the serial loop.
-    With ``workers=1`` (or one config) no processes are spawned.
-    """
-    workers = fleet_workers_from_env() if workers is None else max(1, workers)
-    if workers == 1 or len(configs) <= 1:
-        from repro.chaos.engine import ChaosEngine
-
-        return [ChaosEngine(config).run() for config in configs]
-
-    ctx = _mp_context()
-    reports: List[Optional[ChaosReport]] = [None] * len(configs)
-    pending = deque(range(len(configs)))
-    running: Dict[Any, Tuple[int, Any, Any]] = {}
-    while pending or running:
-        while pending and len(running) < workers:
-            index = pending.popleft()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=report_entry,
-                args=(configs[index].to_dict(), child_conn),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            # Wait on the pipe, not the sentinel: a pickled report can
-            # exceed the pipe buffer, blocking the child in send() until
-            # the parent reads (see SoakFleet._run_sharded).
-            running[parent_conn] = (index, proc, parent_conn)
-        for ready in connection.wait(list(running)):
-            index, proc, conn = running.pop(ready)
-            outcome = None
-            try:
-                outcome = conn.recv()
-            except (EOFError, OSError):
-                outcome = None
-            proc.join()
-            conn.close()
-            if outcome is not None and outcome[0] == "ok":
-                reports[index] = outcome[1]
-            else:
-                from repro.chaos.engine import ChaosEngine
-
-                reports[index] = ChaosEngine(configs[index]).run()
-    return reports  # type: ignore[return-value]

@@ -6,16 +6,15 @@ pipeline for one seed and returns a JSON-safe, wall-clock-free summary
 in forked workers, which is what makes the merged fleet report
 byte-identical across worker counts.
 
-Fault-injection hooks (``crash`` / ``hang_s`` in the task payload) let
-tests and the CI quarantine smoke kill a worker deterministically; they
-are supervisor-injected and never part of the chaos config itself.
+The fault-injection hook (``crash`` in the task payload) lets tests and
+the CI quarantine smoke kill a worker deterministically; it is
+supervisor-injected and never part of the chaos config itself.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 import traceback
 from typing import Any, Dict, Optional
 
@@ -68,16 +67,13 @@ def summarize_report(report: ChaosReport) -> Dict[str, Any]:
 
 
 def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one task payload: apply injection hooks, run the engine,
+    """Execute one task payload: apply the crash hook, run the engine,
     return the summary.  ``payload["config"]`` is a ChaosConfig dict
     with the seed already set."""
     if payload.get("crash"):
         # Simulated worker death: bypass every finally/atexit, exactly
         # like an OOM kill.  Only the supervisor path sets this.
         os._exit(CRASH_EXIT_CODE)
-    hang_s = payload.get("hang_s")
-    if hang_s:
-        time.sleep(hang_s)
     config = ChaosConfig.from_dict(payload["config"])
     return summarize_report(ChaosEngine(config).run())
 
@@ -94,21 +90,6 @@ def worker_entry(payload: Dict[str, Any], conn) -> None:
             conn.close()
         return
     conn.send(("ok", result))
-    conn.close()
-
-
-def report_entry(config_dict: Dict[str, Any], conn) -> None:
-    """Process entry point for :func:`pool_map_reports`: run the engine
-    and ship the full (pickled) ChaosReport back."""
-    try:
-        report = ChaosEngine(ChaosConfig.from_dict(config_dict)).run()
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", report))
     conn.close()
 
 

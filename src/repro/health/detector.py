@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.health.faults import gray_key, switch_key
-from repro.health.probes import ProbeRound
 from repro.net.addressing import format_ip
 
 
@@ -171,7 +170,6 @@ class TargetTrack:
     consec_ok: int = 0
     rounds_in_state: int = 0
     entered_state_t: float = 0.0
-    times_quarantined: int = 0
     #: Effective quarantine dwell; doubles on relapse (capped).
     dwell_rounds: int = 0
     vip: Optional[int] = None  # for DIP tracks
@@ -228,16 +226,14 @@ class GrayTrack:
 class HealthDetector:
     """Consumes probe rounds, maintains per-target FSMs, emits verdicts."""
 
-    def __init__(self, config: HealthConfig, registry=None) -> None:
+    def __init__(self, config: HealthConfig) -> None:
         self.config = config
-        self.registry = registry
         self.tracks: Dict[str, TargetTrack] = {}
         self.gray_tracks: Dict[Tuple[int, int], GrayTrack] = {}
         #: (switch, vip) -> round index when flagged; cooldown gate.
         self.gray_flagged: Dict[Tuple[int, int], int] = {}
         self.transitions: List[Dict[str, object]] = []
         self.rounds_seen = 0
-        self.verdicts_emitted = 0
 
     # -- track bookkeeping --------------------------------------------------
 
@@ -263,7 +259,6 @@ class HealthDetector:
         not count a detection."""
         tr = self._track(key, kind, ident, t)
         if tr.state in (HealthState.HEALTHY, HealthState.SUSPECT):
-            tr.times_quarantined += 1
             self._transition(tr, HealthState.QUARANTINED, t, "adopted external failure")
 
     def _transition(
@@ -335,7 +330,6 @@ class HealthDetector:
             self._observe_gray(by_kind["vip"], dip_failing, hmux_deltas, t)
         )
 
-        self.verdicts_emitted += len(verdicts)
         return verdicts
 
     # -- mux state machine --------------------------------------------------
@@ -366,7 +360,6 @@ class HealthDetector:
                 tr.consec_fail >= cfg.consecutive_miss_fast
                 or tr.ewma >= cfg.confirm_threshold
             ):
-                tr.times_quarantined += 1
                 self._transition(
                     tr, HealthState.QUARANTINED, t,
                     f"confirmed after {tr.rounds_in_state} rounds",
@@ -408,7 +401,6 @@ class HealthDetector:
                     int(tr.dwell_rounds * cfg.relapse_backoff),
                     int(cfg.quarantine_min_rounds * cfg.relapse_backoff_cap),
                 )
-                tr.times_quarantined += 1
                 self._transition(
                     tr, HealthState.QUARANTINED, t,
                     f"relapse; dwell now {tr.dwell_rounds} rounds",
@@ -441,7 +433,6 @@ class HealthDetector:
                 # A flap: hysteresis saved the DIP from being reaped.
                 self._transition(tr, HealthState.HEALTHY, t, "flap suppressed")
             elif tr.rounds_in_state >= cfg.confirm_rounds:
-                tr.times_quarantined += 1
                 self._transition(tr, HealthState.QUARANTINED, t, "confirmed down")
                 out.append(Verdict(
                     VerdictKind.QUARANTINE_DIP, tr.key, t, tr.ident,
@@ -520,8 +511,9 @@ class HealthDetector:
             # Telemetry corroboration: the registry counter must agree
             # that the mux processed materially fewer packets than the
             # prober offered (mux-level loss is invisible to counters;
-            # post-mux loss is not).
-            if self.registry is not None and gt.offered > 0:
+            # post-mux loss is not).  A round without deltas counts
+            # nothing and never vetoes.
+            if gt.offered > 0:
                 processed_fraction = gt.counted / gt.offered
                 if processed_fraction > 1.0 - cfg.gray_loss_threshold / 2:
                     continue
@@ -541,7 +533,6 @@ class HealthDetector:
                 and self.rounds_seen - r < cfg.gray_cooldown_rounds
             ]
             if len(recent) >= cfg.gray_escalate_vips and sw.state is HealthState.HEALTHY:
-                sw.times_quarantined += 1
                 self._transition(
                     sw, HealthState.QUARANTINED, t,
                     f"gray escalation: {len(recent)} VIPs",

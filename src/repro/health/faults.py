@@ -23,7 +23,7 @@ to drive remediation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 # Fault kinds recorded in the ground-truth log.
@@ -201,11 +201,6 @@ class FaultPlane:
 
     def record_for(self, target: str) -> Optional[FaultRecord]:
         return self._open.get(target)
-
-    def mark_detected(self, target: str, t: float) -> None:
-        rec = self._open.get(target)
-        if rec is not None and rec.detected_t is None:
-            rec.detected_t = t
 
     def to_dict(self) -> Dict[str, object]:
         return {"faults": [rec.to_dict() for rec in self.log]}

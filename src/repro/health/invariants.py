@@ -58,29 +58,26 @@ class HealthScorecard:
         fault_plane: FaultPlane,
         monitor: HealthMonitor,
         config: Optional[HealthConfig] = None,
-        registry=None,
+        *,
+        registry,
     ) -> None:
         self.fault_plane = fault_plane
         self.monitor = monitor
         self.config = config or monitor.config
-        self.registry = registry
         self.detection_latencies: List[float] = []
         self.false_positives: List[Dict[str, object]] = []
         self._transitions_scanned = 0
         #: Per-gray-fault exposure-clock start (see :meth:`check`).
         self._gray_exposure_start: Dict[str, float] = {}
-        self._latency_hist = None
-        self._fp_counter = None
-        if registry is not None:
-            self._latency_hist = registry.histogram(
-                "duet_health_detection_latency_seconds",
-                "Time from silent fault injection to quarantine/gray verdict.",
-                buckets=DETECTION_LATENCY_BUCKETS,
-            )
-            self._fp_counter = registry.counter(
-                "duet_health_false_positives_total",
-                "Quarantine verdicts with no matching injected fault.",
-            )
+        self._latency_hist = registry.histogram(
+            "duet_health_detection_latency_seconds",
+            "Time from silent fault injection to quarantine/gray verdict.",
+            buckets=DETECTION_LATENCY_BUCKETS,
+        )
+        self._fp_counter = registry.counter(
+            "duet_health_false_positives_total",
+            "Quarantine verdicts with no matching injected fault.",
+        )
 
     # -- pairing ------------------------------------------------------------
 
@@ -161,8 +158,7 @@ class HealthScorecard:
                     latency = max(0.0, event["t"] - start)
                     self.detection_latencies.append(latency)
                     newly.append((fault.target, latency))
-                    if self._latency_hist is not None:
-                        self._latency_hist.observe(latency)
+                    self._latency_hist.observe(latency)
                     break
         return newly
 
@@ -311,8 +307,7 @@ class HealthScorecard:
             if not covered:
                 fp = {"t": t, "target": target, "detail": tr["detail"]}
                 self.false_positives.append(fp)
-                if self._fp_counter is not None:
-                    self._fp_counter.inc()
+                self._fp_counter.inc()
                 out.append(Violation(
                     "no-false-positive",
                     f"{target} quarantined at t={t:.3f}s with no active "

@@ -161,7 +161,6 @@ class ProbeScheduler:
         self.network = network
         self.vip_probes_per_round = vip_probes_per_round
         self._seq = 0
-        self.rounds_run = 0
 
     def run_round(self, t: float) -> ProbeRound:
         controller = self.network.controller
@@ -202,5 +201,4 @@ class ProbeScheduler:
         ]
         out.extend(self.network.probe_vips(vips, t, self._seq))
         self._seq += len(vips)
-        self.rounds_run += 1
         return round_

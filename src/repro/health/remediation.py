@@ -41,7 +41,7 @@ from repro.health.detector import (
     Verdict,
     VerdictKind,
 )
-from repro.health.faults import FaultPlane, smux_key, switch_key
+from repro.health.faults import FaultPlane, switch_key
 from repro.health.probes import ProbeNetwork, ProbeScheduler, SimClock
 from repro.net.addressing import format_ip
 
@@ -192,7 +192,8 @@ class HealthMonitor:
         controller: DuetController,
         fault_plane: FaultPlane,
         config: Optional[HealthConfig] = None,
-        registry=None,
+        *,
+        registry,
         seed: int = 0,
     ) -> None:
         self.config = config or HealthConfig()
@@ -203,7 +204,7 @@ class HealthMonitor:
         self.scheduler = ProbeScheduler(
             self.network, self.config.vip_probes_per_round
         )
-        self.detector = HealthDetector(self.config, registry)
+        self.detector = HealthDetector(self.config)
         self.remediation = RemediationLoop(controller, self.detector)
         self.timeline: List[Dict[str, object]] = []
         # Verdicts emitted but not yet applied.  Non-empty between rounds
@@ -212,58 +213,56 @@ class HealthMonitor:
         # crashing op wait here (the monitor outlives the controller).
         self._unapplied: Deque[Verdict] = deque()
         self._transitions_seen = 0
-        self._instruments = None
-        if registry is not None:
-            self._instruments = {
-                "probes": registry.counter(
-                    "duet_health_probes_total",
-                    "Health probes sent, by probe family and result.",
-                    ("kind", "result"),
+        self._instruments = {
+            "probes": registry.counter(
+                "duet_health_probes_total",
+                "Health probes sent, by probe family and result.",
+                ("kind", "result"),
+            ),
+            # VIP-probe outcomes at SLI granularity: "ok" delivered,
+            # "post-mux-drop" lost after a healthy mux decap (the
+            # DIP's problem, not the load balancer's), "mux-drop"
+            # eaten at/before the mux, "unrouted" no route at all.
+            # Incremented here directly (no collector) so partial
+            # recorder ticks see fresh values every probe round.
+            "vip_outcomes": registry.counter(
+                "duet_health_vip_probe_outcomes_total",
+                "VIP data-path probe outcomes (availability SLI).",
+                ("result",),
+            ),
+            "vip_rtt": registry.histogram(
+                "duet_health_vip_rtt_seconds",
+                "Delivered VIP probe round-trip time (latency SLI).",
+                buckets=(
+                    0.0002, 0.0003, 0.0005, 0.00075, 0.001, 0.0025,
                 ),
-                # VIP-probe outcomes at SLI granularity: "ok" delivered,
-                # "post-mux-drop" lost after a healthy mux decap (the
-                # DIP's problem, not the load balancer's), "mux-drop"
-                # eaten at/before the mux, "unrouted" no route at all.
-                # Incremented here directly (no collector) so partial
-                # recorder ticks see fresh values every probe round.
-                "vip_outcomes": registry.counter(
-                    "duet_health_vip_probe_outcomes_total",
-                    "VIP data-path probe outcomes (availability SLI).",
-                    ("result",),
-                ),
-                "vip_rtt": registry.histogram(
-                    "duet_health_vip_rtt_seconds",
-                    "Delivered VIP probe round-trip time (latency SLI).",
-                    buckets=(
-                        0.0002, 0.0003, 0.0005, 0.00075, 0.001, 0.0025,
-                    ),
-                ),
-                "rounds": registry.counter(
-                    "duet_health_probe_rounds_total",
-                    "Completed probe rounds.",
-                ),
-                "transitions": registry.counter(
-                    "duet_health_transitions_total",
-                    "Quarantine state-machine transitions.",
-                    ("from_state", "to_state"),
-                ),
-                "verdicts": registry.counter(
-                    "duet_health_verdicts_total",
-                    "Detector verdicts, by kind.",
-                    ("kind",),
-                ),
-                "remediations": registry.counter(
-                    "duet_health_remediations_total",
-                    "Remediation ops applied, by op and outcome.",
-                    ("op", "result"),
-                ),
-                "states": registry.gauge(
-                    "duet_health_targets",
-                    "Probe targets currently in each health state.",
-                    ("state",),
-                ),
-            }
-            registry.register_collector("health", self._collect)
+            ),
+            "rounds": registry.counter(
+                "duet_health_probe_rounds_total",
+                "Completed probe rounds.",
+            ),
+            "transitions": registry.counter(
+                "duet_health_transitions_total",
+                "Quarantine state-machine transitions.",
+                ("from_state", "to_state"),
+            ),
+            "verdicts": registry.counter(
+                "duet_health_verdicts_total",
+                "Detector verdicts, by kind.",
+                ("kind",),
+            ),
+            "remediations": registry.counter(
+                "duet_health_remediations_total",
+                "Remediation ops applied, by op and outcome.",
+                ("op", "result"),
+            ),
+            "states": registry.gauge(
+                "duet_health_targets",
+                "Probe targets currently in each health state.",
+                ("state",),
+            ),
+        }
+        registry.register_collector("health", self._collect)
 
     def _collect(self, registry) -> None:
         gauge = self._instruments["states"]
@@ -284,8 +283,6 @@ class HealthMonitor:
         """Per-(switch, VIP) packets each HMux has forwarded: the source
         of ``duet_hmux_vip_packets_total``, read off the switches rather
         than through a scrape (which runs every collector)."""
-        if self.registry is None:
-            return {}
         return {
             (index, vip): packets
             for index, agent in self.controller.switch_agents.items()
@@ -308,13 +305,12 @@ class HealthMonitor:
         before = self._hmux_counter_snapshot()
         round_ = self.scheduler.run_round(t)
         after = self._hmux_counter_snapshot()
-        if self.registry is not None:
-            # The one scrape of the round, between the sweep and the
-            # remediation below: a quarantine wipes its mux, and the
-            # cumulative forwarded series only survives a wipe for the
-            # packets a scrape has already seen; the alert round that
-            # follows also reads the histograms collectors drain into.
-            self.registry.collect()
+        # The one scrape of the round, between the sweep and the
+        # remediation below: a quarantine wipes its mux, and the
+        # cumulative forwarded series only survives a wipe for the
+        # packets a scrape has already seen; the alert round that
+        # follows also reads the histograms collectors drain into.
+        self.registry.collect()
         # Keyed as the registry labels the counter: (switch, VIP) strings.
         deltas: Dict[Tuple[str, str], float] = {}
         for (index, vip), packets in after.items():
@@ -322,26 +318,25 @@ class HealthMonitor:
             if moved:
                 deltas[(str(index), format_ip(vip))] = float(moved)
 
-        if self._instruments is not None:
-            probes = self._instruments["probes"]
-            vip_outcomes = self._instruments["vip_outcomes"]
-            vip_rtt = self._instruments["vip_rtt"]
-            for outcome in round_.outcomes:
-                probes.labels(outcome.kind, "ok" if outcome.ok else "drop").inc()
-                if outcome.kind != "vip":
-                    continue
-                if outcome.ok:
-                    result = "ok"
-                elif outcome.post_mux:
-                    result = "post-mux-drop"
-                elif outcome.mux_kind is None:
-                    result = "unrouted"
-                else:
-                    result = "mux-drop"
-                vip_outcomes.labels(result).inc()
-                if outcome.latency_s is not None:
-                    vip_rtt.observe(outcome.latency_s)
-            self._instruments["rounds"].inc()
+        probes = self._instruments["probes"]
+        vip_outcomes = self._instruments["vip_outcomes"]
+        vip_rtt = self._instruments["vip_rtt"]
+        for outcome in round_.outcomes:
+            probes.labels(outcome.kind, "ok" if outcome.ok else "drop").inc()
+            if outcome.kind != "vip":
+                continue
+            if outcome.ok:
+                result = "ok"
+            elif outcome.post_mux:
+                result = "post-mux-drop"
+            elif outcome.mux_kind is None:
+                result = "unrouted"
+            else:
+                result = "mux-drop"
+            vip_outcomes.labels(result).inc()
+            if outcome.latency_s is not None:
+                vip_rtt.observe(outcome.latency_s)
+        self._instruments["rounds"].inc()
 
         verdicts = self.detector.observe(round_, deltas)
 
@@ -349,10 +344,9 @@ class HealthMonitor:
         self._transitions_seen = len(self.detector.transitions)
         for tr in new_transitions:
             self.timeline.append({"type": "transition", **tr})
-            if self._instruments is not None:
-                self._instruments["transitions"].labels(
-                    tr["from"], tr["to"]
-                ).inc()
+            self._instruments["transitions"].labels(
+                tr["from"], tr["to"]
+            ).inc()
 
         self._unapplied.extend(verdicts)
         while self._unapplied:
@@ -361,16 +355,14 @@ class HealthMonitor:
                 "type": "verdict", "t": verdict.t, "kind": verdict.kind.value,
                 "target": verdict.target, "detail": verdict.detail,
             })
-            if self._instruments is not None:
-                self._instruments["verdicts"].labels(verdict.kind.value).inc()
+            self._instruments["verdicts"].labels(verdict.kind.value).inc()
             actions_before = len(self.remediation.actions)
             self.remediation.apply(verdict, t)
             for action in self.remediation.actions[actions_before:]:
                 self.timeline.append({"type": "remediation", **action})
-                if self._instruments is not None:
-                    self._instruments["remediations"].labels(
-                        action["op"], "ok" if action["ok"] else "error"
-                    ).inc()
+                self._instruments["remediations"].labels(
+                    action["op"], "ok" if action["ok"] else "error"
+                ).inc()
 
         # Late-arriving transitions from remediation (track retirement,
         # gray escalation) land in the timeline too.
@@ -378,10 +370,9 @@ class HealthMonitor:
         self._transitions_seen = len(self.detector.transitions)
         for tr in late:
             self.timeline.append({"type": "transition", **tr})
-            if self._instruments is not None:
-                self._instruments["transitions"].labels(
-                    tr["from"], tr["to"]
-                ).inc()
+            self._instruments["transitions"].labels(
+                tr["from"], tr["to"]
+            ).inc()
 
         return verdicts
 

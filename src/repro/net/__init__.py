@@ -25,7 +25,6 @@ from repro.net.topology import (
     SwitchTableSpec,
     Topology,
     paper_scale,
-    testbed_scale,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "random_container_failure",
     "random_switch_failures",
     "switch_failures",
-    "testbed_scale",
 ]

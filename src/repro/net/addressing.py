@@ -100,10 +100,6 @@ class Prefix:
         """True if ``addr`` falls inside this prefix."""
         return (addr & prefix_mask(self.length)) == self.network
 
-    def covers(self, other: "Prefix") -> bool:
-        """True if ``other`` is a sub-prefix of (or equal to) this prefix."""
-        return self.length <= other.length and self.contains(other.network)
-
     @property
     def num_addresses(self) -> int:
         return 1 << (32 - self.length)
@@ -111,21 +107,6 @@ class Prefix:
     @property
     def last_address(self) -> int:
         return self.network + self.num_addresses - 1
-
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Iterate the sub-prefixes of this prefix at ``new_length``."""
-        if new_length < self.length:
-            raise AddressError(
-                f"cannot subnet /{self.length} into shorter /{new_length}"
-            )
-        step = 1 << (32 - new_length)
-        for network in range(self.network, self.last_address + 1, step):
-            yield Prefix(network, new_length)
-
-    def hosts(self) -> Iterator[int]:
-        """Iterate every address in the prefix (including network/broadcast;
-        this is a load-balancer address pool, not a LAN)."""
-        return iter(range(self.network, self.last_address + 1))
 
     def __str__(self) -> str:
         return f"{format_ip(self.network)}/{self.length}"
@@ -200,11 +181,10 @@ class AddressAllocator:
     def __init__(self, pool: Prefix) -> None:
         self.pool = pool
         self._next = pool.network
-        self._released: List[int] = []
 
     @property
     def allocated(self) -> int:
-        return (self._next - self.pool.network) - len(self._released)
+        return self._next - self.pool.network
 
     @property
     def remaining(self) -> int:
@@ -212,8 +192,6 @@ class AddressAllocator:
 
     def allocate(self) -> int:
         """Return a fresh address; raises AddressError when exhausted."""
-        if self._released:
-            return self._released.pop()
         if self._next > self.pool.last_address:
             raise AddressError(f"address pool {self.pool} exhausted")
         addr = self._next
@@ -223,9 +201,3 @@ class AddressAllocator:
     def allocate_block(self, count: int) -> List[int]:
         """Allocate ``count`` addresses at once."""
         return [self.allocate() for _ in range(count)]
-
-    def release(self, addr: int) -> None:
-        """Return an address to the pool for reuse."""
-        if not self.pool.contains(addr):
-            raise AddressError(f"{format_ip(addr)} not in pool {self.pool}")
-        self._released.append(addr)

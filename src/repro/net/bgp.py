@@ -19,7 +19,7 @@ constants (:class:`BgpTimings`) consumed by the discrete-event simulator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.net.addressing import LpmTable, Prefix, format_ip
@@ -120,7 +120,6 @@ class VipRouteTable:
         # newer re-announcement (the stale-withdraw race).
         self._versions: Dict[Tuple[Prefix, MuxRef], int] = {}
         self._version_clock = 0
-        self.stale_withdraws_ignored = 0
         # VIP -> next_hops(VIP), emptied by every route change.
         self._hop_cache: Dict[int, Tuple[MuxRef, ...]] = {}
 
@@ -159,15 +158,14 @@ class VipRouteTable:
 
         When ``version`` is given, the withdraw only applies if the live
         announcement still carries that version: a stale withdraw (one
-        issued before a re-announce, arriving after it) is ignored and
-        counted in :attr:`stale_withdraws_ignored`.  ``version=None``
-        withdraws unconditionally (session loss semantics).
+        issued before a re-announce, arriving after it) is ignored.
+        ``version=None`` withdraws unconditionally (session loss
+        semantics).
         """
         if (
             version is not None
             and self._versions.get((prefix, mux)) != version
         ):
-            self.stale_withdraws_ignored += 1
             return False
         hops = self._lpm.get_exact(prefix)
         if hops is None:
@@ -274,11 +272,6 @@ class BgpTimings:
     def failover_s(self) -> float:
         """Total blackhole window after an HMux failure (~38 ms)."""
         return self.failure_detection_s + self.withdraw_propagation_s
-
-    @property
-    def vip_add_s(self) -> float:
-        """End-to-end latency to add a VIP to an HMux and converge."""
-        return self.fib_update_vip_s + self.announce_propagation_s
 
     @property
     def dip_update_s(self) -> float:

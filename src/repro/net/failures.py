@@ -12,11 +12,11 @@ and the Figure 19 experiment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Optional, Sequence, Set
 
 from repro.net.routing import EcmpRouter
-from repro.net.topology import Switch, SwitchKind, Topology
+from repro.net.topology import SwitchKind, Topology
 
 def as_rng(rng: "random.Random | int") -> random.Random:
     """Coerce a seed-or-generator argument to a ``random.Random``.
@@ -49,10 +49,6 @@ class FailureScenario:
         """The healthy network."""
         return cls(name="normal")
 
-    @property
-    def is_normal(self) -> bool:
-        return not self.failed_switches and not self.failed_links
-
     def router(self, topology: Topology) -> EcmpRouter:
         """An ECMP router reflecting this scenario."""
         return EcmpRouter(
@@ -67,18 +63,6 @@ class FailureScenario:
             s for s in self.failed_switches
             if topology.switch(s).kind is SwitchKind.TOR
         }
-
-    def dead_servers(self, topology: Topology) -> Set[int]:
-        """Server ids whose rack ToR is down.
-
-        A container failure "makes all the traffic with sources and
-        destinations (DIPs) inside to disappear" (S8.5); a single failed
-        ToR likewise cuts off its rack.
-        """
-        dead: Set[int] = set()
-        for tor in self.dead_tors(topology):
-            dead.update(topology.rack_servers(tor))
-        return dead
 
 
 def container_failure(topology: Topology, container: int) -> FailureScenario:

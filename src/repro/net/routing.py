@@ -160,10 +160,3 @@ class EcmpRouter:
                     mass[neighbor] = mass.get(neighbor, 0.0) + share
         self._fraction_cache[key] = fractions
         return fractions
-
-    def path_fraction_vector(self, src: int, dst: int) -> np.ndarray:
-        """Path fractions as a dense numpy vector over all links."""
-        vector = np.zeros(self.topology.n_links)
-        for link, fraction in self.path_fractions(src, dst).items():
-            vector[link] = fraction
-        return vector

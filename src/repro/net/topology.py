@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 GBPS = 1_000_000_000
 
@@ -159,20 +159,6 @@ def paper_scale() -> FatTreeParams:
     )
 
 
-def testbed_scale() -> FatTreeParams:
-    """The paper's hardware testbed (S7, Figure 10): 2 containers of
-    2 Agg + 2 ToR switches, connected by 2 Core switches; 10G links."""
-    return FatTreeParams(
-        n_containers=2,
-        tors_per_container=2,
-        aggs_per_container=2,
-        n_cores=2,
-        servers_per_tor=15,  # 60 servers over 4 racks
-        tor_agg_gbps=10.0,
-        agg_core_gbps=10.0,
-    )
-
-
 class Topology:
     """A built container FatTree.
 
@@ -186,7 +172,6 @@ class Topology:
         self.switches: List[Switch] = []
         self.links: List[Link] = []
         self._link_by_pair: Dict[Tuple[int, int], Link] = {}
-        self._adjacency: Dict[int, List[int]] = {}
         self._tor_of_container: Dict[int, List[int]] = {}
         self._agg_of_container: Dict[int, List[int]] = {}
         self._build()
@@ -203,7 +188,6 @@ class Topology:
             tables=self.params.tables,
         )
         self.switches.append(switch)
-        self._adjacency[switch.index] = []
         return switch
 
     def _add_duplex_link(self, a: int, b: int, gbps: float) -> None:
@@ -216,8 +200,6 @@ class Topology:
             )
             self.links.append(link)
             self._link_by_pair[(src, dst)] = link
-        self._adjacency[a].append(b)
-        self._adjacency[b].append(a)
 
     def _build(self) -> None:
         p = self.params
@@ -270,16 +252,6 @@ class Topology:
     def switch(self, index: int) -> Switch:
         return self.switches[index]
 
-    def switch_by_name(self, name: str) -> Switch:
-        for switch in self.switches:
-            if switch.name == name:
-                return switch
-        raise KeyError(name)
-
-    def neighbors(self, switch_index: int) -> Sequence[int]:
-        """Adjacent switch indices."""
-        return self._adjacency[switch_index]
-
     def link_between(self, src: int, dst: int) -> Link:
         """The directed link src->dst; KeyError if not adjacent."""
         return self._link_by_pair[(src, dst)]
@@ -311,15 +283,6 @@ class Topology:
         """All switches (ToR + Agg) inside one container."""
         return self._tor_of_container[container] + self._agg_of_container[container]
 
-    def container_links(self, container: int) -> List[int]:
-        """Indices of links with at least one endpoint in the container
-        (including the Agg-Core uplinks of its Aggs)."""
-        members = set(self.container_switches(container))
-        return [
-            link.index for link in self.links
-            if link.src in members or link.dst in members
-        ]
-
     def link_capacities(self) -> List[float]:
         """Per-link capacity in bps, indexed by link index."""
         return [link.capacity for link in self.links]
@@ -333,13 +296,6 @@ class Topology:
         if not 0 <= server_id < self.params.n_servers:
             raise TopologyError(f"server id out of range: {server_id}")
         return server_id // self.params.servers_per_tor
-
-    def rack_servers(self, tor_index: int) -> range:
-        """Server ids attached to the given ToR."""
-        if self.switches[tor_index].kind is not SwitchKind.TOR:
-            raise TopologyError(f"switch {tor_index} is not a ToR")
-        per = self.params.servers_per_tor
-        return range(tor_index * per, (tor_index + 1) * per)
 
     def __repr__(self) -> str:
         p = self.params

@@ -33,7 +33,7 @@ alerts at bit-identical times.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry, Recorder, RingBuffer
@@ -256,13 +256,13 @@ class _AlertTrack:
 class AlertEvaluator:
     """Evaluates every policy once per call against the recorder.
 
-    Exposes the ``duet_slo_*`` metric family when given a registry:
-    per-SLO budget-remaining and burn-rate gauges, per-severity
-    alerts-fired counters and active-alert gauges, and an evaluation
-    counter.  Gauges are set directly at the end of each evaluation
-    (no registered collector — the health monitor collects on its hot
-    path, so scrape-time mirroring would re-run per probe round); a
-    scrape between evaluations reads the last evaluated values.
+    Exposes the ``duet_slo_*`` metric family on ``registry``: per-SLO
+    budget-remaining and burn-rate gauges, per-severity alerts-fired
+    counters and active-alert gauges, and an evaluation counter.  Gauges
+    are set directly at the end of each evaluation (no registered
+    collector — the health monitor collects on its hot path, so
+    scrape-time mirroring would re-run per probe round); a scrape
+    between evaluations reads the last evaluated values.
     """
 
     def __init__(
@@ -270,7 +270,8 @@ class AlertEvaluator:
         slos: Sequence[CompiledSlo],
         recorder: Recorder,
         policies: Optional[Sequence[AlertPolicy]] = None,
-        registry: Optional[MetricsRegistry] = None,
+        *,
+        registry: MetricsRegistry,
     ) -> None:
         self.slos: Dict[str, CompiledSlo] = {s.name: s for s in slos}
         self.recorder = recorder
@@ -325,53 +326,50 @@ class AlertEvaluator:
         # after the recorder's ring buffers truncate).
         self._budget_good: Dict[str, float] = {n: 0.0 for n in self.slos}
         self._budget_total: Dict[str, float] = {n: 0.0 for n in self.slos}
-        self._last_eval_t: Optional[float] = None
-        self._instruments = None
-        if registry is not None:
-            self._instruments = {
-                "budget": registry.gauge(
-                    "duet_slo_budget_remaining_ratio",
-                    "Error budget left over the recorded window "
-                    "(1 = untouched, <0 = overspent).",
-                    ("slo",),
-                ),
-                "burn": registry.gauge(
-                    "duet_slo_burn_rate",
-                    "Burn rate per alert window at the last evaluation.",
-                    ("slo", "window"),
-                ),
-                "fired": registry.counter(
-                    "duet_slo_alerts_fired_total",
-                    "Alert episodes fired.",
-                    ("slo", "severity"),
-                ),
-                "active": registry.gauge(
-                    "duet_slo_alerts_active",
-                    "Currently firing alerts.",
-                    ("slo", "severity"),
-                ),
-                "evals": registry.counter(
-                    "duet_slo_evaluations_total",
-                    "Alert evaluation rounds.",
-                ),
-            }
-            # Pre-bind gauge children: labels() is a dict lookup per
-            # call and the mirror runs every probe round.
-            inst = self._instruments
-            self._budget_gauges = {
-                name: inst["budget"].labels(name) for name in self.slos
-            }
-            self._burn_gauges = {}
-            self._active_gauges = []
-            for track in self._tracks:
-                slo_name = track.policy.slo
-                severity = track.window.severity
-                for side in ("long", "short"):
-                    key = (slo_name, f"{severity}-{side}")
-                    self._burn_gauges[key] = inst["burn"].labels(*key)
-                self._active_gauges.append(
-                    (track, inst["active"].labels(slo_name, severity))
-                )
+        self._instruments = {
+            "budget": registry.gauge(
+                "duet_slo_budget_remaining_ratio",
+                "Error budget left over the recorded window "
+                "(1 = untouched, <0 = overspent).",
+                ("slo",),
+            ),
+            "burn": registry.gauge(
+                "duet_slo_burn_rate",
+                "Burn rate per alert window at the last evaluation.",
+                ("slo", "window"),
+            ),
+            "fired": registry.counter(
+                "duet_slo_alerts_fired_total",
+                "Alert episodes fired.",
+                ("slo", "severity"),
+            ),
+            "active": registry.gauge(
+                "duet_slo_alerts_active",
+                "Currently firing alerts.",
+                ("slo", "severity"),
+            ),
+            "evals": registry.counter(
+                "duet_slo_evaluations_total",
+                "Alert evaluation rounds.",
+            ),
+        }
+        # Pre-bind gauge children: labels() is a dict lookup per call
+        # and the mirror runs every probe round.
+        inst = self._instruments
+        self._budget_gauges = {
+            name: inst["budget"].labels(name) for name in self.slos
+        }
+        self._burn_gauges = {}
+        self._active_gauges = []
+        for track in self._tracks:
+            slo_name = track.policy.slo
+            severity = track.window.severity
+            for side in ("long", "short"):
+                key = (slo_name, f"{severity}-{side}")
+                self._burn_gauges[key] = inst["burn"].labels(*key)
+            self._active_gauges.append(
+                (track, inst["active"].labels(slo_name, severity))
+            )
 
     # -- series resolution --------------------------------------------------
 
@@ -404,24 +402,6 @@ class AlertEvaluator:
         self._scanned = len(keys)
         self._resolved_at = self.recorder.n_series
 
-    def _lookup(self, selector: SeriesSelector):
-        self._refresh()
-        buffers = self._resolved.get(selector)
-        if buffers is None:
-            # Ad-hoc selector from an external caller: full scan once,
-            # then keep it refreshed incrementally like the rest.
-            buffers = []
-            for key in self.recorder.series_keys():
-                if selector.matches(key):
-                    buf = self.recorder.buffer(key)
-                    buffers.append(buf)
-                    if id(buf) not in self._watched_ids:
-                        self._watched_ids.add(id(buf))
-                        self._watched.append(buf)
-            self._resolved[selector] = buffers
-            self._selectors.append(selector)
-        return buffers
-
     def _ingest(self) -> None:
         """Pull new points from every watched series into the
         cumulative-sum caches — O(new points) per round."""
@@ -443,12 +423,9 @@ class AlertEvaluator:
         cums = self._cums
         resolved = self._resolved
         for selector in selectors:
-            # _ingest refreshed resolution at the top of evaluate();
-            # only a selector never seen before needs the slow path.
-            buffers = resolved.get(selector)
-            if buffers is None:
-                buffers = self._lookup(selector)
-            for buf in buffers:
+            # Every SLO selector is seeded in _resolved at construction;
+            # _ingest refreshed its buffers at the top of evaluate().
+            for buf in resolved[selector]:
                 state = cums.get(id(buf))
                 if state is None:
                     state = cums[id(buf)] = _CumSeries()
@@ -479,10 +456,7 @@ class AlertEvaluator:
         cums = self._cums
         resolved = self._resolved
         for selector in selectors:
-            buffers = resolved.get(selector)
-            if buffers is None:
-                buffers = self._lookup(selector)
-            for buf in buffers:
+            for buf in resolved[selector]:
                 state = cums.get(id(buf))
                 if state is not None:
                     total += state.cum
@@ -583,18 +557,16 @@ class AlertEvaluator:
         track.incident = incident
         track.clear_streak = 0
         self.incidents.append(incident)
-        if self._instruments is not None:
-            self._instruments["fired"].labels(
-                incident.slo, incident.severity
-            ).inc()
+        self._instruments["fired"].labels(
+            incident.slo, incident.severity
+        ).inc()
         return incident
 
     def evaluate(self, now: float) -> List[AlertIncident]:
         """One evaluation round at simulated time ``now``; returns the
         incidents that fired *this* round (for incident forensics)."""
         self.evaluations += 1
-        if self._instruments is not None:
-            self._instruments["evals"].inc()
+        self._instruments["evals"].inc()
         self._ingest()
         fired: List[AlertIncident] = []
         for track in self._tracks:
@@ -604,9 +576,7 @@ class AlertEvaluator:
         for name, slo in self.slos.items():
             self._budget_good[name] = self._cum_total(slo.good)
             self._budget_total[name] = self._cum_total(slo.total)
-        self._last_eval_t = now
-        if self._instruments is not None:
-            self._mirror()
+        self._mirror()
         return fired
 
     # -- reporting ----------------------------------------------------------

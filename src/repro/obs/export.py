@@ -6,9 +6,8 @@ Two export surfaces:
   format (``# HELP`` / ``# TYPE`` headers, one sample per line), which
   :func:`validate_prometheus_text` can lint without any third-party
   dependency (CI runs it against `repro metrics` output).
-* :func:`render_registry_jsonl` / :func:`render_recorder_jsonl` —
-  JSON-lines dumps: one sample (or one full time series) per line, for
-  ad-hoc analysis with `jq`/pandas.
+* :func:`render_registry_jsonl` — a JSON-lines dump, one sample per
+  line, for ad-hoc analysis with `jq`/pandas.
 
 ``python -m repro.obs.export <file.prom>`` lints a dump from disk.
 """
@@ -20,7 +19,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import MetricsRegistry, Recorder, Sample
+from repro.obs.registry import MetricsRegistry, Sample
 
 _METRIC_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -93,18 +92,6 @@ def render_registry_jsonl(registry: MetricsRegistry) -> List[str]:
                 "labels": dict(sample.labels),
                 "value": sample.value,
             }, sort_keys=True))
-    return out
-
-
-def render_recorder_jsonl(recorder: Recorder) -> List[str]:
-    """One JSON object per recorded time series, points as [t, value]."""
-    out: List[str] = []
-    for (name, labels), points in recorder.iter_points():
-        out.append(json.dumps({
-            "name": name,
-            "labels": dict(labels),
-            "points": [[t, v] for t, v in points],
-        }, sort_keys=True))
     return out
 
 

@@ -35,7 +35,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -188,9 +187,6 @@ class _GaugeValue:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Gauge(_Instrument):
@@ -394,9 +390,6 @@ class MetricsRegistry:
     def unregister_collector(self, name: str) -> None:
         self._collectors.pop(name, None)
 
-    def collector_names(self) -> List[str]:
-        return list(self._collectors)
-
     # -- scraping -----------------------------------------------------------
 
     def collect(self) -> None:
@@ -502,6 +495,24 @@ class RingBuffer:
 
 
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
+def reset_aware_increase(points: Sequence[Tuple[float, float]]) -> float:
+    """Total increase over a counter series, treating any decrease as a
+    counter reset (Prometheus ``increase`` semantics): the post-reset
+    sample's value counts in full as the new incarnation's increments.
+
+    >>> reset_aware_increase([(0, 0), (1, 100), (2, 0), (3, 5)])
+    105.0
+    """
+    inc = 0.0
+    prev: Optional[float] = None
+    for _, value in points:
+        if prev is not None:
+            delta = value - prev
+            inc += delta if delta >= 0 else value
+        prev = value
+    return inc
 
 
 class Recorder:
@@ -681,13 +692,7 @@ class Recorder:
             if not points:
                 continue
             if self._series_kind(key[0]) == "counter":
-                increase = 0.0
-                prev = points[0][1]
-                for _, value in points[1:]:
-                    step = value - prev
-                    increase += step if step >= 0 else value
-                    prev = value
-                out[key] = increase
+                out[key] = reset_aware_increase(points)
             else:
                 out[key] = points[-1][1] - points[0][1]
         return out
@@ -705,9 +710,3 @@ class Recorder:
             key=lambda item: (-abs(item[1]), item[0]),
         )
         return ranked[:n]
-
-    def iter_points(
-        self,
-    ) -> Iterable[Tuple[SeriesKey, List[Tuple[float, float]]]]:
-        for key, buf in self._series.items():
-            yield key, buf.items()

@@ -35,7 +35,7 @@ numbers, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import (
@@ -44,6 +44,7 @@ from repro.obs.registry import (
     Recorder,
     RingBuffer,
     _format_bound,
+    reset_aware_increase,
 )
 
 Points = Sequence[Tuple[float, float]]
@@ -55,24 +56,6 @@ class SloError(Exception):
 
 
 # -- reset-aware rate primitives -------------------------------------------
-
-
-def reset_aware_increase(points: Points) -> float:
-    """Total increase over a counter series, treating any decrease as a
-    counter reset (Prometheus ``increase`` semantics): the post-reset
-    sample's value counts in full as the new incarnation's increments.
-
-    >>> reset_aware_increase([(0, 0), (1, 100), (2, 0), (3, 5)])
-    105.0
-    """
-    inc = 0.0
-    prev: Optional[float] = None
-    for _, value in points:
-        if prev is not None:
-            delta = value - prev
-            inc += delta if delta >= 0 else value
-        prev = value
-    return inc
 
 
 def window_points(points: Points, start_t: float,

@@ -149,9 +149,6 @@ class Tracer:
     def children(self, span_id: int) -> List[Span]:
         return [s for s in self._spans.values() if s.parent_id == span_id]
 
-    def find(self, name: str) -> List[Span]:
-        return [s for s in self._spans.values() if s.name == name]
-
     def clear(self) -> None:
         if self._stack:
             raise TracingError("cannot clear with open spans")
@@ -233,9 +230,6 @@ class TapRecord:
     index: int              # sample's position in the forward stream
     flow: Any               # FiveTuple
     hops: List[Dict[str, Any]] = field(default_factory=list)
-
-    def hop_names(self) -> List[str]:
-        return [h["hop"] for h in self.hops]
 
     def to_dict(self) -> Dict[str, Any]:
         f = self.flow

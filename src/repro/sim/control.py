@@ -19,8 +19,8 @@ composes them into the end-to-end delays the migration scenarios use.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.net.bgp import BgpTimings
 from repro.sim.queueing import LognormalLatency
@@ -84,11 +84,6 @@ class ControlPlaneModel:
         """End-to-end delay of one migrate command taking effect: the
         ~400-450 ms the paper measures between T1 and T2 in Figure 13."""
         return self.sample_delete().total_s
-
-    def failover_delay_s(self) -> float:
-        """Blackhole window after an HMux failure: detection plus
-        withdrawal propagation (~38 ms, Figure 12)."""
-        return self.timings.failover_s
 
 
 @dataclass

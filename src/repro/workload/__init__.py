@@ -4,8 +4,6 @@ from repro.workload.distributions import (
     DipCountModel,
     IngressModel,
     TrafficSkew,
-    empirical_cdf,
-    share_concentration,
 )
 from repro.workload.flowgen import PingProbe, TimedPacket
 from repro.workload.serialization import (
@@ -54,13 +52,11 @@ __all__ = [
     "Vip",
     "VipDemand",
     "VipPopulation",
-    "empirical_cdf",
     "generate_population",
     "host_address",
     "load_population",
     "load_trace",
     "save_population",
     "save_trace",
-    "share_concentration",
     "switch_loopback",
 ]

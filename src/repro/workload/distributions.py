@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -188,25 +188,3 @@ class IngressModel:
         intra = traffic_bps * self.intra_dc_fraction
         needed = math.ceil(intra / self.max_rack_ingress_bps)
         return max(1, min(n_tors, max(self.client_racks_per_vip, needed)))
-
-
-def empirical_cdf(values: Sequence[float]) -> "tuple[np.ndarray, np.ndarray]":
-    """(x, F(x)) pairs of the empirical CDF of ``values``."""
-    if len(values) == 0:
-        raise ValueError("cannot build a CDF of nothing")
-    xs = np.sort(np.asarray(values, dtype=float))
-    ys = np.arange(1, len(xs) + 1) / len(xs)
-    return xs, ys
-
-
-def share_concentration(shares: np.ndarray, top_fraction: float) -> float:
-    """Fraction of total carried by the top ``top_fraction`` of VIPs.
-
-    Used by tests to pin the skew: e.g. the top 10% of VIPs should carry
-    well over 90% of bytes for the default :class:`TrafficSkew`.
-    """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must be in (0, 1]")
-    ordered = np.sort(shares)[::-1]
-    k = max(1, int(round(top_fraction * len(ordered))))
-    return float(ordered[:k].sum() / ordered.sum())

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.trace import TraceEpoch
@@ -85,6 +85,50 @@ def params_from_dict(payload: Dict) -> FatTreeParams:
         raise SerializationError(f"topology field missing: {missing}")
 
 
+# -- VIPs and DIPs (population files and journal records share these) -------
+
+def dip_to_dict(dip: Dip) -> Dict:
+    return {"addr": dip.addr, "server_id": dip.server_id, "weight": dip.weight}
+
+
+def dip_from_dict(data: Dict, topology: Topology) -> Dip:
+    return Dip(
+        addr=data["addr"],
+        server_id=data["server_id"],
+        tor=topology.server_tor(data["server_id"]),
+        weight=data.get("weight", 1.0),
+    )
+
+
+def vip_to_dict(vip: Vip) -> Dict:
+    return {
+        "vip_id": vip.vip_id,
+        "addr": vip.addr,
+        "traffic_bps": vip.traffic_bps,
+        "internet_fraction": vip.internet_fraction,
+        "latency_sensitive": vip.latency_sensitive,
+        "ingress_racks": [[tor, frac] for tor, frac in vip.ingress_racks],
+        "port_pools": [[port, list(pool)] for port, pool in vip.port_pools],
+        "dips": [dip_to_dict(d) for d in vip.dips],
+    }
+
+
+def vip_from_dict(data: Dict, topology: Topology) -> Vip:
+    """Raises ``KeyError`` on a missing required field."""
+    return Vip(
+        vip_id=data["vip_id"],
+        addr=data["addr"],
+        dips=tuple(dip_from_dict(d, topology) for d in data["dips"]),
+        traffic_bps=data["traffic_bps"],
+        ingress_racks=tuple((tor, frac) for tor, frac in data["ingress_racks"]),
+        internet_fraction=data["internet_fraction"],
+        port_pools=tuple(
+            (port, tuple(pool)) for port, pool in data.get("port_pools", [])
+        ),
+        latency_sensitive=data.get("latency_sensitive", False),
+    )
+
+
 # -- population ----------------------------------------------------------------
 
 def save_population(
@@ -95,30 +139,7 @@ def save_population(
         "version": SCHEMA_VERSION,
         "kind": "population",
         "topology": params_to_dict(population.topology.params),
-        "vips": [
-            {
-                "vip_id": vip.vip_id,
-                "addr": vip.addr,
-                "traffic_bps": vip.traffic_bps,
-                "internet_fraction": vip.internet_fraction,
-                "latency_sensitive": vip.latency_sensitive,
-                "ingress_racks": [
-                    [tor, fraction] for tor, fraction in vip.ingress_racks
-                ],
-                "port_pools": [
-                    [port, list(pool)] for port, pool in vip.port_pools
-                ],
-                "dips": [
-                    {
-                        "addr": dip.addr,
-                        "server_id": dip.server_id,
-                        "weight": dip.weight,
-                    }
-                    for dip in vip.dips
-                ],
-            }
-            for vip in population
-        ],
+        "vips": [vip_to_dict(vip) for vip in population],
     }
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -131,36 +152,10 @@ def load_population(path: PathLike) -> VipPopulation:
     payload = _read(path, expected_kind="population")
     params = params_from_dict(payload["topology"])
     topology = Topology(params)
-    vips: List[Vip] = []
-    for entry in payload["vips"]:
-        try:
-            dips = tuple(
-                Dip(
-                    addr=d["addr"],
-                    server_id=d["server_id"],
-                    tor=topology.server_tor(d["server_id"]),
-                    weight=d.get("weight", 1.0),
-                )
-                for d in entry["dips"]
-            )
-            vips.append(Vip(
-                vip_id=entry["vip_id"],
-                addr=entry["addr"],
-                dips=dips,
-                traffic_bps=entry["traffic_bps"],
-                ingress_racks=tuple(
-                    (tor, fraction)
-                    for tor, fraction in entry["ingress_racks"]
-                ),
-                internet_fraction=entry["internet_fraction"],
-                port_pools=tuple(
-                    (port, tuple(pool))
-                    for port, pool in entry.get("port_pools", [])
-                ),
-                latency_sensitive=entry.get("latency_sensitive", False),
-            ))
-        except KeyError as missing:
-            raise SerializationError(f"VIP field missing: {missing}")
+    try:
+        vips = [vip_from_dict(entry, topology) for entry in payload["vips"]]
+    except KeyError as missing:
+        raise SerializationError(f"VIP field missing: {missing}")
     return VipPopulation(topology, vips)
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.workload.vips import VipDemand, VipPopulation
 
@@ -71,9 +71,6 @@ class TraceEpoch:
     @property
     def total_traffic_bps(self) -> float:
         return sum(d.traffic_bps for d in self.demands)
-
-    def demand_by_id(self) -> Dict[int, VipDemand]:
-        return {d.vip_id: d for d in self.demands}
 
 
 def _cap_shares(raw: Dict[int, float], cap: float) -> Dict[int, float]:

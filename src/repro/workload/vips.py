@@ -11,7 +11,7 @@ DIP rack locations — never the packet-level details.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.net.addressing import AddressAllocator, Prefix
@@ -167,8 +167,7 @@ class VipPopulation:
     def __init__(self, topology: Topology, vips: Sequence[Vip]) -> None:
         self.topology = topology
         self.vips: List[Vip] = list(vips)
-        self._by_addr = {v.addr: v for v in self.vips}
-        if len(self._by_addr) != len(self.vips):
+        if len({v.addr for v in self.vips}) != len(self.vips):
             raise ValueError("duplicate VIP addresses in population")
 
     def __len__(self) -> int:
@@ -176,24 +175,6 @@ class VipPopulation:
 
     def __iter__(self) -> Iterator[Vip]:
         return iter(self.vips)
-
-    def by_addr(self, addr: int) -> Vip:
-        return self._by_addr[addr]
-
-    def add(self, vip: Vip) -> None:
-        """Add a VIP to the population (controller VIP lifecycle, S5.2)."""
-        if vip.addr in self._by_addr:
-            raise ValueError(f"duplicate VIP address {vip.addr}")
-        self.vips.append(vip)
-        self._by_addr[vip.addr] = vip
-
-    def remove(self, addr: int) -> Vip:
-        """Remove and return the VIP at ``addr``."""
-        vip = self._by_addr.pop(addr, None)
-        if vip is None:
-            raise KeyError(f"no VIP at address {addr}")
-        self.vips.remove(vip)
-        return vip
 
     @property
     def total_traffic_bps(self) -> float:

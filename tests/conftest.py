@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.distributions import DipCountModel
 from repro.workload.vips import VipPopulation, generate_population
+
+
+def fleet_workers(default_cap: int = 8) -> int:
+    """Worker count for the sharded soak corpora: ``REPRO_FLEET_WORKERS``
+    when set (CI pins it), else the CPU count capped at ``default_cap``."""
+    env = os.environ.get("REPRO_FLEET_WORKERS")
+    if env:
+        return max(1, int(env))
+    return max(1, min(default_cap, os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="session")

@@ -81,30 +81,22 @@ class TestPrefix:
     def test_covers(self):
         outer = Prefix.parse("10.0.0.0/8")
         inner = Prefix.parse("10.5.0.0/16")
-        assert outer.covers(inner)
-        assert not inner.covers(outer)
+        assert outer.contains(inner.network)
+        assert outer.contains(inner.last_address)
+        assert not inner.contains(outer.network)
 
     def test_covers_self(self):
         p = Prefix.parse("10.0.0.0/24")
-        assert p.covers(p)
+        assert p.contains(p.network) and p.contains(p.last_address)
 
     def test_num_addresses(self):
         assert Prefix.parse("10.0.0.0/24").num_addresses == 256
         assert Prefix.parse("10.0.0.0/32").num_addresses == 1
 
-    def test_subnets(self):
-        subs = list(Prefix.parse("10.0.0.0/24").subnets(26))
-        assert len(subs) == 4
-        assert subs[0] == Prefix.parse("10.0.0.0/26")
-        assert subs[-1] == Prefix.parse("10.0.0.192/26")
-
-    def test_subnets_rejects_shorter(self):
-        with pytest.raises(AddressError):
-            list(Prefix.parse("10.0.0.0/24").subnets(16))
-
     def test_hosts_count(self):
-        hosts = list(Prefix.parse("10.0.0.0/30").hosts())
-        assert len(hosts) == 4
+        p = Prefix.parse("10.0.0.0/30")
+        assert p.last_address - p.network + 1 == 4
+        assert p.last_address == parse_ip("10.0.0.3")
 
     def test_str(self):
         assert str(Prefix.parse("10.0.0.0/12")) == "10.0.0.0/12"
@@ -235,18 +227,6 @@ class TestAddressAllocator:
         alloc.allocate()
         with pytest.raises(AddressError):
             alloc.allocate()
-
-    def test_release_and_reuse(self):
-        alloc = AddressAllocator(Prefix.parse("10.0.0.0/31"))
-        first = alloc.allocate()
-        alloc.allocate()
-        alloc.release(first)
-        assert alloc.allocate() == first
-
-    def test_release_foreign_address_rejected(self):
-        alloc = AddressAllocator(Prefix.parse("10.0.0.0/31"))
-        with pytest.raises(AddressError):
-            alloc.release(parse_ip("11.0.0.0"))
 
     def test_counts(self):
         alloc = AddressAllocator(Prefix.parse("10.0.0.0/24"))

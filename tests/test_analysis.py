@@ -9,7 +9,6 @@ from repro.analysis import (
     format_seconds,
     format_si,
     lorenz_points,
-    ratio,
     render_series,
     render_table,
 )
@@ -27,15 +26,16 @@ class TestCdf:
         assert cdf.quantile(1.0) == 100
 
     def test_fraction_at_or_below(self):
+        # F steps by 1/n at each sample: half the mass sits at or below 2.
         cdf = Cdf.of([1.0, 2.0, 3.0, 4.0])
-        assert cdf.fraction_at_or_below(2.0) == pytest.approx(0.5)
-        assert cdf.fraction_at_or_below(0.0) == 0.0
-        assert cdf.fraction_at_or_below(9.0) == 1.0
+        assert cdf.ys.tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert cdf.quantile(0.5) == 2.0
+        assert cdf.quantile(0.25) == 1.0
 
     def test_at_points(self):
         cdf = Cdf.of([1.0, 2.0])
-        points = cdf.at_points([0.5, 1.5, 2.5])
-        assert points == [(0.5, 0.0), (1.5, 0.5), (2.5, 1.0)]
+        points = [(q, cdf.quantile(q)) for q in (0.25, 0.5, 0.75, 1.0)]
+        assert points == [(0.25, 1.0), (0.5, 1.0), (0.75, 2.0), (1.0, 2.0)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -77,10 +77,6 @@ class TestStats:
     def test_summary_empty(self):
         with pytest.raises(ValueError):
             Summary.of([])
-
-    def test_ratio(self):
-        assert ratio(10, 2) == 5
-        assert ratio(1, 0) == float("inf")
 
 
 class TestFormatting:

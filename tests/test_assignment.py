@@ -115,7 +115,7 @@ class TestGreedyBasics:
         for s in range(topology.n_switches):
             assert sum(
                 assignment.demands[v].n_dips
-                for v in assignment.vips_on_switch(s)
+                for v, sw in assignment.vip_to_switch.items() if sw == s
             ) <= dip_capacity
 
     def test_deterministic_in_seed(self, world):
@@ -277,7 +277,7 @@ class TestAssignmentViews:
         topology, population = world
         assignment = GreedyAssigner(topology).assign(population.demands())
         listed = sum(
-            len(assignment.vips_on_switch(s))
-            for s in range(topology.n_switches)
+            1 for s in range(topology.n_switches)
+            for sw in assignment.vip_to_switch.values() if sw == s
         )
         assert listed == assignment.n_assigned

@@ -174,8 +174,8 @@ LAYOUT_READ_ONLY = {
     },
     SMux: {
         "has_vip", "vips", "dips_of", "port_vips", "slot_dips",
-        "port_slot_dips", "slot_layouts", "process", "lookup_or_pin",
-        "connection_count", "connections", "pinned_dip", "expire_connection",
+        "slot_layouts", "process", "lookup_or_pin",
+        "connection_count", "connections", "pinned_dip",
     },
 }
 
@@ -236,7 +236,7 @@ def forwarding(mux):
         )
     return (
         {v: (mux.slot_dips(v), mux.dips_of(v)) for v in mux.vips()},
-        {k: mux.port_slot_dips(*k) for k in mux.port_vips()},
+        {k: pool.tolist() for k, pool in zip(*mux.slot_layouts()[1])},
     )
 
 

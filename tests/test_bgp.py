@@ -66,7 +66,7 @@ class TestStaleWithdrawRace:
         # version — it must be ignored and the newer route kept.
         assert not table.withdraw(host, ref, version=stale_version)
         assert table.resolve(VIP) == ref
-        assert table.stale_withdraws_ignored == 1
+        assert table.announce_version(host, ref) > stale_version
 
     def test_matching_version_withdraws(self, table):
         ref = MuxRef.hmux(3)
@@ -75,7 +75,7 @@ class TestStaleWithdrawRace:
         version = table.announce_version(host, ref)
         assert table.withdraw(host, ref, version=version)
         assert table.next_hops(VIP) == ()
-        assert table.stale_withdraws_ignored == 0
+        assert table.announce_version(host, ref) is None
 
     def test_versionless_withdraw_is_unconditional(self, table):
         ref = MuxRef.hmux(3)
@@ -187,6 +187,11 @@ class TestWithdrawAll:
         assert routes[0][0].length == 32  # longest first
 
 
+def vip_add_s(timings):
+    """End-to-end latency to add a VIP to an HMux and converge."""
+    return timings.fib_update_vip_s + timings.announce_propagation_s
+
+
 class TestTimings:
     def test_failover_is_about_38ms(self):
         # Figure 12: traffic resumes on SMux within ~38 ms.
@@ -194,12 +199,12 @@ class TestTimings:
 
     def test_vip_add_dominated_by_fib(self):
         t = BgpTimings()
-        assert t.fib_update_vip_s / t.vip_add_s > 0.8  # "80-90%" (S7.3)
+        assert t.fib_update_vip_s / vip_add_s(t) > 0.8  # "80-90%" (S7.3)
 
     def test_vip_add_in_figure13_band(self):
         # Figure 13 measures ~400-450 ms per migration step.
-        assert 0.3 <= BgpTimings().vip_add_s <= 0.6
+        assert 0.3 <= vip_add_s(BgpTimings()) <= 0.6
 
     def test_dip_update_fast(self):
         t = BgpTimings()
-        assert t.dip_update_s < t.vip_add_s / 5
+        assert t.dip_update_s < vip_add_s(t) / 5

@@ -99,7 +99,8 @@ class TestScriptedDegradation:
         ))
         controller = engine.controller
         assert controller.degraded_vips
-        controller.set_fault_model(None)
+        for agent in controller.switch_agents.values():
+            agent.fault_model = None
         controller.rebalance()
         assert controller.degraded_vips == set()
 

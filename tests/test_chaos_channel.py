@@ -14,6 +14,8 @@ import pytest
 
 from repro.chaos.engine import ChaosConfig, ChaosEngine
 from repro.chaos.events import EventKind
+from repro.fleet import FleetConfig, SoakFleet
+from tests.conftest import fleet_workers
 
 SOAK = dict(
     n_events=10, n_vips=8,
@@ -33,22 +35,18 @@ class TestChannelSoak:
         channel fault path actually exercised — including crashes that
         strand unacked in-flight commands (fence_rejects counts the
         dead incarnation's duplicates being refused)."""
-        from repro.fleet import pool_map_reports
-
-        agg: dict = {}
-        kinds: set = set()
-        crashes = 0
-        configs = [
-            ChaosConfig(seed=seed, **SOAK) for seed in range(200)
-        ]
-        for seed, report in enumerate(pool_map_reports(configs)):
-            assert report.ok, (
-                f"seed {seed}: {[str(v) for v in report.violations]}"
+        report = SoakFleet(
+            ChaosConfig(seed=0, **SOAK), range(200),
+            fleet=FleetConfig(workers=fleet_workers()),
+        ).run()
+        assert report.quarantined == []
+        for summary in report.results:
+            assert summary["ok"], (
+                f"seed {summary['seed']}: {summary['violations']}"
             )
-            crashes += report.crashes
-            kinds |= set(report.event_counts)
-            for key, value in report.channel.items():
-                agg[key] = agg.get(key, 0) + value
+        agg = report.totals["channel"]
+        kinds = set(report.totals["event_counts"])
+        crashes = report.totals["crashes"]
         # The corpus must have exercised every injected fault kind...
         assert {
             "channel_loss", "channel_delay",

@@ -35,9 +35,11 @@ class TestSamples:
         assert 0.3 <= median <= 0.7  # paper: ~400-450 ms
 
     def test_failover_delay_figure12(self, model):
-        assert model.failover_delay_s() == pytest.approx(
+        # Detection plus withdrawal propagation: ~38 ms blackhole.
+        assert model.timings.failover_s == pytest.approx(
             BgpTimings().failover_s
         )
+        assert model.timings.failover_s == pytest.approx(0.038, abs=0.005)
 
     def test_deterministic_in_seed(self):
         a = ControlPlaneModel(seed=4).sample_add()

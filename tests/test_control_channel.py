@@ -38,6 +38,7 @@ from repro.durability import (
 from repro.net.addressing import Prefix
 from repro.net.bgp import MuxKind, VipRouteTable
 from repro.workload.vips import Dip, Vip
+from tests.test_durability import uncommitted
 
 SWITCH_IP = 0xAC10_0001
 VIP = 0x0A00_0042
@@ -66,9 +67,16 @@ def fresh_vip(controller: DuetController, n_dips: int = 2) -> Vip:
     )
 
 
+def watermark_of(channel, device):
+    """(epoch, seq) of the last command the device applied."""
+    state = channel._state(device)
+    return (state.applied_epoch, state.applied_seq)
+
+
 # ---------------------------------------------------------------------------
 # RetryPolicy / RetrySchedule
 # ---------------------------------------------------------------------------
+
 
 class TestRetryPolicy:
     def test_backoff_sequence_doubles_up_to_cap(self):
@@ -147,8 +155,8 @@ class TestControlChannel:
         for _ in range(3):
             channel.send("switch:0", "program_vip", lambda: None)
         channel.send("switch:1", "program_vip", lambda: None)
-        assert channel.device_watermark("switch:0") == (0, 2)
-        assert channel.device_watermark("switch:1") == (0, 0)
+        assert watermark_of(channel, "switch:0") == (0, 2)
+        assert watermark_of(channel, "switch:1") == (0, 0)
 
     def test_loss_raises_and_nothing_applied(self):
         channel = ControlChannel(seed=1, loss_prob=1.0)
@@ -214,11 +222,11 @@ class TestControlChannel:
     def test_purge_device_drops_dups_keeps_watermark(self):
         channel = ControlChannel(seed=1, delay_prob=1.0)
         channel.send("switch:0", "program_vip", lambda: None)
-        watermark = channel.device_watermark("switch:0")
+        watermark = watermark_of(channel, "switch:0")
         assert channel.purge_device("switch:0") == 1
         assert channel.queued_dups() == 0
         # Sequence numbers keep growing: post-recovery commands pass.
-        assert channel.device_watermark("switch:0") == watermark
+        assert watermark_of(channel, "switch:0") == watermark
         channel.send("switch:0", "program_vip", lambda: None)
         assert channel.stats.applied == 2
 
@@ -337,7 +345,9 @@ class TestSwitchAgentIdempotency:
             Prefix.host(VIP), agent.mux_ref, version=stale_version,
         )
         assert agent.route_table.resolve(VIP) == agent.mux_ref
-        assert agent.route_table.stale_withdraws_ignored == 1
+        assert agent.route_table.announce_version(
+            Prefix.host(VIP), agent.mux_ref,
+        ) > stale_version
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +444,7 @@ class TestCrashWithInFlightCommands:
         with pytest.raises(SimulatedCrash):
             crashed.rebalance()  # dies at the program crash point
         assert crashed.ledger.pending()  # unacked at the moment of death
-        assert crashed.journal.uncommitted()
+        assert uncommitted(crashed.journal)
         restored = DuetController.restore(
             crashed.journal,
             dataplane=harvest_dataplane(crashed),

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import Cdf, lorenz_points
 from repro.workload.distributions import (
     DipCountModel,
     IngressModel,
     TrafficSkew,
-    empirical_cdf,
-    share_concentration,
 )
 
 
@@ -31,9 +30,9 @@ class TestTrafficSkew:
 
     def test_heavy_skew_shape(self):
         """Figure 15: a small head of VIPs carries most of the bytes."""
-        shares = TrafficSkew().shares(600)
-        assert share_concentration(shares, 0.10) > 0.75
-        assert share_concentration(shares, 0.50) > 0.95
+        curve = dict(lorenz_points(TrafficSkew().shares(600), n_points=11))
+        assert curve[0.1] > 0.75
+        assert curve[0.5] > 0.95
 
     def test_single_vip(self):
         assert TrafficSkew().shares(1) == pytest.approx([1.0])
@@ -96,20 +95,25 @@ class TestIngressModel:
 
 
 class TestHelpers:
+    """Skew is read through the analysis package's CDF and Lorenz
+    curve, the ones the Figure 15 driver plots."""
+
     def test_empirical_cdf(self):
-        xs, ys = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert ys[-1] == pytest.approx(1.0)
+        shares = TrafficSkew().shares(50)
+        cdf = Cdf.of(shares)
+        assert list(cdf.xs) == sorted(shares)
+        assert cdf.ys[-1] == pytest.approx(1.0)
+        assert cdf.quantile(1.0) == shares.max()
 
     def test_empirical_cdf_empty(self):
         with pytest.raises(ValueError):
-            empirical_cdf([])
+            Cdf.of([])
 
     def test_share_concentration_bounds(self):
-        shares = np.asarray([0.5, 0.3, 0.2])
-        assert share_concentration(shares, 1.0) == pytest.approx(1.0)
-        assert share_concentration(shares, 1 / 3) == pytest.approx(0.5)
+        curve = lorenz_points([0.5, 0.3, 0.2], n_points=4)
+        assert curve[-1] == (1.0, pytest.approx(1.0))
+        assert curve[1] == (1 / 3, pytest.approx(0.5))
 
     def test_share_concentration_validation(self):
         with pytest.raises(ValueError):
-            share_concentration(np.asarray([1.0]), 0.0)
+            lorenz_points([])

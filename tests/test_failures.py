@@ -27,7 +27,8 @@ def cut_links(topology, links, bidirectional=True):
 
 class TestScenarios:
     def test_none_is_normal(self):
-        assert FailureScenario.none().is_normal
+        scenario = FailureScenario.none()
+        assert not scenario.failed_switches and not scenario.failed_links
 
     def test_container_failure_members(self, tiny_topology):
         scenario = container_failure(tiny_topology, 0)
@@ -85,13 +86,12 @@ class TestSideEffects:
     def test_dead_servers(self, tiny_topology):
         tor = tiny_topology.tors(0)[0]
         scenario = switch_failures(tiny_topology, [tor])
-        dead = scenario.dead_servers(tiny_topology)
-        assert dead == set(tiny_topology.rack_servers(tor))
+        assert scenario.dead_tors(tiny_topology) == {tor}
 
     def test_agg_failure_kills_no_servers(self, tiny_topology):
         agg = tiny_topology.aggs(0)[0]
         scenario = switch_failures(tiny_topology, [agg])
-        assert scenario.dead_servers(tiny_topology) == set()
+        assert scenario.dead_tors(tiny_topology) == set()
 
     def test_router_excludes_failed(self, tiny_topology):
         tor = tiny_topology.tors(0)[0]

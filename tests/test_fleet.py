@@ -20,15 +20,14 @@ from repro.fleet import (
     FleetConfig,
     FleetReport,
     SoakFleet,
-    fleet_workers_from_env,
     load_quarantine,
     merge_results,
-    pool_map_reports,
     replay_quarantine,
     run_seed_task,
 )
 from repro.fleet.worker import CRASH_EXIT_CODE, worker_entry
 from repro.obs.registry import MetricsRegistry
+from tests.conftest import fleet_workers
 
 BASE = ChaosConfig(seed=0, n_events=6, n_vips=6)
 SEEDS = list(range(5))
@@ -146,10 +145,25 @@ class TestQuarantine:
         sub, _ = run_fleet(workers=1, seeds=[0, 1, 3, 4])
         assert report.results == sub.results
 
-    def test_hang_hits_timeout_then_quarantine(self, tmp_path):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="monkeypatching the worker needs fork inheritance",
+    )
+    def test_hang_hits_timeout_then_quarantine(self, tmp_path, monkeypatch):
+        import time
+
+        import repro.fleet.worker as worker_mod
+
+        real_run = worker_mod.run_seed_task
+
+        def hang_seed_one(payload):
+            if payload["config"]["seed"] == 1:
+                time.sleep(60.0)
+            return real_run(payload)
+
+        monkeypatch.setattr(worker_mod, "run_seed_task", hang_seed_one)
         report, fleet = run_fleet(
-            workers=2, seeds=[0, 1], hang_seeds=(1,), hang_s=60.0,
-            timeout_s=0.5, retry=NO_RETRY,
+            workers=2, seeds=[0, 1], timeout_s=0.5, retry=NO_RETRY,
             quarantine_dir=str(tmp_path / "q"),
         )
         assert [q["seed"] for q in report.quarantined] == [1]
@@ -274,32 +288,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FleetConfig(timeout_s=0.0)
 
-    def test_hang_without_timeout(self):
-        with pytest.raises(ValueError):
-            FleetConfig(hang_seeds=(1,))
-
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             SoakFleet(BASE, [])
 
     def test_workers_from_env(self, monkeypatch):
+        """The sharded corpora (``test_slo_chaos``, ``test_chaos_channel``)
+        take their worker count from CI's ``REPRO_FLEET_WORKERS``."""
         monkeypatch.setenv("REPRO_FLEET_WORKERS", "3")
-        assert fleet_workers_from_env() == 3
+        assert fleet_workers() == 3
         monkeypatch.delenv("REPRO_FLEET_WORKERS")
-        assert 1 <= fleet_workers_from_env() <= 8
-
-
-class TestPoolMapReports:
-    def test_parity_with_serial(self):
-        configs = [
-            ChaosConfig(seed=s, n_events=5, n_vips=6) for s in range(3)
-        ]
-        serial = pool_map_reports(configs, workers=1)
-        sharded = pool_map_reports(configs, workers=2)
-        assert [r.config.seed for r in sharded] == [0, 1, 2]
-        for a, b in zip(serial, sharded):
-            assert a.steps_run == b.steps_run
-            assert a.event_counts == b.event_counts
-            assert a.stats == b.stats
-            assert [str(v) for v in a.violations] == \
-                [str(v) for v in b.violations]
+        assert 1 <= fleet_workers() <= 8

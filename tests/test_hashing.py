@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.hashing import (
-    EcmpSelector,
     HashingError,
     ResilientHashTable,
     five_tuple_hash,
 )
 from repro.dataplane.packet import FiveTuple, PROTO_TCP
+from repro.net.addressing import Prefix
+from repro.net.bgp import (
+    ROUTE_HASH_SALT,
+    MuxRef,
+    RouteResolutionError,
+    VipRouteTable,
+)
 
 flows = st.builds(
     FiveTuple,
@@ -54,23 +60,41 @@ class TestFiveTupleHash:
         assert max(buckets) < 2 * min(buckets)
 
 
+VIP = 0x0A000001
+
+
+def ecmp_routes(n_muxes):
+    """A VIP announced from ``n_muxes`` SMuxes: plain ECMP (hash modulo
+    the next-hop set) spreads its flows over them."""
+    table = VipRouteTable()
+    muxes = [MuxRef.smux(i) for i in range(n_muxes)]
+    for mux in muxes:
+        table.announce(Prefix.host(VIP), mux)
+    return table, muxes
+
+
+def ecmp_select(table, i):
+    return table.resolve(VIP, five_tuple_hash(flow(i), ROUTE_HASH_SALT))
+
+
 class TestEcmpSelector:
     def test_requires_members(self):
-        with pytest.raises(HashingError):
-            EcmpSelector([])
+        table, _ = ecmp_routes(0)
+        with pytest.raises(RouteResolutionError):
+            ecmp_select(table, 0)
 
     def test_selects_member(self):
-        selector = EcmpSelector([10, 20, 30])
-        assert selector.select(flow()) in (10, 20, 30)
+        table, muxes = ecmp_routes(3)
+        assert ecmp_select(table, 0) in muxes
 
     def test_deterministic(self):
-        selector = EcmpSelector([10, 20, 30])
-        assert selector.select(flow(5)) == selector.select(flow(5))
+        table, _ = ecmp_routes(3)
+        assert ecmp_select(table, 5) == ecmp_select(table, 5)
 
     def test_spreads_flows(self):
-        selector = EcmpSelector([0, 1, 2, 3])
-        chosen = {selector.select(flow(i)) for i in range(100)}
-        assert chosen == {0, 1, 2, 3}
+        table, muxes = ecmp_routes(4)
+        chosen = {ecmp_select(table, i) for i in range(100)}
+        assert chosen == set(muxes)
 
 
 class TestResilientHashTable:
@@ -123,27 +147,30 @@ class TestResilientHashTable:
         with pytest.raises(HashingError):
             table.remove_member(9)
 
+    # There is no in-place add: re-announcing a VIP after a DIP addition
+    # installs a fresh build over the grown set.
+
     def test_addition_meets_quota(self):
-        table = ResilientHashTable([1, 2], n_slots=64)
-        table.add_member(3)
-        counts = Counter(table.slots())
+        grown = ResilientHashTable([1, 2, 3], n_slots=64)
+        counts = Counter(grown.slots())
         assert counts[3] >= 64 // 3
 
     def test_addition_remaps_some_flows(self):
         """Addition is NOT resilient — the reason Duet bounces DIP
         additions through SMux (S5.2)."""
         table = ResilientHashTable([1, 2], n_slots=64)
-        before = {i: table.select(flow(i)) for i in range(300)}
-        table.add_member(3)
+        grown = ResilientHashTable([1, 2, 3], n_slots=64)
         remapped = sum(
-            1 for i, owner in before.items() if table.select(flow(i)) != owner
+            1 for i in range(300)
+            if grown.select(flow(i)) not in (3, table.select(flow(i)))
         )
         assert remapped > 0
 
     def test_add_existing_rejected(self):
+        # A rebuild over an unchanged set is the same table: re-announcing
+        # a VIP whose DIPs did not change moves no flow.
         table = ResilientHashTable([1, 2], n_slots=8)
-        with pytest.raises(HashingError):
-            table.add_member(2)
+        assert ResilientHashTable([1, 2], n_slots=8).slots() == table.slots()
 
     def test_wcmp_weights(self):
         table = ResilientHashTable(

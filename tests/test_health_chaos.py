@@ -14,6 +14,7 @@ from repro.chaos.events import ChaosEvent, EventKind
 from repro.cli import main
 from repro.health import FaultPlane, HealthConfig, HealthMonitor
 from repro.health.faults import switch_key
+from repro.obs import MetricsRegistry
 
 
 def no_oracle_config(**overrides):
@@ -140,7 +141,8 @@ class TestClosedLoop:
         controller = build_controller(ChaosConfig(seed=seed))
         plane = FaultPlane(seed=seed, background_loss=background_loss)
         monitor = HealthMonitor(
-            controller, plane, HealthConfig(), seed=seed,
+            controller, plane, HealthConfig(), registry=MetricsRegistry(),
+            seed=seed,
         )
         return controller, plane, monitor
 

@@ -39,6 +39,7 @@ from tests.test_durability import (
     fresh_dip,
     fresh_vip,
     scripted_controller,
+    uncommitted,
     uplinks,
 )
 
@@ -236,10 +237,10 @@ def run_and_recover(scenario: Scenario, mode: str, warm: bool) -> DuetController
         scenario.run(controller)
     except SimulatedCrash:
         assert mode != "done"
-        assert len(journal.uncommitted()) == 1
+        assert len(uncommitted(journal)) == 1
     else:
         assert mode == "done"
-        assert not journal.uncommitted()
+        assert not uncommitted(journal)
     journal.crash_at = None
     restored = DuetController.restore(
         journal,

@@ -18,6 +18,10 @@ from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.vips import generate_population
 
 
+def steps_of(plan, kind):
+    return [step for step in plan.steps if step.kind is kind]
+
+
 @pytest.fixture(scope="module")
 def world():
     topology = Topology(FatTreeParams(
@@ -45,8 +49,8 @@ class TestDiffAssignments:
         topology, population = world
         new = GreedyAssigner(topology).assign(population.demands())
         plan = diff_assignments(None, new)
-        assert not plan.withdrawals()
-        assert len(plan.announcements()) == new.n_assigned
+        assert not steps_of(plan, StepKind.WITHDRAW)
+        assert len(steps_of(plan, StepKind.ANNOUNCE)) == new.n_assigned
         assert plan.traffic_shuffled_bps == 0.0
 
     def test_identity_plan_empty(self, world):
@@ -75,7 +79,8 @@ class TestDiffAssignments:
         b = GreedyAssigner(topology).assign(demands)  # adds 20 more
         plan = diff_assignments(a, b)
         moved_traffic = sum(
-            b.demands[s.vip_id].traffic_bps for s in plan.withdrawals()
+            b.demands[s.vip_id].traffic_bps
+            for s in steps_of(plan, StepKind.WITHDRAW)
         )
         assert plan.traffic_shuffled_bps == pytest.approx(moved_traffic)
 
@@ -170,8 +175,8 @@ class TestSticky:
             e_curr, e_plan = eager.reassign(e_curr, list(epoch.demands))
             l_curr, l_plan = lazy.reassign(l_curr, list(epoch.demands))
             if epoch.index > 0:
-                e_moved += len(e_plan.withdrawals())
-                l_moved += len(l_plan.withdrawals())
+                e_moved += len(steps_of(e_plan, StepKind.WITHDRAW))
+                l_moved += len(steps_of(l_plan, StepKind.WITHDRAW))
         assert e_moved >= l_moved
 
     def test_negative_delta_rejected(self, world):

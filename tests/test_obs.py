@@ -17,7 +17,6 @@ from repro.obs import (
     RingBuffer,
     format_series,
     render_prometheus,
-    render_recorder_jsonl,
     render_registry_jsonl,
     validate_prometheus_text,
 )
@@ -76,7 +75,7 @@ class TestGauge:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(5)
         gauge.labels().inc(2)
-        gauge.labels().dec(4)
+        gauge.labels().inc(-4)
         assert gauge.value() == 3
 
 
@@ -126,13 +125,14 @@ class TestRegistry:
             "c", lambda reg: reg.counter("x_total").set_total(2))
         registry.collect()
         assert registry.get("x_total").total() == 2
-        assert registry.collector_names() == ["c"]
 
     def test_unregister_collector(self):
         registry = MetricsRegistry()
-        registry.register_collector("c", lambda reg: None)
+        registry.register_collector(
+            "c", lambda reg: reg.counter("x_total").set_total(1))
         registry.unregister_collector("c")
-        assert registry.collector_names() == []
+        registry.collect()
+        assert registry.get("x_total") is None
 
 
 class TestHistogram:
@@ -405,9 +405,8 @@ class TestExporters:
         for n in (1, 4):
             state["n"] = n
             recorder.tick()
-        rows = [json.loads(line) for line in render_recorder_jsonl(recorder)]
-        series = {r["name"]: r["points"] for r in rows}
-        assert series["x_total"] == [[0, 1], [1, 4]]
+        assert recorder.series_keys() == [("x_total", ())]
+        assert recorder.series("x_total") == [(0, 1), (1, 4)]
 
 
 class TestValidator:

@@ -28,6 +28,15 @@ from repro.obs import (
     span_attrs,
     trace_event,
 )
+from tests.test_durability import uncommitted
+
+
+def named(tracer, name: str):
+    return [span for span in tracer.spans() if span.name == name]
+
+
+def hop_names(record):
+    return [hop["hop"] for hop in record.hops]
 
 
 def make_controller(seed: int = 11, n_vips: int = 12) -> DuetController:
@@ -93,7 +102,7 @@ class TestTracerMechanics:
         with pytest.raises(ValueError):
             with tracer.span("doomed"):
                 raise ValueError("boom")
-        span = tracer.find("doomed")[0]
+        span = named(tracer, "doomed")[0]
         assert span.finished
         assert span.attrs["error"] == "ValueError: boom"
 
@@ -157,11 +166,11 @@ class TestTracedMigration:
             "hmux.program", "bgp.announce", "journal.commit",
         } <= names
         # The transit span names the SMux backstop that carried traffic.
-        transit = tracer.find("migrate.smux_transit")[0]
+        transit = named(tracer, "migrate.smux_transit")[0]
         assert transit.attrs["backstop"].startswith("smux:")
         # Causal order: withdraw finished before reprogram started.
-        withdraw = tracer.find("migrate.withdraw")[0]
-        reprogram = tracer.find("migrate.reprogram")[0]
+        withdraw = named(tracer, "migrate.withdraw")[0]
+        reprogram = named(tracer, "migrate.reprogram")[0]
         assert withdraw.end < reprogram.start
 
     def test_untraced_migrate_is_equivalent(self):
@@ -221,7 +230,7 @@ class TestTracedMigration:
         crashed.set_crash_hook(hook)
         with pytest.raises(SimulatedCrash):
             crashed.migrate_vip(vip, target)
-        assert crashed.journal.uncommitted()
+        assert uncommitted(crashed.journal)
         restored = restore_warm(crashed)
         twin.migrate_vip(vip, target)
         assert (controller_fingerprint(restored)
@@ -274,7 +283,7 @@ class TestPacketTap:
         controller.forward(packet)
 
         [record] = tap.records()
-        assert record.hop_names() == [
+        assert hop_names(record) == [
             "route.resolve", "hmux.encap", "host.decap",
         ]
         assert record.hops[1]["mux"].startswith("hmux:")
@@ -300,4 +309,4 @@ class TestPacketTap:
 
         controller.forward(
             make_tcp_packet(CLIENT_POOL.network + 1, smux_vip, 41000, 80))
-        assert "smux.encap" in tap.records()[-1].hop_names()
+        assert "smux.encap" in hop_names(tap.records()[-1])

@@ -1,16 +1,11 @@
 """Tests for repro.analysis.plot and repro.analysis.export."""
 
 import csv
-import json
 import math
 
 import pytest
 
-from repro.analysis.export import (
-    export_json,
-    export_rows_csv,
-    export_series_csv,
-)
+from repro.analysis.export import export_rows_csv
 from repro.analysis.plot import (
     decimate,
     sparkline,
@@ -94,9 +89,7 @@ class TestCsvExport:
             export_rows_csv(tmp_path / "t.csv", ("a",), [(1, 2)])
 
     def test_series(self, tmp_path):
-        path = export_series_csv(
-            tmp_path / "s.csv", [(0.0, 1.0)], x_label="t", y_label="v",
-        )
+        path = export_rows_csv(tmp_path / "s.csv", ("t", "v"), [(0.0, 1.0)])
         assert path.read_text().splitlines()[0] == "t,v"
 
     def test_creates_directories(self, tmp_path):
@@ -104,23 +97,6 @@ class TestCsvExport:
             tmp_path / "deep" / "dir" / "t.csv", ("a",), [(1,)],
         )
         assert path.exists()
-
-
-class TestJsonExport:
-    def test_numpy_types(self, tmp_path):
-        import numpy as np
-
-        path = export_json(tmp_path / "x.json", {
-            "i": np.int64(3),
-            "f": np.float64(1.5),
-            "arr": np.asarray([1.0, 2.0]),
-        })
-        payload = json.loads(path.read_text())
-        assert payload == {"i": 3, "f": 1.5, "arr": [1.0, 2.0]}
-
-    def test_plain_payload(self, tmp_path):
-        path = export_json(tmp_path / "y.json", [1, "two"])
-        assert json.loads(path.read_text()) == [1, "two"]
 
 
 class TestFigureIntegration:

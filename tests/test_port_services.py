@@ -182,7 +182,8 @@ class TestControllerPortServices:
         hmux = controller.switch_agents[switch].hmux
         assert hmux.dips_of(vip.addr, 80) == [survivor]
         for smux in controller.smuxes:
-            assert set(smux.port_slot_dips(vip.addr, 80)) == {survivor}
+            port_pools = dict(zip(*smux.slot_layouts()[1]))
+            assert set(port_pools[(vip.addr, 80)].tolist()) == {survivor}
 
     def test_removal_keeps_surviving_port_flows_in_place(self, topology):
         """The port pool shrinks by resilient removal: a port-21 flow

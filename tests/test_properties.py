@@ -144,7 +144,7 @@ class TestAssignmentCapacityProperty:
         for s in range(topology.n_switches):
             assert sum(
                 assignment.demands[v].n_dips
-                for v in assignment.vips_on_switch(s)
+                for v, sw in assignment.vip_to_switch.items() if sw == s
             ) <= capacity
         # Host table: global /32 budget.
         assert assignment.n_assigned <= topology.params.tables.host_table

@@ -124,7 +124,8 @@ class TestDuetProvisioning:
         result = duet_provisioning(assignment, topology)
         assert result.n_smuxes >= 1
         assert result.worst_failover_bps >= 0
-        assert result.peak_bps >= result.leftover_bps
+        assert result.worst_failover_bps >= 0
+        assert result.migration_peak_bps >= 0
 
     def test_far_fewer_than_ananta(self, world):
         """The headline (Figure 16): Duet needs a small fraction of the
@@ -140,7 +141,11 @@ class TestDuetProvisioning:
         result = duet_provisioning(assignment, topology, config)
         expected = max(
             config.min_smuxes,
-            math.ceil(result.peak_bps / config.smux_capacity_bps),
+            math.ceil(
+                (result.leftover_bps + max(
+                    result.worst_failover_bps, result.migration_peak_bps,
+                )) / config.smux_capacity_bps
+            ),
         )
         assert result.n_smuxes == expected
 

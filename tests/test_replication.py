@@ -116,11 +116,11 @@ class TestFailureExposure:
         result = ReplicatedAssigner(topology, replicas=2).assign(
             population.demands()
         )
-        vip_id, switches = next(iter(result.vip_to_switches.items()))
+        # Losing one of two replicas degrades a VIP but keeps it on the
+        # HMux layer: a single switch failure exposes nothing to SMux.
+        _, switches = next(iter(result.vip_to_switches.items()))
         scenario = switch_failures(topology, [switches[0]])
-        assert result.degraded_traffic_bps(scenario) >= (
-            result.demands[vip_id].traffic_bps
-        )
+        assert result.smux_exposure_bps(scenario) == 0.0
 
     def test_all_replicas_dead_is_exposed(self, world):
         topology, population = world

@@ -129,14 +129,6 @@ class TestPathFractions:
         assert outflow(topo, fractions, src) == pytest.approx(1.0)
         assert dead not in fractions
 
-    def test_vector_matches_dict(self, router, topo):
-        src, dst = topo.tors(0)[0], topo.tors(1)[0]
-        vec = router.path_fraction_vector(src, dst)
-        fractions = router.path_fractions(src, dst)
-        assert vec.sum() == pytest.approx(sum(fractions.values()))
-        for link, f in fractions.items():
-            assert vec[link] == pytest.approx(f)
-
     def test_caching_returns_same_object(self, router, topo):
         a = router.path_fractions(0, 5)
         b = router.path_fractions(0, 5)

@@ -396,26 +396,28 @@ class TestPolicyValidation:
             slo="nope", windows=(BurnWindow(1.0, 0.5, 4.0, "page"),),
         )
         with pytest.raises(SloError, match="unknown SLO"):
-            AlertEvaluator(self._slos(), recorder, [policy])
+            AlertEvaluator(self._slos(), recorder, [policy], registry=registry)
 
     def test_short_window_must_not_exceed_long(self):
-        recorder = Recorder(MetricsRegistry())
+        registry = MetricsRegistry()
+        recorder = Recorder(registry)
         policy = AlertPolicy(
             slo="vip-availability",
             windows=(BurnWindow(0.5, 1.0, 4.0, "page"),),
         )
         with pytest.raises(SloError, match="exceeds"):
-            AlertEvaluator(self._slos(), recorder, [policy])
+            AlertEvaluator(self._slos(), recorder, [policy], registry=registry)
 
     def test_for_rounds_floor(self):
-        recorder = Recorder(MetricsRegistry())
+        registry = MetricsRegistry()
+        recorder = Recorder(registry)
         policy = AlertPolicy(
             slo="vip-availability",
             windows=(BurnWindow(1.0, 0.5, 4.0, "page"),),
             for_rounds=0,
         )
         with pytest.raises(SloError, match="for_rounds"):
-            AlertEvaluator(self._slos(), recorder, [policy])
+            AlertEvaluator(self._slos(), recorder, [policy], registry=registry)
 
     def test_default_policies_cover_default_slos(self):
         names = {p.slo for p in build_default_policies()}

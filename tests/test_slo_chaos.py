@@ -18,8 +18,10 @@ import json
 import pytest
 
 from repro.chaos import ChaosConfig, ChaosEngine
+from repro.fleet import FleetConfig, SoakFleet
 from repro.obs import replay_incident
-from repro.obs.incident import ALERTABLE_FAULT_KINDS
+from repro.obs.incident import ALERTABLE_FAULT_KINDS, Incident
+from tests.conftest import fleet_workers
 
 N_SEEDS = 200
 N_FAULT_FREE_SEEDS = 30
@@ -48,57 +50,55 @@ def _run(seed: int, inject_faults: bool = True):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """Run the full fault-injecting corpus once (sharded over workers
-    when REPRO_FLEET_WORKERS / the CPU count allows); every aggregate
-    assertion reads from this cache.  pool_map_reports returns reports
-    in seed order, identical to the serial loop."""
-    from repro.fleet import pool_map_reports
+def fleet():
+    """Run the full fault-injecting corpus once through the soak fleet
+    (sharded over ``fleet_workers()``); every aggregate assertion reads
+    its per-seed summaries or its merged totals."""
+    report = SoakFleet(
+        _config(0), range(N_SEEDS),
+        fleet=FleetConfig(workers=fleet_workers()),
+    ).run()
+    assert report.quarantined == []
+    return report
 
-    return pool_map_reports([_config(seed) for seed in range(N_SEEDS)])
+
+@pytest.fixture(scope="module")
+def corpus(fleet):
+    return fleet.results
 
 
 class TestSoakCorpus:
     def test_no_invariant_violations(self, corpus):
-        bad = [r.violations for r in corpus if not r.ok]
+        bad = [r["violations"] for r in corpus if not r["ok"]]
         assert bad == []
 
     def test_slo_summary_present(self, corpus):
-        for report in corpus:
-            assert report.slo is not None
-            assert set(report.slo) == {"scorecard", "budgets", "alerts"}
-            assert set(report.slo["budgets"]) == {
+        for summary in corpus:
+            assert summary["slo"] is not None
+            assert set(summary["slo"]) == {"scorecard", "budgets", "alerts"}
+            assert set(summary["slo"]["budgets"]) == {
                 "vip-availability", "delivery-latency-p99",
                 "post-heal-convergence", "detection-latency",
             }
 
-    def test_aggregate_precision(self, corpus):
-        incidents = sum(r.slo["scorecard"]["incidents"] for r in corpus)
-        true_pos = sum(r.slo["scorecard"]["true_positives"] for r in corpus)
-        assert incidents > 0
-        precision = true_pos / incidents
-        assert precision >= PRECISION_FLOOR, (
-            f"precision {precision:.3f} over {incidents} incidents"
+    def test_aggregate_precision(self, fleet):
+        card = fleet.totals["slo_scorecard"]
+        assert card["incidents"] > 0
+        assert card["precision"] >= PRECISION_FLOOR, (
+            f"precision {card['precision']:.3f} over "
+            f"{card['incidents']} incidents"
         )
 
-    def test_aggregate_recall(self, corpus):
-        eligible = sum(
-            r.slo["scorecard"]["eligible_faults"] for r in corpus
-        )
-        matched = sum(
-            r.slo["scorecard"]["matched_faults"] for r in corpus
-        )
-        assert eligible > 0
-        recall = matched / eligible
-        assert recall >= RECALL_FLOOR, (
-            f"recall {recall:.3f} ({matched}/{eligible})"
+    def test_aggregate_recall(self, fleet):
+        card = fleet.totals["slo_scorecard"]
+        assert card["eligible_faults"] > 0
+        assert card["recall"] >= RECALL_FLOOR, (
+            f"recall {card['recall']:.3f} "
+            f"({card['matched_faults']}/{card['eligible_faults']})"
         )
 
-    def test_every_alertable_kind_caught(self, corpus):
-        by_kind: dict = {}
-        for report in corpus:
-            for kind, n in report.slo["scorecard"]["matched_by_kind"].items():
-                by_kind[kind] = by_kind.get(kind, 0) + n
+    def test_every_alertable_kind_caught(self, fleet):
+        by_kind = fleet.totals["slo_scorecard"]["matched_by_kind"]
         for kind in ALERTABLE_FAULT_KINDS:
             assert by_kind.get(kind, 0) >= 1, (
                 f"no alert ever matched a {kind} fault; matched {by_kind}"
@@ -106,10 +106,9 @@ class TestSoakCorpus:
 
     def test_incidents_carry_forensics(self, corpus):
         seen = 0
-        for report in corpus:
-            for incident in report.incidents:
+        for summary in corpus:
+            for data in summary["incidents"]:
                 seen += 1
-                data = incident.to_dict()
                 assert data["incident_id"].count(":") == 2
                 assert data["timeline"], "empty incident timeline"
                 ts = [entry["t"] for entry in data["timeline"]]
@@ -121,12 +120,9 @@ class TestSoakCorpus:
                 assert data["replay"] is not None
         assert seen > 0
 
-    def test_time_to_fire_within_reason(self, corpus):
-        lats: list = []
-        for report in corpus:
-            lats.extend(report.slo["scorecard"]["time_to_fire_s"])
+    def test_time_to_fire_within_reason(self, fleet):
+        lats = fleet.totals["slo_scorecard"]["time_to_fire_s"]
         assert lats, "no true positives produced a time-to-fire"
-        lats.sort()
         median = lats[len(lats) // 2]
         # Detection budget is 90 ms; alerting adds the burn windows and
         # FSM hysteresis on top.  A median beyond 150 ms means the fast
@@ -160,12 +156,10 @@ class TestDeterminism:
         )
 
     def test_replay_reproduces_incident(self, corpus):
-        incident = next(
-            i for r in corpus for i in r.incidents
-        )
-        replayed = replay_incident(incident)
+        data = next(i for summary in corpus for i in summary["incidents"])
+        replayed = replay_incident(Incident.from_dict(data))
         assert replayed is not None
-        assert replayed.to_json() == incident.to_json()
+        assert json.loads(json.dumps(replayed.to_dict())) == data
 
 
 class TestConfigPlumbing:

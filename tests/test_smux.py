@@ -100,10 +100,12 @@ class TestConnectionState:
         assert smux.connection_count() == 0
 
     def test_expire_connection(self, smux):
+        # A connection ends when its DIP leaves the pool.
         p = packet(1)
-        smux.process(p)
-        assert smux.expire_connection(p.flow)
-        assert not smux.expire_connection(p.flow)
+        dip = smux.process(p).outer[0].dst_ip
+        smux.set_vip(VIP, [d for d in DIPS if d != dip])
+        assert smux.pinned_dip(p.flow) is None
+        assert smux.connection_count() == 0
 
     def test_pinned_dip_query(self, smux):
         p = packet(2)

@@ -67,12 +67,6 @@ class TestSnatPortManager:
         with pytest.raises(SnatError):
             manager.allocate(DIPS[3])
 
-    def test_release_dip(self):
-        manager = SnatPortManager(VIP, range_size=100)
-        manager.allocate(DIPS[0])
-        assert manager.release_dip(DIPS[0]) == 1
-        assert manager.ranges_of(DIPS[0]) == []
-
     def test_validation(self):
         with pytest.raises(SnatError):
             SnatPortManager(VIP, range_size=0)

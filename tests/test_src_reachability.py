@@ -1,16 +1,26 @@
-"""Every ``src/repro`` module is imported by something that runs.
+"""Every ``src/repro`` module, def and class is reached by something
+that runs.
 
-AST import walk from the entry points: the CLI, ``python -m repro``, the
-figure drivers, the fleet worker, ``benchmarks/**`` and ``examples/**``.
-A package ``__init__`` re-export does not count as a use:
-``from repro.sim import run_failover`` reaches ``repro.sim.scenarios``,
-where the name is defined, not every module ``repro/sim/__init__.py``
-imports.  ``tests/`` is not an entry point, so a module that only its own
-test file imports fails here — delete it or wire it to something that runs.
+Modules: AST import walk from the entry points — the CLI, ``python -m
+repro``, the figure drivers, the fleet worker, ``benchmarks/**`` and
+``examples/**``.  A package ``__init__`` re-export does not count as a
+use: ``from repro.sim import run_failover`` reaches
+``repro.sim.scenarios``, where the name is defined, not every module
+``repro/sim/__init__.py`` imports.
+
+Defs and classes: every name defined in ``src/repro`` must be used by
+name somewhere outside ``tests/`` (see :func:`used_names`).  The match is
+by name on purpose, with no call graph: a method that shares its name
+with any used attribute counts as reached.
+
+``tests/`` is not an entry point, so a module or a name that only tests
+reach fails here — delete it, wire it to something that runs, or name it
+in ``KEEP`` with the reason it stays.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +36,29 @@ ENTRY_MODULES = {"repro.cli", "repro.__main__", "repro.fleet.worker"} | {
 ENTRY_FILES = [
     p for d in ("benchmarks", "examples") for p in sorted((ROOT / d).rglob("*.py"))
 ]
+
+#: Names a non-test caller reaches only through ``getattr(self, prefix +
+#: kind)``: the chaos generator's builders and the intent's journal
+#: replayers.
+DISPATCH_PREFIXES = ("_build_", "_replay_")
+
+#: Defined in ``src``, used by no non-test file, and kept on purpose.
+KEEP = {
+    "burn_rate": "test oracle: the O(window) rescan that AlertEvaluator's "
+                 "cumulative-sum burn rate must equal (TestBurnRate)",
+    "recorder_lookup": "test oracle: the plain series lookup the rescan "
+                       "reads, beside the evaluator's incremental one",
+    "measured_demands": "operator API documented in OPERATIONS.md "
+                        "(Routine re-balancing)",
+    "load_trace": "the README promises trace files load back "
+                  "(Workload files)",
+    "close_outbound": "the paper's SNAT host-agent lifecycle (S5.2): an "
+                      "outbound connection ends and frees its port",
+    "snat_translate_outbound": "the paper's SNAT host-agent lifecycle "
+                               "(S5.2): rewrite an outbound packet",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def imports(path):
@@ -73,3 +106,74 @@ def test_every_package_all_name_resolves():
         if not hasattr(importlib.import_module(package), name)
     ]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def _walk_uses(tree, reexports_only):
+    """``ast.walk`` that skips a package ``__init__``'s imports and
+    ``__all__`` (re-exports, not uses)."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if reexports_only and (
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            or isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets
+            )
+        ):
+            continue
+        yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def used_names():
+    """Every identifier a non-test file uses: names, attributes, import
+    aliases, keyword arguments, and identifier-shaped string constants
+    (``benchmarks/e2e/layers.py`` names the callables it wraps by
+    string)."""
+    used = set()
+    for path in list(MODULES.values()) + ENTRY_FILES:
+        package = path.name == "__init__.py" and SRC in path.parents
+        for node in _walk_uses(ast.parse(path.read_text()), package):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+                used.add(node.asname or node.name)
+            elif isinstance(node, ast.keyword) and node.arg:
+                used.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _IDENTIFIER.fullmatch(node.value):
+                    used.add(node.value)
+    return used
+
+
+def defined_names():
+    """(module, name) of every def and class in ``src/repro``, dunder
+    protocol methods aside (the interpreter calls those)."""
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                yield module, node.name
+
+
+def test_every_src_def_is_used_outside_tests():
+    used = used_names()
+    unused = sorted(
+        f"{module}.{name}" for module, name in defined_names()
+        if name not in used and name not in KEEP
+        and not name.startswith(DISPATCH_PREFIXES)
+    )
+    assert not unused, f"defined in src, used only by tests: {unused}"
+
+
+def test_keep_list_holds_only_unused_defs():
+    defined = {name for _, name in defined_names()}
+    stale = sorted(name for name in KEEP if name not in defined)
+    assert not stale, f"KEEP names nothing src defines: {stale}"
+    reached = sorted(KEEP.keys() & used_names())
+    assert not reached, f"KEEP names a def a non-test file uses: {reached}"

