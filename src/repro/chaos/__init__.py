@@ -6,10 +6,14 @@ failures and migrations.  This package turns that claim into a checked
 property: a seeded generator drives a live
 :class:`~repro.core.controller.DuetController` through randomized event
 sequences (switch fail/recover, SMux fail/add, DIP flaps, link cuts, VIP
-and DIP churn, rebalance epochs, SNAT enablement) and asserts a battery
-of invariants after every step.  Violations come with a reproduction
-artifact: the config seed plus the exact event prefix, replayable with
-:func:`replay_artifact` or ``python -m repro chaos --replay``.
+and DIP churn, rebalance epochs, SNAT enablement, controller crashes,
+control-channel and silent/gray faults).  Every event goes through
+:meth:`ChaosEngine.step`, which applies it and returns the verdict of one
+ordered battery of invariants.  Seeded runs come with a reproduction
+artifact on violation: the config seed plus the exact event prefix,
+replayable with :func:`replay_artifact` or ``python -m repro chaos
+--replay``; the test suite's Hypothesis machine drives the same ``step``
+with drawn events and shrinks a failure to a minimal event list.
 """
 
 from repro.chaos.engine import (

@@ -1,14 +1,14 @@
 """Chaos runner: seeded soak loop with per-step invariant checks.
 
 The engine builds a live :class:`~repro.core.controller.DuetController`
-from a :class:`ChaosConfig`, drives it with events from the seeded
-:class:`~repro.chaos.events.EventGenerator`, and runs the full
-:class:`~repro.chaos.invariants.InvariantChecker` battery plus the
-stateful :class:`~repro.chaos.invariants.FlowAffinityTracker` after
-every event.  On a violation it emits a :class:`ChaosArtifact` — the
-config plus the exact event prefix — which :func:`replay_artifact` (or
-``python -m repro chaos --replay``) turns back into the same violation,
-because events carry fully-specified parameters and every random choice
+from a :class:`ChaosConfig`.  :meth:`ChaosEngine.step` is the one place
+an event reaches it: it applies the event and returns the verdict of
+the engine's ordered :attr:`~ChaosEngine.battery`.  :meth:`~ChaosEngine.run`
+feeds ``step`` from the seeded :class:`~repro.chaos.events.EventGenerator`
+and, on a violation, emits a :class:`ChaosArtifact` — the config plus
+the exact event prefix — which :func:`replay_artifact` (or ``python -m
+repro chaos --replay``) turns back into the same violation, because
+events carry fully-specified parameters and every random choice
 (generation, fault injection, population synthesis) is seeded.
 """
 
@@ -37,10 +37,12 @@ from repro.chaos.events import (
     EventGenerator,
     EventKind,
     build_vip_from_params,
+    crash_event,
 )
 from repro.chaos.invariants import (
     FlowAffinityTracker,
     InvariantChecker,
+    MetricsConservation,
     Violation,
 )
 
@@ -214,16 +216,6 @@ def apply_event(controller: DuetController, event: ChaosEvent) -> None:
         raise ValueError(f"unhandled event kind {kind}")
 
 
-#: Event kinds handled by the engine itself: they mutate the control
-#: channel (and, on heal, drive a timed anti-entropy convergence pass),
-#: never the controller's data plane directly.
-CHANNEL_KINDS = frozenset({
-    EventKind.CHANNEL_LOSS,
-    EventKind.CHANNEL_DELAY,
-    EventKind.CHANNEL_PARTITION,
-    EventKind.CHANNEL_HEAL,
-})
-
 #: Default sampling weights for channel-fault kinds, applied only when
 #: the config enables the corresponding fault.  Heal outweighs injection
 #: slightly so runs keep cycling degraded -> healed -> converged.
@@ -233,6 +225,11 @@ CHANNEL_WEIGHTS = {
     EventKind.CHANNEL_PARTITION: 3.0,
     EventKind.CHANNEL_HEAL: 3.5,
 }
+
+#: Event kinds handled by the engine itself: they mutate the control
+#: channel (and, on heal, drive a timed anti-entropy convergence pass),
+#: never the controller's data plane directly.
+CHANNEL_KINDS = frozenset(CHANNEL_WEIGHTS)
 
 
 #: Event kinds that mutate the fault plane instead of the controller.
@@ -399,26 +396,15 @@ class ChaosEngine:
             # alert that fires is a false positive by construction.
             for kind in FAULT_PLANE_KINDS:
                 weights[kind] = 0.0
-        if config.channel_loss > 0:
-            weights[EventKind.CHANNEL_LOSS] = (
-                CHANNEL_WEIGHTS[EventKind.CHANNEL_LOSS]
-            )
-        if config.channel_delay > 0:
-            weights[EventKind.CHANNEL_DELAY] = (
-                CHANNEL_WEIGHTS[EventKind.CHANNEL_DELAY]
-            )
-        if config.channel_partitions > 0:
-            weights[EventKind.CHANNEL_PARTITION] = (
-                CHANNEL_WEIGHTS[EventKind.CHANNEL_PARTITION]
-            )
-        if (
-            config.channel_loss > 0
-            or config.channel_delay > 0
-            or config.channel_partitions > 0
-        ):
-            weights[EventKind.CHANNEL_HEAL] = (
-                CHANNEL_WEIGHTS[EventKind.CHANNEL_HEAL]
-            )
+        channel_faults = {
+            EventKind.CHANNEL_LOSS: config.channel_loss > 0,
+            EventKind.CHANNEL_DELAY: config.channel_delay > 0,
+            EventKind.CHANNEL_PARTITION: config.channel_partitions > 0,
+        }
+        channel_faults[EventKind.CHANNEL_HEAL] = any(channel_faults.values())
+        for kind, enabled in channel_faults.items():
+            if enabled:
+                weights[kind] = CHANNEL_WEIGHTS[kind]
         self.generator = EventGenerator(
             self.controller,
             seed=config.seed ^ 0x5EED,
@@ -431,8 +417,8 @@ class ChaosEngine:
         # Telemetry: a per-run registry + recorder.  The instrumentation
         # handle survives crash-restarts (rebind in _do_crash) so
         # cumulative series like duet_forwarded_packets_total span every
-        # controller incarnation, and the invariant battery gets the
-        # registry for its conservation-law checks.
+        # controller incarnation, and the battery checks the registry's
+        # conservation laws.
         from repro.obs import MetricsRegistry, Recorder, instrument_controller
 
         self.registry = MetricsRegistry()
@@ -458,13 +444,9 @@ class ChaosEngine:
         self.registry.register_collector(
             "chaos", lambda reg: self._chaos_crashes.set_total(self.crashes),
         )
-        self.checker = InvariantChecker(
-            self.controller, registry=self.registry,
-        )
+        self.checker = InvariantChecker(self.controller)
         self.tracker = FlowAffinityTracker(
-            self.controller,
-            seed=config.seed,
-            flows_per_vip=config.flows_per_vip,
+            self.controller, flows_per_vip=config.flows_per_vip,
         )
         # Durability: every engine run journals, so a crash event (or a
         # user poking at --crash-prob) always has intent to restore from.
@@ -543,6 +525,25 @@ class ChaosEngine:
             self._event_log = []
             self._slo_names = self.alerts.instrument_names()
             self._build_incident = build_incident
+        #: What every step is judged by, in order.  ``step`` looks
+        #: ``check`` up on each part at call time, so a class-level
+        #: wrapper of a part's ``check`` sees every call.
+        self.battery: Tuple[Any, ...] = (
+            self.checker,
+            MetricsConservation(self.registry),
+            self.tracker,
+        ) + ((self.scorecard,) if self.scorecard is not None else ())
+        self.applied: List[ChaosEvent] = []
+        self.event_counts: Dict[str, int] = {}
+        self.tracker.prime()
+        # The pre-chaos baseline observation.
+        self.recorder.tick(now=self._now())
+
+    def _now(self) -> Optional[float]:
+        """The recorder's clock: SLO runs keep the whole time axis on
+        the monitor's sim clock so burn-rate windows line up with probe
+        rounds; other runs use the recorder's own."""
+        return self.monitor.clock.now_s if self.config.slo else None
 
     def _next_event(self, step: int) -> Optional[ChaosEvent]:
         if self._scripted is not None:
@@ -558,11 +559,7 @@ class ChaosEngine:
             and self._armed is None
             and self._crash_rng.random() < self.config.crash_prob
         ):
-            if self._crash_rng.random() < 0.5:
-                return ChaosEvent(EventKind.CONTROLLER_CRASH, {})
-            return ChaosEvent(EventKind.CONTROLLER_CRASH, {
-                "during_next": self._crash_rng.randint(1, 3),
-            })
+            return crash_event(self._crash_rng)
         return self.generator.next_event()
 
     # -- controller crash-restart ------------------------------------------
@@ -733,98 +730,81 @@ class ChaosEngine:
                 index=len(self.incidents),
             ))
 
+    def step(self, event: ChaosEvent) -> List[Violation]:
+        """Apply one event, run the health loop, and judge the result:
+        the only way an event reaches the deployment.  Returns the
+        apply verdict (``channel-convergence`` after a heal) followed by
+        each :attr:`battery` part's, in order; empty when all held."""
+        violations: List[Violation] = []
+        if event.kind is EventKind.CONTROLLER_CRASH:
+            during = event.params.get("during_next")
+            if during is None:
+                self._do_crash()
+            else:
+                self._arm_crash(during)
+        elif event.kind in CHANNEL_KINDS:
+            try:
+                violations = self._apply_channel_event(event)
+            except SimulatedCrash:
+                # The post-heal reconcile pass hit an armed crash
+                # point; recovery's own converge finishes the heal.
+                self._do_crash()
+        elif event.kind in FAULT_PLANE_KINDS:
+            if self.fault_plane is None:
+                raise ValueError(
+                    f"{event.kind.value} requires no_oracle=True"
+                )
+            apply_fault_event(
+                self.fault_plane, event, self.monitor.clock.now_s
+            )
+        else:
+            if self.config.no_oracle and event.kind in FORBIDDEN_IN_NO_ORACLE:
+                raise ValueError(
+                    f"{event.kind.value} is an oracle-style lifecycle "
+                    "op, forbidden in no-oracle mode"
+                )
+            was_armed = self._armed is not None
+            try:
+                apply_event(self.controller, event)
+            except SimulatedCrash:
+                self._do_crash()
+            else:
+                if was_armed and self.monitor is None:
+                    # The op exposed fewer crash points than the armed
+                    # countdown; the kill lands on the op boundary
+                    # instead of evaporating.  (In no-oracle mode the
+                    # armed crash stays live so it can fire inside a
+                    # detector-driven remediation op.)
+                    self._do_crash()
+        self.applied.append(event)
+        if self._event_log is not None:
+            self._event_log.append((self.monitor.clock.now_s, event.to_dict()))
+        kind = event.kind.value
+        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
+        self._chaos_events.labels(kind).inc()
+        self.tracker.note(event)
+        if self.monitor is not None:
+            self._run_monitor_rounds()
+        # Redeliver any delayed duplicate commands before checking:
+        # fencing must absorb them without side effects, and the
+        # battery's channel-fencing check sees the result.
+        self.controller.channel.pump()
+        for part in self.battery:
+            violations += part.check()
+        # Observe AFTER the checks: their probe packets are then in the
+        # mux high-watermarks before the next event can wipe a mux,
+        # keeping the cumulative forwarded series complete.
+        self.recorder.tick(now=self._now())
+        return violations
+
     def run(self) -> ChaosReport:
-        self.tracker.prime()
         traces: List[StepTrace] = []
-        applied: List[ChaosEvent] = []
         all_violations: List[Violation] = []
-        event_counts: Dict[str, int] = {}
         first_violation_step: Optional[int] = None
         artifact: Optional[ChaosArtifact] = None
-        # The pre-chaos baseline observation.
-        self.recorder.tick(
-            now=self.monitor.clock.now_s if self.config.slo else None,
-        )
         step = 0
-        while True:
-            event = self._next_event(step)
-            if event is None:
-                break
-            channel_violations: List[Violation] = []
-            if event.kind is EventKind.CONTROLLER_CRASH:
-                during = event.params.get("during_next")
-                if during is None:
-                    self._do_crash()
-                else:
-                    self._arm_crash(during)
-            elif event.kind in CHANNEL_KINDS:
-                try:
-                    channel_violations = self._apply_channel_event(event)
-                except SimulatedCrash:
-                    # The post-heal reconcile pass hit an armed crash
-                    # point; recovery's own converge finishes the heal.
-                    self._do_crash()
-            elif event.kind in FAULT_PLANE_KINDS:
-                if self.fault_plane is None:
-                    raise ValueError(
-                        f"{event.kind.value} requires no_oracle=True"
-                    )
-                apply_fault_event(
-                    self.fault_plane, event, self.monitor.clock.now_s
-                )
-            else:
-                if (
-                    self.config.no_oracle
-                    and event.kind in FORBIDDEN_IN_NO_ORACLE
-                ):
-                    raise ValueError(
-                        f"{event.kind.value} is an oracle-style lifecycle "
-                        "op, forbidden in no-oracle mode"
-                    )
-                was_armed = self._armed is not None
-                try:
-                    apply_event(self.controller, event)
-                except SimulatedCrash:
-                    self._do_crash()
-                else:
-                    if was_armed and self.monitor is None:
-                        # The op exposed fewer crash points than the
-                        # armed countdown; the kill lands on the op
-                        # boundary instead of evaporating.  (In no-oracle
-                        # mode the armed crash stays live so it can fire
-                        # inside a detector-driven remediation op.)
-                        self._do_crash()
-            applied.append(event)
-            if self._event_log is not None:
-                self._event_log.append(
-                    (self.monitor.clock.now_s, event.to_dict())
-                )
-            event_counts[event.kind.value] = (
-                event_counts.get(event.kind.value, 0) + 1
-            )
-            self._chaos_events.labels(event.kind.value).inc()
-            self.tracker.note(event)
-            if self.monitor is not None:
-                self._run_monitor_rounds()
-            # Redeliver any delayed duplicate commands before checking:
-            # fencing must absorb them without side effects, and the
-            # battery's channel-fencing check sees the result.
-            self.controller.channel.pump()
-            violations = (
-                channel_violations
-                + self.checker.check()
-                + self.tracker.check()
-            )
-            if self.scorecard is not None:
-                violations = violations + self.scorecard.check(self.controller)
-            # Observe AFTER the checkers: their probe packets are then in
-            # the mux high-watermarks before the next event can wipe a
-            # mux, keeping the cumulative forwarded series complete.
-            # SLO runs keep the whole time axis on the monitor's sim
-            # clock so burn-rate windows line up with probe rounds.
-            self.recorder.tick(
-                now=self.monitor.clock.now_s if self.config.slo else None,
-            )
+        while (event := self._next_event(step)) is not None:
+            violations = self.step(event)
             traces.append(StepTrace(step, event, violations))
             if violations:
                 all_violations.extend(violations)
@@ -832,7 +812,7 @@ class ChaosEngine:
                     first_violation_step = step
                     artifact = ChaosArtifact(
                         config=self.config.to_dict(),
-                        events=[e.to_dict() for e in applied],
+                        events=[e.to_dict() for e in self.applied],
                         violation_step=step,
                         violations=[str(v) for v in violations],
                         metric_deltas=self.recorder.top_deltas(10),
@@ -842,8 +822,8 @@ class ChaosEngine:
             step += 1
         return ChaosReport(
             config=self.config,
-            steps_run=len(applied),
-            event_counts=event_counts,
+            steps_run=len(self.applied),
+            event_counts=self.event_counts,
             violations=all_violations,
             first_violation_step=first_violation_step,
             artifact=artifact,

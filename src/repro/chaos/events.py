@@ -241,7 +241,7 @@ class EventGenerator:
         cum = [self.weights[k] for k in kinds]
         for _ in range(64):
             kind = self.rng.choices(kinds, weights=cum)[0]
-            event = self._try_build(kind)
+            event = self.build(kind)
             if event is not None:
                 return event
         return ChaosEvent(EventKind.REBALANCE)
@@ -263,7 +263,9 @@ class EventGenerator:
 
     # -- per-kind builders -------------------------------------------------
 
-    def _try_build(self, kind: EventKind) -> Optional[ChaosEvent]:
+    def build(self, kind: EventKind) -> Optional[ChaosEvent]:
+        """A feasible event of ``kind`` against the live state, drawn
+        from :attr:`rng`, or ``None`` when no such event is feasible."""
         builder = getattr(self, f"_build_{kind.value}", None)
         if builder is None:
             if kind in (EventKind.REBALANCE, EventKind.REAP_DIPS):
@@ -272,6 +274,9 @@ class EventGenerator:
                 return self.sabotage_event()
             raise AssertionError(f"no builder for {kind}")  # pragma: no cover
         return builder()
+
+    def _build_controller_crash(self) -> ChaosEvent:
+        return crash_event(self.rng)
 
     def _build_fail_switch(self) -> Optional[ChaosEvent]:
         c = self.controller
@@ -575,6 +580,16 @@ class EventGenerator:
         return ChaosEvent(
             EventKind.ENABLE_SNAT, {"vip": self.rng.choice(candidates)}
         )
+
+
+def crash_event(rng: random.Random) -> ChaosEvent:
+    """A controller crash: half land at this op boundary, half are armed
+    to fire at a crash point inside the next op."""
+    if rng.random() < 0.5:
+        return ChaosEvent(EventKind.CONTROLLER_CRASH)
+    return ChaosEvent(EventKind.CONTROLLER_CRASH, {
+        "during_next": rng.randint(1, 3),
+    })
 
 
 def build_vip_from_params(

@@ -20,7 +20,8 @@ paper's availability and consistency claims made executable:
   (or missing from it), stale or missing SMux aggregates (full SMux
   coverage, S3.3.1), and residual state on a failed switch (S5.1).
 * **channel-fencing** — no stale or duplicate control command applied.
-* **metrics-conservation** — the telemetry registry's conservation laws.
+* **metrics-conservation** (via :class:`MetricsConservation`) — the
+  telemetry registry's conservation laws.
 * **flow-affinity** (stateful, via :class:`FlowAffinityTracker`) —
   established flows keep their DIP across events unrelated to their
   VIP's pool: resilient hashing on HMuxes, connection state on SMuxes.
@@ -32,7 +33,6 @@ a degraded VIP is never placed, a failed switch holds no record, and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -66,15 +66,8 @@ PROBES_PER_VIP = 2
 class InvariantChecker:
     """Stateless invariants over the controller's current state."""
 
-    def __init__(
-        self,
-        controller: DuetController,
-        registry=None,
-    ) -> None:
+    def __init__(self, controller: DuetController) -> None:
         self.controller = controller
-        #: Optional :class:`repro.obs.registry.MetricsRegistry` — when
-        #: set, the battery also asserts the metric conservation laws.
-        self.registry = registry
 
     def check(self) -> List[Violation]:
         violations: List[Violation] = []
@@ -84,7 +77,6 @@ class InvariantChecker:
         violations += self.check_snat_disjoint()
         violations += self.check_intent_matches_dataplane()
         violations += self.check_channel_fencing()
-        violations += self.check_metrics_conservation()
         return violations
 
     # -- individual invariants ---------------------------------------------
@@ -202,14 +194,16 @@ class InvariantChecker:
             "command(s) were applied past the (epoch, seq) fence",
         )]
 
-    def check_metrics_conservation(self) -> List[Violation]:
-        """Conservation laws computed purely from the metrics registry
-        (no controller state): per mux, ``packets_total`` must equal the
-        sum of its per-VIP attribution, and fleet-wide deliveries can
-        never exceed the cumulative forwarded count.  Skipped (empty)
-        when no registry is wired in."""
-        if self.registry is None:
-            return []
+class MetricsConservation:
+    """Conservation laws computed purely from a metrics registry (no
+    controller state): per mux, ``packets_total`` must equal the sum of
+    its per-VIP attribution, and fleet-wide deliveries can never exceed
+    the cumulative forwarded count."""
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+
+    def check(self) -> List[Violation]:
         from repro.obs.instrument import conservation_violations
 
         self.registry.collect()
@@ -266,14 +260,10 @@ class FlowAffinityTracker:
     """
 
     def __init__(
-        self,
-        controller: DuetController,
-        seed: int = 0,
-        flows_per_vip: int = 2,
+        self, controller: DuetController, flows_per_vip: int = 2,
     ) -> None:
         self.controller = controller
         self.flows_per_vip = flows_per_vip
-        self.rng = random.Random(seed)
         self._expected: Dict[FiveTuple, _Expectation] = {}
         self._vip_of: Dict[FiveTuple, int] = {}
 

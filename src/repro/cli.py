@@ -526,6 +526,13 @@ def _cmd_workload_info(path: str) -> int:
     return 0
 
 
+def _print_violations(report) -> None:
+    print(f"violations ({len(report.violations)}), first at step "
+          f"{report.first_violation_step}:")
+    for violation in report.violations:
+        print(f"  {violation}")
+
+
 def _run_fleet(args, config, *, mode: str) -> int:
     """Shared sharded-soak path for ``chaos``/``health`` fleet modes."""
     from repro.control.retry import RetryPolicy
@@ -614,10 +621,7 @@ def _cmd_chaos(args) -> int:
                 print("invariants: all held — the failure was in the "
                       "worker environment, not the seed")
                 return 0
-            print(f"violations ({len(report.violations)}), first at step "
-                  f"{report.first_violation_step}:")
-            for violation in report.violations:
-                print(f"  {violation}")
+            _print_violations(report)
             return 1
         try:
             report = replay_artifact(args.replay)
@@ -705,10 +709,7 @@ def _cmd_chaos(args) -> int:
     if report.ok:
         print("invariants: all held")
         return 0
-    print(f"violations ({len(report.violations)}), first at step "
-          f"{report.first_violation_step}:")
-    for violation in report.violations:
-        print(f"  {violation}")
+    _print_violations(report)
     artifact_path = args.artifact or "chaos-artifact.json"
     report.artifact.save(artifact_path)
     print(f"reproduction artifact -> {artifact_path} "
@@ -797,10 +798,7 @@ def _cmd_health(args) -> int:
     if report.ok:
         print("invariants: all held (detect -> failover -> recover closed)")
         return 0
-    print(f"violations ({len(report.violations)}), first at step "
-          f"{report.first_violation_step}:")
-    for violation in report.violations:
-        print(f"  {violation}")
+    _print_violations(report)
     return 1
 
 
@@ -861,9 +859,7 @@ def _cmd_slo(args) -> int:
               f"{alert['fire_t'] * 1e3:.1f} ms "
               f"(peak burn {alert['peak_long_burn']:.1f}x, {resolved})")
     if not report.ok:
-        print(f"violations ({len(report.violations)}):")
-        for violation in report.violations:
-            print(f"  {violation}")
+        _print_violations(report)
         return 1
     return 0
 

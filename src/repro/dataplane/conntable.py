@@ -23,7 +23,7 @@ The hash is the caller's: the shared :func:`five_tuple_hash` the muxes
 have already computed to pick a DIP.  A flow's probe sequence is
 triangular (``home, home+1, home+3, home+6, ...`` modulo capacity),
 which visits every slot of a power-of-two table once, so a lookup ends at
-the flow or at an empty slot.  Deleting marks the slot *deleted*, not
+the flow or at an empty slot.  Eviction marks a slot *deleted*, not
 empty — emptying it would cut the probe chain of every flow stored past
 it — and a later insert reuses it.  When live plus deleted slots would
 pass half the table it is rebuilt without the deleted ones, at the
@@ -132,15 +132,6 @@ class ConnectionTable:
         self._dip[slot] = dip
         self._live += 1
         self._vips.add(flow.dst_ip)
-
-    def pop(self, flow_hash: int, flow: FiveTuple) -> Optional[int]:
-        slot = self._find(flow_hash, flow)
-        if slot < 0:
-            return None
-        self._tag[slot] = _DELETED
-        self._live -= 1
-        self._deleted += 1
-        return self._dip.item(slot)
 
     # -- many flows, numpy -------------------------------------------------------
 

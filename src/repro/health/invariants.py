@@ -3,8 +3,8 @@
 The scorecard is the *judge*, not a participant: it reads the fault
 plane's injection log (which the detector never sees) and compares it
 with the detector's transition history and the remediation action log.
-In a no-oracle soak the chaos engine runs it after every step, beside
-the invariant battery.
+In a no-oracle soak it is the last part of the chaos engine's battery,
+checked after every step.
 
 Invariants:
 
@@ -119,7 +119,7 @@ class HealthScorecard:
     def _gray_dormant(self, fault: FaultRecord, controller) -> bool:
         """A gray fault no VIP traffic traverses is undetectable by
         end-to-end probing — and harmless.  Excused from the budget."""
-        if fault.kind != GRAY or controller is None:
+        if fault.kind != GRAY:
             return False
         parts = fault.target.split(":")
         switch = int(parts[1])
@@ -246,8 +246,6 @@ class HealthScorecard:
         return out
 
     def _check_remediated(self, controller) -> List[Violation]:
-        if controller is None:
-            controller = self.monitor.controller
         out: List[Violation] = []
         for fault in self.fault_plane.log:
             if not fault.active or fault.detected_t is None:

@@ -150,7 +150,7 @@ class TestChecker:
 class TestFlowAffinityTracker:
     @pytest.fixture()
     def tracker(self, controller):
-        t = FlowAffinityTracker(controller, seed=0)
+        t = FlowAffinityTracker(controller)
         t.prime()
         return t
 

@@ -3,9 +3,9 @@
 ``BatchSMux`` and ``SMux.process`` share one ``ConnectionTable``, so the
 batch-vs-scalar differential no longer says anything about the table
 itself.  This is its own oracle: Hypothesis interleaves scalar
-get / pin / pop, batched lookup-or-pin (duplicate rows, rows with no
-VIP), per-VIP and per-port eviction with survivor sets, and holds the
-table equal to a dict after every step.
+get / pin, batched lookup-or-pin (duplicate rows, rows with no VIP),
+per-VIP and per-port eviction with survivor sets (the table's only
+delete), and holds the table equal to a dict after every step.
 
 Every machine runs twice: with the real five-tuple hash, and with a
 degenerate one that sends every flow to one of four home slots, so probe
@@ -82,13 +82,6 @@ class TableMachine(RuleBasedStateMachine):
         if flow not in self.model:
             self.table.pin(self.hash_fn(flow), flow, dip)
             self.model[flow] = dip
-
-    @rule(flow=flows)
-    def pop(self, flow: FiveTuple) -> None:
-        assert (
-            self.table.pop(self.hash_fn(flow), flow)
-            == self.model.pop(flow, None)
-        )
 
     # A negative choice is a row whose destination is no VIP.
     @rule(rows=st.lists(
@@ -189,12 +182,19 @@ def test_growth_churn_and_slot_reuse(hash_fn) -> None:
     assert grown >= 8 * INITIAL_CAPACITY
 
     for round_no in range(30):
-        victims = list(model)[round_no::7]
+        # Evict one (VIP, DIP) class: about a fifteenth of the flows.
+        vip, dip = VIPS[round_no % 3], DIPS[round_no % 5]
+        victims = [
+            flow for flow, pinned in model.items()
+            if flow.dst_ip == vip and pinned == dip
+        ]
+        survivors = [d for d in DIPS if d != dip]
+        assert table.evict(vip, 80, survivors) == len(victims)
         for flow in victims:
-            assert table.pop(hash_fn(flow), flow) == model.pop(flow)
+            del model[flow]
         resolve(victims[::2] + some_flows(8))
         assert dict(table.items()) == model
-        for flow in victims:           # popped and not re-pinned: gone
+        for flow in victims:           # evicted and not re-pinned: gone
             assert table.get(hash_fn(flow), flow) == model.get(flow)
     assert table.capacity <= 2 * grown
 

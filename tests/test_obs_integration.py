@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.chaos.engine import ChaosArtifact, ChaosConfig, ChaosEngine, build_controller
-from repro.chaos.invariants import InvariantChecker
+from repro.chaos.events import ChaosEvent, EventKind
 from repro.cli import main
 from repro.core.controller import DuetController
 from repro.dataplane.packet import make_tcp_packet
@@ -145,14 +145,12 @@ class TestControllerInstrumentation:
 
 class TestChaosWiring:
     def test_checker_reports_metrics_conservation(self):
-        controller = make_controller()
-        registry = MetricsRegistry()
-        instrument_controller(controller, registry)
-        checker = InvariantChecker(controller, registry=registry)
-        assert checker.check() == []
-        hmux = next(iter(controller.switch_agents.values())).hmux
-        hmux.counters.packets += 7
-        violations = checker.check()
+        engine = ChaosEngine(ChaosConfig(seed=11, n_events=2, n_vips=12))
+        rebalance = ChaosEvent(EventKind.REBALANCE)
+        assert engine.step(rebalance) == []
+        hmux = next(iter(engine.controller.switch_agents.values())).hmux
+        hmux.counters.packets += 7  # packets no VIP accounts for
+        violations = engine.step(rebalance)
         assert any(
             v.invariant == "metrics-conservation" for v in violations)
 

@@ -1,87 +1,84 @@
-"""Stateful (model-based) fuzzing of the Duet controller.
+"""Stateful (model-based) fuzzing of the chaos engine.
 
-Hypothesis drives random sequences of control-plane operations — VIP
-add/remove, DIP add/remove, switch failures, SNAT enablement — against a
-live controller, checking the paper's global invariants after every
-step:
+Hypothesis drives :meth:`ChaosEngine.step` — the one place an event
+reaches the deployment and is judged — with events it draws itself: a
+kind the engine's own generator samples for its config (plus controller
+crashes), built against the live state by ``EventGenerator.build`` from
+a drawn seed.  Every step must come back clean from the engine's battery
+(reachability, route liveness, table capacity, SNAT disjointness,
+intent == dataplane, channel fencing, metrics conservation, flow
+affinity, and in no-oracle runs the health scorecard), and a failure
+shrinks to a minimal event list.  Any kind the engine gains is fuzzed
+with no edit here.
 
-* every registered VIP resolves to *some* mux (no blackholes: the SMux
-  aggregate is always there),
-* a forwarded packet is always delivered to a DIP of the VIP it
-  targeted,
-* switch table occupancy never exceeds capacity,
-* established flows never remap except when their own DIP disappears.
-* every device holds exactly what the controller intends (the
-  anti-entropy diff is empty), and the intent itself is consistent: no
-  record on a failed switch, degraded VIPs unplaced, SNAT only for live
-  VIPs, the population a view of the records.
+Two configs between them draw every event kind but ``SABOTAGE`` (which
+is deliberate corruption): an oracle run over a lossy, delaying,
+partitionable control channel, and a no-oracle run whose faults live in
+the health fault plane.
+
+The machine adds the two claims no battery part states:
+
+* a pinned flow keeps its DIP while its serving mux and DIP set are
+  stable (the tracker excuses more, because it must re-anchor after
+  every event);
+* the intent is self-consistent where the anti-entropy diff cannot see:
+  no record on a failed switch, degraded VIPs unplaced, SNAT only for
+  live VIPs, the population a view of the records.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import List
+
 from hypothesis import settings
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    precondition,
-    rule,
-)
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.controller import ControllerError, DuetController
+from repro.chaos import ChaosConfig, ChaosEngine, EventKind
+from repro.dataplane.batch import FORWARD_OK, FlowBatch
 from repro.dataplane.packet import make_tcp_packet
-from repro.durability.reconcile import AntiEntropyReconciler
-from repro.net.topology import FatTreeParams, Topology
-from repro.workload.distributions import DipCountModel
-from repro.workload.vips import CLIENT_POOL, Dip, generate_population
+from repro.workload.vips import CLIENT_POOL
+
+#: Steps per example: the recorder window must hold every step's tick.
+STEPS = 30
+
+ORACLE = ChaosConfig(
+    seed=7, n_events=STEPS, n_vips=8, crash_prob=0.0,
+    channel_loss=0.3, channel_delay=0.2, channel_partitions=2,
+)
+NO_ORACLE = ChaosConfig(
+    seed=7, n_events=STEPS, n_vips=8, no_oracle=True, background_loss=0.02,
+)
 
 
-class DuetControllerMachine(RuleBasedStateMachine):
+def drawn_kinds(engine: ChaosEngine) -> List[EventKind]:
+    """The kinds the machine draws for ``engine``: whatever its own
+    generator samples, plus controller crashes (the engine's separate
+    crash stream)."""
+    weights = engine.generator.weights
+    return [k for k, w in weights.items() if w > 0] + [
+        EventKind.CONTROLLER_CRASH
+    ]
+
+
+class ChaosMachine(RuleBasedStateMachine):
+    config = ORACLE
+
     def __init__(self) -> None:
         super().__init__()
-        self.topology = Topology(FatTreeParams(
-            n_containers=2, tors_per_container=2,
-            aggs_per_container=2, n_cores=2, servers_per_tor=6,
-        ))
-        self.population = generate_population(
-            self.topology, n_vips=8, total_traffic_bps=4e9,
-            dip_model=DipCountModel(median_large=4.0, max_dips=6),
-            seed=99,
-        )
-        self.controller = DuetController(
-            self.topology, self.population, n_smuxes=2,
-        )
-        self.controller.run_initial_assignment()
-        self.failed_switches: set = set()
-        self.pinned: dict = {}  # flow index -> (vip_addr, dip_addr)
-        self.next_dip_addr = 0x6F000001
-        self.next_server = 0
+        self.engine = ChaosEngine(self.config)
+        self.kinds = drawn_kinds(self.engine)
+        self.pinned: dict = {}  # (vip, index) -> (dip, mux, DIP set)
 
-    # -- helpers ---------------------------------------------------------
-
-    def _live_vips(self):
-        return list(self.controller.population)
-
-    def _packet(self, vip_addr: int, index: int):
-        return make_tcp_packet(
-            CLIENT_POOL.network + index, vip_addr, 9000 + index, 80,
-        )
-
-    # -- rules -----------------------------------------------------------
-
-    @rule(index=st.integers(min_value=0, max_value=200))
-    def forward_packet(self, index):
-        vips = self._live_vips()
-        if not vips:
-            return
-        vip = vips[index % len(vips)]
-        delivered, _mux = self.controller.forward(
-            self._packet(vip.addr, index)
-        )
-        dips = {d.addr for d in self.controller.record(vip.addr).dips}
-        assert delivered.flow.dst_ip in dips
+    @rule(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def chaos_event(self, data, seed):
+        kind = data.draw(st.sampled_from(self.kinds), label="kind")
+        generator = self.engine.generator
+        generator.rng.seed(seed)
+        event = generator.build(kind)
+        if event is None:
+            return  # infeasible against this state: not a step
+        assert self.engine.step(event) == []
 
     @rule(index=st.integers(min_value=0, max_value=50))
     def pin_and_check_flow(self, index):
@@ -95,140 +92,59 @@ class DuetControllerMachine(RuleBasedStateMachine):
         the resilient-removal history protecting it (the chaos tracker
         in repro.chaos.invariants models the full matrix).
         """
-        vips = self._live_vips()
-        if not vips:
-            return
-        vip = vips[index % len(vips)]
-        delivered, mux = self.controller.forward(
-            self._packet(vip.addr, index)
+        controller = self.engine.controller
+        records = sorted(controller.records().items())
+        addr, record = records[index % len(records)]
+        packet = make_tcp_packet(
+            CLIENT_POOL.network + index, addr, 9000 + index, 80,
         )
-        key = (vip.addr, index)
-        dips_now = frozenset(
-            d.addr for d in self.controller.record(vip.addr).dips
-        )
+        result = controller.forward_batch(FlowBatch.from_packets([packet]))
+        # Like every forwarder the engine runs, scrape before the next
+        # event can wipe a mux, or the cumulative forwarded series
+        # misses these packets and metrics-conservation fires.
+        self.engine.registry.collect()
+        if result.status[0] != FORWARD_OK:
+            return  # reachability is the battery's claim, not this one's
+        got, mux = int(result.dip[0]), result.mux[0]
+        key = (addr, index)
+        dips_now = frozenset(record.dip_addrs())
         if key in self.pinned:
             dip, pin_mux, pin_dips = self.pinned[key]
             if mux == pin_mux and dip in dips_now and not dips_now - pin_dips:
-                assert delivered.flow.dst_ip == dip
-        self.pinned[key] = (delivered.flow.dst_ip, mux, dips_now)
-
-    @rule(which=st.integers(min_value=0, max_value=100))
-    def fail_a_switch(self, which):
-        alive = [
-            s.index for s in self.topology.switches
-            if s.index not in self.failed_switches
-        ]
-        if len(alive) <= 4:
-            return  # keep some fabric alive
-        switch = alive[which % len(alive)]
-        self.controller.fail_switch(switch)
-        self.failed_switches.add(switch)
-
-    @rule(which=st.integers(min_value=0, max_value=50))
-    def add_a_dip(self, which):
-        vips = self._live_vips()
-        if not vips:
-            return
-        vip = vips[which % len(vips)]
-        server = self.next_server % self.topology.params.n_servers
-        self.next_server += 3
-        dip = Dip(
-            addr=self.next_dip_addr,
-            server_id=server,
-            tor=self.topology.server_tor(server),
-        )
-        self.next_dip_addr += 1
-        self.controller.add_dip(vip.addr, dip)
-        # Stale pins whose DIPs got remapped by the SMux-bounce are fine;
-        # the connection table in SMuxes protects only live SMux flows.
-        for key in [k for k in self.pinned if k[0] == vip.addr]:
-            del self.pinned[key]
-
-    @rule(which=st.integers(min_value=0, max_value=50))
-    def remove_a_dip(self, which):
-        vips = [
-            v for v in self._live_vips()
-            if len(self.controller.record(v.addr).dips) >= 2
-        ]
-        if not vips:
-            return
-        vip = vips[which % len(vips)]
-        record = self.controller.record(vip.addr)
-        victim = record.dips[which % len(record.dips)]
-        self.controller.remove_dip(vip.addr, victim.addr)
-        for key, dip in list(self.pinned.items()):
-            if key[0] == vip.addr and dip == victim.addr:
-                del self.pinned[key]
-
-    @rule(which=st.integers(min_value=0, max_value=20))
-    def remove_a_vip(self, which):
-        vips = self._live_vips()
-        if len(vips) <= 2:
-            return
-        vip = vips[which % len(vips)]
-        self.controller.remove_vip(vip.addr)
-        for key in [k for k in self.pinned if k[0] == vip.addr]:
-            del self.pinned[key]
-
-    @rule(which=st.integers(min_value=0, max_value=20))
-    def enable_snat_somewhere(self, which):
-        vips = self._live_vips()
-        if not vips:
-            return
-        vip = vips[which % len(vips)]
-        try:
-            self.controller.enable_snat(vip.addr)
-        except Exception:
-            pass  # port space can run out under repeated enabling
-
-    # -- invariants -------------------------------------------------------
-
-    @invariant()
-    def every_vip_resolves(self):
-        for vip in self._live_vips():
-            assert self.controller.route_table.next_hops(vip.addr)
-
-    @invariant()
-    def table_capacities_respected(self):
-        for agent in self.controller.switch_agents.values():
-            hmux = agent.hmux
-            assert len(hmux.tunnel_table) <= hmux.tunnel_table.capacity
-            assert hmux.ecmp_table.used_entries <= hmux.ecmp_table.capacity
-            assert len(hmux.host_table) <= hmux.host_table.capacity
-
-    @invariant()
-    def records_consistent_with_route_table(self):
-        from repro.net.addressing import Prefix
-        from repro.net.bgp import MuxRef
-
-        for vip in self._live_vips():
-            record = self.controller.record(vip.addr)
-            if record.assigned_switch is not None:
-                announcers = self.controller.route_table.announcers(
-                    Prefix.host(vip.addr)
-                )
-                assert MuxRef.hmux(record.assigned_switch) in announcers
-
-    @invariant()
-    def dataplane_matches_intent(self):
-        assert AntiEntropyReconciler(self.controller).diff() == []
+                assert got == dip
+        self.pinned[key] = (got, mux, dips_now)
 
     @invariant()
     def intent_is_self_consistent(self):
         """What the anti-entropy diff cannot see, the intent's own
         transitions guarantee."""
-        intent = self.controller.intent
+        controller = self.engine.controller
+        intent = controller.intent
         for addr, record in intent.records.items():
             assert record.assigned_switch not in intent.failed_switches
             if addr in intent.degraded:
                 assert record.assigned_switch is None
         assert set(intent.snat) <= set(intent.records)
-        assert [v.addr for v in self.controller.population] == list(
-            self.controller.records()
+        assert [v.addr for v in controller.population] == list(
+            controller.records()
         )
 
 
-DuetControllerMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=30, deadline=None,
+class NoOracleChaosMachine(ChaosMachine):
+    config = NO_ORACLE
+
+
+ChaosMachine.TestCase.settings = NoOracleChaosMachine.TestCase.settings = (
+    settings(max_examples=12, stateful_step_count=STEPS, deadline=None)
 )
-TestDuetControllerStateful = DuetControllerMachine.TestCase
+TestDuetControllerStateful = ChaosMachine.TestCase
+TestNoOracleStateful = NoOracleChaosMachine.TestCase
+
+
+def test_machine_draws_every_event_kind():
+    drawn = set()
+    for config in (ORACLE, NO_ORACLE):
+        drawn.update(drawn_kinds(ChaosEngine(
+            ChaosConfig.from_dict({**config.to_dict(), "n_events": 0})
+        )))
+    assert drawn == set(EventKind) - {EventKind.SABOTAGE}
