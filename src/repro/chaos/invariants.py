@@ -194,6 +194,7 @@ class InvariantChecker:
             "command(s) were applied past the (epoch, seq) fence",
         )]
 
+
 class MetricsConservation:
     """Conservation laws computed purely from a metrics registry (no
     controller state): per mux, ``packets_total`` must equal the sum of
