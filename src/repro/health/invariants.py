@@ -164,6 +164,14 @@ class HealthScorecard:
 
     # -- judgement ----------------------------------------------------------
 
+    def _rounds(self, seconds: float) -> int:
+        """A sim-clock span in whole probe rounds.  Every timestamp is a
+        sum of probe periods, so the span is a whole number of rounds up
+        to float drift, which must not move a verdict across a budget: a
+        fault injected at t=0.045 s and detected 30 rounds of 3 ms later
+        reads as 0.09000000000000005 s late."""
+        return round(seconds / self.config.probe_period_s)
+
     def check(self, controller=None) -> List[Violation]:
         self.sync()
         if controller is None:
@@ -187,7 +195,7 @@ class HealthScorecard:
                 start = fault.injected_t
             exposure = end - start
             if fault.detected_t is None:
-                if exposure <= cfg.detection_budget_s:
+                if self._rounds(exposure) <= cfg.detection_budget_rounds:
                     # Flap (cleared early) or still within budget.
                     continue
                 if self._gray_dormant(fault, controller):
@@ -204,7 +212,7 @@ class HealthScorecard:
                 fault.injected_t,
                 self._gray_exposure_start.get(fault.target, fault.injected_t),
             )
-            if latency > cfg.detection_budget_s:
+            if self._rounds(latency) > cfg.detection_budget_rounds:
                 violations.append(Violation(
                     "detection-budget",
                     f"{fault.kind} on {fault.target} detected after "
@@ -236,7 +244,7 @@ class HealthScorecard:
                 if rec.target == track.key and rec.cleared_t is not None
             ]
             since = max([track.entered_state_t] + cleared)
-            if now - since > cfg.recovery_budget_s:
+            if self._rounds(now - since) > cfg.recovery_budget_rounds:
                 out.append(Violation(
                     "no-stuck-quarantine",
                     f"{key} healthy since t={since:.3f}s but still "

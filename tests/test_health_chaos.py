@@ -66,6 +66,45 @@ class TestNoOracleSoak:
         )
 
 
+def test_detection_at_exactly_the_budget_is_within_it():
+    """Shrunk by the Hypothesis machine (tests/test_stateful.py): a gray
+    fault detected exactly ``detection_budget_rounds`` probe rounds after
+    injection was reported late, because a sim clock summed from 3 ms
+    periods drifts past 0.09 s.  The scorecard judges in whole rounds."""
+    def ev(kind, **params):
+        return ChaosEvent(EventKind(kind), params)
+
+    events = [
+        ev("dip_down", dip=1677721612, server=7),
+        ev("silent_fail_smux", smux=1),
+        ev("silent_recover_smux", smux=1),
+        ev("dip_down", dip=1677721613, server=32),
+        ev("dip_down", dip=1677721614, server=26),
+        ev("gray_failure", switch=4, vip=167772165, loss=0.4),
+        ev("add_vip", vip_id=8, addr=167772168, traffic_bps=125e6, dips=[
+            {"addr": 1677721626, "server": 26},
+            {"addr": 1677721627, "server": 2},
+            {"addr": 1677721628, "server": 16},
+            {"addr": 1677721629, "server": 32},
+        ]),
+        ev("add_smux"),
+        ev("silent_fail_smux", smux=0),
+        ev("silent_fail_switch", switch=10),
+        ev("remove_vip", vip=167772166),
+        ev("dip_down", dip=1677721615, server=10),
+        ev("dip_down", dip=1677721616, server=29),
+        ev("dip_down", dip=1677721617, server=4),
+        ev("add_smux"),
+    ]
+    report = ChaosEngine(no_oracle_config(
+        seed=7, n_vips=8, background_loss=0.02,
+    ), events=events).run()
+    assert report.violations == []
+    assert report.health["max_detection_latency_s"] == pytest.approx(
+        HealthConfig().detection_budget_s
+    )
+
+
 def test_product_probers_never_forward_per_packet(monkeypatch):
     """Tier-1 cannot time the probe path, so it forbids the slow one:
     with the scalar muxes and host delivery disabled, a stacked seed —
