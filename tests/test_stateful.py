@@ -39,11 +39,12 @@ from repro.dataplane.batch import FORWARD_OK, FlowBatch
 from repro.dataplane.packet import make_tcp_packet
 from repro.workload.vips import CLIENT_POOL
 
-#: Steps per example: the recorder window must hold every step's tick.
+#: Steps per example, and the configs' ``n_events`` (which sizes the
+#: engine's recorder window).
 STEPS = 30
 
 ORACLE = ChaosConfig(
-    seed=7, n_events=STEPS, n_vips=8, crash_prob=0.0,
+    seed=7, n_events=STEPS, n_vips=8,
     channel_loss=0.3, channel_delay=0.2, channel_partitions=2,
 )
 NO_ORACLE = ChaosConfig(
