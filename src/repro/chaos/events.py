@@ -316,18 +316,20 @@ class EventGenerator:
         return ChaosEvent(EventKind.ADD_SMUX)
 
     def _healthy_split(self) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-        """(healthy, unhealthy) lists of (dip, server) over all VIPs."""
+        """(healthy, unhealthy) lists of (dip, server) over all VIPs; a
+        DIP no host registers is unhealthy."""
         c = self.controller
-        health = c.collect_health_reports()
-        healthy, unhealthy = [], []
-        for record in c.records().values():
-            for dip in record.dips:
-                entry = (dip.addr, dip.server_id)
-                if health.get(dip.addr, False):
-                    healthy.append(entry)
-                else:
-                    unhealthy.append(entry)
-        return sorted(healthy), sorted(unhealthy)
+        healthy = set().union(
+            *(agent.registered_dips() for agent in c.host_agents.values())
+        ).difference(c.failed_dips())
+        entries = sorted(
+            (dip.addr, dip.server_id)
+            for record in c.intent.records.values() for dip in record.dips
+        )
+        return (
+            [e for e in entries if e[0] in healthy],
+            [e for e in entries if e[0] not in healthy],
+        )
 
     def _build_dip_down(self) -> Optional[ChaosEvent]:
         healthy, _ = self._healthy_split()

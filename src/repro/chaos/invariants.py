@@ -93,9 +93,7 @@ class InvariantChecker:
 
     def check_reachability(self) -> List[Violation]:
         c = self.controller
-        unhealthy = {
-            dip for dip, ok in c.collect_health_reports().items() if not ok
-        }
+        unhealthy = set(c.failed_dips())
         records = sorted(c.records().items())
         n = len(records) * PROBES_PER_VIP
         index = np.tile(np.arange(PROBES_PER_VIP), len(records))
@@ -364,9 +362,7 @@ class FlowAffinityTracker:
         again, as a second batch, as the re-establishing packet."""
         c = self.controller
         records = c.records()
-        unhealthy = {
-            dip for dip, ok in c.collect_health_reports().items() if not ok
-        }
+        unhealthy = set(c.failed_dips())
         # (flow, vip, expectation or None to establish one, DIP set)
         plan: List[Tuple[FiveTuple, int, Optional[_Expectation], Set[int]]] = []
         for flow, vip_addr in list(self._vip_of.items()):

@@ -118,12 +118,8 @@ class Assignment:
     @property
     def mru(self) -> float:
         """Maximum resource utilization across links and switch memory."""
-        peak = 0.0
-        if len(self.link_utilization):
-            peak = float(self.link_utilization.max())
-        if len(self.memory_utilization):
-            peak = max(peak, float(self.memory_utilization.max()))
-        return peak
+        return float(max(self.link_utilization.max(initial=0.0),
+                         self.memory_utilization.max(initial=0.0)))
 
     @property
     def n_assigned(self) -> int:

@@ -1028,35 +1028,36 @@ class DuetController:
                 ))
         return demands
 
-    def collect_health_reports(self) -> Dict[int, bool]:
-        """DIP health across the fleet ("It receives the VIP health
-        status periodically from the host agents")."""
-        health: Dict[int, bool] = {}
-        # Sorted for the same reason as collect_traffic_reports: bit-
-        # reproducible iteration order regardless of how the host_agents
-        # dict was populated (boot order vs recovery order).
+    def failed_dips(self) -> List[int]:
+        """Sorted DIPs a host agent registers but does not report healthy
+        ("It receives the VIP health status periodically from the host
+        agents").  A DIP on several servers takes the verdict of the last
+        in sorted order, however the host_agents dict was populated."""
+        failed: Set[int] = set()
         for server in sorted(self.host_agents):
-            report = self.host_agents[server].health_report()
-            for dip_addr in sorted(report):
-                health[dip_addr] = report[dip_addr]
-        return health
+            agent = self.host_agents[server]
+            failed.difference_update(agent.registered_dips())
+            failed.update(agent.failed_dips())
+        return sorted(failed)
 
     def reap_failed_dips(self) -> List[int]:
         """Remove DIPs the health feed marks dead (S5.1: "The Duet
         controller monitors DIP health and removes failed DIP from the
         set of DIPs").  Returns the removed DIP addresses; a VIP's (or a
         port pool's) last DIP is never reaped (the VIP would be dead
-        anyway, and removal would leave dangling state)."""
+        anyway, and removal would leave dangling state).  A DIP serving
+        several VIPs is reaped from the first in address order."""
+        failed = self.failed_dips()
+        if not failed:
+            return []
+        records = self.intent.records
+        record_of: Dict[int, VipRecord] = {}
+        for addr in sorted(records):
+            for dip in records[addr].dips:
+                record_of.setdefault(dip.addr, records[addr])
         reaped: List[int] = []
-        for dip_addr, healthy in sorted(self.collect_health_reports().items()):
-            if healthy:
-                continue
-            records = self.intent.records
-            record = next(
-                (records[addr] for addr in sorted(records)
-                 if records[addr].dip(dip_addr) is not None),
-                None,
-            )
+        for dip_addr in failed:
+            record = record_of.get(dip_addr)
             if record is None or self._sole_dip_of(record, dip_addr):
                 continue
             self.remove_dip(record.addr, dip_addr)

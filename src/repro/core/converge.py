@@ -294,8 +294,10 @@ class _Pass:
         for vip, want in self.want.items():
             manager = None if want is None else c.intent.snat.get(vip)
             for dip in () if manager is None else want.record.dips:
+                if dip.addr not in self.host_want.get(dip.server_id, ()):
+                    continue
                 ranges = manager.ranges_of(dip.addr)
-                if not ranges or dip.addr not in self.host_want.get(dip.server_id, ()):
+                if not ranges:
                     continue
                 latest = ranges[-1].as_tuple()
                 agent = c.host_agents.get(dip.server_id)

@@ -31,6 +31,7 @@ every incarnation, and the dataplane is re-derived from intent by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -78,6 +79,11 @@ class VipRecord:
     @property
     def addr(self) -> int:
         return self.vip.addr
+
+    @cached_property
+    def vip_state(self) -> Dict[str, Any]:
+        """``vip_to_dict(vip)``, shared by every snapshot (``vip`` is frozen)."""
+        return vip_to_dict(self.vip)
 
     def dip_addrs(self) -> List[int]:
         return [d.addr for d in self.dips]
@@ -148,12 +154,13 @@ class ControllerIntent:
 
         Both the static VIP definition and the *live* DIP list are kept:
         after ``add_dip`` they diverge, and demand computation reads the
-        static one while programming reads the live one.
+        static one while programming reads the live one.  Only the live
+        list is serialized afresh (see :attr:`VipRecord.vip_state`).
         """
         return {
             "records": [
                 {
-                    "vip": vip_to_dict(record.vip),
+                    "vip": record.vip_state,
                     "dips": [dip_to_dict(d) for d in record.dips],
                     "assigned": record.assigned_switch,
                 }

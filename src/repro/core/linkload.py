@@ -78,7 +78,9 @@ class LinkUtilizationComputer:
         racks (split evenly).  Ingress from dead racks and VIPs with no
         surviving DIPs disappear (S8.5).
         """
-        router = scenario.router(self.topology)
+        router = EcmpRouter(
+            self.topology, scenario.failed_switches, scenario.failed_links,
+        )
         load = np.zeros(self.topology.n_links)
         dead_tors = scenario.dead_tors(self.topology)
         alive_smux_tors = [

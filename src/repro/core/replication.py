@@ -52,12 +52,8 @@ class ReplicatedAssignment:
 
     @property
     def mru(self) -> float:
-        peak = 0.0
-        if len(self.link_utilization):
-            peak = float(self.link_utilization.max())
-        if len(self.memory_utilization):
-            peak = max(peak, float(self.memory_utilization.max()))
-        return peak
+        return float(max(self.link_utilization.max(initial=0.0),
+                         self.memory_utilization.max(initial=0.0)))
 
     def total_traffic_bps(self) -> float:
         return sum(d.traffic_bps for d in self.demands.values())

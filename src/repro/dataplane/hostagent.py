@@ -18,7 +18,7 @@ As in Ananta (paper S2.1), every server runs a host agent that:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, KeysView, List, Optional, Sequence, Set, Tuple
 
 from repro.dataplane.hashing import five_tuple_hash
 from repro.dataplane.packet import FiveTuple, Packet, PacketError
@@ -95,7 +95,8 @@ class HostAgent:
         self.host_ip = host_ip
         self._dip_to_vip: Dict[int, int] = {}
         self._vip_local_dips: Dict[int, List[int]] = {}
-        self._healthy: Set[int] = set()
+        #: Registered DIPs not reporting healthy (a new DIP is healthy).
+        self._failed: Set[int] = set()
         self._snat_configs: Dict[int, SnatConfig] = {}  # keyed by DIP
         self._snat_leases: Dict[Tuple[int, int, int, int], SnatLease] = {}
         self._used_ports: Dict[int, Set[int]] = {}  # dip -> ports in use
@@ -110,7 +111,6 @@ class HostAgent:
             raise HostAgentError(f"DIP {format_ip(dip)} already registered")
         self._dip_to_vip[dip] = vip
         self._vip_local_dips.setdefault(vip, []).append(dip)
-        self._healthy.add(dip)
 
     def unregister_dip(self, dip: int) -> None:
         vip = self._dip_to_vip.pop(dip, None)
@@ -119,7 +119,7 @@ class HostAgent:
         self._vip_local_dips[vip].remove(dip)
         if not self._vip_local_dips[vip]:
             del self._vip_local_dips[vip]
-        self._healthy.discard(dip)
+        self._failed.discard(dip)
         self._snat_configs.pop(dip, None)
 
     def registrations(self) -> Dict[int, List[int]]:
@@ -133,13 +133,17 @@ class HostAgent:
         if dip not in self._dip_to_vip:
             raise HostAgentError(f"DIP {format_ip(dip)} not registered")
         if healthy:
-            self._healthy.add(dip)
+            self._failed.discard(dip)
         else:
-            self._healthy.discard(dip)
+            self._failed.add(dip)
 
-    def health_report(self) -> Dict[int, bool]:
-        """DIP -> healthy, polled periodically by the controller."""
-        return {dip: dip in self._healthy for dip in self._dip_to_vip}
+    def registered_dips(self) -> KeysView[int]:
+        return self._dip_to_vip.keys()
+
+    def failed_dips(self) -> Set[int]:
+        """Registered DIPs not reporting healthy (a read-only view),
+        polled periodically by the controller."""
+        return self._failed
 
     # -- inbound path ---------------------------------------------------------------
 
@@ -176,14 +180,14 @@ class HostAgent:
         if lease is not None:
             dip, vip = lease.dip, lease.vip
         elif target in self._dip_to_vip:
-            if target not in self._healthy:
+            if target in self._failed:
                 raise HostAgentError(
                     f"encap target {format_ip(target)} is unhealthy"
                 )
             dip = target
         else:
             local = [
-                d for d in self._vip_local_dips.get(vip, []) if d in self._healthy
+                d for d in self._vip_local_dips.get(vip, []) if d not in self._failed
             ]
             if not local:
                 raise HostAgentError(

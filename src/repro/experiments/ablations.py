@@ -278,21 +278,9 @@ def latency_first_ablation(
     SMuxes, and measure what fraction of *latency-sensitive* traffic
     stays on the microsecond path under each ordering.
     """
-    from repro.workload.vips import generate_population
-
     scale = scale.with_traffic(scale.total_traffic_bps * traffic_factor)
-    from repro.net.topology import Topology
-
-    topology = Topology(scale.params)
-    population = generate_population(
-        topology,
-        n_vips=scale.n_vips,
-        total_traffic_bps=scale.total_traffic_bps,
-        skew=scale.skew,
-        dip_model=scale.dip_model,
-        ingress=scale.ingress,
-        latency_sensitive_fraction=sensitive_fraction,
-        seed=scale.seed,
+    topology, population = build_world(
+        scale, latency_sensitive_fraction=sensitive_fraction,
     )
     demands = population.demands()
     sensitive_total = sum(

@@ -11,7 +11,7 @@ with more patience.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.net.topology import FatTreeParams, Topology, paper_scale
 from repro.workload.distributions import DipCountModel, IngressModel, TrafficSkew
@@ -91,8 +91,11 @@ def paper_scale_experiment(seed: int = 0) -> ExperimentScale:
     )
 
 
-def build_world(scale: ExperimentScale) -> Tuple[Topology, VipPopulation]:
-    """Materialize the topology and VIP population for a scale."""
+def build_world(
+    scale: ExperimentScale, **overrides: Any,
+) -> Tuple[Topology, VipPopulation]:
+    """Materialize the topology and VIP population for a scale;
+    ``overrides`` adds keywords of :func:`generate_population`."""
     topology = Topology(scale.params)
     population = generate_population(
         topology,
@@ -102,6 +105,7 @@ def build_world(scale: ExperimentScale) -> Tuple[Topology, VipPopulation]:
         dip_model=scale.dip_model,
         ingress=scale.ingress,
         seed=scale.seed,
+        **overrides,
     )
     return topology, population
 

@@ -186,13 +186,13 @@ class ProbeScheduler:
             dip: addr for addr, dips in round_.vip_dips.items() for dip in dips
         }
         for server in sorted(controller.host_agents):
-            report = controller.host_agents[server].health_report()
-            for dip in sorted(report):
+            agent = controller.host_agents[server]
+            for dip in sorted(agent.registered_dips()):
                 vip = dip_to_vip.get(dip)
                 if vip is not None:
                     out.append(ProbeOutcome(
-                        kind="dip", target=dip_key(dip), t=t, ok=report[dip],
-                        vip=vip,
+                        kind="dip", target=dip_key(dip), t=t,
+                        ok=dip not in agent.failed_dips(), vip=vip,
                     ))
 
         vips = [

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Set
 
-from repro.net.routing import EcmpRouter
 from repro.net.topology import SwitchKind, Topology
 
 def as_rng(rng: "random.Random | int") -> random.Random:
@@ -48,14 +47,6 @@ class FailureScenario:
     def none(cls) -> "FailureScenario":
         """The healthy network."""
         return cls(name="normal")
-
-    def router(self, topology: Topology) -> EcmpRouter:
-        """An ECMP router reflecting this scenario."""
-        return EcmpRouter(
-            topology,
-            failed_switches=self.failed_switches,
-            failed_links=self.failed_links,
-        )
 
     def dead_tors(self, topology: Topology) -> Set[int]:
         """ToRs that are down (their racks are unreachable)."""
@@ -195,18 +186,23 @@ def isolated_switches(
     switch failure" (S5.1); this helper finds such switches so callers can
     promote them into the failed set.
     """
-    router = scenario.router(topology)
-    cores = [c for c in topology.cores() if c not in scenario.failed_switches]
-    alive = [
-        s.index for s in topology.switches
-        if s.index not in scenario.failed_switches
-    ]
+    failed = scenario.failed_switches
+    cores = [c for c in topology.cores() if c not in failed]
     if not cores:
-        # Whole core layer down: every container is its own island; a
-        # switch is "isolated" if it cannot reach any Agg in its container.
+        # Whole core layer down: no switch can reach a core, and
+        # promoting every one of them would fail the whole fabric, so
+        # none counts as isolated.
         return set()
-    isolated: Set[int] = set()
-    for switch in alive:
-        if not any(router.is_reachable(switch, core) for core in cores):
-            isolated.add(switch)
-    return isolated
+    # One BFS from every live core at once, against the direction of
+    # travel, as EcmpRouter.distances_to walks: a switch reaches a core
+    # when it has a live link into a switch that does.
+    reached = set(cores)
+    stack = list(cores)
+    while stack:
+        for link in topology.links_into[stack.pop()]:
+            src = link.src
+            if (src not in reached and src not in failed
+                    and link.index not in scenario.failed_links):
+                reached.add(src)
+                stack.append(src)
+    return set(range(topology.n_switches)) - failed - reached

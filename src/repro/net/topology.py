@@ -172,6 +172,8 @@ class Topology:
         self.switches: List[Switch] = []
         self.links: List[Link] = []
         self._link_by_pair: Dict[Tuple[int, int], Link] = {}
+        #: Per switch, the directed links whose ``dst`` it is.
+        self.links_into: List[List[Link]] = []
         self._tor_of_container: Dict[int, List[int]] = {}
         self._agg_of_container: Dict[int, List[int]] = {}
         self._build()
@@ -188,6 +190,7 @@ class Topology:
             tables=self.params.tables,
         )
         self.switches.append(switch)
+        self.links_into.append([])
         return switch
 
     def _add_duplex_link(self, a: int, b: int, gbps: float) -> None:
@@ -200,6 +203,7 @@ class Topology:
             )
             self.links.append(link)
             self._link_by_pair[(src, dst)] = link
+            self.links_into[dst].append(link)
 
     def _build(self) -> None:
         p = self.params

@@ -1,12 +1,24 @@
 """Tests for repro.core.controller: the full Duet control loop."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.assignment import AssignmentConfig
 from repro.core.controller import ControllerError, DuetController
 from repro.dataplane.packet import make_tcp_packet
+from repro.durability import (
+    AntiEntropyReconciler, WriteAheadJournal, controller_fingerprint,
+)
 from repro.net.bgp import MuxKind
-from repro.workload.vips import CLIENT_POOL, Dip, Vip, generate_population
+from repro.net.topology import FatTreeParams, Topology
+from repro.workload.serialization import dip_to_dict, vip_to_dict
+from repro.workload.vips import (
+    CLIENT_POOL, DIP_POOL, VIP_POOL, Dip, Vip, VipPopulation,
+    generate_population,
+)
 from repro.workload.distributions import DipCountModel
 
 
@@ -448,3 +460,174 @@ class TestReassignment:
         for vip in controller.population:
             expected = new.vip_to_switch.get(vip.vip_id)
             assert controller.vip_location(vip.addr) == expected
+
+
+# ---------------------------------------------------------------------------
+# The reaper and the snapshot against their whole-state originals
+# ---------------------------------------------------------------------------
+
+def edge_world(snapshot_interval: int = 3) -> DuetController:
+    """A journaled deployment of 10 VIPs of 1-4 DIPs.  VIP 0 is one DIP
+    (the reaper must keep it); VIP 1's port-21 pool is one DIP (also
+    kept); VIP 7 also serves VIP 3's first DIP; DIPs share servers, so
+    one host agent reports on several."""
+    topology = Topology(FatTreeParams(
+        n_containers=2, tors_per_container=3, aggs_per_container=2,
+        n_cores=2, servers_per_tor=4,
+    ))
+    vips, next_dip = [], DIP_POOL.network + 1
+    for i in range(10):
+        dips = []
+        for j in range(1 + i % 4):
+            server = (3 * i + 5 * j) % topology.params.n_servers
+            dips.append(Dip(
+                addr=next_dip, server_id=server,
+                tor=topology.server_tor(server),
+            ))
+            next_dip += 1
+        if i == 7:
+            dips.append(vips[3].dips[0])
+        vips.append(Vip(
+            vip_id=i, addr=VIP_POOL.network + 1 + i, dips=tuple(dips),
+            traffic_bps=1e8 * (i + 1), ingress_racks=(),
+            internet_fraction=1.0,
+            port_pools=((21, (dips[0].addr,)),) if i == 1 else (),
+        ))
+    controller = DuetController(
+        topology, VipPopulation(topology, vips), n_smuxes=2, hash_seed=3,
+    )
+    controller.run_initial_assignment()
+    controller.attach_journal(
+        WriteAheadJournal(), snapshot_interval=snapshot_interval,
+    )
+    return controller
+
+
+def _health_map(controller: DuetController):
+    """DIP -> healthy over every host agent, read in sorted server and
+    DIP order, so the last server registering a DIP decides it."""
+    health = {}
+    for server in sorted(controller.host_agents):
+        agent = controller.host_agents[server]
+        for dip in sorted(agent.registered_dips()):
+            health[dip] = dip not in agent.failed_dips()
+    return health
+
+
+def oracle_reap_failed_dips(controller: DuetController):
+    """The reaper as it was before it read only the dead: a sorted
+    DIP -> healthy map over every host agent (the last server in sorted
+    order wins a DIP), then a sorted scan of every record per dead DIP."""
+    health = _health_map(controller)
+    reaped = []
+    for dip_addr, healthy in sorted(health.items()):
+        if healthy:
+            continue
+        records = controller.intent.records
+        record = next(
+            (records[addr] for addr in sorted(records)
+             if records[addr].dip(dip_addr) is not None),
+            None,
+        )
+        if record is None or controller._sole_dip_of(record, dip_addr):
+            continue
+        controller.remove_dip(record.addr, dip_addr)
+        reaped.append(dip_addr)
+    return reaped
+
+
+class TestReaperDifferential:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_reaper_matches_whole_state_oracle(self, data):
+        product, oracle = edge_world(), edge_world()
+        records = product.records()
+        dips = sorted(
+            (dip.addr, dip.server_id, addr)
+            for addr, record in records.items() for dip in record.dips
+        )
+        sole_dip, pool_dip = (
+            records[VIP_POOL.network + 1 + i].dips[0].addr for i in (0, 1)
+        )
+        dead = data.draw(st.lists(st.sampled_from(dips), unique=True))
+        dead += [d for d in dips if d[0] in (sole_dip, pool_dip)]
+        # Optionally register one DIP on a second host too, whose
+        # verdict decides it when that host sorts later.
+        stray = data.draw(st.none() | st.tuples(
+            st.sampled_from(dips),
+            st.sampled_from(sorted(product.host_agents)),
+            st.booleans(),
+        ))
+        for c in (product, oracle):
+            for dip, server, _vip in dead:
+                c.host_agents[server].set_health(dip, False)
+            if stray is not None and stray[0][1] != stray[1]:
+                (dip, _home, vip), server, healthy = stray
+                c.host_agents[server].register_dip(dip, vip)
+                c.host_agents[server].set_health(dip, healthy)
+        assert product.failed_dips() == sorted(
+            dip for dip, ok in _health_map(oracle).items() if not ok
+        )
+        assert product.reap_failed_dips() == oracle_reap_failed_dips(oracle)
+        assert controller_fingerprint(product) == controller_fingerprint(oracle)
+        assert product.journal.tail() == oracle.journal.tail()
+        assert product.journal.to_lines() == oracle.journal.to_lines()
+        assert product.record(VIP_POOL.network + 1).dip_addrs() == [sole_dip]
+        assert pool_dip in product.record(VIP_POOL.network + 2).dip_addrs()
+
+
+def fresh_records(intent):
+    """The snapshot's records serialized afresh from every VIP."""
+    return [
+        {
+            "vip": vip_to_dict(record.vip),
+            "dips": [dip_to_dict(d) for d in record.dips],
+            "assigned": record.assigned_switch,
+        }
+        for record in intent.records.values()
+    ]
+
+
+class TestSnapshotDifferential:
+    def test_snapshot_equals_fresh_serialization_after_each_op(self):
+        c = edge_world(snapshot_interval=1000)
+        addrs = sorted(c.records())
+        spare = DIP_POOL.network + 0x100
+        new_vip = Vip(
+            vip_id=50, addr=VIP_POOL.network + 50,
+            dips=(Dip(addr=spare, server_id=2, tor=c.topology.server_tor(2)),
+                  Dip(addr=spare + 1, server_id=3,
+                      tor=c.topology.server_tor(3))),
+            traffic_bps=3e8, ingress_racks=(), internet_fraction=1.0,
+        )
+        # The same address re-added with a different definition: a
+        # snapshot must not reuse the removed record's serialization.
+        redefined = Vip(
+            vip_id=51, addr=new_vip.addr, dips=new_vip.dips[:1],
+            traffic_bps=7e8, ingress_racks=(), internet_fraction=0.5,
+        )
+        extra = Dip(addr=spare + 2, server_id=5, tor=c.topology.server_tor(5))
+        ops = [
+            lambda: c.add_dip(addrs[3], extra),
+            lambda: c.remove_dip(addrs[3], c.record(addrs[3]).dips[0].addr),
+            lambda: c.add_vip(new_vip),
+            lambda: c.enable_snat(addrs[2]),
+            lambda: c.remove_vip(addrs[4]),
+            lambda: c.remove_vip(new_vip.addr),
+            lambda: c.add_vip(redefined),
+        ]
+        for op in ops:
+            c.intent.to_state()    # every record's VIP is serialized
+            op()
+            state = c.intent.to_state()
+            assert state["records"] == fresh_records(c.intent)
+            assert json.dumps(state["records"], sort_keys=True) == json.dumps(
+                fresh_records(c.intent), sort_keys=True,
+            )
+            c.checkpoint()
+            cold = DuetController.restore(
+                WriteAheadJournal.from_lines(c.journal.to_lines()),
+            )
+            AntiEntropyReconciler(cold).converge()
+            assert controller_fingerprint(cold) == controller_fingerprint(c)
+            assert cold.intent.to_state() == state

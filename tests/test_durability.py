@@ -703,13 +703,21 @@ class TestStats:
 
 class TestDeterministicCollection:
     def test_reports_are_twin_stable(self):
-        """Iteration order is fixed (sorted servers, sorted keys within
-        each server's report), so twin controllers emit identical
-        orderings — no set-iteration nondeterminism."""
+        """Iteration order is fixed (sorted servers; the dead DIPs come
+        back sorted), so twin controllers emit identical orderings even
+        when their DIPs failed in a different order — no set-iteration
+        nondeterminism."""
         a = make_controller(seed=2)
         b = make_controller(seed=2)
-        assert list(a.collect_health_reports()) == list(
-            b.collect_health_reports()
+        dips = [
+            (dip.server_id, dip.addr)
+            for record in a.records().values() for dip in record.dips[:1]
+        ][:4]
+        for c, order in ((a, dips), (b, dips[::-1])):
+            for server, dip in order:
+                c.host_agents[server].set_health(dip, False)
+        assert a.failed_dips() == b.failed_dips() == sorted(
+            dip for _server, dip in dips
         )
         assert list(a.collect_traffic_reports()) == list(
             b.collect_traffic_reports()

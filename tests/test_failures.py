@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.failures import (
     FailureScenario,
@@ -14,6 +16,7 @@ from repro.net.failures import (
 )
 from repro.core.assignment import AssignmentConfig
 from repro.core.intent import ControllerIntent
+from repro.net.routing import EcmpRouter
 from repro.net.topology import SwitchKind
 
 
@@ -96,7 +99,7 @@ class TestSideEffects:
     def test_router_excludes_failed(self, tiny_topology):
         tor = tiny_topology.tors(0)[0]
         scenario = switch_failures(tiny_topology, [tor])
-        router = scenario.router(tiny_topology)
+        router = EcmpRouter(tiny_topology, scenario.failed_switches)
         assert not router.is_reachable(tor, tiny_topology.cores()[0])
 
 
@@ -119,6 +122,60 @@ class TestIsolation:
             "cuts", failed_links=cut_links(tiny_topology, cuts),
         )
         assert tor in isolated_switches(tiny_topology, scenario)
+
+
+def isolated_oracle(topology, scenario):
+    """Every live switch from which no live core passes the router's
+    ``is_reachable``; nothing at all when every core is down."""
+    failed = scenario.failed_switches
+    cores = [c for c in topology.cores() if c not in failed]
+    if not cores:
+        return set()
+    router = EcmpRouter(topology, failed, scenario.failed_links)
+    return {
+        s.index for s in topology.switches
+        if s.index not in failed
+        and not any(router.is_reachable(s.index, core) for core in cores)
+    }
+
+
+class TestIsolationDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_router_reachability(self, tiny_topology, data):
+        """Random failed switches and directed links (so one-way cuts),
+        sometimes with every core down, against the router's per-pair
+        reachability."""
+        switches = range(tiny_topology.n_switches)
+        failed = set(data.draw(st.lists(st.sampled_from(switches))))
+        if data.draw(st.booleans()):
+            failed |= set(tiny_topology.cores())
+        links = data.draw(st.lists(
+            st.sampled_from(range(tiny_topology.n_links)),
+            max_size=tiny_topology.n_links,
+        ))
+        scenario = FailureScenario(
+            "drawn", failed_switches=frozenset(failed),
+            failed_links=frozenset(links),
+        )
+        assert isolated_switches(tiny_topology, scenario) == isolated_oracle(
+            tiny_topology, scenario,
+        )
+
+    @pytest.mark.parametrize("upward", [True, False])
+    def test_one_way_cut_isolates_only_upward(self, tiny_topology, upward):
+        """A ToR whose links *to* its Aggs are cut cannot reach a core;
+        one whose links *from* its Aggs are cut still can."""
+        tor = tiny_topology.tors(0)[0]
+        cuts = frozenset(
+            (tiny_topology.link_between(tor, agg) if upward
+             else tiny_topology.link_between(agg, tor)).index
+            for agg in tiny_topology.aggs(0)
+        )
+        scenario = FailureScenario("one-way", failed_links=cuts)
+        isolated = isolated_switches(tiny_topology, scenario)
+        assert isolated == isolated_oracle(tiny_topology, scenario)
+        assert isolated == ({tor} if upward else set())
 
 
 class TestRngPlumbing:

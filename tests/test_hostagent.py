@@ -120,11 +120,13 @@ class TestOutboundDsr:
 
 
 class TestHealth:
-    def test_health_report(self, agent):
+    def test_failed_dips(self, agent):
         agent.register_dip(DIP2, VIP)
         agent.set_health(DIP2, healthy=False)
-        report = agent.health_report()
-        assert report == {DIP: True, DIP2: False}
+        assert set(agent.registered_dips()) == {DIP, DIP2}
+        assert agent.failed_dips() == {DIP2}
+        agent.unregister_dip(DIP2)
+        assert agent.failed_dips() == set()
 
     def test_set_health_unknown(self, agent):
         with pytest.raises(HostAgentError):
@@ -133,7 +135,7 @@ class TestHealth:
     def test_recovery(self, agent):
         agent.set_health(DIP, healthy=False)
         agent.set_health(DIP, healthy=True)
-        assert agent.health_report()[DIP]
+        assert DIP not in agent.failed_dips()
 
 
 class TestSnat:

@@ -56,6 +56,9 @@ KEEP = {
                       "outbound connection ends and frees its port",
     "snat_translate_outbound": "the paper's SNAT host-agent lifecycle "
                                "(S5.2): rewrite an outbound packet",
+    "is_reachable": "test oracle: the per-pair reachability that "
+                    "isolated_switches' one multi-source BFS must equal "
+                    "(TestIsolationDifferential)",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
