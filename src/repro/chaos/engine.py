@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.assignment import AssignmentConfig
 from repro.core.controller import DuetController, SimulatedCrash
-from repro.net.failures import (
-    FaultModel,
-    ScriptedFaultModel,
-    TransientFaultModel,
-)
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.distributions import DipCountModel
 from repro.workload.vips import Dip, generate_population
@@ -53,18 +48,9 @@ class ChaosConfig:
 
     seed: int = 0
     n_events: int = 500
-    # Deployment shape (defaults mirror the test-suite tiny FatTree).
+    # Deployment shape, on the fixed :data:`TOPOLOGY`.
     n_vips: int = 24
     n_smuxes: int = 3
-    n_containers: int = 2
-    tors_per_container: int = 3
-    aggs_per_container: int = 2
-    n_cores: int = 2
-    servers_per_tor: int = 8
-    total_traffic_bps: float = 10e9
-    # Transient-fault model for switch programming (0.0 = no faults).
-    fail_prob: float = 0.0
-    fault_max_consecutive: int = 2
     # Control-channel fault injection (0 = reliable channel).  The
     # values are ceilings: the generator samples loss/delay rates up to
     # them and keeps at most ``channel_partitions`` switches cut off
@@ -72,12 +58,12 @@ class ChaosConfig:
     channel_loss: float = 0.0
     channel_delay: float = 0.0
     channel_partitions: int = 0
-    # Scripted faults: these switches reject every programming op.
+    # These switches start partitioned from the control channel, so
+    # they reject every programming op until healed.
     broken_switches: Tuple[int, ...] = ()
     # Engine behaviour.
     stop_on_violation: bool = True
     sabotage_step: Optional[int] = None
-    flows_per_vip: int = 2
     # Controller-crash injection: per-step probability of killing the
     # controller and restoring it from its write-ahead journal.  Half
     # the crashes land at an op boundary, half at a fault point inside
@@ -94,14 +80,10 @@ class ChaosConfig:
     monitor_rounds_per_step: int = 3
     # Benign probe loss rate (exercises false-positive suppression).
     background_loss: float = 0.0
-    # HealthConfig field overrides (JSON-serializable).
-    health: Dict[str, Any] = field(default_factory=dict)
     # SLO engine + burn-rate alerting (requires no_oracle: the alert
     # evaluator runs on the monitor's sim clock and the AlertScorecard
     # judges incidents against the fault plane).
     slo: bool = False
-    # build_default_policies overrides (JSON-serializable scalars).
-    slo_overrides: Dict[str, Any] = field(default_factory=dict)
     # False = keep the fault plane empty (only background loss): the
     # fault-free corpus for judging alert false positives.
     inject_faults: bool = True
@@ -109,44 +91,35 @@ class ChaosConfig:
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
         data["broken_switches"] = list(self.broken_switches)
-        data["health"] = dict(self.health)
-        data["slo_overrides"] = dict(self.slo_overrides)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosConfig":
+        """Inverse of :meth:`to_dict`.  A missing key takes its default;
+        an unknown one (a field this version does not have) is refused,
+        so an artifact never replays under a config it did not record."""
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown ChaosConfig keys: {unknown}")
         kwargs = dict(data)
         kwargs["broken_switches"] = tuple(kwargs.get("broken_switches", ()))
-        kwargs["health"] = dict(kwargs.get("health", {}))
-        kwargs["slo_overrides"] = dict(kwargs.get("slo_overrides", {}))
         return cls(**kwargs)
 
 
-def _make_fault_model(config: ChaosConfig) -> Optional[FaultModel]:
-    if config.broken_switches:
-        return ScriptedFaultModel(config.broken_switches)
-    if config.fail_prob > 0:
-        return TransientFaultModel(
-            seed=config.seed,
-            fail_prob=config.fail_prob,
-            max_consecutive=config.fault_max_consecutive,
-        )
-    return None
+#: The chaos deployment's fabric: the test suite's tiny FatTree.
+TOPOLOGY = FatTreeParams(
+    n_containers=2, tors_per_container=3, aggs_per_container=2, n_cores=2,
+    servers_per_tor=8,
+)
 
 
 def build_controller(config: ChaosConfig) -> DuetController:
     """Deterministically build the deployment under test."""
-    topology = Topology(FatTreeParams(
-        n_containers=config.n_containers,
-        tors_per_container=config.tors_per_container,
-        aggs_per_container=config.aggs_per_container,
-        n_cores=config.n_cores,
-        servers_per_tor=config.servers_per_tor,
-    ))
+    topology = Topology(TOPOLOGY)
     population = generate_population(
         topology,
         n_vips=config.n_vips,
-        total_traffic_bps=config.total_traffic_bps,
+        total_traffic_bps=10e9,
         dip_model=DipCountModel(median_large=6.0, max_dips=12),
         seed=config.seed,
     )
@@ -156,8 +129,9 @@ def build_controller(config: ChaosConfig) -> DuetController:
         n_smuxes=config.n_smuxes,
         config=AssignmentConfig(),
         hash_seed=config.seed,
-        fault_model=_make_fault_model(config),
     )
+    for switch in config.broken_switches:
+        controller.channel.partition(f"switch:{switch}")
     controller.run_initial_assignment()
     return controller
 
@@ -445,9 +419,7 @@ class ChaosEngine:
             "chaos", lambda reg: self._chaos_crashes.set_total(self.crashes),
         )
         self.checker = InvariantChecker(self.controller)
-        self.tracker = FlowAffinityTracker(
-            self.controller, flows_per_vip=config.flows_per_vip,
-        )
+        self.tracker = FlowAffinityTracker(self.controller)
         # Durability: every engine run journals, so a crash event (or a
         # user poking at --crash-prob) always has intent to restore from.
         from repro.durability import WriteAheadJournal
@@ -469,7 +441,7 @@ class ChaosEngine:
                 HealthConfig, HealthMonitor, HealthScorecard,
             )
 
-            self.health_config = HealthConfig.from_dict(config.health)
+            self.health_config = HealthConfig()
             self.monitor = HealthMonitor(
                 self.controller,
                 self.fault_plane,
@@ -511,10 +483,7 @@ class ChaosEngine:
             self.alerts = AlertEvaluator(
                 slos,
                 self.recorder,
-                build_default_policies(
-                    self.health_config.probe_period_s,
-                    overrides=config.slo_overrides,
-                ),
+                build_default_policies(self.health_config.probe_period_s),
                 registry=self.registry,
             )
             self.alert_scorecard = AlertScorecard(
@@ -589,9 +558,6 @@ class ChaosEngine:
             dying.journal,
             dataplane=harvest_dataplane(dying),
             topology=dying.topology,
-            # The surviving fault model keeps its RNG stream: a restart
-            # does not reset the network's weather.
-            fault_model=dying.fault_model,
         )
         AntiEntropyReconciler(restored).converge()
         self.controller = restored

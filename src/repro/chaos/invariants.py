@@ -258,11 +258,11 @@ class FlowAffinityTracker:
     that is resilient hashing or connection affinity breaking.
     """
 
-    def __init__(
-        self, controller: DuetController, flows_per_vip: int = 2,
-    ) -> None:
+    #: Synthetic flows followed per VIP.
+    FLOWS_PER_VIP = 2
+
+    def __init__(self, controller: DuetController) -> None:
         self.controller = controller
-        self.flows_per_vip = flows_per_vip
         self._expected: Dict[FiveTuple, _Expectation] = {}
         self._vip_of: Dict[FiveTuple, int] = {}
 
@@ -285,7 +285,7 @@ class FlowAffinityTracker:
                 dst_port=80,
                 protocol=6,
             )
-            for i in range(self.flows_per_vip)
+            for i in range(self.FLOWS_PER_VIP)
         ]
 
     def _prime_vip(self, vip_addr: int) -> None:

@@ -171,13 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "seed events vips smuxes crash-prob keep-going seeds workers report",
         events=500, vips=24,
     )
-    chaos.add_argument("--fail-prob", type=float, default=0.0,
-                       help="transient switch-programming fault probability")
-    chaos.add_argument("--max-consecutive", type=int, default=2,
-                       help="max consecutive transient faults per (switch, VIP)")
     chaos.add_argument("--broken-switch", type=int, action="append",
                        default=[], metavar="INDEX",
-                       help="switch that rejects every programming op "
+                       help="switch partitioned from the control channel, "
+                            "so it rejects every programming op "
                             "(repeatable; forces SMux-only degradation)")
     chaos.add_argument("--sabotage-at", type=int, default=None,
                        metavar="STEP",
@@ -594,56 +591,60 @@ def _run_fleet(args, config, *, mode: str) -> int:
     return 1
 
 
+def _replay_chaos(path: str) -> int:
+    """``chaos --replay``: re-run a violation artifact (exit 1 when it
+    reproduces, 2 when not) or a fleet quarantine artifact."""
+    import json
+
+    from repro.chaos import replay_artifact
+
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if "quarantine" in payload:
+        # A fleet quarantine artifact: re-run the poison seed
+        # in-process so its failure (if deterministic) surfaces here.
+        from repro.fleet import replay_quarantine
+
+        q = payload["quarantine"]
+        print(f"replaying quarantined seed {q['seed']} "
+              f"(reason: {q['reason']}, {q['attempts']} worker "
+              f"attempt(s), exit code {q['exitcode']})")
+        report = replay_quarantine(payload)
+        print(f"{report.steps_run} events replayed in-process")
+        if report.ok:
+            print("invariants: all held — the failure was in the "
+                  "worker environment, not the seed")
+            return 0
+        _print_violations(report)
+        return 1
+    report = replay_artifact(path)
+    if report.first_violation_step is not None:
+        print(f"artifact reproduces: violation at step "
+              f"{report.first_violation_step}")
+        for violation in report.violations:
+            print(f"  {violation}")
+        return 1
+    print(f"artifact did NOT reproduce after {report.steps_run} events")
+    return 2
+
+
 def _cmd_chaos(args) -> int:
-    from repro.chaos import ChaosConfig, ChaosEngine, replay_artifact
+    from repro.chaos import ChaosConfig, ChaosEngine
 
     if args.replay is not None:
-        import json
-
+        # Exit 1 means "reproduced", so an artifact that cannot be
+        # replayed at all must not crash out with it.
         try:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"cannot replay artifact: {error}", file=sys.stderr)
-            return 2
-        if "quarantine" in payload:
-            # A fleet quarantine artifact: re-run the poison seed
-            # in-process so its failure (if deterministic) surfaces here.
-            from repro.fleet import replay_quarantine
-
-            q = payload["quarantine"]
-            print(f"replaying quarantined seed {q['seed']} "
-                  f"(reason: {q['reason']}, {q['attempts']} worker "
-                  f"attempt(s), exit code {q['exitcode']})")
-            report = replay_quarantine(payload)
-            print(f"{report.steps_run} events replayed in-process")
-            if report.ok:
-                print("invariants: all held — the failure was in the "
-                      "worker environment, not the seed")
-                return 0
-            _print_violations(report)
-            return 1
-        try:
-            report = replay_artifact(args.replay)
+            return _replay_chaos(args.replay)
         except (OSError, ValueError, KeyError) as error:
             print(f"cannot replay artifact: {error}", file=sys.stderr)
             return 2
-        if report.first_violation_step is not None:
-            print(f"artifact reproduces: violation at step "
-                  f"{report.first_violation_step}")
-            for violation in report.violations:
-                print(f"  {violation}")
-            return 1
-        print(f"artifact did NOT reproduce after {report.steps_run} events")
-        return 2
 
     config = ChaosConfig(
         seed=args.seed,
         n_events=args.events,
         n_vips=args.vips,
         n_smuxes=args.smuxes,
-        fail_prob=args.fail_prob,
-        fault_max_consecutive=args.max_consecutive,
         broken_switches=tuple(args.broken_switch),
         stop_on_violation=not args.keep_going,
         sabotage_step=args.sabotage_at,
@@ -942,7 +943,11 @@ def _cmd_alerts(args) -> int:
 def _cmd_incident(args) -> int:
     from repro.obs import Incident, replay_incident
 
-    incident = Incident.load(args.artifact)
+    try:
+        incident = Incident.load(args.artifact)
+    except (OSError, ValueError, KeyError) as error:
+        print(f"cannot replay incident: {error}", file=sys.stderr)
+        return 2
     alert = incident.alert
     print(f"{incident.incident_id}: [{alert['severity']}] {alert['slo']} "
           f"fired at {alert['fire_t'] * 1e3:.1f} ms "
@@ -964,7 +969,11 @@ def _cmd_incident(args) -> int:
     _print_incident_timeline(incident.to_dict(), args.tail)
     if not args.replay:
         return 0
-    regenerated = replay_incident(incident)
+    try:
+        regenerated = replay_incident(incident)
+    except (ValueError, KeyError) as error:
+        print(f"cannot replay incident: {error}", file=sys.stderr)
+        return 2
     if regenerated is None:
         print("replay: FAILED — incident did not regenerate")
         return 1

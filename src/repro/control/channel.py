@@ -29,8 +29,7 @@ Delivery semantics of the injected faults:
     All *lossy-scoped* sends to the device fail until
     :meth:`ControlChannel.heal`.
 
-Faults are scoped to the programming ops (:data:`LOSSY_OPS`), matching
-the long-standing :class:`~repro.net.failures.FaultModel` convention:
+Faults are scoped to the programming ops (:data:`LOSSY_OPS`):
 withdrawals and unwinds stay reliable, because a failed withdrawal
 would strand a route — BGP neighbours withdraw on session loss, the
 one part of the control plane with built-in failure semantics.
@@ -375,7 +374,7 @@ class PendingOpsLedger:
         self.acked += 1
 
     def timeout(self, ticket: OpTicket) -> None:
-        """Retry budget / deadline exhausted: the op is abandoned, its
+        """Retry budget exhausted: the op is abandoned, its
         VIP degrades to SMux coverage, and its device awaits
         anti-entropy reconciliation."""
         self._settle(ticket, "timed_out")

@@ -1,122 +1,64 @@
 """Shared retry policy for control-channel programming ops.
 
 Every controller->device programming path retries through one policy:
-capped exponential backoff with optional seeded jitter and a per-op
-deadline expressed in *modelled* seconds (the repro executes
-synchronously; backoff is accounted, not slept).  The policy object is
-immutable configuration; :meth:`RetryPolicy.start` mints a single-use
-:class:`RetrySchedule` that tracks one op's retry budget.
-
-With ``jitter == 0`` (the default) the schedule is a pure function of
-the policy — no RNG is consumed — and reproduces the historical
-controller loop bit-for-bit: attempts ``max_attempts``, backoffs
-``base * multiplier**k``.  Jitter requires an explicit seeded RNG
-(:func:`repro.net.failures.as_rng` coercion): nondeterministic retry
-timing is how real fleets avoid thundering herds, but this repro never
-draws from an implicit global seed.
+exponential backoff that doubles per retry, in *modelled* seconds (the
+repro executes synchronously; backoff is accounted, not slept).  The
+policy object is immutable configuration; :meth:`RetryPolicy.start`
+mints a single-use :class:`RetrySchedule` that tracks one op's retry
+budget.  The schedule is a pure function of the policy: no RNG is
+consumed.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Union
-
-from repro.net.failures import as_rng
+from typing import Optional
 
 
 class RetryPolicyError(ValueError):
-    """Invalid retry-policy configuration or usage."""
+    """Invalid retry-policy configuration."""
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with seeded jitter and an op deadline.
+    """Exponential backoff: the k-th retry waits ``base_backoff_s * 2**k``.
 
     ``max_attempts``
         Total tries including the first (>= 1).
     ``base_backoff_s``
         Modelled delay before the first retry.
-    ``multiplier``
-        Growth factor per retry (>= 1).
-    ``max_backoff_s``
-        Cap applied to each individual backoff before jitter.
-    ``jitter``
-        Fraction of additive jitter: each backoff becomes
-        ``d * (1 + jitter * U[0, 1))``.  Requires an RNG at
-        :meth:`start` when nonzero.
-    ``deadline_s``
-        Per-op budget in modelled seconds; a retry whose backoff would
-        push the cumulative delay past the deadline is not taken (the
-        op times out instead).  ``None`` disables the deadline.
     """
 
     max_attempts: int = 3
     base_backoff_s: float = 0.05
-    multiplier: float = 2.0
-    max_backoff_s: float = 30.0
-    jitter: float = 0.0
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise RetryPolicyError("need at least one attempt")
         if self.base_backoff_s < 0:
             raise RetryPolicyError("backoff cannot be negative")
-        if self.multiplier < 1.0:
-            raise RetryPolicyError("multiplier must be >= 1")
-        if self.max_backoff_s < self.base_backoff_s:
-            raise RetryPolicyError("cap below base backoff")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise RetryPolicyError("jitter is a fraction in [0, 1]")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise RetryPolicyError("deadline must be positive")
 
-    def start(
-        self, rng: Optional[Union[int, random.Random]] = None
-    ) -> "RetrySchedule":
-        """Mint a fresh schedule for one op.  ``rng`` may be a seeded
-        ``random.Random`` or an int seed; it is mandatory when the
-        policy jitters (explicit-seed rule of ``net/failures.py``)."""
-        if self.jitter > 0 and rng is None:
-            raise RetryPolicyError(
-                "a jittered policy needs an explicit seeded RNG"
-            )
-        return RetrySchedule(self, None if rng is None else as_rng(rng))
+    def start(self) -> "RetrySchedule":
+        """Mint a fresh schedule for one op."""
+        return RetrySchedule(self)
 
 
 class RetrySchedule:
     """Mutable per-op view of a :class:`RetryPolicy`.
 
     Call :meth:`next_backoff` after each failed attempt: it returns the
-    modelled delay before the next try, or ``None`` when the budget is
-    exhausted (attempts spent, or the deadline would be exceeded —
-    distinguish via :attr:`timed_out`).
+    modelled delay before the next try, or ``None`` once the attempts
+    are spent.
     """
 
-    def __init__(
-        self, policy: RetryPolicy, rng: Optional[random.Random]
-    ) -> None:
+    def __init__(self, policy: RetryPolicy) -> None:
         self.policy = policy
-        self.rng = rng
         self.retries_issued = 0
-        self.elapsed_s = 0.0
-        self.timed_out = False
 
     def next_backoff(self) -> Optional[float]:
         p = self.policy
         if self.retries_issued >= p.max_attempts - 1:
             return None
-        delay = min(
-            p.base_backoff_s * p.multiplier ** self.retries_issued,
-            p.max_backoff_s,
-        )
-        if p.jitter > 0:
-            assert self.rng is not None  # enforced by start()
-            delay *= 1.0 + p.jitter * self.rng.random()
-        if p.deadline_s is not None and self.elapsed_s + delay > p.deadline_s:
-            self.timed_out = True
-            return None
+        delay = p.base_backoff_s * 2 ** self.retries_issued
         self.retries_issued += 1
-        self.elapsed_s += delay
         return delay

@@ -15,7 +15,6 @@ from repro.control import ChannelSendError, ControlChannel
 from repro.dataplane.hmux import HMux
 from repro.net.addressing import Prefix, format_ip
 from repro.net.bgp import MuxRef, VipRouteTable
-from repro.net.failures import FaultModel
 from repro.obs.tracing import maybe_span, trace_event
 
 
@@ -24,22 +23,20 @@ class ControllerError(Exception):
 
 
 class SwitchProgrammingError(ControllerError):
-    """A switch-agent programming RPC failed transiently — a device-side
-    fault injected by a :class:`~repro.net.failures.FaultModel`, or a
-    command lost/partitioned on the
-    :class:`~repro.control.ControlChannel`.  The controller retries
-    with backoff and ultimately degrades the VIP to SMux-only."""
+    """A switch-agent programming RPC failed: the command was lost or
+    partitioned on the :class:`~repro.control.ControlChannel`.  The
+    controller retries with backoff and ultimately degrades the VIP to
+    SMux-only."""
 
 
 class SwitchAgent:
     """The per-switch agent: programs the HMux and announces routes (S6).
 
     "On every VIP change, the switch agent fires routing updates over
-    BGP" — here, synchronously against the shared route table.  An
-    optional :class:`~repro.net.failures.FaultModel` injects transient
-    RPC failures into the programming ops (never the withdrawals: a
-    failed withdrawal would strand a route, which BGP itself prevents —
-    the neighbours withdraw on session loss).
+    BGP" — here, synchronously against the shared route table.  The
+    channel's injected faults reach only the programming ops (never the
+    withdrawals: a failed withdrawal would strand a route, which BGP
+    itself prevents — the neighbours withdraw on session loss).
     """
 
     def __init__(
@@ -48,13 +45,11 @@ class SwitchAgent:
         hmux: HMux,
         route_table: VipRouteTable,
         channel: ControlChannel,
-        fault_model: Optional[FaultModel] = None,
     ) -> None:
         self.switch_index = switch_index
         self.hmux = hmux
         self.route_table = route_table
         self.mux_ref = MuxRef.hmux(switch_index)
-        self.fault_model = fault_model
         self.channel = channel
         self.device_id = f"switch:{switch_index}"
         # Route-announce versions captured at announce time, passed back
@@ -65,20 +60,10 @@ class SwitchAgent:
         # while this stays None.
         self.tracer = None
 
-    def _check_fault(self, op: str, vip: int) -> None:
-        if self.fault_model is not None and self.fault_model.attempt(
-            op, self.switch_index, vip
-        ):
-            raise SwitchProgrammingError(
-                f"transient fault: {op} of VIP {format_ip(vip)} on "
-                f"switch {self.switch_index}"
-            )
-
     def _send(self, op: str, fn):
         """Deliver one device mutation over the control channel.  Channel
-        loss/partition surfaces as :class:`SwitchProgrammingError` so the
-        controller's retry/degrade path treats it like any transient RPC
-        fault."""
+        loss/partition surfaces as :class:`SwitchProgrammingError`, which
+        the controller's retry/degrade path handles."""
         try:
             return self.channel.send(self.device_id, op, fn)
         except ChannelSendError as error:
@@ -100,7 +85,6 @@ class SwitchAgent:
             switch=self.switch_index, vip=format_ip(vip),
         ):
             def apply() -> None:
-                self._check_fault("program_vip", vip)
                 if not (
                     self.hmux.has_vip(vip)
                     and sorted(self.hmux.dips_of(vip)) == sorted(encap_ips)
@@ -151,7 +135,6 @@ class SwitchAgent:
         re-delivery of an installed rule is a no-op."""
         for port, pool in port_pools:
             def apply(port: int = port, pool=pool) -> None:
-                self._check_fault("program_vip_port", vip)
                 if not self.hmux.has_vip_port(vip, port):
                     self.hmux.program_vip_port(vip, port, list(pool))
 

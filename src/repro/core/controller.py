@@ -19,7 +19,6 @@ modelled by :mod:`repro.sim`; operations here take effect immediately.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
@@ -55,7 +54,6 @@ from repro.net.addressing import format_ip
 from repro.net.bgp import (
     ROUTE_HASH_SALT, MuxKind, MuxRef, RouteResolutionError, VipRouteTable,
 )
-from repro.net.failures import FaultModel
 from repro.net.routing import EcmpRouter
 from repro.net.topology import Topology
 from repro.obs.tracing import PacketTap, maybe_span, span_attrs, trace_event
@@ -73,11 +71,24 @@ from repro.workload.vips import (
 SolverKey = Tuple[FrozenSet[int], FrozenSet[int], AssignmentConfig]
 
 
-#: Seed salts deriving the per-deployment channel RNG and the retry
-#: jitter RNG from ``hash_seed``, so distinct deployments (and distinct
-#: chaos seeds) see distinct fault streams without any implicit seeding.
+#: Seed salt deriving the per-deployment channel RNG from
+#: ``hash_seed``, so distinct deployments (and distinct chaos seeds)
+#: see distinct fault streams without any implicit seeding.
 CHANNEL_SEED_SALT = 0xC4A77E1
-RETRY_RNG_SALT = 0x2E7721
+
+#: The one retry schedule for switch programming: three attempts,
+#: backoffs of 0.05 s and 0.1 s.
+PROGRAM_RETRY = RetryPolicy(max_attempts=3, base_backoff_s=0.05)
+
+#: :data:`PROGRAM_RETRY` as the journal meta's ``retry_policy``: the
+#: six-key form journals have always carried, from when the policy
+#: also had a multiplier, a cap, jitter and a deadline.  A restore
+#: refuses a journal that records anything else.
+PROGRAM_RETRY_META: Dict[str, Any] = {
+    **asdict(PROGRAM_RETRY),
+    "multiplier": 2.0, "max_backoff_s": 30.0, "jitter": 0.0,
+    "deadline_s": None,
+}
 
 #: :class:`FleetLayouts` device numbers: an HMux is its switch index, an
 #: SMux its id with this bit set; ``NO_DEVICE`` is no mux at all.
@@ -110,7 +121,7 @@ class ProgrammingStats:
     unwinds: int = 0               # attempts abandoned to a fault/NACK
     reconcile_rounds: int = 0      # anti-entropy rounds run post-recovery
     reconcile_repairs: int = 0     # drift repairs those rounds made
-    op_timeouts: int = 0           # ops whose retry deadline expired
+    op_timeouts: int = 0           # ops whose retry budget ran out
 
 
 class DuetController:
@@ -122,8 +133,8 @@ class DuetController:
     **Dataplane** — route table, switch agents, SMuxes, host agents and
     the control channel — belongs to the deployment and outlives a
     controller crash.  Everything else here is **derived** or
-    per-incarnation (the DIP -> server index, the solver context, retry
-    RNG, ledger, counters) and starts over with each incarnation.
+    per-incarnation (the DIP -> server index, the solver context,
+    ledger, counters) and starts over with each incarnation.
 
     Every mutating op has one shape: validate -> ``_journal_op`` (append)
     -> intent transitions and crash points, then
@@ -143,9 +154,7 @@ class DuetController:
         config: AssignmentConfig = AssignmentConfig(),
         hash_seed: int = 0,
         virtualized: bool = False,
-        fault_model: Optional[FaultModel] = None,
         channel: Optional[ControlChannel] = None,
-        retry_policy: RetryPolicy = RetryPolicy(),
         intent: Optional[ControllerIntent] = None,
         dataplane=None,
     ) -> None:
@@ -172,7 +181,7 @@ class DuetController:
         # delivered as an epoch-fenced command.  The channel belongs to
         # the deployment (it survives controller crashes with the
         # dataplane: fencing watermarks, queued duplicates, injected
-        # weather); the ledger and retry RNG are per-incarnation.
+        # weather); the ledger is per-incarnation.
         if channel is None and dataplane is not None:
             channel = dataplane.channel
         self.channel = channel if channel is not None else ControlChannel(
@@ -182,10 +191,7 @@ class DuetController:
         # from the journal's uncommitted tail (the roll-forward) — that
         # is the ledger replay.
         self.ledger = PendingOpsLedger()
-        self.retry_policy = retry_policy
-        self._retry_rng = random.Random(hash_seed ^ RETRY_RNG_SALT)
         self.programming_stats = ProgrammingStats()
-        self._fault_model = fault_model
         # The one solver context (see _solver): derived state, never
         # journaled, so every incarnation starts without one.
         self._solver_context: Optional[Tuple[SolverKey, StickyMigrator]] = None
@@ -216,7 +222,6 @@ class DuetController:
                     ),
                     self.route_table,
                     self.channel,
-                    fault_model=fault_model,
                 )
                 for s in topology.switches
             }
@@ -228,10 +233,6 @@ class DuetController:
             surviving_smuxes = {s.smux_id: s for s in dataplane.smuxes}
             for agent in self.switch_agents.values():
                 agent.channel = self.channel
-                # A surviving fault model keeps its RNG stream unless
-                # the restart brings its own.
-                if fault_model is not None:
-                    agent.fault_model = fault_model
         self._dip_to_server: Dict[int, int] = {}
         if intent is None:
             self.intent = ControllerIntent(topology, config, range(n_smuxes))
@@ -283,7 +284,7 @@ class DuetController:
         """Start journaling every mutating op to ``journal``.
 
         Writes the meta record (everything needed to cold-restore:
-        topology params, assignment config, seeds and retry knobs) if
+        topology params, assignment config, seeds and the retry schedule) if
         the journal has none, then an immediate snapshot of the current
         intent — so the journal is sufficient from the moment it is
         attached, and a post-recovery attach absorbs the replayed tail.
@@ -306,9 +307,9 @@ class DuetController:
                 # Twins of two retry_policy fields, from when they were
                 # constructor knobs; still written so the journal format
                 # (and every digest over it) is unchanged.
-                "max_program_attempts": self.retry_policy.max_attempts,
-                "retry_backoff_s": self.retry_policy.base_backoff_s,
-                "retry_policy": asdict(self.retry_policy),
+                "max_program_attempts": PROGRAM_RETRY.max_attempts,
+                "retry_backoff_s": PROGRAM_RETRY.base_backoff_s,
+                "retry_policy": dict(PROGRAM_RETRY_META),
                 "snapshot_interval": self._snapshot_interval,
             })
         journal.write_snapshot(snapshot_state(self), force=True)
@@ -399,7 +400,6 @@ class DuetController:
         *,
         dataplane=None,
         topology: Optional[Topology] = None,
-        fault_model: Optional[FaultModel] = None,
     ) -> "DuetController":
         """Rebuild a controller from its journal (see
         :func:`repro.durability.recovery.restore_controller`).  Run the
@@ -408,10 +408,7 @@ class DuetController:
         from repro.durability.recovery import restore_controller
 
         return restore_controller(
-            journal,
-            dataplane=dataplane,
-            topology=topology,
-            fault_model=fault_model,
+            journal, dataplane=dataplane, topology=topology,
         )
 
     def stats_snapshot(self) -> Dict[str, float]:
@@ -556,7 +553,7 @@ class DuetController:
         ticket = self.ledger.open(
             agent.device_id, "program_vip", vip=record.addr
         )
-        schedule = self.retry_policy.start(self._retry_rng)
+        schedule = PROGRAM_RETRY.start()
         while True:
             stats.attempts += 1
             ticket.attempts += 1
@@ -571,7 +568,7 @@ class DuetController:
                 stats.unwinds += 1
                 delay = schedule.next_backoff()
                 if delay is None:
-                    # Retry budget / deadline spent: abandon the op,
+                    # Retry budget spent: abandon the op,
                     # degrade to SMux coverage (the caller's job), and
                     # hand the device to the anti-entropy reconciler.
                     stats.op_timeouts += 1
@@ -1099,10 +1096,6 @@ class DuetController:
     @property
     def failed_links(self) -> Set[int]:
         return set(self.intent.failed_links)
-
-    @property
-    def fault_model(self) -> Optional[FaultModel]:
-        return self._fault_model
 
     def live_mux_refs(self) -> Set[MuxRef]:
         """Every mux a route may legitimately point at right now."""

@@ -87,7 +87,7 @@ class AntiEntropyReconciler:
                     break
             self.controller.checkpoint()
         if not made:
-            # Devices handed to anti-entropy after an op deadline are
+            # Devices handed to anti-entropy after an abandoned op are
             # now provably back at intent: close the hand-off.
             self.controller.ledger.mark_reconciled()
         return ReconcileReport(rounds=rounds, repairs=repairs, converged=not made)

@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
-from repro.control import RetryPolicy
 from repro.core.assignment import AssignmentConfig
-from repro.core.controller import DuetController
+from repro.core.controller import PROGRAM_RETRY_META, DuetController
 from repro.core.intent import ControllerIntent, RecoveryError
 from repro.durability.journal import WriteAheadJournal
 from repro.net.topology import Topology
@@ -77,7 +76,6 @@ def restore_controller(
     *,
     dataplane: Optional[SurvivingDataplane] = None,
     topology: Optional[Topology] = None,
-    fault_model=None,
 ) -> DuetController:
     """Materialize a controller from a journal.
 
@@ -89,11 +87,19 @@ def restore_controller(
 
     The returned controller's dataplane may still drift from its intent
     — run :class:`~repro.durability.reconcile.AntiEntropyReconciler`
-    before serving.
+    before serving.  A journal whose meta records a retry policy other
+    than :data:`~repro.core.controller.PROGRAM_RETRY_META` is refused:
+    the controller has one retry schedule.
     """
     meta = journal.meta
     if meta is None:
         raise RecoveryError("journal has no meta record")
+    retry = meta.get("retry_policy", PROGRAM_RETRY_META)
+    if retry != PROGRAM_RETRY_META:
+        raise RecoveryError(
+            f"journal retry policy {retry!r} is not the controller's "
+            f"{PROGRAM_RETRY_META!r}"
+        )
     if topology is None:
         topology = Topology(params_from_dict(meta["topology"]))
     # Journals outlive releases: drop config keys this version has
@@ -111,8 +117,6 @@ def restore_controller(
         config=config,
         hash_seed=meta.get("hash_seed", 0),
         virtualized=meta.get("virtualized", False),
-        fault_model=fault_model,
-        retry_policy=RetryPolicy(**meta.get("retry_policy", {})),
         intent=intent,
         dataplane=dataplane,
     )

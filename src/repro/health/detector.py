@@ -126,36 +126,6 @@ class HealthConfig:
     def recovery_budget_s(self) -> float:
         return self.recovery_budget_rounds * self.probe_period_s
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "probe_period_s": self.probe_period_s,
-            "vip_probes_per_round": self.vip_probes_per_round,
-            "ewma_alpha": self.ewma_alpha,
-            "suspect_threshold": self.suspect_threshold,
-            "clear_threshold": self.clear_threshold,
-            "consecutive_miss_fast": self.consecutive_miss_fast,
-            "confirm_rounds": self.confirm_rounds,
-            "confirm_threshold": self.confirm_threshold,
-            "quarantine_min_rounds": self.quarantine_min_rounds,
-            "probation_entry_streak": self.probation_entry_streak,
-            "probation_rounds": self.probation_rounds,
-            "relapse_backoff": self.relapse_backoff,
-            "relapse_backoff_cap": self.relapse_backoff_cap,
-            "gray_loss_threshold": self.gray_loss_threshold,
-            "gray_min_probes": self.gray_min_probes,
-            "gray_min_losses": self.gray_min_losses,
-            "gray_window_rounds": self.gray_window_rounds,
-            "gray_escalate_vips": self.gray_escalate_vips,
-            "gray_cooldown_rounds": self.gray_cooldown_rounds,
-            "detection_budget_rounds": self.detection_budget_rounds,
-            "recovery_budget_rounds": self.recovery_budget_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "HealthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
 
 @dataclass
 class TargetTrack:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Set
+from typing import FrozenSet, Optional, Sequence, Set
 
 from repro.net.topology import SwitchKind, Topology
 
@@ -100,81 +100,6 @@ def random_switch_failures(
         raise ValueError("cannot fail more switches than exist")
     picked = rng.sample(range(topology.n_switches), count)
     return switch_failures(topology, picked)
-
-
-class FaultModel:
-    """Transient-fault hook for switch programming operations.
-
-    A :class:`~repro.core.controller.SwitchAgent` consults its fault
-    model before touching the ASIC; ``attempt`` returning True means
-    *this* attempt fails (the op raises and the controller retries with
-    backoff, ultimately degrading the VIP to SMux-only).  The base model
-    never fails — subclass or use :class:`TransientFaultModel` /
-    :class:`ScriptedFaultModel` to inject faults.
-    """
-
-    def attempt(self, op: str, switch_index: int, vip: int) -> bool:
-        return False
-
-
-class TransientFaultModel(FaultModel):
-    """Seeded random transient faults with a bounded burst length.
-
-    Each programming attempt fails independently with ``fail_prob``,
-    except that no (switch, vip) pair fails more than
-    ``max_consecutive`` times in a row — modelling flaky-but-recoverable
-    agent RPCs.  With ``max_consecutive`` below the controller's retry
-    budget, every operation eventually lands; raise it above the budget
-    to exercise the SMux-only degradation path.
-    """
-
-    def __init__(
-        self,
-        seed: "random.Random | int" = 0,
-        fail_prob: float = 0.1,
-        max_consecutive: int = 2,
-    ) -> None:
-        if not 0.0 <= fail_prob <= 1.0:
-            raise ValueError("fail_prob must be in [0, 1]")
-        if max_consecutive < 0:
-            raise ValueError("max_consecutive must be non-negative")
-        self.rng = as_rng(seed)
-        self.fail_prob = fail_prob
-        self.max_consecutive = max_consecutive
-        self.injected = 0
-        self._streak: dict = {}
-
-    def attempt(self, op: str, switch_index: int, vip: int) -> bool:
-        key = (switch_index, vip)
-        streak = self._streak.get(key, 0)
-        if streak >= self.max_consecutive:
-            self._streak[key] = 0
-            return False
-        if self.rng.random() < self.fail_prob:
-            self._streak[key] = streak + 1
-            self.injected += 1
-            return True
-        self._streak[key] = 0
-        return False
-
-
-class ScriptedFaultModel(FaultModel):
-    """Deterministic faults on selected switches (tests and demos).
-
-    Every programming op against a switch in ``broken_switches`` fails
-    until the switch is removed from the set — the forced-fault scenario
-    that demonstrates graceful degradation to the SMux backstop.
-    """
-
-    def __init__(self, broken_switches: Iterable[int] = ()) -> None:
-        self.broken_switches: Set[int] = set(broken_switches)
-        self.injected = 0
-
-    def attempt(self, op: str, switch_index: int, vip: int) -> bool:
-        if switch_index in self.broken_switches:
-            self.injected += 1
-            return True
-        return False
 
 
 def isolated_switches(

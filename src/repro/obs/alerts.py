@@ -84,27 +84,19 @@ class AlertPolicy:
 
 def build_default_policies(
     probe_period_s: float = DEFAULT_PROBE_PERIOD_S,
-    overrides: Optional[Dict[str, object]] = None,
 ) -> List[AlertPolicy]:
     """Default policies for the default SLO set, windows in rounds of
-    the probe period.  ``overrides`` tweaks the availability pair —
-    keys ``fast_burn_threshold`` / ``slow_burn_threshold`` /
-    ``for_rounds`` / ``clear_rounds`` (all JSON-scalar, so a
-    :class:`~repro.chaos.engine.ChaosConfig` can carry them)."""
-    ov = dict(overrides or {})
+    the probe period."""
     p = probe_period_s
-    fast_thresh = float(ov.get("fast_burn_threshold", 4.0))
-    slow_thresh = float(ov.get("slow_burn_threshold", 3.0))
-    for_rounds = int(ov.get("for_rounds", 2))
-    clear_rounds = int(ov.get("clear_rounds", 4))
+    for_rounds, clear_rounds = 2, 4
     availability = AlertPolicy(
         slo="vip-availability",
         windows=(
             # 6-round long / 2-round short: a blackholed switch pushes
             # both far past the threshold within the detection budget.
-            BurnWindow(6 * p, 2 * p, fast_thresh, SEVERITY_PAGE),
+            BurnWindow(6 * p, 2 * p, 4.0, SEVERITY_PAGE),
             # 20-round long / 4-round short: sustained moderate burn.
-            BurnWindow(20 * p, 4 * p, slow_thresh, SEVERITY_TICKET),
+            BurnWindow(20 * p, 4 * p, 3.0, SEVERITY_TICKET),
         ),
         for_rounds=for_rounds,
         clear_rounds=clear_rounds,

@@ -202,8 +202,8 @@ class ControllerInstrumentation:
                 ("opened", "Programming op tickets opened"),
                 ("acked", "Programming ops acknowledged"),
                 ("retries", "Programming op retries issued"),
-                ("timeouts", "Programming ops abandoned at the retry "
-                             "deadline (VIP degraded to SMux)"),
+                ("timeouts", "Programming ops abandoned once their "
+                             "retries ran out (VIP degraded to SMux)"),
                 ("rejected", "Programming ops NACKed deterministically"),
             )
         }

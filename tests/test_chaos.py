@@ -60,18 +60,16 @@ class TestSoak:
 
 class TestTransientFaults:
     def test_faults_absorbed_by_retry(self):
-        """Transient programming faults below the retry budget never
-        degrade a VIP or break an invariant (S6: the controller retries
-        with backoff)."""
+        """Transient programming faults from a lossy control channel
+        never break an invariant (S6: the controller retries with
+        backoff; a VIP whose retries all fail degrades to the SMux
+        backstop, which is not a violation)."""
         engine = ChaosEngine(ChaosConfig(
-            seed=1, n_events=120, fail_prob=0.15, fault_max_consecutive=2,
+            seed=1, n_events=120, channel_loss=0.15,
         ))
         report = engine.run()
         assert report.ok, [str(v) for v in report.violations]
-        stats = engine.controller.programming_stats
-        assert stats.transient_faults > 0
-        assert stats.degraded == 0
-        assert engine.controller.degraded_vips == set()
+        assert engine.controller.programming_stats.transient_faults > 0
 
 
 class TestScriptedDegradation:
@@ -99,8 +97,7 @@ class TestScriptedDegradation:
         ))
         controller = engine.controller
         assert controller.degraded_vips
-        for agent in controller.switch_agents.values():
-            agent.fault_model = None
+        controller.channel.heal("switch:5")
         controller.rebalance()
         assert controller.degraded_vips == set()
 
@@ -143,7 +140,7 @@ class TestSabotage:
 class TestSerialization:
     def test_config_round_trip(self):
         config = ChaosConfig(
-            seed=9, n_events=77, broken_switches=(2, 5), fail_prob=0.1,
+            seed=9, n_events=77, broken_switches=(2, 5), channel_loss=0.1,
             sabotage_step=12,
         )
         assert ChaosConfig.from_dict(config.to_dict()) == config

@@ -16,6 +16,7 @@ from repro.chaos.engine import ChaosConfig, ChaosEngine
 from repro.chaos.events import EventKind
 from repro.fleet import FleetConfig, SoakFleet
 from tests.conftest import fleet_workers
+from tests.test_durability import FaultAtCall
 
 SOAK = dict(
     n_events=10, n_vips=8,
@@ -111,9 +112,10 @@ class TestChannelSoak:
 
     def test_heal_convergence_violation_detected(self):
         """Sanity-check the oracle itself: a full heal that cannot
-        converge must be reported, not swallowed.  We sabotage the
-        reconciler by leaving a switch permanently broken via the
-        scripted fault model, then force loss + heal-all."""
+        converge must be reported, not swallowed.  Every switch starts
+        partitioned, and each agent sends through a channel that keeps
+        losing programming ops after the heal, so the switches stay
+        permanently broken; then force loss + heal-all."""
         from repro.chaos.events import ChaosEvent
 
         config = ChaosConfig(
@@ -126,12 +128,19 @@ class TestChannelSoak:
             ChaosEvent(EventKind.CHANNEL_HEAL, {"switch": None}),
         ]
         engine = ChaosEngine(config, events=events)
-        engine.controller.channel.set_loss(1.0)
+        controller = engine.controller
+        for agent in controller.switch_agents.values():
+            agent.channel = FaultAtCall(controller.channel, 0, every_after=True)
+        controller.channel.set_loss(1.0)
         report = engine.run()
-        # Every switch rejects programming forever: after the heal the
-        # reconciler retries the degraded VIPs, fails, and re-degrades —
-        # that IS convergence (degraded intent == installed state), so
-        # no violation.  But the ledger must show the abandoned ops.
+        # The heal lifted every partition, but every switch still
+        # rejects programming: the reconciler retries the degraded VIPs,
+        # fails, and re-degrades — that IS convergence (degraded intent
+        # == installed state), so no violation.  But the ledger must
+        # show the abandoned ops.
+        assert not controller.channel.partitioned
+        assert controller.degraded_vips
+        assert report.ok, [str(v) for v in report.violations]
         assert report.channel["ledger_timeouts"] > 0
 
 

@@ -1,7 +1,10 @@
 """Tests for repro.cli."""
 
+import json
+
 import pytest
 
+from repro.chaos import ChaosArtifact, ChaosConfig
 from repro.cli import main
 from repro.experiments import ALL_FIGURES
 
@@ -134,9 +137,40 @@ class TestChaosReplay:
         assert main(["chaos", "--replay", str(missing)]) == 2
         assert "cannot replay artifact" in capsys.readouterr().err
 
+    def test_replay_unknown_config_key_exits_2(self, tmp_path, capsys):
+        """An artifact whose config holds a key ``ChaosConfig`` does not
+        know (a retired knob) cannot be replayed: exit 2, never exit 1,
+        which means "reproduced"."""
+        config = {**ChaosConfig(seed=3, n_events=5).to_dict(), "fail_prob": 0.15}
+        path = tmp_path / "old-artifact.json"
+        ChaosArtifact(
+            config=config, events=[], violation_step=0, violations=[],
+        ).save(str(path))
+        assert main(["chaos", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay artifact" in err and "fail_prob" in err
+
+    def test_replay_bad_quarantine_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seed4.json"
+        path.write_text(json.dumps({
+            "quarantine": {"seed": 4, "reason": "crash", "attempts": 2,
+                           "detail": "", "exitcode": -9},
+            "config": {**ChaosConfig(seed=4).to_dict(), "bogus": 1},
+        }))
+        assert main(["chaos", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay artifact" in err and "bogus" in err
+
     def test_clean_run_exits_zero(self, capsys):
         assert main(["chaos", "--seed", "1", "--events", "40"]) == 0
         assert "invariants: all held" in capsys.readouterr().out
+
+
+class TestIncident:
+    def test_missing_incident_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-incident.json"
+        assert main(["incident", str(missing), "--replay"]) == 2
+        assert "cannot replay incident" in capsys.readouterr().err
 
 
 class TestRecover:

@@ -9,8 +9,6 @@ fingerprint equality with a never-faulted twin.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.chaos.engine import ChaosConfig, build_controller
@@ -23,11 +21,13 @@ from repro.control import (
     RetryPolicyError,
 )
 from repro.core.controller import (
+    PROGRAM_RETRY_META,
     DuetController,
     SimulatedCrash,
     SwitchAgent,
     SwitchProgrammingError,
 )
+from repro.core.intent import RecoveryError
 from repro.dataplane import HMux
 from repro.durability import (
     AntiEntropyReconciler,
@@ -38,7 +38,7 @@ from repro.durability import (
 from repro.net.addressing import Prefix
 from repro.net.bgp import MuxKind, VipRouteTable
 from repro.workload.vips import Dip, Vip
-from tests.test_durability import uncommitted
+from tests.test_durability import uncommitted, with_retry_meta
 
 SWITCH_IP = 0xAC10_0001
 VIP = 0x0A00_0042
@@ -79,15 +79,11 @@ def watermark_of(channel, device):
 
 
 class TestRetryPolicy:
-    def test_backoff_sequence_doubles_up_to_cap(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_backoff_s=0.05, max_backoff_s=0.3,
-        )
-        schedule = policy.start()
-        delays = [schedule.next_backoff() for _ in range(5)]
-        assert delays == [0.05, 0.1, 0.2, 0.3, 0.3]
+    def test_backoff_sequence_doubles(self):
+        schedule = RetryPolicy(max_attempts=5, base_backoff_s=0.05).start()
+        delays = [schedule.next_backoff() for _ in range(4)]
+        assert delays == [0.05, 0.1, 0.2, 0.4]
         assert schedule.next_backoff() is None
-        assert not schedule.timed_out
 
     def test_attempt_budget_exhausts(self):
         schedule = RetryPolicy(max_attempts=3).start()
@@ -99,45 +95,11 @@ class TestRetryPolicy:
     def test_single_attempt_never_retries(self):
         assert RetryPolicy(max_attempts=1).start().next_backoff() is None
 
-    def test_deadline_times_out(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_backoff_s=0.1, deadline_s=0.25,
-        )
-        schedule = policy.start()
-        assert schedule.next_backoff() == pytest.approx(0.1)
-        # Next backoff (0.2) would push cumulative 0.1 -> 0.3 > 0.25.
-        assert schedule.next_backoff() is None
-        assert schedule.timed_out
-
-    def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(
-            max_attempts=8, base_backoff_s=0.05, jitter=0.5,
-            max_backoff_s=100.0,
-        )
-        a = [policy.start(rng=7).next_backoff() for _ in range(1)]
-        b = [policy.start(rng=7).next_backoff() for _ in range(1)]
-        assert a == b  # same seed, same jitter
-        schedule = policy.start(rng=random.Random(3))
-        for k in range(7):
-            base = 0.05 * 2 ** k
-            delay = schedule.next_backoff()
-            assert base <= delay <= base * 1.5
-
-    def test_jitter_without_rng_raises(self):
-        with pytest.raises(RetryPolicyError):
-            RetryPolicy(jitter=0.2).start()
-
     def test_invalid_configs_raise(self):
         with pytest.raises(RetryPolicyError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(RetryPolicyError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(RetryPolicyError):
-            RetryPolicy(base_backoff_s=1.0, max_backoff_s=0.5)
-        with pytest.raises(RetryPolicyError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(RetryPolicyError):
-            RetryPolicy(deadline_s=0.0)
+            RetryPolicy(base_backoff_s=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +371,24 @@ class TestControllerDegradeAndHeal:
         assert controller.ledger.unreconciled == set()
 
     def test_retry_policy_survives_journal_meta(self):
+        """The meta records the one retry schedule, a restore keeps it,
+        and a journal that records another policy is refused."""
         controller = make_controller(seed=31)
         controller.attach_journal(WriteAheadJournal())
         vip = fresh_vip(controller)
         controller.add_vip(vip)
+        assert controller.journal.meta["retry_policy"] == PROGRAM_RETRY_META
+        with pytest.raises(RecoveryError, match="retry policy"):
+            DuetController.restore(
+                with_retry_meta(controller.journal, base_backoff_s=0.2),
+                topology=controller.topology,
+            )
         restored = DuetController.restore(
             controller.journal,
             dataplane=harvest_dataplane(controller),
             topology=controller.topology,
         )
-        assert restored.retry_policy == controller.retry_policy
+        assert restored.journal.meta["retry_policy"] == PROGRAM_RETRY_META
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,14 @@ import numpy as np
 import pytest
 
 from repro.chaos.engine import ChaosConfig, ChaosEngine, build_controller
-from repro.control import RetryPolicy
+from repro.control import LOSSY_OPS, ChannelSendError
 from repro.core.assignment import Assignment
-from repro.core.controller import DuetController, SimulatedCrash
+from repro.core.controller import (
+    PROGRAM_RETRY_META,
+    DuetController,
+    SimulatedCrash,
+)
+from repro.core.intent import RecoveryError
 from repro.durability import (
     AntiEntropyReconciler,
     JournalError,
@@ -29,7 +34,6 @@ from repro.durability import (
 )
 from repro.durability.recovery import snapshot_state
 from repro.net.addressing import Prefix
-from repro.net.failures import FaultModel
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.vips import DIP_POOL, VIP_POOL, Dip, Vip, VipPopulation
 
@@ -45,6 +49,16 @@ def uncommitted(journal: WriteAheadJournal):
     return [
         r for r in records if r["type"] == "op" and r["seq"] not in committed
     ]
+
+
+def with_retry_meta(journal: WriteAheadJournal, **changes) -> WriteAheadJournal:
+    """A copy of ``journal`` whose meta records ``retry_policy`` with
+    ``changes`` applied."""
+    lines = journal.to_lines()
+    meta = json.loads(lines[0])
+    assert meta["type"] == "meta"
+    meta["retry_policy"] = {**meta["retry_policy"], **changes}
+    return WriteAheadJournal.from_lines([json.dumps(meta)] + lines[1:])
 
 
 def journaled_controller(seed: int = 11, interval: int = 64):
@@ -391,17 +405,22 @@ class TestRestore:
 
     def test_restores_parent_journal_carrying_retired_retry_meta(self):
         """The parent wrote ``max_program_attempts`` / ``retry_backoff_s``
-        into the meta beside ``retry_policy``; the constructor no longer
-        takes them, and the restore reads the policy alone."""
+        into the meta beside a six-key ``retry_policy``; the controller
+        has one retry schedule, whose meta form that policy equals, and
+        a journal that records any other policy is refused."""
         golden = WriteAheadJournal.load(str(GOLDEN_JOURNAL))
         assert golden.meta["max_program_attempts"] == 3
         assert golden.meta["retry_backoff_s"] == 0.05
+        assert golden.meta["retry_policy"] == PROGRAM_RETRY_META
         restored = DuetController.restore(golden)
-        assert restored.retry_policy == RetryPolicy(**golden.meta["retry_policy"])
         expected = json.loads(GOLDEN_EXPECTED.read_text(encoding="utf-8"))
         assert canonical(snapshot_state(restored)) == canonical(
             expected["snapshot"]
         )
+        for change in ({"max_attempts": 5}, {"jitter": 0.2},
+                       {"deadline_s": 1.0}):
+            with pytest.raises(RecoveryError, match="retry policy"):
+                DuetController.restore(with_retry_meta(golden, **change))
 
     def test_snapshot_interval_bounds_tail(self):
         controller, journal = journaled_controller(interval=2)
@@ -508,18 +527,27 @@ class TestRestore:
 # an abandoned one leaves the switch clean
 # ---------------------------------------------------------------------------
 
-class FaultAtCall(FaultModel):
-    """Fault exactly on the Nth programming call (1-based), once — or,
-    with ``every_after``, on every call past the Nth."""
+class FaultAtCall:
+    """A switch agent's channel that loses exactly the Nth programming
+    send (1-based, counting :data:`LOSSY_OPS` only), once — or, with
+    ``every_after``, every programming send past the Nth.  Everything
+    else goes through to the real channel."""
 
-    def __init__(self, n: int, every_after: bool = False) -> None:
+    def __init__(self, channel, n: int, every_after: bool = False) -> None:
+        self.channel = channel
         self.n = n
         self.every_after = every_after
         self.calls = 0
 
-    def attempt(self, op: str, switch_index: int, vip: int) -> bool:
-        self.calls += 1
-        return self.calls > self.n if self.every_after else self.calls == self.n
+    def send(self, device, op, fn):
+        if op in LOSSY_OPS:
+            self.calls += 1
+            if self.calls > self.n if self.every_after else self.calls == self.n:
+                raise ChannelSendError(f"{op} to {device}: injected fault")
+        return self.channel.send(device, op, fn)
+
+    def __getattr__(self, name):
+        return getattr(self.channel, name)
 
 
 def _switch_view(controller, agent, addr):
@@ -566,14 +594,14 @@ class TestFaultedProgramming:
         for fault_at in (1, 2, 3):
             controller, addr, target = _with_pooled_vip()
             before = controller.stats_snapshot()
-            controller.switch_agents[target].fault_model = FaultAtCall(fault_at)
+            agent = controller.switch_agents[target]
+            agent.channel = FaultAtCall(controller.channel, fault_at)
             assert controller.migrate_vip(addr, target) == target, (
                 f"fault at write {fault_at} never recovered"
             )
             after = controller.stats_snapshot()
             for key in ("transient_faults", "unwinds", "retries"):
                 assert after[key] - before[key] == 1, key
-            agent = controller.switch_agents[target]
             assert _switch_view(controller, agent, addr) == want, (
                 f"fault at write {fault_at} changed the converged state"
             )
@@ -587,7 +615,7 @@ class TestFaultedProgramming:
         agent = controller.switch_agents[target]
         clean = _switch_view(controller, agent, addr)
         before = controller.stats_snapshot()
-        agent.fault_model = FaultAtCall(1, every_after=True)
+        agent.channel = FaultAtCall(controller.channel, 1, every_after=True)
         assert controller.migrate_vip(addr, target) is None
         after = controller.stats_snapshot()
         delta = {key: after[key] - before[key] for key in after}

@@ -212,21 +212,3 @@ class TestRngPlumbing:
                 tiny_topology, random.Random(2)
             ).failed_container
         )
-
-    def test_transient_fault_model_seed_forms_agree(self):
-        from repro.net.failures import TransientFaultModel
-
-        seeded = TransientFaultModel(seed=11, fail_prob=0.5)
-        explicit = TransientFaultModel(seed=random.Random(11), fail_prob=0.5)
-        outcomes = [
-            (seeded.attempt("add", 0, 1), explicit.attempt("add", 0, 1))
-            for _ in range(50)
-        ]
-        assert all(a == b for a, b in outcomes)
-        assert seeded.injected == explicit.injected
-
-    def test_transient_fault_model_rejects_module_rng(self):
-        from repro.net.failures import TransientFaultModel
-
-        with pytest.raises(TypeError):
-            TransientFaultModel(seed=random)

@@ -448,14 +448,6 @@ class TestGrayDetection:
 
 
 class TestHealthConfig:
-    def test_round_trip(self):
-        cfg = HealthConfig(suspect_threshold=0.5, gray_window_rounds=9)
-        assert HealthConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_from_dict_ignores_unknown_keys(self):
-        cfg = HealthConfig.from_dict({"confirm_threshold": 0.8, "bogus": 1})
-        assert cfg.confirm_threshold == 0.8
-
     def test_budgets_scale_with_probe_period(self):
         cfg = HealthConfig(probe_period_s=0.01, detection_budget_rounds=10)
         assert cfg.detection_budget_s == pytest.approx(0.1)

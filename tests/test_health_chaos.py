@@ -165,13 +165,6 @@ class TestModeGuards:
         with pytest.raises(ValueError, match="requires no_oracle"):
             engine.run()
 
-    def test_health_config_overrides_reach_the_monitor(self):
-        engine = ChaosEngine(no_oracle_config(
-            health={"detection_budget_rounds": 50, "gray_window_rounds": 9},
-        ), events=[])
-        assert engine.monitor.config.detection_budget_rounds == 50
-        assert engine.monitor.config.gray_window_rounds == 9
-
 
 class TestClosedLoop:
     """Direct monitor runs: one fault in, remediation out, no engine."""

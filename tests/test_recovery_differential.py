@@ -11,10 +11,10 @@ two must agree on :func:`controller_fingerprint`: records in insertion
 order, the stored assignment, announcements, every switch and SMux
 table, SNAT manager state, and the SMux id high-water mark.
 
-The schedules run with ``fail_prob=0``: transient-fault injection draws
-from one RNG stream shared by normal ops and reconciliation repairs, so
-a crashed run and its twin would legitimately consume different fault
-sequences — the twin would no longer be a control.
+The schedules run on a reliable channel (``channel_loss=0``): channel
+loss draws from one RNG stream shared by normal ops and reconciliation
+repairs, so a crashed run and its twin would legitimately consume
+different fault sequences — the twin would no longer be a control.
 """
 
 from __future__ import annotations

@@ -423,14 +423,6 @@ class TestPolicyValidation:
         names = {p.slo for p in build_default_policies()}
         assert names == {s.name for s in self._slos()}
 
-    def test_overrides_applied(self):
-        policies = build_default_policies(
-            overrides={"fast_burn_threshold": 8.0, "for_rounds": 3},
-        )
-        avail = [p for p in policies if p.slo == "vip-availability"][0]
-        assert avail.windows[0].burn_threshold == 8.0
-        assert avail.for_rounds == 3
-
 
 # ---------------------------------------------------------------------------
 # Scorecard + incident artifacts

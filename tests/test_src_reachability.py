@@ -16,6 +16,10 @@ with any used attribute counts as reached.
 ``tests/`` is not an entry point, so a module or a name that only tests
 reach fails here — delete it, wire it to something that runs, or name it
 in ``KEEP`` with the reason it stays.
+
+Knobs: every field of a ``*Config`` / ``*Policy`` dataclass must be set
+by some non-test file (see :func:`set_fields`), or named in
+``KNOB_KEEP`` with the reason it stays.
 """
 
 import ast
@@ -59,6 +63,64 @@ KEEP = {
     "is_reachable": "test oracle: the per-pair reachability that "
                     "isolated_switches' one multi-source BFS must equal "
                     "(TestIsolationDifferential)",
+}
+
+#: ``*Config`` / ``*Policy`` fields no non-test file sets, kept on
+#: purpose: class -> (space-separated fields, reason).
+KNOB_KEEP = {
+    "AssignmentConfig": (
+        "host_table_budget dip_capacity",
+        "the switch-memory limits default to the table spec; tests shrink "
+        "them to make memory scarce, and every journal meta carries them",
+    ),
+    "HealthConfig": (
+        "probe_period_s vip_probes_per_round ewma_alpha suspect_threshold "
+        "clear_threshold consecutive_miss_fast confirm_rounds "
+        "confirm_threshold quarantine_min_rounds probation_entry_streak "
+        "probation_rounds relapse_backoff relapse_backoff_cap "
+        "gray_loss_threshold gray_min_probes gray_min_losses "
+        "gray_window_rounds gray_escalate_vips gray_cooldown_rounds "
+        "detection_budget_rounds recovery_budget_rounds",
+        "constructed by benchmarks/e2e/epoch_steady.py; operators tune it "
+        "(OPERATIONS.md, Tuning the detector)",
+    ),
+    "TraceConfig": (
+        "epoch_seconds volatility flash_probability flash_multiplier "
+        "flash_decay churn_fraction total_band max_drift share_cap",
+        "the trace synthesizer's model parameters, named for the paper's "
+        "production trace (S8.3)",
+    ),
+    "ProvisioningConfig": (
+        "n_switch_failures n_random_failure_samples min_smuxes",
+        "the paper's SMux provisioning scenarios (S8.2)",
+    ),
+    "DeploymentLatencyConfig": (
+        "packet_bytes smux_capacity_pps smux_buffer_packets",
+        "the paper's SMux queueing parameters (S8.5)",
+    ),
+    "Fig01Config": (
+        "loads_pps capacity_pps n_samples",
+        "the paper's Figure 1 parameters",
+    ),
+    "Fig14Config": ("n_trials timings", "the paper's Figure 14 parameters"),
+    "HMuxCapacityConfig": (
+        "n_smuxes low_rate_pps high_rate_pps packet_bytes hmux_link_gbps "
+        "probe_interval_s",
+        "the paper's Figure 11 testbed parameters",
+    ),
+    "FailoverConfig": (
+        "fail_at_s duration_s background_pps probe_interval_s timings",
+        "the paper's Figure 12 testbed parameters",
+    ),
+    "MigrationConfig": (
+        "t1_s duration_s background_pps probe_interval_s timings",
+        "the paper's Figure 13 testbed parameters",
+    ),
+    "SmuxFailureConfig": (
+        "n_smuxes fail_at_s duration_s background_pps probe_interval_s "
+        "timings",
+        "the paper's SMux-failure testbed parameters",
+    ),
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -180,3 +242,76 @@ def test_keep_list_holds_only_unused_defs():
     assert not stale, f"KEEP names nothing src defines: {stale}"
     reached = sorted(KEEP.keys() & used_names())
     assert not reached, f"KEEP names a def a non-test file uses: {reached}"
+
+
+def knob_classes():
+    """Init fields, in order, of every ``@dataclass`` in ``src/repro``
+    named ``*Config`` or ``*Policy``, by class name."""
+    classes = {}
+    for path in MODULES.values():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith(
+                ("Config", "Policy")
+            ) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                classes[node.name] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                ]
+    return classes
+
+
+def set_fields(classes):
+    """The fields of ``classes`` some non-test file sets: by keyword or
+    position in a call to the class (``cls(...)`` inside it counts), or
+    by a ``replace(...)`` keyword.  ``self.x = ...`` does not count, and
+    neither does ``**kwargs``."""
+    set_by = {name: set() for name in classes}
+    replaced = set()
+    for path in list(MODULES.values()) + ENTRY_FILES:
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords if k.arg}
+            if name == "replace":
+                replaced |= keywords
+                continue
+            if name == "cls":
+                name = owner.get(id(node))
+            if name not in classes:
+                continue
+            positional = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional.append(arg)
+            set_by[name] |= keywords | set(classes[name][:len(positional)])
+    return {name: fields | replaced for name, fields in set_by.items()}
+
+
+def test_every_config_field_is_set_outside_tests():
+    classes = knob_classes()
+    set_by = set_fields(classes)
+    unset = sorted(
+        f"{name}.{field}" for name, fields in classes.items()
+        for field in fields
+        if field not in set_by[name]
+        and field not in KNOB_KEEP.get(name, ("", ""))[0].split()
+    )
+    assert not unset, f"knobs only tests set: {unset}"
+    stale = sorted(
+        f"{name}.{field}" for name, (fields, _) in KNOB_KEEP.items()
+        for field in fields.split()
+        if name not in classes or field not in classes[name]
+        or field in set_by[name]
+    )
+    assert not stale, f"KNOB_KEEP names a field that is gone or set: {stale}"
