@@ -69,7 +69,8 @@ class ChaosMachine(RuleBasedStateMachine):
         super().__init__()
         self.engine = ChaosEngine(self.config)
         self.kinds = drawn_kinds(self.engine)
-        self.pinned: dict = {}  # (vip, index) -> (dip, mux, DIP set)
+        # (vip, index) -> (dip, mux, DIP set, assigned switch)
+        self.pinned: dict = {}
 
     @rule(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def chaos_event(self, data, seed):
@@ -80,6 +81,19 @@ class ChaosMachine(RuleBasedStateMachine):
         if event is None:
             return  # infeasible against this state: not a step
         assert self.engine.step(event) == []
+        self.drop_unstable_pins()
+
+    def drop_unstable_pins(self) -> None:
+        """Forget each pin whose VIP vanished, moved switch or gained a
+        DIP in the step just taken.  Checked after every step, so a DIP
+        added and removed again between two pins (the addition rebuilt
+        the tables) or a switch failed and recovered still drops it."""
+        records = self.engine.controller.intent.records
+        for key, (_, _, pin_dips, switch) in list(self.pinned.items()):
+            record = records.get(key[0])
+            if (record is None or record.assigned_switch != switch
+                    or frozenset(record.dip_addrs()) - pin_dips):
+                del self.pinned[key]
 
     @rule(index=st.integers(min_value=0, max_value=50))
     def pin_and_check_flow(self, index):
@@ -110,10 +124,10 @@ class ChaosMachine(RuleBasedStateMachine):
         key = (addr, index)
         dips_now = frozenset(record.dip_addrs())
         if key in self.pinned:
-            dip, pin_mux, pin_dips = self.pinned[key]
+            dip, pin_mux, pin_dips, _ = self.pinned[key]
             if mux == pin_mux and dip in dips_now and not dips_now - pin_dips:
                 assert got == dip
-        self.pinned[key] = (got, mux, dips_now)
+        self.pinned[key] = (got, mux, dips_now, record.assigned_switch)
 
     @invariant()
     def intent_is_self_consistent(self):
