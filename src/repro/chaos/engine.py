@@ -600,7 +600,9 @@ class ChaosEngine:
         channel.pump()
         started = time.perf_counter()
         report = AntiEntropyReconciler(self.controller).converge()
-        channel.note_convergence(time.perf_counter() - started)
+        self.instrumentation.channel_convergence.observe(
+            time.perf_counter() - started
+        )
         fully_healed = (
             not channel.partitioned
             and channel.loss_prob == 0
@@ -757,9 +759,8 @@ class ChaosEngine:
         self.controller.channel.pump()
         for part in self.battery:
             violations += part.check()
-        # Observe AFTER the checks: their probe packets are then in the
-        # mux high-watermarks before the next event can wipe a mux,
-        # keeping the cumulative forwarded series complete.
+        # Observe after the checks, so the step's series include the
+        # packets their probes forwarded.
         self.recorder.tick(now=self._now())
         return violations
 

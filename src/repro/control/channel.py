@@ -148,10 +148,6 @@ class ControlChannel:
         self.stats = ChannelStats()
         self._devices: Dict[str, _DeviceState] = {}
         self._in_flight: Deque[_Command] = deque()
-        # Convergence-latency samples (seconds per heal->reconcile),
-        # buffered for the metrics collector to drain (same pattern as
-        # the assignment solve histogram).
-        self._pending_convergences: List[float] = []
 
     # -- fault injection -------------------------------------------------------
 
@@ -307,14 +303,6 @@ class ControlChannel:
 
     def queued_dups(self) -> int:
         return len(self._in_flight)
-
-    def note_convergence(self, seconds: float) -> None:
-        self._pending_convergences.append(seconds)
-
-    def drain_convergences(self) -> List[float]:
-        drained = self._pending_convergences
-        self._pending_convergences = []
-        return drained
 
 
 @dataclass

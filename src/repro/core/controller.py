@@ -208,6 +208,10 @@ class DuetController:
         self._tap = None
         # Derived: every mux's slot layouts, for forward_batch.
         self._fleet = FleetLayouts()
+        #: Packets counted by SMuxes this incarnation retired
+        #: (:meth:`fail_smux`); read by the fleet-cumulative forwarded
+        #: count, like :attr:`HMux.wiped_packets`.
+        self.retired_smux_packets = 0
 
         surviving_smuxes: Dict[int, SMux] = {}
         if dataplane is None:
@@ -756,6 +760,9 @@ class DuetController:
             ref = MuxRef.smux(smux_id)
             self.route_table.withdraw_all(ref)
             self.intent.remove_smux(smux_id)
+            self.retired_smux_packets += next(
+                s.counters.packets for s in self.smuxes if s.smux_id == smux_id
+            )
             self.smuxes = alive
             # Late duplicates addressed to the dead instance must not
             # be mistaken for commands to a future one (ids are never

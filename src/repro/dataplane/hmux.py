@@ -147,6 +147,10 @@ class HMux:
         self.tunnel_table = TunnelingTable(tables.tunnel_table)
         self.acl_table = AclTable()
         self.counters = HMuxCounters()
+        #: Packets counted by earlier lives of this switch, folded in by
+        #: :meth:`reset` — the telemetry's fleet-cumulative forwarded
+        #: count reads it, so a wipe loses no packet from that count.
+        self.wiped_packets = 0
         self._tables_spec = tables
         self._host_table_reserved = host_table_reserved
         self._vips: Dict[int, _VipState] = {}
@@ -176,6 +180,7 @@ class HMux:
         self.ecmp_table = EcmpTable(self._tables_spec.ecmp_table)
         self.tunnel_table = TunnelingTable(self._tables_spec.tunnel_table)
         self.acl_table = AclTable()
+        self.wiped_packets += self.counters.packets
         self.counters = HMuxCounters()
         self._vips.clear()
         self._port_vips.clear()

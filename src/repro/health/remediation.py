@@ -198,7 +198,6 @@ class HealthMonitor:
     ) -> None:
         self.config = config or HealthConfig()
         self.controller = controller
-        self.registry = registry
         self.clock = SimClock()
         self.network = ProbeNetwork(controller, fault_plane, seed=seed)
         self.scheduler = ProbeScheduler(
@@ -305,12 +304,6 @@ class HealthMonitor:
         before = self._hmux_counter_snapshot()
         round_ = self.scheduler.run_round(t)
         after = self._hmux_counter_snapshot()
-        # The one scrape of the round, between the sweep and the
-        # remediation below: a quarantine wipes its mux, and the
-        # cumulative forwarded series only survives a wipe for the
-        # packets a scrape has already seen; the alert round that
-        # follows also reads the histograms collectors drain into.
-        self.registry.collect()
         # Keyed as the registry labels the counter: (switch, VIP) strings.
         deltas: Dict[Tuple[str, str], float] = {}
         for (index, vip), packets in after.items():
@@ -318,11 +311,15 @@ class HealthMonitor:
             if moved:
                 deltas[(str(index), format_ip(vip))] = float(moved)
 
-        probes = self._instruments["probes"]
-        vip_outcomes = self._instruments["vip_outcomes"]
-        vip_rtt = self._instruments["vip_rtt"]
+        # Outcomes are summed per label first and each sum applied once
+        # (in first-seen order, so children are created as before); RTTs
+        # are observed in probe order.
+        probes: Dict[Tuple[str, str], int] = {}
+        vip_outcomes: Dict[str, int] = {}
+        rtts: List[float] = []
         for outcome in round_.outcomes:
-            probes.labels(outcome.kind, "ok" if outcome.ok else "drop").inc()
+            key = (outcome.kind, "ok" if outcome.ok else "drop")
+            probes[key] = probes.get(key, 0) + 1
             if outcome.kind != "vip":
                 continue
             if outcome.ok:
@@ -333,9 +330,17 @@ class HealthMonitor:
                 result = "unrouted"
             else:
                 result = "mux-drop"
-            vip_outcomes.labels(result).inc()
+            vip_outcomes[result] = vip_outcomes.get(result, 0) + 1
             if outcome.latency_s is not None:
-                vip_rtt.observe(outcome.latency_s)
+                rtts.append(outcome.latency_s)
+        for (kind, result), count in probes.items():
+            self._instruments["probes"].labels(kind, result).inc(count)
+        for result, count in vip_outcomes.items():
+            self._instruments["vip_outcomes"].labels(result).inc(count)
+        if rtts:
+            vip_rtt = self._instruments["vip_rtt"].labels()
+            for seconds in rtts:
+                vip_rtt.observe(seconds)
         self._instruments["rounds"].inc()
 
         verdicts = self.detector.observe(round_, deltas)

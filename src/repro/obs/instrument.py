@@ -14,10 +14,14 @@ series the conservation laws need:
 
 * ``duet_forwarded_packets_total`` — cumulative packets counted by any
   mux, **reset-proof**: a failed switch wipes its ``HMuxCounters`` and a
-  failed SMux leaves the fleet, but the cumulative view folds the lost
-  epoch in (per-key high-watermark accounting that survives controller
-  crash-restarts, because the instrumentation object outlives the
-  controller it observes — :meth:`~ControllerInstrumentation.rebind`).
+  failed SMux leaves the fleet, but each count is folded into a retired
+  total at that moment (:attr:`HMux.wiped_packets
+  <repro.dataplane.hmux.HMux.wiped_packets>`,
+  :attr:`DuetController.retired_smux_packets
+  <repro.core.controller.DuetController.retired_smux_packets>`), so no
+  scrape has to run before a wipe.  The total survives controller
+  crash-restarts because the instrumentation object outlives the
+  controller it observes (:meth:`~ControllerInstrumentation.rebind`).
 * ``duet_delivered_packets_total`` — per-VIP deliveries metered by host
   agents (which are never wiped).
 
@@ -34,7 +38,7 @@ from registry samples:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addressing import format_ip
 from repro.obs.registry import MetricsRegistry
@@ -49,6 +53,31 @@ CHANNEL_CONVERGENCE_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5,
 )
+
+
+class _MuxSeries:
+    """One mux's bound children, and the counters object they mirror."""
+
+    __slots__ = ("label", "children", "per_vip", "counters")
+
+    def __init__(self, label: str, instruments: Sequence[Any]) -> None:
+        self.label = label
+        self.children = tuple(instr.labels(label) for instr in instruments)
+        self.per_vip: Dict[int, Any] = {}
+        self.counters: Any = None
+
+
+def _mux_packets(controller) -> int:
+    """Packets counted, over their lifetimes, by every mux ``controller``
+    holds or has retired."""
+    return (
+        controller.retired_smux_packets
+        + sum(
+            agent.hmux.wiped_packets + agent.hmux.counters.packets
+            for agent in controller.switch_agents.values()
+        )
+        + sum(smux.counters.packets for smux in controller.smuxes)
+    )
 
 
 class ControllerInstrumentation:
@@ -67,10 +96,15 @@ class ControllerInstrumentation:
         self.registry = registry
         self.prefix = prefix
         self.collector_name = collector_name
-        # High-watermark state for the reset-proof cumulative counter:
-        # mux key ("hmux:3" / "smux:1") -> last observed packet count.
-        self._last_mux_packets: Dict[str, int] = {}
-        self._retired_packets = 0
+        # Forwarded packets of earlier controller incarnations' retired
+        # muxes (see rebind).
+        self._carried_packets = 0
+        # Bound children, keyed by switch index / SMux id / VIP address
+        # (a VIP's: its delivered packets and bytes children).
+        self._hmuxes: Dict[int, _MuxSeries] = {}
+        self._smuxes: Dict[int, _MuxSeries] = {}
+        self._delivered: Dict[int, Tuple[Any, Any]] = {}
+        self._journal: Optional[Tuple[Any, ...]] = None
 
         p = prefix
         r = registry
@@ -121,27 +155,30 @@ class ControllerInstrumentation:
         self.forwarded_packets = r.counter(
             f"{p}_forwarded_packets_total",
             "Cumulative packets counted by any mux, surviving mux "
-            "resets and retirements")
+            "resets and retirements").labels()
         # Controller state gauges.
-        self.g_vips = r.gauge(f"{p}_controller_vips", "VIPs under management")
+        # Unlabelled instruments are held by their one child.
+        self.g_vips = r.gauge(
+            f"{p}_controller_vips", "VIPs under management").labels()
         self.g_hmux_assigned = r.gauge(
             f"{p}_controller_hmux_assigned_vips",
-            "VIPs currently assigned to an HMux")
+            "VIPs currently assigned to an HMux").labels()
         self.g_degraded = r.gauge(
             f"{p}_controller_degraded_vips",
-            "VIPs degraded to SMux-only service")
+            "VIPs degraded to SMux-only service").labels()
         self.g_failed_switches = r.gauge(
-            f"{p}_controller_failed_switches", "Switches currently failed")
+            f"{p}_controller_failed_switches",
+            "Switches currently failed").labels()
         self.g_failed_links = r.gauge(
             f"{p}_controller_failed_links",
-            "Directional links currently cut")
+            "Directional links currently cut").labels()
         self.g_smuxes = r.gauge(
-            f"{p}_controller_smuxes", "Live SMux instances")
+            f"{p}_controller_smuxes", "Live SMux instances").labels()
         self.g_routes = r.gauge(
-            f"{p}_routes", "Prefixes in the BGP route table")
+            f"{p}_routes", "Prefixes in the BGP route table").labels()
         # Programming / reconcile / journal counters.
         self.prog = {
-            key: r.counter(f"{p}_programming_{key}_total", help_text)
+            key: r.counter(f"{p}_programming_{key}_total", help_text).labels()
             for key, help_text in (
                 ("attempts", "Switch programming RPC attempts"),
                 ("retries", "Programming attempts beyond the first"),
@@ -154,11 +191,14 @@ class ControllerInstrumentation:
         }
         self.prog_backoff = r.counter(
             f"{p}_programming_backoff_seconds_total",
-            "Cumulative modelled retry backoff")
+            "Cumulative modelled retry backoff").labels()
         self.reconcile_rounds = r.counter(
-            f"{p}_reconcile_rounds_total", "Anti-entropy rounds run")
+            f"{p}_reconcile_rounds_total", "Anti-entropy rounds run").labels()
         self.reconcile_repairs = r.counter(
-            f"{p}_reconcile_repairs_total", "Anti-entropy repairs made")
+            f"{p}_reconcile_repairs_total",
+            "Anti-entropy repairs made").labels()
+        # Bound at the first collect that sees a journal: a controller
+        # without one exports no journal series.
         self.journal_ops = r.counter(
             f"{p}_journal_ops_total", "Ops appended to the journal")
         self.journal_snapshots = r.counter(
@@ -174,7 +214,7 @@ class ControllerInstrumentation:
         # dataplane), so its counters are monotone; ledger counters are
         # per-incarnation, like the programming stats.
         self.channel_counters = {
-            key: r.counter(f"{p}_ctrl_channel_{key}_total", help_text)
+            key: r.counter(f"{p}_ctrl_channel_{key}_total", help_text).labels()
             for key, help_text in (
                 ("sends", "Commands handed to the control channel"),
                 ("applied", "Channel deliveries that mutated a device"),
@@ -197,7 +237,7 @@ class ControllerInstrumentation:
         self.ledger_counters = {
             key: r.counter(
                 f"{p}_ctrl_channel_ledger_{key}_total", help_text,
-            )
+            ).labels()
             for key, help_text in (
                 ("opened", "Programming op tickets opened"),
                 ("acked", "Programming ops acknowledged"),
@@ -209,16 +249,19 @@ class ControllerInstrumentation:
         }
         self.g_channel_pending = r.gauge(
             f"{p}_ctrl_channel_pending_ops",
-            "Programming ops awaiting acknowledgement")
+            "Programming ops awaiting acknowledgement").labels()
         self.g_channel_partitioned = r.gauge(
             f"{p}_ctrl_channel_partitioned_devices",
-            "Devices currently cut off from the control channel")
+            "Devices currently cut off from the control channel").labels()
         self.g_channel_queued = r.gauge(
             f"{p}_ctrl_channel_queued_dups",
-            "Duplicate command copies still queued in flight")
+            "Duplicate command copies still queued in flight").labels()
         self.g_channel_epoch = r.gauge(
             f"{p}_ctrl_channel_epoch",
-            "Current controller fencing epoch")
+            "Current controller fencing epoch").labels()
+        # Observed where a convergence is measured (the chaos engine's
+        # heal), not by the collector, so a partial recorder tick sees
+        # it without a scrape; its child appears with the first one.
         self.channel_convergence = r.histogram(
             f"{p}_ctrl_channel_convergence_seconds",
             "Post-heal anti-entropy convergence latency",
@@ -230,9 +273,14 @@ class ControllerInstrumentation:
 
     def rebind(self, controller) -> None:
         """Point the collector at a new controller incarnation (the
-        chaos engine's crash-restart path).  Cumulative state — the
-        forwarded-packets high watermarks — carries over, which is the
-        whole point: telemetry history survives the crash."""
+        chaos engine's crash-restart path).  The cumulative forwarded
+        count carries over, which is the whole point: telemetry history
+        survives the crash.  A mux the new incarnation adopts counts in
+        both totals and one it builds starts at zero, so the difference
+        is what only the dying one held."""
+        self._carried_packets += (
+            _mux_packets(self.controller) - _mux_packets(controller)
+        )
         self.controller = controller
 
     def close(self) -> None:
@@ -240,79 +288,101 @@ class ControllerInstrumentation:
 
     # -- the collector ------------------------------------------------------
 
+    def _mirror_mux(
+        self, series: _MuxSeries, counters: Any, per_vip_packets: Any,
+    ) -> None:
+        """Mirror one mux's per-VIP packets into ``per_vip_packets``.  A
+        new counters object (a wiped switch) starts a new life: the
+        mux's per-VIP children are pruned and rebuilt from what it
+        holds."""
+        if counters is not series.counters:
+            if series.per_vip:
+                label = series.label
+                per_vip_packets.prune(lambda key: key[0] != label)
+                series.per_vip = {}
+            series.counters = counters
+        children = series.per_vip
+        for vip, packets in counters.per_vip_packets.items():
+            child = children.get(vip)
+            if child is None:
+                child = children[vip] = per_vip_packets.labels(
+                    series.label, format_ip(vip),
+                )
+            child.set_total(packets)
+
     def _collect(self, registry: MetricsRegistry) -> None:
         c = self.controller
-        observed: Dict[str, int] = {}
+        self.forwarded_packets.set_total(
+            self._carried_packets + _mux_packets(c)
+        )
 
         for index in sorted(c.switch_agents):
             hmux = c.switch_agents[index].hmux
             counters = hmux.counters
-            self.hmux_packets.labels(index).set_total(counters.packets)
-            self.hmux_bytes.labels(index).set_total(counters.bytes)
-            self.hmux_no_match.labels(index).set_total(counters.no_match)
-            self.hmux_vips.labels(index).set(len(hmux.vips()))
-            for vip, packets in counters.per_vip_packets.items():
-                self.hmux_vip_packets.labels(
-                    index, format_ip(vip)
-                ).set_total(packets)
-            observed[f"hmux:{index}"] = counters.packets
-            # A wiped HMux (switch failure) clears per-VIP children too.
-            if not counters.per_vip_packets:
-                self.hmux_vip_packets.prune(
-                    lambda key, i=str(index): key[0] != i
-                )
+            series = self._hmuxes.get(index)
+            if series is None:
+                series = self._hmuxes[index] = _MuxSeries(str(index), (
+                    self.hmux_packets, self.hmux_bytes, self.hmux_no_match,
+                    self.hmux_vips,
+                ))
+            packets, size, no_match, vips = series.children
+            packets.set_total(counters.packets)
+            size.set_total(counters.bytes)
+            no_match.set_total(counters.no_match)
+            vips.set(len(hmux.vips()))
+            self._mirror_mux(series, counters, self.hmux_vip_packets)
 
-        live_smuxes = set()
+        live = set()
         for smux in c.smuxes:
             counters = smux.counters
-            sid = smux.smux_id
-            live_smuxes.add(str(sid))
-            self.smux_packets.labels(sid).set_total(counters.packets)
-            self.smux_bytes.labels(sid).set_total(counters.bytes)
-            self.smux_drops.labels(sid).set_total(counters.drops_no_vip)
-            self.smux_connections.labels(sid).set_total(counters.connections)
-            self.smux_conn_count.labels(sid).set(smux.connection_count())
-            for vip, packets in counters.per_vip_packets.items():
-                self.smux_vip_packets.labels(
-                    sid, format_ip(vip)
-                ).set_total(packets)
-            observed[f"smux:{sid}"] = counters.packets
-        # SMuxes that left the fleet (fail_smux) stop being scraped.
-        for instr in (
-            self.smux_packets, self.smux_bytes, self.smux_drops,
-            self.smux_connections, self.smux_conn_count,
-            self.smux_vip_packets,
-        ):
-            instr.prune(lambda key: key[0] in live_smuxes)
-
-        # Reset-proof cumulative forwarded count.
-        for key, current in observed.items():
-            last = self._last_mux_packets.get(key, 0)
-            if current < last:
-                # The mux was wiped (switch failure) — fold the lost
-                # epoch into the retired pool.
-                self._retired_packets += last
-            self._last_mux_packets[key] = current
-        for key in list(self._last_mux_packets):
-            if key not in observed:
-                # The mux left the fleet entirely (fail_smux).
-                self._retired_packets += self._last_mux_packets.pop(key)
-        self.forwarded_packets.set_total(
-            self._retired_packets + sum(observed.values())
-        )
+            live.add(smux.smux_id)
+            series = self._smuxes.get(smux.smux_id)
+            if series is None:
+                series = self._smuxes[smux.smux_id] = _MuxSeries(
+                    str(smux.smux_id), (
+                        self.smux_packets, self.smux_bytes, self.smux_drops,
+                        self.smux_connections, self.smux_conn_count,
+                    ),
+                )
+            packets, size, drops, connections, conn_count = series.children
+            packets.set_total(counters.packets)
+            size.set_total(counters.bytes)
+            drops.set_total(counters.drops_no_vip)
+            connections.set_total(counters.connections)
+            conn_count.set(smux.connection_count())
+            self._mirror_mux(series, counters, self.smux_vip_packets)
+        if len(self._smuxes) != len(live):
+            # SMuxes that left the fleet (fail_smux) stop being scraped.
+            for smux_id in [i for i in self._smuxes if i not in live]:
+                del self._smuxes[smux_id]
+            labels = {series.label for series in self._smuxes.values()}
+            for instr in (
+                self.smux_packets, self.smux_bytes, self.smux_drops,
+                self.smux_connections, self.smux_conn_count,
+                self.smux_vip_packets,
+            ):
+                instr.prune(lambda key: key[0] in labels)
 
         # Host-agent delivery meters, aggregated per VIP.
         delivered: Dict[int, Tuple[int, int]] = {}
-        for server in sorted(c.host_agents):
-            report = c.host_agents[server].traffic_report()
-            for vip_addr, (packets, size) in report.items():
+        for agent in c.host_agents.values():
+            for vip_addr, meter in agent.meters.items():
                 prev = delivered.get(vip_addr, (0, 0))
-                delivered[vip_addr] = (prev[0] + packets, prev[1] + size)
+                delivered[vip_addr] = (
+                    prev[0] + meter.packets, prev[1] + meter.bytes,
+                )
         for vip_addr in sorted(delivered):
+            children = self._delivered.get(vip_addr)
+            if children is None:
+                label = format_ip(vip_addr)
+                children = self._delivered[vip_addr] = (
+                    self.delivered_packets.labels(label),
+                    self.delivered_bytes.labels(label),
+                )
+            packets_child, bytes_child = children
             packets, size = delivered[vip_addr]
-            label = format_ip(vip_addr)
-            self.delivered_packets.labels(label).set_total(packets)
-            self.delivered_bytes.labels(label).set_total(size)
+            packets_child.set_total(packets)
+            bytes_child.set_total(size)
 
         # Controller gauges.
         records = c.records()
@@ -335,10 +405,16 @@ class ControllerInstrumentation:
         self.reconcile_repairs.set_total(stats.reconcile_repairs)
         journal = c.journal
         if journal is not None:
-            self.journal_ops.set_total(journal.ops_appended)
-            self.journal_snapshots.set_total(journal.snapshots_written)
-            self.journal_truncated.set_total(journal.records_truncated)
-            self.journal_tail.set(len(journal.tail()))
+            if self._journal is None:
+                self._journal = tuple(instr.labels() for instr in (
+                    self.journal_ops, self.journal_snapshots,
+                    self.journal_truncated, self.journal_tail,
+                ))
+            ops, snapshots, truncated, tail = self._journal
+            ops.set_total(journal.ops_appended)
+            snapshots.set_total(journal.snapshots_written)
+            truncated.set_total(journal.records_truncated)
+            tail.set(len(journal.tail()))
 
         # Control channel + ledger.
         channel = c.channel
@@ -348,8 +424,6 @@ class ControllerInstrumentation:
         self.g_channel_partitioned.set(len(channel.partitioned))
         self.g_channel_queued.set(channel.queued_dups())
         self.g_channel_epoch.set(channel.epoch)
-        for seconds in channel.drain_convergences():
-            self.channel_convergence.observe(seconds)
         for key, counter in self.ledger_counters.items():
             counter.set_total(getattr(c.ledger, key))
         self.g_channel_pending.set(len(c.ledger.pending()))
@@ -446,7 +520,7 @@ def conservation_violations(
     registry: MetricsRegistry, *, prefix: str = DEFAULT_PREFIX,
 ) -> List[str]:
     """Check the conservation laws over *already scraped* registry state
-    (callers run ``registry.collect()`` / ``scrape()`` first so the
+    (callers run ``registry.collect()`` first so the
     observation is consistent).  Returns human-readable violations."""
     out: List[str] = []
     for plane, label in (("hmux", "switch"), ("smux", "smux")):

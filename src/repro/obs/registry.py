@@ -4,7 +4,7 @@ Design: the hot paths (scalar ``process``, the batch engines) keep
 mutating their existing plain-int counter structs — near-zero overhead,
 no registry in the packet loop.  Observability happens at *scrape* time:
 named **collectors** registered on the :class:`MetricsRegistry` copy the
-component state into typed instruments when :meth:`MetricsRegistry.scrape`
+component state into typed instruments when :meth:`MetricsRegistry.collect`
 runs.  Components therefore never hold a reference to the registry, and
 a crash-restarted controller is re-observed simply by overwriting its
 collector under the same name (see
@@ -92,6 +92,9 @@ class _Instrument:
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: Rises whenever a child is created or pruned: consumers that
+        #: bind children (the recorder's tick plans) rebuild on change.
+        self.stamp = 0
 
     def _make_child(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -109,6 +112,7 @@ class _Instrument:
         if child is None:
             child = self._make_child()
             self._children[key] = child
+            self.stamp += 1
         return child
 
     def items(self) -> List[Tuple[Tuple[str, ...], Any]]:
@@ -121,6 +125,8 @@ class _Instrument:
         dead = [k for k in self._children if not keep(k)]
         for key in dead:
             del self._children[key]
+        if dead:
+            self.stamp += 1
         return len(dead)
 
     def _label_pairs(
@@ -399,16 +405,11 @@ class MetricsRegistry:
 
     def samples(self) -> List[Sample]:
         """Flatten every instrument into exposition samples, *without*
-        running collectors (see :meth:`scrape`)."""
+        running collectors: a scrape is :meth:`collect`, then this."""
         out: List[Sample] = []
         for instrument in self._instruments.values():
             out.extend(instrument.samples())
         return out
-
-    def scrape(self) -> List[Sample]:
-        """Collect, then flatten: one consistent observation."""
-        self.collect()
-        return self.samples()
 
 
 class RingBuffer:
@@ -516,9 +517,8 @@ def reset_aware_increase(points: Sequence[Tuple[float, float]]) -> float:
 
 
 class Recorder:
-    """Scrape-to-time-series pipeline: every :meth:`tick` runs the
-    registry's collectors and appends each sample to that series' ring
-    buffer."""
+    """Scrape-to-time-series pipeline: every :meth:`tick` appends each
+    instrument child's value to that series' ring buffer."""
 
     def __init__(self, registry: MetricsRegistry, capacity: int = 512) -> None:
         self.registry = registry
@@ -526,8 +526,8 @@ class Recorder:
         self.ticks = 0
         self._series: Dict[SeriesKey, RingBuffer] = {}
         self._kind_cache: Dict[str, str] = {}
-        # Partial-tick plans: instrument name -> (child count at build
-        # time, [(child, [series buffers])]) — see _partial_plan.
+        # Tick plans: instrument name -> (its stamp at build time,
+        # [(child, series buffers)]) — see _plan.
         self._plans: Dict[str, Tuple[int, List[Tuple[Any, List[RingBuffer]]]]] = {}
 
     def tick(
@@ -538,27 +538,28 @@ class Recorder:
         """One observation; returns the number of series touched.
         ``now`` defaults to the tick index (deterministic).
 
-        ``only`` restricts the observation to the named instruments and
-        **skips collectors entirely** — a partial tick.  That makes it
-        cheap enough to run every probe round, but it only observes
-        fresh values for instruments incremented directly on hot paths;
-        collector-mirrored instruments would be stale, so they are not
-        sampled at all.  Full ticks (``only=None``) scrape everything.
+        A full tick (``only=None``) runs the registry's collectors, then
+        samples every instrument.  ``only`` restricts the observation to
+        the named instruments and **skips collectors entirely** — a
+        partial tick, cheap enough to run every probe round.  It only
+        observes fresh values for instruments updated where the event
+        happens (incremented on hot paths, observed when measured);
+        collector-mirrored instruments would be stale, so callers leave
+        them out.  Both kinds append through the same per-instrument
+        plans, so they land on the same series.
         """
         t = float(self.ticks if now is None else now)
-        if only is not None:
-            touched = self._partial_tick(t, only)
-            self.ticks += 1
-            return touched
+        if only is None:
+            self.registry.collect()
+            instruments = self.registry.instruments()
+        else:
+            instruments = [
+                instrument for instrument in map(self.registry.get, only)
+                if instrument is not None
+            ]
         touched = 0
-        for sample in self.registry.scrape():
-            key = (sample.name, sample.labels)
-            buf = self._series.get(key)
-            if buf is None:
-                buf = RingBuffer(self.capacity)
-                self._series[key] = buf
-            buf.append(t, sample.value)
-            touched += 1
+        for instrument in instruments:
+            touched += self._append(instrument, t)
         self.ticks += 1
         return touched
 
@@ -569,15 +570,18 @@ class Recorder:
             self._series[key] = buf
         return buf
 
-    def _partial_plan(
+    def _plan(
         self, instrument: Any,
     ) -> List[Tuple[Any, List[RingBuffer]]]:
         """Bind an instrument's children straight to their ring buffers
-        so partial ticks skip sample construction entirely.  The series
-        keys match :meth:`_Instrument.samples` exactly, so partial and
-        full ticks land on the same series."""
+        so ticks skip sample construction entirely.  Series keys match
+        :meth:`_Instrument.samples` exactly.  Children are bound in
+        label order, so series that first appear in the same tick are
+        created in an order that does not depend on when (or how often)
+        collectors ran since the last tick."""
         plan: List[Tuple[Any, List[RingBuffer]]] = []
-        for values, child in instrument.items():
+        # Label values are unique, so the sort never compares children.
+        for values, child in sorted(instrument.items()):
             pairs = instrument._label_pairs(values)
             if instrument.kind == "histogram":
                 buffers = [
@@ -601,30 +605,25 @@ class Recorder:
             plan.append((child, buffers))
         return plan
 
-    def _partial_tick(self, t: float, only: Sequence[str]) -> int:
-        touched = 0
-        for name in only:
-            instrument = self.registry.get(name)
-            if instrument is None:
-                continue
-            cached = self._plans.get(name)
-            n_children = len(instrument._children)
-            if cached is None or cached[0] != n_children:
-                cached = (n_children, self._partial_plan(instrument))
-                self._plans[name] = cached
-            if instrument.kind == "histogram":
-                for child, buffers in cached[1]:
-                    cumulative = child.cumulative_counts()
-                    for i, count in enumerate(cumulative):
-                        buffers[i].append(t, float(count))
-                    buffers[-2].append(t, child.sum)
-                    buffers[-1].append(t, float(child.count))
-                    touched += len(buffers)
-            else:
-                for child, buffers in cached[1]:
-                    buffers[0].append(t, child.value)
-                    touched += 1
-        return touched
+    def _append(self, instrument: Any, t: float) -> int:
+        """Append one instrument's current values; returns the number of
+        series touched.  The plan is rebuilt only when the instrument's
+        stamp moved (a child was created or pruned)."""
+        cached = self._plans.get(instrument.name)
+        if cached is None or cached[0] != instrument.stamp:
+            cached = (instrument.stamp, self._plan(instrument))
+            self._plans[instrument.name] = cached
+        plan = cached[1]
+        if instrument.kind == "histogram":
+            for child, buffers in plan:
+                for buf, count in zip(buffers, child.cumulative_counts()):
+                    buf.append(t, float(count))
+                buffers[-2].append(t, child.sum)
+                buffers[-1].append(t, float(child.count))
+            return len(plan) * (len(instrument.buckets) + 3)
+        for child, buffers in plan:
+            buffers[0].append(t, child.value)
+        return len(plan)
 
     def series_keys(self) -> List[SeriesKey]:
         return list(self._series)

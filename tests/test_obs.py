@@ -112,8 +112,9 @@ class TestRegistry:
 
         registry.register_collector("c", collect)
         state["n"] = 7
+        registry.collect()
         samples = {format_series(s.name, s.labels): s.value
-                   for s in registry.scrape()}
+                   for s in registry.samples()}
         assert samples["mirrored_total"] == 7
 
     def test_collector_overwrite_replaces(self):
@@ -355,6 +356,64 @@ class TestRecorder:
         state["v"] = 2.0
         recorder.tick()
         assert recorder.deltas()[("depth", ())] == -3.0
+
+    def test_partial_tick_replans_after_prune(self):
+        # Regression: a partial-tick plan cached by child count survived
+        # a prune followed by a creation (same count), so the tick kept
+        # appending to the pruned child and never sampled the new one.
+        registry = MetricsRegistry()
+        counter = registry.counter("x_total", "", ("k",))
+        counter.labels("a").inc(1)
+        counter.labels("b").inc(2)
+        recorder = Recorder(registry, capacity=8)
+        recorder.tick(only=["x_total"])
+        counter.prune(lambda key: key[0] != "a")
+        counter.labels("c").inc(3)
+        recorder.tick(only=["x_total"])
+        assert recorder.series("x_total", (("k", "a"),)) == [(0, 1)]
+        assert recorder.series("x_total", (("k", "b"),)) == [(0, 2), (1, 2)]
+        assert recorder.series("x_total", (("k", "c"),)) == [(1, 3)]
+
+    def test_full_tick_samples_every_child(self):
+        """A full tick lands each sample of a scrape on its own series.
+        Series new in a tick are created instrument by instrument in
+        registry order and, within one instrument, in label order — not
+        in the order its children happened to be created."""
+        registry = MetricsRegistry()
+        state = {"n": 0}
+
+        def collect(reg):
+            reg.counter("late_total", "", ("k",)).labels(
+                str(state["n"])).set_total(state["n"])
+
+        registry.register_collector("src", collect)
+        rtt = registry.histogram("rtt_seconds", "", buckets=(0.1, 1.0))
+        depth = registry.gauge("depth", "", ("q",))
+        recorder = Recorder(registry, capacity=8)
+        for n, queues in enumerate((["b"], ["z", "c"], ["a"])):
+            state["n"] = n
+            rtt.observe(0.05 * (n + 1))
+            for queue in queues:
+                depth.labels(queue).set(n)
+            touched = recorder.tick()
+            expected = registry.samples()
+            assert touched == len(expected)
+            for sample in expected:
+                assert recorder.latest(sample.name, sample.labels) == sample.value
+        assert recorder.series_keys() == [
+            ("rtt_seconds_bucket", (("le", "0.1"),)),
+            ("rtt_seconds_bucket", (("le", "1.0"),)),
+            ("rtt_seconds_bucket", (("le", "+Inf"),)),
+            ("rtt_seconds_sum", ()),
+            ("rtt_seconds_count", ()),
+            ("depth", (("q", "b"),)),
+            ("late_total", (("k", "0"),)),
+            ("depth", (("q", "c"),)),
+            ("depth", (("q", "z"),)),
+            ("late_total", (("k", "1"),)),
+            ("depth", (("q", "a"),)),
+            ("late_total", (("k", "2"),)),
+        ]
 
     def test_capacity_bounds_series(self):
         registry, state = self._registry_with_source()

@@ -112,6 +112,37 @@ class TestControllerInstrumentation:
         assert all(
             values[0] != str(retired) for values, _ in smux_packets.items())
 
+    def test_wiped_switch_restarts_its_per_vip_series(self):
+        """A switch wiped and serving again before the next scrape
+        exports only what its new life counted, as a fresh collector
+        would."""
+        controller = make_controller()
+        registry = MetricsRegistry()
+        instrument_controller(controller, registry)
+        drive_traffic(controller)
+        registry.collect()
+        victim, vips = max(
+            (
+                (index, agent.hmux.vips())
+                for index, agent in controller.switch_agents.items()
+            ),
+            key=lambda item: len(item[1]),
+        )
+        assert len(vips) >= 2
+        controller.fail_switch(victim)
+        controller.recover_switch(victim)
+        controller.migrate_vip(vips[0], victim)
+        drive_traffic(controller)
+        registry.collect()
+        fresh = MetricsRegistry()
+        instrument_controller(controller, fresh)
+        fresh.collect()
+        name = "duet_hmux_vip_packets_total"
+        assert {
+            key: child.value for key, child in registry.get(name).items()
+        } == {key: child.value for key, child in fresh.get(name).items()}
+        assert conservation_violations(registry) == []
+
     def test_rebind_keeps_cumulative_history(self):
         """The instrumentation outlives the controller: after a
         crash-restore (fresh dataplane counters) the cumulative
@@ -131,6 +162,31 @@ class TestControllerInstrumentation:
         assert registry.get("duet_forwarded_packets_total").total() >= sent
         assert conservation_violations(registry) == []
 
+    def test_warm_restart_carries_retired_smux_packets(self):
+        """Packets of an SMux retired before a crash stay counted after
+        the warm restart (no scrape in between)."""
+        controller = make_controller()
+        controller.attach_journal(WriteAheadJournal())
+        registry = MetricsRegistry()
+        instrumentation = instrument_controller(controller, registry)
+        for record in list(controller.records().values())[:4]:
+            if record.assigned_switch is not None:
+                controller.fail_switch(record.assigned_switch)
+        drive_traffic(controller)
+        registry.collect()
+        forwarded = registry.get("duet_forwarded_packets_total").total()
+        retired = max(controller.smuxes, key=lambda s: s.counters.packets)
+        assert retired.counters.packets
+        controller.fail_smux(retired.smux_id)
+
+        restored = DuetController.restore(
+            controller.journal, dataplane=harvest_dataplane(controller),
+            topology=controller.topology)
+        AntiEntropyReconciler(restored).converge()
+        instrumentation.rebind(restored)
+        registry.collect()
+        assert registry.get("duet_forwarded_packets_total").total() == forwarded
+
     def test_conservation_check_catches_tampering(self):
         controller = make_controller()
         registry = MetricsRegistry()
@@ -141,6 +197,233 @@ class TestControllerInstrumentation:
         registry.collect()
         violations = conservation_violations(registry)
         assert violations and "packets_total" in violations[0]
+
+
+def test_wipe_before_scrape_keeps_forwarded_packets():
+    """Packets a mux counts after the last scrape are folded in when
+    the mux is wiped: no scrape has to come first."""
+    controller = build_controller(ChaosConfig(seed=0, n_vips=24))
+    registry = MetricsRegistry()
+    instrument_controller(controller, registry)
+    registry.collect()
+    assert drive_traffic(controller, per_vip=1) == 24
+    victim = next(
+        index for index, agent in sorted(controller.switch_agents.items())
+        if agent.hmux.counters.packets
+    )
+    controller.fail_switch(victim)
+    registry.collect()
+    assert registry.get("duet_forwarded_packets_total").total() == 24
+    assert registry.get("duet_delivered_packets_total").total() == 24
+    assert conservation_violations(registry) == []
+
+
+def forward_one_per_vip(controller: DuetController) -> None:
+    """One client packet to every VIP, through the product batch path
+    (which records failures instead of raising)."""
+    from repro.dataplane.batch import FlowBatch
+
+    controller.forward_batch(FlowBatch.from_packets([
+        make_tcp_packet(CLIENT_POOL.network + 100 + i, vip, 20000 + i, 80)
+        for i, vip in enumerate(sorted(controller.records()))
+    ]))
+
+
+def wrap_steps(engine, before=None, after=None):
+    """Run ``before()`` / ``after()`` around every ``engine.step``."""
+    step = engine.step
+
+    def wrapped(event):
+        if before is not None:
+            before()
+        violations = step(event)
+        if after is not None:
+            after()
+        return violations
+
+    engine.step = wrapped
+
+
+def stacked_config(seed: int, **overrides) -> ChaosConfig:
+    """No-oracle chaos with SLOs, a lossy delaying channel and crashes."""
+    return ChaosConfig(**{
+        "seed": seed, "n_events": 20, "n_vips": 12, "channel_loss": 0.3,
+        "channel_delay": 0.2, "crash_prob": 0.05, "no_oracle": True,
+        "slo": True, **overrides,
+    })
+
+
+def test_forwarded_series_counts_every_mux_packet(monkeypatch):
+    """After every step the forwarded series equals the packets counted
+    by every mux counters object the deployment ever made — wiped
+    switches, retired SMuxes and crash-restarts included.  Oracle seeds
+    forward one packet per VIP between steps, unscraped, and then may
+    fail that switch in the step; no-oracle seeds wipe muxes inside
+    probe rounds."""
+    from repro.dataplane.hmux import HMuxCounters
+    from repro.dataplane.smux import SMuxCounters
+
+    made = []
+    for cls in (HMuxCounters, SMuxCounters):
+        def tracked(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+
+    wipe_steps = 0
+    for seed in range(24):
+        made.clear()
+        oracle = seed % 2 == 0
+        config = (
+            ChaosConfig(seed=seed, n_events=20, n_vips=12, channel_loss=0.3,
+                        crash_prob=0.05)
+            if oracle else stacked_config(seed, slo=False)
+        )
+        engine = ChaosEngine(config)
+        retired = 0
+
+        def check():
+            nonlocal wipe_steps, retired
+            controller = engine.controller
+            live = {id(a.hmux.counters) for a in controller.switch_agents.values()}
+            live |= {id(s.counters) for s in controller.smuxes}
+            now_retired = sum(c.packets for c in made if id(c) not in live)
+            if now_retired > retired:
+                wipe_steps += 1
+            retired = now_retired
+            forwarded = engine.registry.get("duet_forwarded_packets_total")
+            assert forwarded.total() == sum(c.packets for c in made), seed
+
+        wrap_steps(
+            engine,
+            before=(lambda: forward_one_per_vip(engine.controller))
+            if oracle else None,
+            after=check,
+        )
+        assert engine.run().ok, seed
+    assert wipe_steps >= 20
+
+
+class TestScrapeFreeRound:
+    """A probe round runs no collector.  The oracle is the round as it
+    was: a monitor that scrapes right after its probe sweep."""
+
+    @staticmethod
+    def scraping_monitor():
+        from repro.health import HealthMonitor
+
+        class ScrapingMonitor(HealthMonitor):
+            def __init__(self, *args, registry, **kwargs):
+                super().__init__(*args, registry=registry, **kwargs)
+                sweep = self.scheduler.run_round
+
+                def run_round(t):
+                    round_ = sweep(t)
+                    registry.collect()
+                    return round_
+
+                self.scheduler.run_round = run_round
+
+        return ScrapingMonitor
+
+    @staticmethod
+    def observe(engine):
+        from repro.fleet import summarize_report
+
+        def points(key):
+            items = engine.recorder.buffer(key).items()
+            # Convergence latency is wall-clock time: only how many
+            # were observed, and when, repeats run to run.
+            if key[0].startswith("duet_ctrl_channel_convergence_seconds") \
+                    and not key[0].endswith("_count"):
+                return [t for t, _value in items]
+            return items
+
+        report = engine.run()
+        return {
+            "series": [
+                (key, points(key)) for key in engine.recorder.series_keys()
+            ],
+            "incidents": [incident.to_dict() for incident in engine.incidents],
+            "timeline": engine.monitor.timeline,
+            "report": summarize_report(report),
+        }
+
+    def test_matches_scraping_round(self, monkeypatch):
+        import repro.health
+
+        incidents = crashes = 0
+        for seed in range(20):
+            engine = ChaosEngine(stacked_config(seed))
+            got = self.observe(engine)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    repro.health, "HealthMonitor", self.scraping_monitor())
+                want = self.observe(ChaosEngine(stacked_config(seed)))
+            assert got == want, seed
+            incidents += len(got["incidents"])
+            crashes += engine.crashes
+        assert incidents and crashes
+
+    def test_round_runs_no_collector(self):
+        engine = ChaosEngine(stacked_config(3, n_events=10))
+        in_round = [False]
+        scraped_in_round = []
+        engine.registry.register_collector(
+            "tripwire", lambda _registry: scraped_in_round.append(in_round[0]))
+        run_round = engine.monitor.run_round
+
+        def watched():
+            in_round[0] = True
+            try:
+                return run_round()
+            finally:
+                in_round[0] = False
+
+        engine.monitor.run_round = watched
+        assert engine.run().ok
+        assert scraped_in_round and not any(scraped_in_round)
+
+
+def test_cached_collector_matches_fresh_one():
+    """After every step, the long-lived instrumentation mirrors exactly
+    what a fresh one on the same controller would.  Exempt: the
+    forwarded series (it carries crash-restart history, see the test
+    above) and the convergence histogram, which is observed when a
+    convergence is measured rather than mirrored from state."""
+    exempt = (
+        "duet_forwarded_packets_total", "duet_ctrl_channel_convergence_seconds",
+    )
+    steps = 0
+    for seed in range(6):
+        engine = ChaosEngine(stacked_config(seed, slo=False))
+
+        def check():
+            nonlocal steps
+            fresh = MetricsRegistry()
+            instrument_controller(engine.controller, fresh)
+            fresh.collect()
+            names = {
+                instrument.name for instrument in fresh.instruments()
+                if not instrument.name.startswith(exempt)
+            }
+            want = {
+                (s.name, s.labels): s.value for s in fresh.samples()
+                if s.name.startswith(tuple(names))
+                and not s.name.startswith(exempt)
+            }
+            got = {
+                (s.name, s.labels): s.value for s in engine.registry.samples()
+                if s.name.startswith(tuple(names))
+                and not s.name.startswith(exempt)
+            }
+            assert got == want, seed
+            steps += 1
+
+        wrap_steps(engine, after=check)
+        assert engine.run().ok
+    assert steps == 6 * 20
 
 
 class TestChaosWiring:

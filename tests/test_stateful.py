@@ -114,10 +114,6 @@ class ChaosMachine(RuleBasedStateMachine):
             CLIENT_POOL.network + index, addr, 9000 + index, 80,
         )
         result = controller.forward_batch(FlowBatch.from_packets([packet]))
-        # Like every forwarder the engine runs, scrape before the next
-        # event can wipe a mux, or the cumulative forwarded series
-        # misses these packets and metrics-conservation fires.
-        self.engine.registry.collect()
         if result.status[0] != FORWARD_OK:
             return  # reachability is the battery's claim, not this one's
         got, mux = int(result.dip[0]), result.mux[0]
