@@ -389,10 +389,9 @@ class ChaosEngine:
             channel_partitions=config.channel_partitions,
         )
         # Telemetry: a per-run registry + recorder.  The instrumentation
-        # handle survives crash-restarts (rebind in _do_crash) so
-        # cumulative series like duet_forwarded_packets_total span every
-        # controller incarnation, and the battery checks the registry's
-        # conservation laws.
+        # handle survives crash-restarts (rebind in _do_crash) and carries
+        # every incarnation's counts, so its counters are monotone across
+        # crashes, and the battery checks the registry's conservation laws.
         from repro.obs import MetricsRegistry, Recorder, instrument_controller
 
         self.registry = MetricsRegistry()
@@ -434,8 +433,6 @@ class ChaosEngine:
         self._crash_rng = random.Random(config.seed ^ 0xC4A54)
         self._armed: Optional[Dict[str, int]] = None
         self.crashes = 0
-        self._stats_base: Dict[str, float] = {}
-        self._ledger_base: Dict[str, int] = {}
         if config.no_oracle:
             from repro.health import (
                 HealthConfig, HealthMonitor, HealthScorecard,
@@ -502,6 +499,11 @@ class ChaosEngine:
             MetricsConservation(self.registry),
             self.tracker,
         ) + ((self.scorecard,) if self.scorecard is not None else ())
+        #: Everything kept across a crash that holds the controller, in
+        #: rebind order: ``_do_crash`` points each at the restored one.
+        self.survivors: Tuple[Any, ...] = (
+            self.generator, self.checker, self.tracker, self.instrumentation,
+        ) + ((self.monitor,) if self.monitor is not None else ())
         self.applied: List[ChaosEvent] = []
         self.event_counts: Dict[str, int] = {}
         self.tracker.prime()
@@ -547,13 +549,11 @@ class ChaosEngine:
 
     def _do_crash(self) -> None:
         """Kill the controller and bring it back: harvest the surviving
-        dataplane, restore intent from the journal, reconcile drift."""
+        dataplane, restore intent from the journal, reconcile drift,
+        then point every one of :attr:`survivors` at the restored one."""
         from repro.durability import AntiEntropyReconciler, harvest_dataplane
 
         dying = self.controller
-        # ProgrammingStats die with the incarnation; fold them into the
-        # cumulative base so stats_totals() stays monotone across crashes.
-        self._accumulate_stats()
         restored = DuetController.restore(
             dying.journal,
             dataplane=harvest_dataplane(dying),
@@ -561,12 +561,8 @@ class ChaosEngine:
         )
         AntiEntropyReconciler(restored).converge()
         self.controller = restored
-        self.generator.controller = restored
-        self.checker.controller = restored
-        self.tracker.controller = restored
-        self.instrumentation.rebind(restored)
-        if self.monitor is not None:
-            self.monitor.rebind(restored)
+        for survivor in self.survivors:
+            survivor.rebind(restored)
         if self.tracer is not None:
             restored.attach_tracer(self.tracer)
         self._armed = None
@@ -617,32 +613,14 @@ class ChaosEngine:
             )]
         return []
 
-    def _accumulate_stats(self) -> None:
-        snap = self.controller.stats_snapshot()
-        for key in (
-            "attempts", "retries", "transient_faults", "degraded",
-            "skipped_dead_switch", "backoff_s", "unwinds",
-            "reconcile_rounds", "reconcile_repairs", "op_timeouts",
-        ):
-            self._stats_base[key] = self._stats_base.get(key, 0) + snap[key]
-        # The ledger is per-incarnation too; fold its counters so the
-        # report's channel totals span every controller lifetime.
-        ledger = self.controller.ledger
-        for key in ("opened", "acked", "retries", "timeouts", "rejected"):
-            self._ledger_base[key] = (
-                self._ledger_base.get(key, 0) + getattr(ledger, key)
-            )
-
     def channel_totals(self) -> Dict[str, int]:
         """Channel counters (deployment-lifetime) plus ledger totals
         folded across every controller incarnation."""
         channel = self.controller.channel
         totals: Dict[str, int] = dict(channel.stats.as_dict())
-        ledger = self.controller.ledger
-        for key in ("opened", "acked", "retries", "timeouts", "rejected"):
-            totals[f"ledger_{key}"] = (
-                self._ledger_base.get(key, 0) + getattr(ledger, key)
-            )
+        for key, value in self.instrumentation.totals().items():
+            if key.startswith("ledger_"):
+                totals[key] = value
         totals["queued_dups"] = channel.queued_dups()
         totals["epoch"] = channel.epoch
         return totals
@@ -651,10 +629,11 @@ class ChaosEngine:
         """Observability counters summed over every controller
         incarnation of this run (journal counters are lifetime values of
         the shared journal, so they are taken from the live one only)."""
-        totals = self.controller.stats_snapshot()
-        for key, value in self._stats_base.items():
-            totals[key] = totals.get(key, 0) + value
-        return totals
+        folded = self.instrumentation.totals()
+        return {
+            key: folded.get(key, value)
+            for key, value in self.controller.stats_snapshot().items()
+        }
 
     def _run_monitor_rounds(self) -> None:
         """Advance the health loop ``monitor_rounds_per_step`` probe

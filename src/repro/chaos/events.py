@@ -232,6 +232,10 @@ class EventGenerator:
             by_pair.setdefault(pair, link.index)
         self._cables = sorted(by_pair.values())
 
+    def rebind(self, controller: DuetController) -> None:
+        """Read a restored controller; the RNG and id cursors carry over."""
+        self.controller = controller
+
     # -- sampling ----------------------------------------------------------
 
     def next_event(self) -> ChaosEvent:

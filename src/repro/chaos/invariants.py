@@ -69,6 +69,9 @@ class InvariantChecker:
     def __init__(self, controller: DuetController) -> None:
         self.controller = controller
 
+    def rebind(self, controller: DuetController) -> None:
+        self.controller = controller
+
     def check(self) -> List[Violation]:
         violations: List[Violation] = []
         violations += self.check_route_liveness()
@@ -265,6 +268,10 @@ class FlowAffinityTracker:
         self.controller = controller
         self._expected: Dict[FiveTuple, _Expectation] = {}
         self._vip_of: Dict[FiveTuple, int] = {}
+
+    def rebind(self, controller: DuetController) -> None:
+        """Follow a restored controller; pinned expectations carry over."""
+        self.controller = controller
 
     # -- expectation management --------------------------------------------
 

@@ -50,17 +50,12 @@ class RemediationLoop:
     """Applies verdicts through journaled controller ops."""
 
     def __init__(
-        self,
-        controller: DuetController,
-        detector: HealthDetector,
-        replace_failed_smux: bool = True,
+        self, controller: DuetController, detector: HealthDetector,
     ) -> None:
         self.controller = controller
         self.detector = detector
-        self.replace_failed_smux = replace_failed_smux
         self.actions: List[Dict[str, object]] = []
         self.removed_smuxes: List[int] = []
-        self.errors = 0
 
     def rebind(self, controller: DuetController) -> None:
         """Point at a restored controller after crash recovery."""
@@ -75,11 +70,8 @@ class RemediationLoop:
         except ControllerError as exc:
             entry["ok"] = False
             entry["error"] = str(exc)
-            self.errors += 1
-            self.actions.append(entry)
-            return False
         self.actions.append(entry)
-        return True
+        return entry["ok"]
 
     def apply(self, verdict: Verdict, t: float) -> None:
         kind = verdict.kind
@@ -119,11 +111,10 @@ class RemediationLoop:
             )
 
         elif kind is VerdictKind.QUARANTINE_SMUX:
-            if self.replace_failed_smux or len(ctl.smuxes) == 1:
-                self._run(
-                    "add_smux", verdict.target, t, lambda: ctl.add_smux(),
-                    reason="replace quarantined smux",
-                )
+            self._run(
+                "add_smux", verdict.target, t, lambda: ctl.add_smux(),
+                reason="replace quarantined smux",
+            )
             if self._run(
                 "fail_smux", verdict.target, t,
                 lambda: ctl.fail_smux(verdict.ident),

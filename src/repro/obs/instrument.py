@@ -25,6 +25,10 @@ series the conservation laws need:
 * ``duet_delivered_packets_total`` — per-VIP deliveries metered by host
   agents (which are never wiped).
 
+Programming, reconcile and ledger counters start over with each
+controller incarnation; ``rebind`` carries the dying one's counts, so
+they too stay monotone across crash-restarts.
+
 Conservation laws (:func:`conservation_violations`), computed purely
 from registry samples:
 
@@ -67,6 +71,19 @@ class _MuxSeries:
         self.counters: Any = None
 
 
+_LEDGER_KEYS = ("opened", "acked", "retries", "timeouts", "rejected")
+
+
+def _incarnation_counts(controller) -> Dict[str, float]:
+    """The counters ``controller`` started from zero: every
+    :class:`~repro.core.controller.ProgrammingStats` field by name, then
+    the ledger's as ``ledger_<key>``."""
+    counts = dict(vars(controller.programming_stats))
+    for key in _LEDGER_KEYS:
+        counts[f"ledger_{key}"] = getattr(controller.ledger, key)
+    return counts
+
+
 def _mux_packets(controller) -> int:
     """Packets counted, over their lifetimes, by every mux ``controller``
     holds or has retired."""
@@ -84,21 +101,14 @@ class ControllerInstrumentation:
     """One controller (and its successors, across crash-restarts)
     mirrored into a registry under the ``controller`` collector name."""
 
-    def __init__(
-        self,
-        controller,
-        registry: MetricsRegistry,
-        *,
-        prefix: str = DEFAULT_PREFIX,
-        collector_name: str = "controller",
-    ) -> None:
+    def __init__(self, controller, registry: MetricsRegistry) -> None:
         self.controller = controller
         self.registry = registry
-        self.prefix = prefix
-        self.collector_name = collector_name
-        # Forwarded packets of earlier controller incarnations' retired
-        # muxes (see rebind).
+        # What earlier controller incarnations counted (see rebind):
+        # forwarded packets of their retired muxes, and their
+        # per-incarnation counters.
         self._carried_packets = 0
+        self._carried = dict.fromkeys(_incarnation_counts(controller), 0)
         # Bound children, keyed by switch index / SMux id / VIP address
         # (a VIP's: its delivered packets and bytes children).
         self._hmuxes: Dict[int, _MuxSeries] = {}
@@ -106,7 +116,7 @@ class ControllerInstrumentation:
         self._delivered: Dict[int, Tuple[Any, Any]] = {}
         self._journal: Optional[Tuple[Any, ...]] = None
 
-        p = prefix
+        p = DEFAULT_PREFIX
         r = registry
         # Per-HMux (label: switch).
         self.hmux_packets = r.counter(
@@ -176,8 +186,9 @@ class ControllerInstrumentation:
             f"{p}_controller_smuxes", "Live SMux instances").labels()
         self.g_routes = r.gauge(
             f"{p}_routes", "Prefixes in the BGP route table").labels()
-        # Programming / reconcile / journal counters.
-        self.prog = {
+        # Programming / reconcile / ledger counters, keyed as totals()
+        # keys their counts.
+        self.carried_counters = {
             key: r.counter(f"{p}_programming_{key}_total", help_text).labels()
             for key, help_text in (
                 ("attempts", "Switch programming RPC attempts"),
@@ -189,12 +200,12 @@ class ControllerInstrumentation:
                 ("unwinds", "Programming attempts abandoned to a fault"),
             )
         }
-        self.prog_backoff = r.counter(
+        self.carried_counters["backoff_s"] = r.counter(
             f"{p}_programming_backoff_seconds_total",
             "Cumulative modelled retry backoff").labels()
-        self.reconcile_rounds = r.counter(
+        self.carried_counters["reconcile_rounds"] = r.counter(
             f"{p}_reconcile_rounds_total", "Anti-entropy rounds run").labels()
-        self.reconcile_repairs = r.counter(
+        self.carried_counters["reconcile_repairs"] = r.counter(
             f"{p}_reconcile_repairs_total",
             "Anti-entropy repairs made").labels()
         # Bound at the first collect that sees a journal: a controller
@@ -211,8 +222,9 @@ class ControllerInstrumentation:
             "Op/commit records since the last snapshot")
         # Control channel + pending-ops ledger.  The channel belongs to
         # the deployment (it survives crash-restarts with the
-        # dataplane), so its counters are monotone; ledger counters are
-        # per-incarnation, like the programming stats.
+        # dataplane); the ledger starts over with each incarnation, like
+        # the programming stats, and rebind carries both.  Every counter
+        # here is monotone across crashes.
         self.channel_counters = {
             key: r.counter(f"{p}_ctrl_channel_{key}_total", help_text).labels()
             for key, help_text in (
@@ -234,10 +246,10 @@ class ControllerInstrumentation:
                           "healed"),
             )
         }
-        self.ledger_counters = {
-            key: r.counter(
+        self.carried_counters.update(
+            (f"ledger_{key}", r.counter(
                 f"{p}_ctrl_channel_ledger_{key}_total", help_text,
-            ).labels()
+            ).labels())
             for key, help_text in (
                 ("opened", "Programming op tickets opened"),
                 ("acked", "Programming ops acknowledged"),
@@ -246,7 +258,7 @@ class ControllerInstrumentation:
                              "retries ran out (VIP degraded to SMux)"),
                 ("rejected", "Programming ops NACKed deterministically"),
             )
-        }
+        )
         self.g_channel_pending = r.gauge(
             f"{p}_ctrl_channel_pending_ops",
             "Programming ops awaiting acknowledgement").labels()
@@ -267,24 +279,34 @@ class ControllerInstrumentation:
             "Post-heal anti-entropy convergence latency",
             buckets=CHANNEL_CONVERGENCE_BUCKETS)
 
-        registry.register_collector(collector_name, self._collect)
+        registry.register_collector("controller", self._collect)
 
     # -- lifecycle ----------------------------------------------------------
 
     def rebind(self, controller) -> None:
         """Point the collector at a new controller incarnation (the
-        chaos engine's crash-restart path).  The cumulative forwarded
-        count carries over, which is the whole point: telemetry history
+        chaos engine's crash-restart path), carrying over what the dying
+        one counted, which is the whole point: telemetry history
         survives the crash.  A mux the new incarnation adopts counts in
-        both totals and one it builds starts at zero, so the difference
-        is what only the dying one held."""
-        self._carried_packets += (
-            _mux_packets(self.controller) - _mux_packets(controller)
-        )
+        both forwarded totals and one it builds starts at zero, so the
+        difference is what only the dying one held; its programming and
+        ledger counters die with it and are carried whole."""
+        dying = self.controller
+        self._carried_packets += _mux_packets(dying) - _mux_packets(controller)
+        for key, value in _incarnation_counts(dying).items():
+            self._carried[key] += value
         self.controller = controller
 
     def close(self) -> None:
-        self.registry.unregister_collector(self.collector_name)
+        self.registry.unregister_collector("controller")
+
+    def totals(self) -> Dict[str, float]:
+        """Per-incarnation counters (keyed as :func:`_incarnation_counts`
+        keys them) summed over every incarnation observed."""
+        return {
+            key: self._carried[key] + value
+            for key, value in _incarnation_counts(self.controller).items()
+        }
 
     # -- the collector ------------------------------------------------------
 
@@ -396,13 +418,10 @@ class ControllerInstrumentation:
         self.g_smuxes.set(len(c.smuxes))
         self.g_routes.set(len(c.route_table))
 
-        # Programming / reconcile / journal.
-        stats = c.programming_stats
-        for key, counter in self.prog.items():
-            counter.set_total(getattr(stats, key))
-        self.prog_backoff.set_total(stats.backoff_s)
-        self.reconcile_rounds.set_total(stats.reconcile_rounds)
-        self.reconcile_repairs.set_total(stats.reconcile_repairs)
+        # Programming / reconcile / ledger, then the journal.
+        totals = self.totals()
+        for key, counter in self.carried_counters.items():
+            counter.set_total(totals[key])
         journal = c.journal
         if journal is not None:
             if self._journal is None:
@@ -424,22 +443,17 @@ class ControllerInstrumentation:
         self.g_channel_partitioned.set(len(channel.partitioned))
         self.g_channel_queued.set(channel.queued_dups())
         self.g_channel_epoch.set(channel.epoch)
-        for key, counter in self.ledger_counters.items():
-            counter.set_total(getattr(c.ledger, key))
         self.g_channel_pending.set(len(c.ledger.pending()))
 
 
 def instrument_controller(
-    controller,
-    registry: MetricsRegistry,
-    *,
-    prefix: str = DEFAULT_PREFIX,
+    controller, registry: MetricsRegistry,
 ) -> ControllerInstrumentation:
     """Register collectors for every component a controller owns (HMuxes,
     SMuxes, host agents, programming stats, journal) and return the
     instrumentation handle (keep it: ``rebind`` re-observes a restored
     controller)."""
-    return ControllerInstrumentation(controller, registry, prefix=prefix)
+    return ControllerInstrumentation(controller, registry)
 
 
 #: Epoch solves range from sub-millisecond smoke topologies to multi-

@@ -9,8 +9,10 @@ ops), and hold the restored-and-reconciled controller to
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
+import weakref
 from typing import Dict
 
 import numpy as np
@@ -723,6 +725,36 @@ class TestStats:
         # Journal counters are lifetime values of the one shared
         # journal, not per-incarnation — totals must not double-count.
         assert totals["journal_ops"] == engine.controller.journal.ops_appended
+
+
+class TestCrashRebind:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_survivor_keeps_a_dead_incarnation(self, seed, monkeypatch):
+        """Everything the engine keeps across a crash follows the
+        restored controller: once a run is over, no dying incarnation is
+        still reachable from the live engine."""
+        dead = []
+        do_crash = ChaosEngine._do_crash
+
+        def recording(engine):
+            dead.append(weakref.ref(engine.controller))
+            do_crash(engine)
+
+        monkeypatch.setattr(ChaosEngine, "_do_crash", recording)
+        for config in (
+            ChaosConfig(seed=seed, n_events=60, n_vips=10, crash_prob=0.1,
+                        channel_loss=0.3, channel_delay=0.2,
+                        channel_partitions=2),
+            ChaosConfig(seed=seed, n_events=60, n_vips=10, crash_prob=0.1,
+                        channel_loss=0.3, channel_delay=0.2,
+                        no_oracle=True, slo=True),
+        ):
+            dead.clear()
+            engine = ChaosEngine(config)
+            engine.run()
+            gc.collect()
+            assert dead, config
+            assert [ref() for ref in dead] == [None] * len(dead), config
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,58 @@ def test_forwarded_series_counts_every_mux_packet(monkeypatch):
     assert wipe_steps >= 20
 
 
+#: Counter families whose sources start over with each controller
+#: incarnation: the instrumentation's rebind carries them.
+CARRIED = (
+    "duet_programming_", "duet_reconcile_", "duet_ctrl_channel_ledger_",
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_registry_counters_survive_crashes(seed):
+    """After a run with crash-restarts, the registry's programming,
+    reconcile and ledger counters equal the report's totals folded over
+    every incarnation, and no deployment-level unlabelled counter ever
+    decreased between two recorder ticks.  (Per-mux packet counters are
+    not deployment-level: a wiped switch restarts them.)"""
+    engine = ChaosEngine(ChaosConfig(
+        seed=seed, n_events=60, n_vips=10, crash_prob=0.15,
+        channel_loss=0.3, channel_delay=0.2,
+    ))
+    report = engine.run()
+    assert report.ok and report.crashes >= 5, seed
+    registry = engine.registry
+    registry.collect()
+    stats, channel = report.stats, report.channel
+    expected = {
+        "duet_programming_backoff_seconds_total": stats["backoff_s"],
+        "duet_reconcile_rounds_total": stats["reconcile_rounds"],
+        "duet_reconcile_repairs_total": stats["reconcile_repairs"],
+    }
+    for key in ("attempts", "retries", "transient_faults", "degraded",
+                "skipped_dead_switch", "unwinds"):
+        expected[f"duet_programming_{key}_total"] = stats[key]
+    for key in ("opened", "acked", "retries", "timeouts", "rejected"):
+        expected[f"duet_ctrl_channel_ledger_{key}_total"] = (
+            channel[f"ledger_{key}"])
+    got = {name: registry.get(name).total() for name in expected}
+    assert got == expected, seed
+    assert stats["attempts"] > 0 and channel["ledger_opened"] > 0
+
+    monotone = [
+        instrument.name for instrument in registry.instruments()
+        if instrument.kind == "counter" and not instrument.label_names
+        and instrument.name.startswith(
+            CARRIED + ("duet_ctrl_channel_", "duet_forwarded_packets_total"))
+    ]
+    # The carried counters, ten channel counters and the forwarded one.
+    assert len(monotone) == len(expected) + 11
+    for name in monotone:
+        values = [value for _, value in engine.recorder.series(name)]
+        assert len(values) == report.steps_run + 1, name
+        assert values == sorted(values), (seed, name)
+
+
 class TestScrapeFreeRound:
     """A probe round runs no collector.  The oracle is the round as it
     was: a monitor that scrapes right after its probe sweep."""
@@ -389,18 +441,20 @@ class TestScrapeFreeRound:
 def test_cached_collector_matches_fresh_one():
     """After every step, the long-lived instrumentation mirrors exactly
     what a fresh one on the same controller would.  Exempt: the
-    forwarded series (it carries crash-restart history, see the test
-    above) and the convergence histogram, which is observed when a
-    convergence is measured rather than mirrored from state."""
-    exempt = (
-        "duet_forwarded_packets_total", "duet_ctrl_channel_convergence_seconds",
-    )
+    forwarded series and, once a crash happened, the programming,
+    reconcile and ledger counters (they carry crash-restart history, see
+    the tests above), and the convergence histogram, which is observed
+    when a convergence is measured rather than mirrored from state."""
     steps = 0
     for seed in range(6):
         engine = ChaosEngine(stacked_config(seed, slo=False))
 
         def check():
             nonlocal steps
+            exempt = (
+                "duet_forwarded_packets_total",
+                "duet_ctrl_channel_convergence_seconds",
+            ) + (CARRIED if engine.crashes else ())
             fresh = MetricsRegistry()
             instrument_controller(engine.controller, fresh)
             fresh.collect()

@@ -15,6 +15,11 @@ The schedules run on a reliable channel (``channel_loss=0``): channel
 loss draws from one RNG stream shared by normal ops and reconciliation
 repairs, so a crashed run and its twin would legitimately consume
 different fault sequences — the twin would no longer be a control.
+
+This file is the seeded corpus.  The shrinkable form of the same claim
+is the never-crashed twin in the Hypothesis machine
+(``tests/test_stateful.py``): it steps beside the crashed engine, crash
+events included, and a divergence shrinks to a minimal event list.
 """
 
 from __future__ import annotations

@@ -14,9 +14,18 @@ with no edit here.
 Two configs between them draw every event kind but ``SABOTAGE`` (which
 is deliberate corruption): an oracle run over a lossy, delaying,
 partitionable control channel, and a no-oracle run whose faults live in
-the health fault plane.
+the health fault plane.  A third, the oracle run over a reliable but
+partitionable channel, sharpens the twin claim below.
 
-The machine adds the two claims no battery part states:
+The machine adds the claims no battery part states:
+
+* journal replay is equivalent to never crashing: a never-crashed twin
+  engine steps every event the machine steps, crashes included (on the
+  twin a crash only runs the monitor rounds, the pump and the battery,
+  which keeps its sim clock aligned), and after every step its battery
+  is clean and its :func:`controller_fingerprint` equals the crashed
+  engine's.  The lossy oracle run has no twin: every loss draw there
+  comes from one channel RNG, which recovery's repairs also consume.
 
 * a pinned flow keeps its DIP while its serving mux and DIP set are
   stable (the tracker excuses more, because it must re-anchor after
@@ -28,6 +37,7 @@ The machine adds the two claims no battery part states:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List
 
 from hypothesis import settings
@@ -37,6 +47,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.chaos import ChaosConfig, ChaosEngine, EventKind
 from repro.dataplane.batch import FORWARD_OK, FlowBatch
 from repro.dataplane.packet import make_tcp_packet
+from repro.durability import controller_fingerprint
 from repro.workload.vips import CLIENT_POOL
 
 #: Steps per example, and the configs' ``n_events`` (which sizes the
@@ -50,6 +61,7 @@ ORACLE = ChaosConfig(
 NO_ORACLE = ChaosConfig(
     seed=7, n_events=STEPS, n_vips=8, no_oracle=True, background_loss=0.02,
 )
+RELIABLE = replace(ORACLE, channel_loss=0.0, channel_delay=0.0)
 
 
 def drawn_kinds(engine: ChaosEngine) -> List[EventKind]:
@@ -62,12 +74,24 @@ def drawn_kinds(engine: ChaosEngine) -> List[EventKind]:
     ]
 
 
+class NeverCrashedEngine(ChaosEngine):
+    """The twin: a crash event neither kills nor arms anything."""
+
+    def _do_crash(self) -> None:
+        pass
+
+    def _arm_crash(self, countdown: int) -> None:
+        pass
+
+
 class ChaosMachine(RuleBasedStateMachine):
     config = ORACLE
+    with_twin = False
 
     def __init__(self) -> None:
         super().__init__()
         self.engine = ChaosEngine(self.config)
+        self.twin = NeverCrashedEngine(self.config) if self.with_twin else None
         self.kinds = drawn_kinds(self.engine)
         # (vip, index) -> (dip, mux, DIP set, assigned switch)
         self.pinned: dict = {}
@@ -81,6 +105,11 @@ class ChaosMachine(RuleBasedStateMachine):
         if event is None:
             return  # infeasible against this state: not a step
         assert self.engine.step(event) == []
+        if self.twin is not None:
+            assert self.twin.step(event) == []
+            assert controller_fingerprint(self.engine.controller) == (
+                controller_fingerprint(self.twin.controller)
+            )
         self.drop_unstable_pins()
 
     def drop_unstable_pins(self) -> None:
@@ -114,6 +143,8 @@ class ChaosMachine(RuleBasedStateMachine):
             CLIENT_POOL.network + index, addr, 9000 + index, 80,
         )
         result = controller.forward_batch(FlowBatch.from_packets([packet]))
+        if self.twin is not None:  # the twin sees the same traffic
+            self.twin.controller.forward_batch(FlowBatch.from_packets([packet]))
         if result.status[0] != FORWARD_OK:
             return  # reachability is the battery's claim, not this one's
         got, mux = int(result.dip[0]), result.mux[0]
@@ -143,13 +174,21 @@ class ChaosMachine(RuleBasedStateMachine):
 
 class NoOracleChaosMachine(ChaosMachine):
     config = NO_ORACLE
+    with_twin = True
 
 
-ChaosMachine.TestCase.settings = NoOracleChaosMachine.TestCase.settings = (
-    settings(max_examples=12, stateful_step_count=STEPS, deadline=None)
-)
+class ReliableChaosMachine(ChaosMachine):
+    config = RELIABLE
+    with_twin = True
+
+
+for machine in (ChaosMachine, NoOracleChaosMachine, ReliableChaosMachine):
+    machine.TestCase.settings = settings(
+        max_examples=12, stateful_step_count=STEPS, deadline=None,
+    )
 TestDuetControllerStateful = ChaosMachine.TestCase
 TestNoOracleStateful = NoOracleChaosMachine.TestCase
+TestReliableStateful = ReliableChaosMachine.TestCase
 
 
 def test_machine_draws_every_event_kind():
