@@ -1036,12 +1036,17 @@ class DuetController:
         """Sorted DIPs a host agent registers but does not report healthy
         ("It receives the VIP health status periodically from the host
         agents").  A DIP on several servers takes the verdict of the last
-        in sorted order, however the host_agents dict was populated."""
+        in sorted order, however the host_agents dict was populated: only
+        the hosts registering a DIP some host reports failed are read."""
+        agents = self.host_agents
+        candidates = set().union(*(a.failed_dips() for a in agents.values()))
         failed: Set[int] = set()
-        for server in sorted(self.host_agents):
-            agent = self.host_agents[server]
-            failed.difference_update(agent.registered_dips())
-            failed.update(agent.failed_dips())
+        for server in sorted(
+            server for server, agent in agents.items()
+            if candidates and not agent.registered_dips().isdisjoint(candidates)
+        ):
+            failed.difference_update(agents[server].registered_dips())
+            failed.update(agents[server].failed_dips())
         return sorted(failed)
 
     def reap_failed_dips(self) -> List[int]:
@@ -1051,17 +1056,11 @@ class DuetController:
         port pool's) last DIP is never reaped (the VIP would be dead
         anyway, and removal would leave dangling state).  A DIP serving
         several VIPs is reaped from the first in address order."""
-        failed = self.failed_dips()
-        if not failed:
-            return []
-        records = self.intent.records
-        record_of: Dict[int, VipRecord] = {}
-        for addr in sorted(records):
-            for dip in records[addr].dips:
-                record_of.setdefault(dip.addr, records[addr])
+        records, vips_of = self.intent.records, self.intent.vips_of_dip
         reaped: List[int] = []
-        for dip_addr in failed:
-            record = record_of.get(dip_addr)
+        for dip_addr in self.failed_dips():
+            owners = vips_of.get(dip_addr)
+            record = None if owners is None else records[min(owners)]
             if record is None or self._sole_dip_of(record, dip_addr):
                 continue
             self.remove_dip(record.addr, dip_addr)

@@ -41,16 +41,17 @@ from repro.workload.vips import SMUX_AGGREGATES, host_address
 
 #: A mux entry: a VIP's VIP-wide targets (port None) or one port pool.
 Key = Tuple[int, Optional[int]]
+Targets = Tuple[int, ...]
 Write = Callable[[], object]
 
 
 class VipState(NamedTuple):
     """What the dataplane must hold for one VIP."""
 
-    record: VipRecord               # its DIPs: the host registrations
-    switch: Optional[int]           # the HMux serving it; None: SMux-only
-    entries: Dict[Key, List[int]]   # mux entry -> encap targets
-    weights: Optional[List[float]]  # WCMP weights of the VIP-wide entry
+    record: VipRecord                     # its DIPs: the host registrations
+    switch: Optional[int]                 # the HMux serving it; None: SMux-only
+    entries: Tuple[Tuple[Key, Targets], ...]  # mux entry -> encap targets
+    weights: Optional[Tuple[float, ...]]  # WCMP weights of the VIP-wide entry
 
 
 def render(
@@ -59,16 +60,14 @@ def render(
     """The desired state of each VIP in ``addrs`` (None: the intent no
     longer has it), on switch ``onto`` instead of its assigned one."""
     desired: Dict[int, Optional[VipState]] = {}
+    records, virtualized = controller.intent.records, controller.virtualized
     for addr in addrs:
-        record = controller.intent.records.get(addr)
+        record = records.get(addr)
         if record is None:
             desired[addr] = None
             continue
-        entries = {(addr, None): record.encap_targets(controller.virtualized)}
-        if record.vip.port_pools:
-            entries.update(((addr, p), pool) for p, pool in record.port_pools())
         switch = record.assigned_switch if onto is None else onto
-        desired[addr] = VipState(record, switch, entries, record.encap_weights())
+        desired[addr] = VipState(record, switch, *record.rendered(virtualized))
     return desired
 
 
@@ -107,8 +106,8 @@ class _Pass:
         self.want = render(c, sorted(c.intent.records) if vips is None else vips, onto)
         # Per device: HMux entries by switch, the entries every SMux
         # serves, DIP -> VIP registrations by server.
-        self.hmux_want: Dict[int, Dict[Key, List[int]]] = {}
-        self.smux_want: Dict[Key, List[int]] = {}
+        self.hmux_want: Dict[int, Dict[Key, Targets]] = {}
+        self.smux_want: Dict[Key, Targets] = {}
         self.host_want: Dict[int, Dict[int, int]] = {s: {} for s in self.servers}
         every_server = servers is None
         for vip, want in self.want.items():
@@ -140,7 +139,7 @@ class _Pass:
         # Each device is diffed once: removals are issued as found, inward;
         # additions are queued, and go outward after every removal.
         hmux_adds: List[Write] = []
-        smux_adds: List[Write] = []
+        smux_adds: List[Tuple[object, int, Optional[int], Targets]] = []
         host_adds: List[Write] = []
         for i in self.switches:
             self.hmux(i, hmux_adds)
@@ -151,7 +150,9 @@ class _Pass:
         for write in host_adds:
             write()
         self.snat_configs()
-        for write in smux_adds + hmux_adds:
+        for smux, vip, port, target in smux_adds:
+            self._smux_write(smux, vip, port, target)
+        for write in hmux_adds:
             write()
         self.routes()
 
@@ -165,16 +166,16 @@ class _Pass:
         ) and self.note(("failed switch", i), "holds residual state"):
             agent.fail()
 
-    def _entries(self, mux, port_keys) -> Dict[Key, List[int]]:
+    def _entries(self, mux, port_keys) -> Dict[Key, Targets]:
         """What a mux holds of the VIPs in scope (every VIP it holds, with
         ``vips=None``), pools before entries."""
         held = {
-            key: mux.dips_of(*key) for key in port_keys
+            key: tuple(mux.dips_of(*key)) for key in port_keys
             if self.every_vip or key[0] in self.want
         } if port_keys else {}
         for vip in mux.vips() if self.every_vip else self.want:
             if mux.has_vip(vip):
-                held[(vip, None)] = mux.dips_of(vip)
+                held[(vip, None)] = tuple(mux.dips_of(vip))
         return held
 
     def hmux(self, i: int, adds: List[Write]) -> None:
@@ -217,10 +218,10 @@ class _Pass:
             else:
                 adds.append(lambda s=state: self.c._program_or_degrade(s.record, i))
 
-    def smux(self, smux, adds: List[Write]) -> None:
+    def smux(self, smux, adds: List[Tuple]) -> None:
         """Diff one SMux.  What the intent no longer has leaves it, and a
         set or pool that shrank is pushed now, before its hosts let go;
-        one missing or grown is pushed with the additions."""
+        one missing or grown is queued (as data) for the additions."""
         have = self._entries(smux, smux.port_vips())
         if have == self.smux_want:
             return
@@ -232,7 +233,7 @@ class _Pass:
                     self._smux_write(smux, vip, port, target)
                 have[(vip, port)] = target
         adds.extend(
-            lambda v=vip, p=port, t=target: self._smux_write(smux, v, p, t)
+            (smux, vip, port, target)
             for (vip, port), target in self.smux_want.items()
             if have.get((vip, port)) != target
             and self.note(where, "misses or outgrew", vip, port)
@@ -355,13 +356,13 @@ class _Pass:
                     table.withdraw(aggregate, ref)
 
 
-def _add_pool(agent, vip: int, port: int, pool: List[int]) -> None:
+def _add_pool(agent, vip: int, port: int, pool: Targets) -> None:
     """A port pool goes in beside its VIP-wide entry only."""
     if agent.hmux.has_vip(vip) and not agent.hmux.has_vip_port(vip, port):
         agent.add_vip_port_rules(vip, [(port, pool)])
 
 
-def _multiset_difference(left: List[int], right: List[int]) -> List[int]:
+def _multiset_difference(left: Targets, right: Targets) -> List[int]:
     """Elements of ``left`` beyond their multiplicity in ``right``."""
     remaining, out = list(right), []
     for item in left:
@@ -372,6 +373,6 @@ def _multiset_difference(left: List[int], right: List[int]) -> List[int]:
     return out
 
 
-def _grows(current: List[int], target: List[int]) -> bool:
+def _grows(current: Targets, target: Targets) -> bool:
     """Whether ``target`` holds something ``current`` lacks."""
     return current != target and bool(_multiset_difference(target, current))

@@ -25,7 +25,8 @@ before it can be replayed.
 Derived state is deliberately absent: the DIP -> server index, the
 solver context and the programming counters are rebuilt or restarted by
 every incarnation, and the dataplane is re-derived from intent by
-:func:`~repro.core.converge.converge`.
+:func:`~repro.core.converge.converge`.  The intent's own indexes (DIP
+-> VIPs, switch -> VIPs) are written only by its transitions.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ def assignment_to_state(
 
 @dataclass
 class VipRecord:
-    """Controller-side state for one VIP."""
+    """Controller-side state for one VIP.  Only the intent's transitions
+    replace the ``dips`` tuple or set ``assigned_switch``: both are indexed."""
 
     vip: Vip
-    dips: List[Dip]
+    dips: Tuple[Dip, ...]
     assigned_switch: Optional[int] = None  # None: SMux-only
+    _rendered = None  # not a field: the memo of :meth:`rendered`
 
     @property
     def addr(self) -> int:
@@ -104,6 +107,19 @@ class VipRecord:
         DIPs are equal."""
         weights = [d.weight for d in self.dips]
         return None if weights.count(weights[0]) == len(weights) else weights
+
+    def rendered(self, virtualized: bool) -> Tuple[tuple, Optional[tuple]]:
+        """This VIP's mux entries (VIP-wide targets, then port pools) and
+        VIP-wide WCMP weights, immutable, computed once per DIP set: the
+        memo holds the ``dips`` tuple it was built from, by identity."""
+        memo = self._rendered
+        if memo is None or memo[0] is not self.dips or memo[1] != virtualized:
+            weights = self.encap_weights()
+            memo = self._rendered = (self.dips, virtualized, (
+                ((self.addr, None), tuple(self.encap_targets(virtualized))),
+                *(((self.addr, p), tuple(pool)) for p, pool in self.port_pools()),
+            ), None if weights is None else tuple(weights))
+        return memo[2], memo[3]
 
     def port_pools(self) -> List[Tuple[int, List[int]]]:
         """The per-port pools (Figure 8) over the *live* DIPs: the
@@ -146,6 +162,10 @@ class ControllerIntent:
         #: instance must not be mistaken for a new one.
         self.next_smux_id: int = max(self.smux_ids, default=-1) + 1
         self.snat: Dict[int, SnatPortManager] = {}
+        #: DIP -> VIPs holding it, switch -> VIPs assigned to it: what the
+        #: reaper and ``fail_switch`` read instead of every record.
+        self.vips_of_dip: Dict[int, Set[int]] = {}
+        self.vips_on_switch: Dict[int, Set[int]] = {}
 
     # -- serialization (the journal's snapshot schema) ----------------------
 
@@ -188,11 +208,12 @@ class ControllerIntent:
         intent = cls(topology, config, state.get("smux_ids", ()))
         for entry in state["records"]:
             vip = vip_from_dict(entry["vip"], topology)
-            intent.records[vip.addr] = VipRecord(
+            record = intent.records[vip.addr] = VipRecord(
                 vip=vip,
-                dips=[dip_from_dict(d, topology) for d in entry["dips"]],
+                dips=tuple(dip_from_dict(d, topology) for d in entry["dips"]),
                 assigned_switch=entry["assigned"],
             )
+            intent._index(record, _link)
         if state.get("assignment") is not None:
             intent.assignment = intent._assignment_from_state(
                 state["assignment"]
@@ -257,6 +278,17 @@ class ControllerIntent:
             failed_links=frozenset(self.failed_links),
         ))
 
+    def _index(self, record: VipRecord, write) -> None:
+        """Link (``write=_link``) or unlink a record in both indexes."""
+        for dip in record.dips:
+            write(self.vips_of_dip, dip.addr, record.addr)
+        write(self.vips_on_switch, record.assigned_switch, record.addr)
+
+    def _assign(self, record: VipRecord, switch: Optional[int]) -> None:
+        _unlink(self.vips_on_switch, record.assigned_switch, record.addr)
+        record.assigned_switch = switch
+        _link(self.vips_on_switch, switch, record.addr)
+
     def _directions(self, link_index: int, bidirectional: bool) -> List[int]:
         if not bidirectional:
             return [link_index]
@@ -292,11 +324,11 @@ class ControllerIntent:
     def withdraw(self, record: VipRecord) -> None:
         """Onto the SMux stepping stone (S4.2), mid-op: the stored
         assignment still names where the VIP is headed."""
-        record.assigned_switch = None
+        self._assign(record, None)
 
     def place(self, record: VipRecord, switch: int) -> None:
         """The VIP is programmed and announced on ``switch``."""
-        record.assigned_switch = switch
+        self._assign(record, switch)
         self.degraded.discard(record.addr)
         self._store(record.vip.vip_id, switch)
 
@@ -306,7 +338,7 @@ class ControllerIntent:
         assignment wanted on an HMux (the overflow path of S3.3.2: the
         SMux aggregates already cover it — degraded, not down); returns
         whether that newly degraded it."""
-        record.assigned_switch = None
+        self._assign(record, None)
         self._store(record.vip.vip_id, None)
         if not degraded or record.addr in self.degraded:
             return False
@@ -316,20 +348,27 @@ class ControllerIntent:
     # -- transitions: VIP/DIP lifecycle --------------------------------------
 
     def add_vip(self, vip: Vip) -> VipRecord:
-        record = VipRecord(vip=vip, dips=list(vip.dips))
+        record = VipRecord(vip=vip, dips=tuple(vip.dips))
         self.records[vip.addr] = record
+        self._index(record, _link)
         return record
 
     def remove_vip(self, vip_addr: int) -> VipRecord:
         self.degraded.discard(vip_addr)
         self.snat.pop(vip_addr, None)
-        return self.records.pop(vip_addr)
+        record = self.records.pop(vip_addr)
+        self._index(record, _unlink)
+        return record
 
     def add_dip(self, record: VipRecord, dip: Dip) -> None:
-        record.dips.append(dip)
+        record.dips = (*record.dips, dip)
+        _link(self.vips_of_dip, dip.addr, record.addr)
 
     def remove_dip(self, record: VipRecord, dip: Dip) -> None:
-        record.dips.remove(dip)
+        at = record.dips.index(dip)
+        record.dips = record.dips[:at] + record.dips[at + 1:]
+        if all(d.addr != dip.addr for d in record.dips):
+            _unlink(self.vips_of_dip, dip.addr, record.addr)
 
     # -- transitions: failures -----------------------------------------------
 
@@ -337,10 +376,7 @@ class ControllerIntent:
         """A switch is down: every VIP it hosted falls to the SMuxes.
         Returns their addresses."""
         self.failed_switches.add(switch)
-        affected = sorted(
-            addr for addr, record in self.records.items()
-            if record.assigned_switch == switch
-        )
+        affected = sorted(self.vips_on_switch.get(switch, ()))
         for addr in affected:
             self.unplace(self.records[addr])
         return affected
@@ -483,6 +519,19 @@ class ControllerIntent:
 
     def _replay_grant_snat_range(self, params, effects, committed) -> None:
         self.allocate_snat(params["vip"], params["dip"])
+
+
+def _link(index: Dict[int, Set[int]], key: Optional[int], addr: int) -> None:
+    if key is not None:
+        index.setdefault(key, set()).add(addr)
+
+
+def _unlink(index: Dict[int, Set[int]], key: Optional[int], addr: int) -> None:
+    held = index.get(key)
+    if held is not None:
+        held.discard(addr)
+        if not held:
+            del index[key]
 
 
 #: Every op name the journal may carry: the controller refuses to

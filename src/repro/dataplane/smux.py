@@ -62,16 +62,35 @@ class SMuxCounters:
         self.per_vip_packets[vip] = self.per_vip_packets.get(vip, 0) + 1
 
 
+@dataclass(frozen=True, eq=False)
+class _VipMapping:
+    """One pool's DIP set with the exact slot layout an HMux would build.
+
+    Using :class:`ResilientHashTable` here is what makes the two planes
+    agree packet-for-packet: same members, same slot count, same layout,
+    same hash (S3.3.1).  A mapping is immutable and built only by
+    :func:`_vip_mapping`, so the SMuxes of a fleet — pushed the same
+    pools, and hashing alike — share one per pool.
+    """
+
+    dips: Tuple[int, ...]
+    #: Read-only int64 array, element ``s`` the DIP of hash slot ``s``;
+    #: the batch engine only concatenates these arrays.
+    slot_dips: np.ndarray
+
+    def select(self, flow_hash: int) -> int:
+        return self.slot_dips.item(flow_hash % len(self.slot_dips))
+
+
 @functools.lru_cache(maxsize=4096)
-def _slot_layout(
+def _vip_mapping(
     dips: Tuple[int, ...],
     weights: Optional[Tuple[float, ...]],
     seed: int,
     n_slots: Optional[int],
-) -> np.ndarray:
-    """The slot -> DIP layout of a pool, read-only.  A pure function of
-    its arguments, so the SMuxes of a fleet — pushed the same pools, and
-    hashing alike (S3.3.1) — share one build per pool."""
+) -> _VipMapping:
+    """The mapping of a pool: a pure function of its arguments, built
+    once per pool and shared by every SMux it is pushed to."""
     if n_slots is None:
         n_slots = default_wcmp_slots(len(dips), weights)
     table = ResilientHashTable(
@@ -79,39 +98,7 @@ def _slot_layout(
     )
     layout = np.array([dips[m] for m in table.slots()], np.int64)
     layout.flags.writeable = False
-    return layout
-
-
-@dataclass
-class _VipMapping:
-    """One VIP's DIP set with the exact slot layout an HMux would build.
-
-    Using :class:`ResilientHashTable` here is what makes the two planes
-    agree packet-for-packet: same members, same slot count, same layout,
-    same hash (S3.3.1).
-    """
-
-    dips: List[int]
-    #: int64 array, element ``s`` the DIP of hash slot ``s``.  A mapping is
-    #: rebuilt whole by every ``set_vip``, so this is flattened once here
-    #: and the batch engine only concatenates these arrays.
-    slot_dips: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        dips: List[int],
-        weights: Optional[List[float]],
-        seed: int,
-        n_slots: Optional[int] = None,
-    ) -> "_VipMapping":
-        return cls(dips=dips, slot_dips=_slot_layout(
-            tuple(dips), None if weights is None else tuple(weights), seed,
-            n_slots,
-        ))
-
-    def select(self, flow_hash: int) -> int:
-        return self.slot_dips.item(flow_hash % len(self.slot_dips))
+    return _VipMapping(dips, layout)
 
 
 class SMux:
@@ -179,14 +166,7 @@ class SMux:
         """
         if not dips:
             raise SMuxError(f"VIP {format_ip(vip)} needs at least one DIP")
-        if weights is not None and len(weights) != len(dips):
-            raise SMuxError("weights must match DIPs 1:1")
-        self._vips[vip] = _VipMapping.build(
-            list(dips),
-            list(weights) if weights is not None else None,
-            self.hash_seed,
-            n_slots=n_slots,
-        )
+        self._vips[vip] = self._mapping(dips, weights, n_slots)
         self._evict_connections(vip, survivors=dips)
 
     @layout_mutator
@@ -205,15 +185,16 @@ class SMux:
             raise SMuxError(
                 f"VIP {format_ip(vip)}:{port} needs at least one DIP"
             )
+        self._port_vips[(vip, port)] = self._mapping(dips, weights, n_slots)
+        self._evict_connections(vip, port, survivors=dips)
+
+    def _mapping(self, dips, weights, n_slots) -> _VipMapping:
         if weights is not None and len(weights) != len(dips):
             raise SMuxError("weights must match DIPs 1:1")
-        self._port_vips[(vip, port)] = _VipMapping.build(
-            list(dips),
-            list(weights) if weights is not None else None,
-            self.hash_seed,
-            n_slots=n_slots,
+        return _vip_mapping(
+            tuple(dips), None if weights is None else tuple(weights),
+            self.hash_seed, n_slots,
         )
-        self._evict_connections(vip, port, survivors=dips)
 
     @layout_mutator
     def remove_vip_port(self, vip: int, port: int) -> None:

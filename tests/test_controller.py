@@ -1,6 +1,8 @@
 """Tests for repro.core.controller: the full Duet control loop."""
 
+import gc
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import AssignmentConfig
 from repro.core.controller import ControllerError, DuetController
+from repro.core.converge import render
 from repro.dataplane.packet import make_tcp_packet
 from repro.durability import (
     AntiEntropyReconciler, WriteAheadJournal, controller_fingerprint,
@@ -373,6 +376,25 @@ class TestSMuxScaleOut:
         assert mux.ident == new.smux_id
         assert delivered.flow.dst_ip in {d.addr for d in vip.dips}
 
+    def test_add_smux_keeps_objects_per_mux_not_per_entry(self, small_topology):
+        """A new SMux holds the fleet's shared pool mappings: what one
+        ``add_smux`` leaves behind for the cyclic GC does not grow with
+        the entries it programs."""
+        population = generate_population(
+            small_topology, n_vips=200, total_traffic_bps=40e9,
+            dip_model=DipCountModel(median_large=6.0, max_dips=12), seed=5,
+        )
+        c = DuetController(small_topology, population, n_smuxes=2, hash_seed=1)
+        c.run_initial_assignment()
+        gc.collect()
+        before = {id(o) for o in gc.get_objects()}
+        new = c.add_smux()
+        gc.collect()
+        kept = sum(id(o) not in before for o in gc.get_objects())
+        entries = len(new.vips()) + len(new.port_vips())
+        assert entries == 200
+        assert kept < entries / 10
+
 
 class TestFailureEdgeCases:
     def test_remove_vip_whose_host_switch_failed(self, controller):
@@ -631,3 +653,83 @@ class TestSnapshotDifferential:
             AntiEntropyReconciler(cold).converge()
             assert controller_fingerprint(cold) == controller_fingerprint(c)
             assert cold.intent.to_state() == state
+
+
+def scratch_render(controller: DuetController):
+    """Every record's mux entries and weights computed afresh from its
+    DIPs, as ``render`` did before it memoized them."""
+    out = {}
+    for addr, record in controller.intent.records.items():
+        entries = {(addr, None): record.encap_targets(controller.virtualized)}
+        entries.update(((addr, p), pool) for p, pool in record.port_pools())
+        out[addr] = (record.assigned_switch, entries, record.encap_weights())
+    return out
+
+
+def memo_render(controller: DuetController):
+    """``render`` of every record, in the shape of :func:`scratch_render`."""
+    return {
+        addr: (
+            state.switch, {key: list(t) for key, t in state.entries},
+            None if state.weights is None else list(state.weights),
+        )
+        for addr, state in render(controller, controller.intent.records).items()
+    }
+
+
+class TestRenderMemo:
+    """``render`` computes a record's entries once per DIP set; the DIP
+    set is a tuple only the intent's transitions replace, so the memo
+    cannot serve a set that changed in place."""
+
+    @staticmethod
+    def world(virtualized: bool) -> DuetController:
+        if not virtualized:
+            return edge_world(snapshot_interval=1000)
+        base = edge_world()
+        vips = [replace(r.vip, port_pools=()) for r in base.records().values()]
+        c = DuetController(
+            base.topology, VipPopulation(base.topology, vips), n_smuxes=2,
+            hash_seed=3, virtualized=True,
+        )
+        c.run_initial_assignment()
+        c.attach_journal(WriteAheadJournal(), snapshot_interval=1000)
+        return c
+
+    @pytest.mark.parametrize("virtualized", [False, True])
+    def test_render_equals_a_scratch_render_after_each_op(self, virtualized):
+        c = self.world(virtualized)
+        addrs = sorted(c.records())
+        spare = DIP_POOL.network + 0x100
+        dip = Dip(addr=spare, server_id=5, tor=c.topology.server_tor(5))
+        redefined = replace(
+            c.record(addrs[2]).vip, vip_id=60,
+            dips=(Dip(addr=spare + 1, server_id=2,
+                      tor=c.topology.server_tor(2)),),
+        )
+        ops = [
+            lambda: c.add_dip(addrs[1], dip),
+            lambda: c.add_dip(addrs[3], replace(dip, addr=spare + 2)),
+            lambda: c.remove_dip(addrs[1], c.record(addrs[1]).dips[1].addr),
+            lambda: c.remove_dip(addrs[3], dip.addr + 2),
+            lambda: c.remove_vip(addrs[2]),
+            lambda: c.add_vip(redefined),
+        ]
+        for op in ops:
+            memo_render(c)    # every record's entries are memoized
+            op()
+            assert memo_render(c) == scratch_render(c)
+        c.checkpoint()
+        cold = DuetController.restore(
+            WriteAheadJournal.from_lines(c.journal.to_lines()),
+        )
+        assert cold.virtualized is virtualized
+        assert memo_render(cold) == scratch_render(cold) == scratch_render(c)
+
+    def test_dips_cannot_change_in_place(self):
+        record = edge_world().record(VIP_POOL.network + 4)
+        with pytest.raises(AttributeError):
+            record.dips.append(record.dips[0])
+        entries, _ = record.rendered(False)
+        with pytest.raises(TypeError):
+            entries[0][1][0] = 0

@@ -1,5 +1,7 @@
 """Tests for repro.dataplane.smux: the software Mux."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.dataplane.hmux import HMux
@@ -66,6 +68,40 @@ class TestVipManagement:
     def test_vips_listing(self, smux):
         assert smux.vips() == [VIP]
         assert smux.dips_of(VIP) == DIPS
+
+
+class TestSharedMappings:
+    """Every SMux of a fleet is pushed the same pools and hashes alike
+    (S3.3.1), so a pool's mapping is one immutable object they share."""
+
+    def test_same_pool_same_mapping_object(self):
+        a, b = SMux(0, SMUX_IP), SMux(1, SMUX_IP + 1)
+        a.set_vip(VIP, DIPS, [2.0, 1.0, 1.0, 1.0])
+        b.set_vip(VIP, list(DIPS), (2.0, 1.0, 1.0, 1.0))
+        a.set_vip_port(VIP, 21, DIPS[:2])
+        b.set_vip_port(VIP, 21, DIPS[:2])
+        assert a._vips[VIP] is b._vips[VIP]
+        assert a._port_vips[(VIP, 21)] is b._port_vips[(VIP, 21)]
+        # Another seed hashes differently: its own mapping.
+        c = SMux(2, SMUX_IP + 2, hash_seed=5)
+        c.set_vip(VIP, DIPS, [2.0, 1.0, 1.0, 1.0])
+        assert c._vips[VIP] is not a._vips[VIP]
+
+    def test_dips_of_is_a_fresh_list(self, smux):
+        held = smux.dips_of(VIP)
+        held.append(CLIENT)
+        assert smux.dips_of(VIP) == DIPS
+        assert smux.dips_of(VIP) is not smux.dips_of(VIP)
+
+    def test_mapping_cannot_be_written(self, smux):
+        mapping = smux._vips[VIP]
+        with pytest.raises(FrozenInstanceError):
+            mapping.dips = ()
+        with pytest.raises(TypeError):
+            mapping.dips[0] = CLIENT
+        with pytest.raises(ValueError):
+            mapping.slot_dips[0] = CLIENT
+        assert smux.slot_dips(VIP) == mapping.slot_dips.tolist()
 
 
 class TestConnectionState:

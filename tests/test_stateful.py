@@ -32,7 +32,9 @@ The machine adds the claims no battery part states:
   every event);
 * the intent is self-consistent where the anti-entropy diff cannot see:
   no record on a failed switch, degraded VIPs unplaced, SNAT only for
-  live VIPs, the population a view of the records.
+  live VIPs, the population a view of the records, and its DIP -> VIPs
+  and switch -> VIPs indexes equal to a rebuild from the records — on
+  the twin too, and after a crash's journal restore.
 """
 
 from __future__ import annotations
@@ -72,6 +74,18 @@ def drawn_kinds(engine: ChaosEngine) -> List[EventKind]:
     return [k for k, w in weights.items() if w > 0] + [
         EventKind.CONTROLLER_CRASH
     ]
+
+
+def rebuilt_indexes(intent):
+    """The intent's two indexes, rebuilt from its records."""
+    of_dip: dict = {}
+    on_switch: dict = {}
+    for addr, record in intent.records.items():
+        for dip in record.dips:
+            of_dip.setdefault(dip.addr, set()).add(addr)
+        if record.assigned_switch is not None:
+            on_switch.setdefault(record.assigned_switch, set()).add(addr)
+    return of_dip, on_switch
 
 
 class NeverCrashedEngine(ChaosEngine):
@@ -170,6 +184,12 @@ class ChaosMachine(RuleBasedStateMachine):
         assert [v.addr for v in controller.population] == list(
             controller.records()
         )
+        for engine in (self.engine, self.twin):
+            if engine is not None:
+                intent = engine.controller.intent
+                assert (intent.vips_of_dip, intent.vips_on_switch) == (
+                    rebuilt_indexes(intent)
+                )
 
 
 class NoOracleChaosMachine(ChaosMachine):
