@@ -17,7 +17,7 @@ from repro.core import DuetController
 from repro.dataplane import make_tcp_packet
 from repro.net import FatTreeParams, Topology, format_ip
 from repro.net.bgp import MuxKind
-from repro.sim import FailoverConfig, run_failover
+from repro.sim import run_failover
 from repro.workload import CLIENT_POOL, generate_population
 
 
@@ -68,7 +68,7 @@ def control_plane_story() -> None:
 
 
 def timing_story() -> None:
-    result = run_failover(FailoverConfig())
+    result = run_failover()
     failed = result["vip3-failed-hmux"]
     print(
         f"\nFigure 12 replay: outage of the failed HMux's VIP = "

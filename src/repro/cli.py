@@ -1034,21 +1034,19 @@ def _cmd_metrics(args) -> int:
         recorder.tick()
         _drive_quickstart_traffic(controller, recorder, args.flows)
     else:
-        import dataclasses
-
         from repro.sim import scenarios
 
-        drivers = {
-            "hmux-capacity": (scenarios.HMuxCapacityConfig,
-                              scenarios.run_hmux_capacity),
-            "failover": (scenarios.FailoverConfig, scenarios.run_failover),
-            "migration": (scenarios.MigrationConfig, scenarios.run_migration),
-            "smux-failure": (scenarios.SmuxFailureConfig,
-                             scenarios.run_smux_failure),
-        }
-        config_cls, driver = drivers[args.scenario]
-        driver(dataclasses.replace(config_cls(), seed=args.seed),
-               recorder=recorder)
+        if args.scenario == "hmux-capacity":
+            scenarios.run_hmux_capacity(
+                scenarios.HMuxCapacityConfig(seed=args.seed), recorder=recorder,
+            )
+        else:
+            run = {
+                "failover": scenarios.run_failover,
+                "migration": scenarios.run_migration,
+                "smux-failure": scenarios.run_smux_failure,
+            }[args.scenario]
+            run(args.seed, recorder=recorder)
     registry.collect()
 
     violations = conservation_violations(registry)

@@ -131,20 +131,13 @@ class ControlChannel:
     still-queued deliveries from the dead incarnation are fenced off.
     """
 
-    def __init__(
-        self,
-        seed: Union[int, random.Random] = 0,
-        *,
-        loss_prob: float = 0.0,
-        delay_prob: float = 0.0,
-    ) -> None:
+    def __init__(self, seed: Union[int, random.Random] = 0) -> None:
         self.rng = as_rng(seed)
         self.epoch = 0
         self.partitioned: Set[str] = set()
         self.loss_prob = 0.0
         self.delay_prob = 0.0
-        self.set_loss(loss_prob)
-        self.set_delay(delay_prob)
+        self._fault_free = True
         self.stats = ChannelStats()
         self._devices: Dict[str, _DeviceState] = {}
         self._in_flight: Deque[_Command] = deque()

@@ -68,8 +68,6 @@ class AssignmentConfig:
 
     link_headroom: float = 0.8
     candidate_strategy: str = "container-best-tor"  # or "exhaustive"
-    host_table_budget: Optional[int] = None  # None: from switch tables spec
-    dip_capacity: Optional[int] = None       # None: from switch tables spec
     stop_on_first_failure: bool = True       # paper semantics (S4.1)
     vip_order: str = "traffic-desc"          # paper default (S4.1)
     seed: int = 0                            # tie-breaking randomness
@@ -371,15 +369,11 @@ class GreedyAssigner:
         self.calculator = LoadCalculator(
             topology, router=router, link_headroom=config.link_headroom
         )
+        # Switch memory: the table spec bounds the DIPs one switch holds
+        # and the VIPs the whole fabric can host.
         tables = topology.params.tables
-        self.dip_capacity = (
-            config.dip_capacity if config.dip_capacity is not None
-            else tables.dip_capacity
-        )
-        self.host_table_budget = (
-            config.host_table_budget if config.host_table_budget is not None
-            else tables.host_table
-        )
+        self.dip_capacity = tables.dip_capacity
+        self.host_table_budget = tables.host_table
         self._candidates = self._candidate_switches()
         fast = FastAssignEngine(
             topology, self.calculator, self.config,

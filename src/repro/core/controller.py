@@ -619,6 +619,11 @@ class DuetController:
         cannot protect additions, so the VIP is withdrawn to SMux, the
         DIP set updated, then the VIP is re-programmed on its HMux."""
         record = self._require(vip_addr)
+        if record.dip(dip.addr) is not None:
+            raise ControllerError(
+                f"{format_ip(dip.addr)} is already a DIP of "
+                f"{format_ip(vip_addr)}"
+            )
         switch = record.assigned_switch
         params = {"vip": vip_addr, "dip": dip_to_dict(dip), "switch": switch}
         with self._journal_op("add_dip", params) as effects:

@@ -208,9 +208,14 @@ class ControllerIntent:
         intent = cls(topology, config, state.get("smux_ids", ()))
         for entry in state["records"]:
             vip = vip_from_dict(entry["vip"], topology)
+            # The live DIPs are the VIP's own until a DIP is added or
+            # removed: parse them once.
+            dips = entry["dips"]
             record = intent.records[vip.addr] = VipRecord(
                 vip=vip,
-                dips=tuple(dip_from_dict(d, topology) for d in entry["dips"]),
+                dips=vip.dips if dips == entry["vip"]["dips"] else tuple(
+                    dip_from_dict(d, topology) for d in dips
+                ),
                 assigned_switch=entry["assigned"],
             )
             intent._index(record, _link)

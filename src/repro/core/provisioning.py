@@ -33,14 +33,19 @@ from repro.net.topology import Topology
 from repro.workload.vips import VipDemand
 
 
+#: The failure budget Duet provisions for (S8.2): the 3 most loaded
+#: switches failing at once, or any of 10 random 3-switch failures.
+N_SWITCH_FAILURES = 3
+N_RANDOM_FAILURE_SAMPLES = 10
+#: No deployment runs fewer SMuxes than this.
+MIN_SMUXES = 1
+
+
 @dataclass(frozen=True)
 class ProvisioningConfig:
     """Provisioning policy knobs."""
 
     smux_capacity_bps: float = SMUX_CAPACITY_BPS
-    n_switch_failures: int = 3
-    n_random_failure_samples: int = 10
-    min_smuxes: int = 1
     seed: int = 0
 
 
@@ -58,14 +63,13 @@ class SmuxProvisioning:
 def ananta_smux_count(
     total_traffic_bps: float,
     smux_capacity_bps: float = SMUX_CAPACITY_BPS,
-    min_smuxes: int = 1,
 ) -> int:
     """SMuxes a pure software deployment needs: all VIP traffic in
     software, "such that no SMux receives traffic exceeding its
     capacity" with ECMP spreading it evenly (S8.2)."""
     if total_traffic_bps < 0:
         raise ValueError("traffic must be non-negative")
-    return max(min_smuxes, math.ceil(total_traffic_bps / smux_capacity_bps))
+    return max(MIN_SMUXES, math.ceil(total_traffic_bps / smux_capacity_bps))
 
 
 def surviving_vip_traffic(
@@ -188,8 +192,8 @@ def duet_provisioning(
     switch_worst, switch_name = worst_switch_failover(
         assignment,
         topology,
-        config.n_switch_failures,
-        n_samples=config.n_random_failure_samples,
+        N_SWITCH_FAILURES,
+        n_samples=N_RANDOM_FAILURE_SAMPLES,
         seed=config.seed,
     )
     if container_worst >= switch_worst:
@@ -197,7 +201,7 @@ def duet_provisioning(
     else:
         failover, scenario_name = switch_worst, switch_name
     peak = leftover + max(failover, migration_peak_bps)
-    count = max(config.min_smuxes, math.ceil(peak / config.smux_capacity_bps))
+    count = max(MIN_SMUXES, math.ceil(peak / config.smux_capacity_bps))
     return SmuxProvisioning(
         n_smuxes=count,
         leftover_bps=leftover,

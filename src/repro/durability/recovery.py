@@ -103,8 +103,9 @@ def restore_controller(
     if topology is None:
         topology = Topology(params_from_dict(meta["topology"]))
     # Journals outlive releases: drop config keys this version has
-    # retired (e.g. the old ``engine`` selector) instead of refusing to
-    # restore.  The meta's ``max_program_attempts`` / ``retry_backoff_s``
+    # retired (the old ``engine`` selector; ``host_table_budget`` and
+    # ``dip_capacity``, now read off the topology's table spec) instead
+    # of refusing to restore.  The meta's ``max_program_attempts`` / ``retry_backoff_s``
     # are not read: ``retry_policy`` holds both.
     known = {f.name for f in fields(AssignmentConfig)}
     config = AssignmentConfig(**{

@@ -11,7 +11,7 @@ CPU saturation point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -27,25 +27,20 @@ from repro.sim.queueing import (
 
 #: The paper's load levels (packets per second); 0 = "No-load".
 PAPER_LOADS_PPS = (0.0, 200_000.0, 300_000.0, 400_000.0, 450_000.0)
-
-
-@dataclass(frozen=True)
-class Fig01Config:
-    loads_pps: Tuple[float, ...] = PAPER_LOADS_PPS
-    capacity_pps: float = 300_000.0
-    n_samples: int = 4000
-    seed: int = 0
+#: Where one SMux's CPU saturates (Figure 1b).
+CAPACITY_PPS = 300_000.0
+#: RTT samples per load level.
+N_SAMPLES = 4000
 
 
 @dataclass
 class Fig01Result:
-    config: Fig01Config
     latency_cdfs: Dict[float, Cdf]
     cpu_utilization: Dict[float, float]
 
     def rows(self) -> List[Tuple[str, str, str, str, str]]:
         rows = []
-        for load in self.config.loads_pps:
+        for load in PAPER_LOADS_PPS:
             cdf = self.latency_cdfs[load]
             rows.append((
                 "no-load" if load == 0 else f"{load / 1000:.0f}k",
@@ -64,22 +59,20 @@ class Fig01Result:
         )
 
 
-def run(config: Fig01Config = Fig01Config()) -> Fig01Result:
+def run() -> Fig01Result:
     """Sample end-to-end RTTs through one SMux per load level."""
     cdfs: Dict[float, Cdf] = {}
     cpu: Dict[float, float] = {}
     horizon = 600.0
-    for load in config.loads_pps:
-        rng = random.Random(config.seed ^ hash(load) & 0xFFFF)
+    for load in PAPER_LOADS_PPS:
+        rng = random.Random(hash(load) & 0xFFFF)
         phases = [LoadPhase(0.0, horizon, load)] if load > 0 else []
-        station = MuxStation(
-            SMUX_BASE_LATENCY, config.capacity_pps, phases,
-        )
+        station = MuxStation(SMUX_BASE_LATENCY, CAPACITY_PPS, phases)
         probe_at = horizon - 1.0
         samples = [
             NETWORK_RTT.sample(rng) + station.latency_sample(probe_at, rng)
-            for _ in range(config.n_samples)
+            for _ in range(N_SAMPLES)
         ]
         cdfs[load] = Cdf.of(samples)
-        cpu[load] = smux_cpu_utilization(load, config.capacity_pps)
-    return Fig01Result(config=config, latency_cdfs=cdfs, cpu_utilization=cpu)
+        cpu[load] = smux_cpu_utilization(load, CAPACITY_PPS)
+    return Fig01Result(latency_cdfs=cdfs, cpu_utilization=cpu)

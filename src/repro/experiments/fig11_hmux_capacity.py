@@ -14,7 +14,13 @@ from typing import List, Tuple
 
 from repro.analysis import format_seconds, render_table, timeseries_line
 from repro.sim.pingmesh import PingSeries
-from repro.sim.scenarios import HMuxCapacityConfig, ScenarioResult, run_hmux_capacity
+from repro.sim.scenarios import (
+    CAPACITY_HIGH_RATE_PPS,
+    CAPACITY_LOW_RATE_PPS,
+    HMuxCapacityConfig,
+    ScenarioResult,
+    run_hmux_capacity,
+)
 
 
 @dataclass
@@ -29,9 +35,9 @@ class Fig11Result:
     def phase_windows(self) -> List[Tuple[str, float, float]]:
         t1 = self.config.phase_seconds
         return [
-            (f"smux@{self.config.low_rate_pps / 1e3:.0f}kpps", 0.0, t1),
-            (f"smux@{self.config.high_rate_pps / 1e3:.0f}kpps", t1, 2 * t1),
-            (f"hmux@{self.config.high_rate_pps / 1e3:.0f}kpps", 2 * t1, 3 * t1),
+            (f"smux@{CAPACITY_LOW_RATE_PPS / 1e3:.0f}kpps", 0.0, t1),
+            (f"smux@{CAPACITY_HIGH_RATE_PPS / 1e3:.0f}kpps", t1, 2 * t1),
+            (f"hmux@{CAPACITY_HIGH_RATE_PPS / 1e3:.0f}kpps", 2 * t1, 3 * t1),
         ]
 
     def rows(self) -> List[Tuple[str, str, str, str]]:

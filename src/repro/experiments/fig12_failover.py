@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis import format_seconds, render_table, timeseries_line
-from repro.sim.scenarios import FailoverConfig, ScenarioResult, run_failover
+from repro.sim.scenarios import ScenarioResult, run_failover
 
 
 @dataclass
 class Fig12Result:
-    config: FailoverConfig
     scenario: ScenarioResult
 
     @property
@@ -64,5 +63,5 @@ class Fig12Result:
         return f"{table}\n{self.timelines()}"
 
 
-def run(config: FailoverConfig = FailoverConfig()) -> Fig12Result:
-    return Fig12Result(config=config, scenario=run_failover(config))
+def run() -> Fig12Result:
+    return Fig12Result(scenario=run_failover())

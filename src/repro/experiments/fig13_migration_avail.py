@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis import format_seconds, render_table
-from repro.sim.scenarios import MigrationConfig, ScenarioResult, run_migration
+from repro.sim.scenarios import ScenarioResult, run_migration
 
 
 @dataclass
 class Fig13Result:
-    config: MigrationConfig
     scenario: ScenarioResult
 
     @property
@@ -64,5 +63,5 @@ class Fig13Result:
         )
 
 
-def run(config: MigrationConfig = MigrationConfig()) -> Fig13Result:
-    return Fig13Result(config=config, scenario=run_migration(config))
+def run() -> Fig13Result:
+    return Fig13Result(scenario=run_migration())

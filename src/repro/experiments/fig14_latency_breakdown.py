@@ -22,16 +22,12 @@ from repro.sim.control import (
 )
 
 
-@dataclass(frozen=True)
-class Fig14Config:
-    n_trials: int = 200
-    timings: BgpTimings = BgpTimings()
-    seed: int = 0
+#: Adds and deletes sampled per operation.
+N_TRIALS = 200
 
 
 @dataclass
 class Fig14Result:
-    config: Fig14Config
     add_samples: List[OperationSample]
     delete_samples: List[OperationSample]
 
@@ -75,8 +71,8 @@ class Fig14Result:
         )
 
 
-def run(config: Fig14Config = Fig14Config()) -> Fig14Result:
-    model = ControlPlaneModel(config.timings, seed=config.seed)
-    adds = [model.sample_add() for _ in range(config.n_trials)]
-    deletes = [model.sample_delete() for _ in range(config.n_trials)]
-    return Fig14Result(config=config, add_samples=adds, delete_samples=deletes)
+def run() -> Fig14Result:
+    model = ControlPlaneModel(BgpTimings(), seed=0)
+    adds = [model.sample_add() for _ in range(N_TRIALS)]
+    deletes = [model.sample_delete() for _ in range(N_TRIALS)]
+    return Fig14Result(add_samples=adds, delete_samples=deletes)

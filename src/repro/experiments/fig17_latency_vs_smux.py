@@ -15,6 +15,8 @@ from typing import List, Optional, Tuple
 from repro.analysis import format_seconds, render_table
 from repro.core.assignment import GreedyAssigner
 from repro.core.provisioning import ProvisioningConfig, duet_provisioning
+from repro.dataplane.packet import DEFAULT_PACKET_BYTES, bps_to_pps
+from repro.dataplane.smux import SMUX_CAPACITY_PPS
 from repro.experiments.common import ExperimentScale, build_world, small_scale
 from repro.sim.deployment import DeploymentLatencyConfig, DeploymentLatencyModel
 
@@ -78,10 +80,9 @@ def run(
         # Geometric sweep from "Duet-sized" up to CPU-unsaturated, the
         # x-axis of the paper's figure.
         base = max(1, provisioning.n_smuxes)
-        saturation = model.config.smux_capacity_pps
-        from repro.dataplane.packet import bps_to_pps
-
-        needed = int(bps_to_pps(total, model.config.packet_bytes) / saturation)
+        needed = int(
+            bps_to_pps(total, DEFAULT_PACKET_BYTES) / SMUX_CAPACITY_PPS
+        )
         ananta_sweep = sorted({
             base,
             max(2, needed // 8),

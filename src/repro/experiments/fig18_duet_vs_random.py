@@ -89,8 +89,12 @@ def run(
         topology, population = build_world(sized)
         demands = population.demands()
         duet = GreedyAssigner(topology).assign(demands)
-        rand = RandomAssigner(topology).assign(demands)
-        config = ProvisioningConfig()
+        # The experiment's seed drives the random baseline and the
+        # random failure draws of provisioning.
+        rand = RandomAssigner(
+            topology, AssignmentConfig(seed=scale.seed),
+        ).assign(demands)
+        config = ProvisioningConfig(seed=scale.seed)
         results.append(Fig18Point(
             traffic_bps=population.total_traffic_bps,
             duet_smuxes=duet_provisioning(duet, topology, config).n_smuxes,

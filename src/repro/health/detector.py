@@ -81,42 +81,44 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass
 class HealthConfig:
-    """Tuning knobs; see docs/OPERATIONS.md ("Tuning the detector")."""
+    """The detector's tuning, as class-level constants; see
+    docs/OPERATIONS.md ("Tuning the detector").  Every monitor runs
+    ``HealthConfig()``; the instance only carries the class's values to
+    the detector, the monitor and the scorecard."""
 
-    probe_period_s: float = 0.003
-    vip_probes_per_round: int = 1
-    ewma_alpha: float = 0.35
-    suspect_threshold: float = 0.45
-    clear_threshold: float = 0.10
-    consecutive_miss_fast: int = 3
-    confirm_rounds: int = 2
+    probe_period_s = 0.003
+    vip_probes_per_round = 1
+    ewma_alpha = 0.35
+    suspect_threshold = 0.45
+    clear_threshold = 0.10
+    consecutive_miss_fast = 3
+    confirm_rounds = 2
     #: Evidence bar at confirmation time: quarantine needs a consecutive
     #: miss run or a near-saturated EWMA, not a lingering just-suspect
     #: score — scattered benign background drops can hold the EWMA above
     #: ``suspect_threshold`` without the target ever being down.
-    confirm_threshold: float = 0.70
-    quarantine_min_rounds: int = 4
-    probation_entry_streak: int = 3
-    probation_rounds: int = 4
-    relapse_backoff: float = 2.0
-    relapse_backoff_cap: float = 8.0
-    gray_loss_threshold: float = 0.30
-    gray_min_probes: int = 6
+    confirm_threshold = 0.70
+    quarantine_min_rounds = 4
+    probation_entry_streak = 3
+    probation_rounds = 4
+    relapse_backoff = 2.0
+    relapse_backoff_cap = 8.0
+    gray_loss_threshold = 0.30
+    gray_min_probes = 6
     #: Lost probes required in the evidence window before a gray verdict
     #: — a single unlucky probe must never trigger a migration.
-    gray_min_losses: int = 3
+    gray_min_losses = 3
     #: Rolling evidence window (in probed rounds) for the gray loss
     #: counts and the counter-corroboration fraction; half the detection
     #: budget so clean history ages out well before the budget expires.
-    gray_window_rounds: int = 15
-    gray_escalate_vips: int = 3
+    gray_window_rounds = 15
+    gray_escalate_vips = 3
     #: Rounds after which a remediated gray (switch, VIP) pair may be
     #: flagged again (guards against verdict spam while migration heals).
-    gray_cooldown_rounds: int = 40
-    detection_budget_rounds: int = 30
-    recovery_budget_rounds: int = 80
+    gray_cooldown_rounds = 40
+    detection_budget_rounds = 30
+    recovery_budget_rounds = 80
 
     @property
     def detection_budget_s(self) -> float:

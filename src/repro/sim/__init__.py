@@ -26,11 +26,8 @@ from repro.sim.queueing import (
     smux_station,
 )
 from repro.sim.scenarios import (
-    FailoverConfig,
     HMuxCapacityConfig,
-    MigrationConfig,
     ScenarioResult,
-    SmuxFailureConfig,
     run_failover,
     run_hmux_capacity,
     run_migration,
@@ -42,12 +39,10 @@ __all__ = [
     "ControlPlaneModel",
     "DeploymentLatencyConfig",
     "DeploymentLatencyModel",
-    "FailoverConfig",
     "HMUX_BASE_LATENCY",
     "HMuxCapacityConfig",
     "LoadPhase",
     "LognormalLatency",
-    "MigrationConfig",
     "MuxStation",
     "NETWORK_RTT",
     "NETWORK_RTT_MEDIAN_S",
@@ -58,7 +53,6 @@ __all__ = [
     "SMUX_BASE_MEDIAN_S",
     "SMUX_BASE_P90_S",
     "ScenarioResult",
-    "SmuxFailureConfig",
     "breakdown",
     "hmux_station",
     "run_failover",

@@ -30,11 +30,12 @@ from repro.sim.queueing import (
 )
 
 
+#: Packets an SMux queues before it drops (S8.5).
+SMUX_BUFFER_PACKETS = 8192.0
+
+
 @dataclass(frozen=True)
 class DeploymentLatencyConfig:
-    packet_bytes: int = DEFAULT_PACKET_BYTES
-    smux_capacity_pps: float = SMUX_CAPACITY_PPS
-    smux_buffer_packets: float = 8192.0
     n_samples: int = 4000
     seed: int = 0
 
@@ -50,9 +51,9 @@ class DeploymentLatencyModel:
         horizon = 3600.0
         return MuxStation(
             SMUX_BASE_LATENCY,
-            self.config.smux_capacity_pps,
+            SMUX_CAPACITY_PPS,
             [LoadPhase(0.0, horizon, rate_pps)],
-            buffer_packets=self.config.smux_buffer_packets,
+            buffer_packets=SMUX_BUFFER_PACKETS,
         )
 
     def smux_rtt_samples(self, per_smux_pps: float, n: Optional[int] = None) -> np.ndarray:
@@ -82,7 +83,7 @@ class DeploymentLatencyModel:
         volume evenly over ``n_smuxes``."""
         if n_smuxes < 1:
             raise ValueError("need at least one SMux")
-        per_smux = bps_to_pps(total_traffic_bps, self.config.packet_bytes) / n_smuxes
+        per_smux = bps_to_pps(total_traffic_bps, DEFAULT_PACKET_BYTES) / n_smuxes
         return self.smux_rtt_samples(per_smux)
 
     def duet_rtts(
@@ -101,7 +102,7 @@ class DeploymentLatencyModel:
         n_hmux = int(round(n * hmux_fraction))
         hmux = self.hmux_rtt_samples(n_hmux) if n_hmux else np.empty(0)
         leftover_bps = total_traffic_bps * (1.0 - hmux_fraction)
-        per_smux = bps_to_pps(leftover_bps, self.config.packet_bytes) / n_smuxes
+        per_smux = bps_to_pps(leftover_bps, DEFAULT_PACKET_BYTES) / n_smuxes
         smux = (
             self.smux_rtt_samples(per_smux, n - n_hmux)
             if n - n_hmux > 0 else np.empty(0)

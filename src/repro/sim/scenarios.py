@@ -40,6 +40,13 @@ from repro.workload.vips import SMUX_AGGREGATES, VIP_POOL
 #: One-way testbed network latency (small lab fabric, a few hops).
 TESTBED_NETWORK_RTT = LognormalLatency(120e-6, 180e-6)
 
+#: The testbed's ping cadence: every scenario probes each VIP every 3 ms.
+PROBE_INTERVAL_S = 0.003
+#: Background load on every mux of the Figure 12/13 and SMux-failure runs.
+BACKGROUND_PPS = 60_000.0
+#: When the Figure 12 and SMux-failure runs kill their mux.
+FAIL_AT_S = 0.100
+
 
 class _TimedControl:
     """Applies control-plane events to the route table in time order."""
@@ -109,8 +116,7 @@ def _run_probes(
     *,
     start_s: float,
     end_s: float,
-    interval_s: float = 0.003,
-    seed: int = 0,
+    seed: int,
     recorder=None,
 ) -> Dict[str, PingSeries]:
     """Drive probes to all targets through the (shared, mutating) route
@@ -181,7 +187,7 @@ def _run_probes(
     # semantics).
     batched = []
     for label, vip in targets:
-        prober = PingProbe(vip, interval_s, seed=seed ^ (vip << 1))
+        prober = PingProbe(vip, PROBE_INTERVAL_S, seed=seed ^ (vip << 1))
         times, src_ports = prober.probe_fields(start_s, end_s)
         n = len(times)
         hashes = five_tuple_hash_batch(
@@ -210,19 +216,22 @@ def _run_probes(
 # Figure 11: HMux capacity
 # ---------------------------------------------------------------------------
 
+#: The Figure 11 testbed: 3 SMuxes, then one 10G HMux, under a 600K and
+#: a 1.2M pps load of 512-byte packets.
+CAPACITY_N_SMUXES = 3
+CAPACITY_LOW_RATE_PPS = 600_000.0
+CAPACITY_HIGH_RATE_PPS = 1_200_000.0
+CAPACITY_PACKET_BYTES = 512
+CAPACITY_HMUX_LINK_GBPS = 10.0
+
+
 @dataclass(frozen=True)
 class HMuxCapacityConfig:
     """The Figure 11 experiment: 11 VIPs (10 loaded, 1 probed), three
     phases — 600K pps on 3 SMuxes, 1.2M pps on 3 SMuxes, 1.2M pps on one
     HMux."""
 
-    n_smuxes: int = 3
     phase_seconds: float = 100.0
-    low_rate_pps: float = 600_000.0
-    high_rate_pps: float = 1_200_000.0
-    packet_bytes: int = 512
-    hmux_link_gbps: float = 10.0
-    probe_interval_s: float = 0.003
     seed: int = 0
 
 
@@ -233,14 +242,14 @@ def run_hmux_capacity(
     t1 = config.phase_seconds
     t2 = 2 * config.phase_seconds
     t3 = 3 * config.phase_seconds
-    per_smux_low = config.low_rate_pps / config.n_smuxes
-    per_smux_high = config.high_rate_pps / config.n_smuxes
+    per_smux_low = CAPACITY_LOW_RATE_PPS / CAPACITY_N_SMUXES
+    per_smux_high = CAPACITY_HIGH_RATE_PPS / CAPACITY_N_SMUXES
 
     route_table = VipRouteTable()
     fleet = _MuxFleet()
     vip = VIP_POOL.network + 11  # the unloaded, probed VIP
 
-    for i in range(config.n_smuxes):
+    for i in range(CAPACITY_N_SMUXES):
         ref = MuxRef.smux(i)
         fleet.add(ref, smux_station([
             LoadPhase(0.0, t1, per_smux_low),
@@ -250,9 +259,9 @@ def run_hmux_capacity(
             route_table.announce(aggregate, ref)
     hmux_ref = MuxRef.hmux(0)
     fleet.add(hmux_ref, hmux_station(
-        [LoadPhase(t2, t3, config.high_rate_pps)],
-        link_gbps=config.hmux_link_gbps,
-        packet_bytes=config.packet_bytes,
+        [LoadPhase(t2, t3, CAPACITY_HIGH_RATE_PPS)],
+        link_gbps=CAPACITY_HMUX_LINK_GBPS,
+        packet_bytes=CAPACITY_PACKET_BYTES,
     ))
 
     # At t2 all VIPs move to the HMux: its /32 wins by LPM from then on.
@@ -261,9 +270,7 @@ def run_hmux_capacity(
     ])
     series = _run_probes(
         [("unloaded-vip", vip)], route_table, fleet, control,
-        start_s=0.0, end_s=t3,
-        interval_s=config.probe_interval_s, seed=config.seed,
-        recorder=recorder,
+        start_s=0.0, end_s=t3, seed=config.seed, recorder=recorder,
     )
     return ScenarioResult(
         series=series,
@@ -275,34 +282,24 @@ def run_hmux_capacity(
 # Figure 12: availability during HMux failure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FailoverConfig:
-    """The Figure 12 experiment: 7 VIPs on HMuxes, 3 on SMuxes; one
-    switch is failed 100 ms in; probes every 3 ms."""
-
-    fail_at_s: float = 0.100
-    duration_s: float = 0.220
-    background_pps: float = 60_000.0
-    probe_interval_s: float = 0.003
-    timings: BgpTimings = BgpTimings()
-    seed: int = 0
+#: How long the Figure 12 run probes.
+FAILOVER_DURATION_S = 0.220
 
 
-def run_failover(
-    config: FailoverConfig = FailoverConfig(), *, recorder=None,
-) -> ScenarioResult:
-    """Reproduce Figure 12: VIP1 on SMux, VIP2 on a healthy HMux, VIP3 on
-    the HMux that dies at ``fail_at_s``."""
+def run_failover(seed: int = 0, *, recorder=None) -> ScenarioResult:
+    """Reproduce Figure 12 (7 VIPs on HMuxes, 3 on SMuxes): VIP1 on SMux,
+    VIP2 on a healthy HMux, VIP3 on the HMux that dies at
+    :data:`FAIL_AT_S`."""
     route_table = VipRouteTable()
     fleet = _MuxFleet()
-    end = config.duration_s
+    end = FAILOVER_DURATION_S
     vip1 = VIP_POOL.network + 1
     vip2 = VIP_POOL.network + 2
     vip3 = VIP_POOL.network + 3
 
     smux_ref = MuxRef.smux(0)
     fleet.add(smux_ref, smux_station(
-        [LoadPhase(0.0, end, config.background_pps)],
+        [LoadPhase(0.0, end, BACKGROUND_PPS)],
     ))
     for aggregate in SMUX_AGGREGATES:
         route_table.announce(aggregate, smux_ref)
@@ -311,15 +308,15 @@ def run_failover(
     failing_ref = MuxRef.hmux(2)
     for ref in (healthy_ref, failing_ref):
         fleet.add(ref, hmux_station(
-            [LoadPhase(0.0, end, config.background_pps)],
+            [LoadPhase(0.0, end, BACKGROUND_PPS)],
         ))
     route_table.announce(Prefix.host(vip2), healthy_ref)
     route_table.announce(Prefix.host(vip3), failing_ref)
 
     # The switch dies instantly; the routes only converge away after
     # detection + withdrawal propagation (~38 ms).
-    recover_at = config.fail_at_s + config.timings.failover_s
-    fleet.kill(failing_ref, config.fail_at_s)
+    recover_at = FAIL_AT_S + BgpTimings().failover_s
+    fleet.kill(failing_ref, FAIL_AT_S)
     control = _TimedControl([
         (recover_at, lambda: route_table.withdraw_all(failing_ref)),
     ])
@@ -331,13 +328,11 @@ def run_failover(
             ("vip3-failed-hmux", vip3),
         ],
         route_table, fleet, control,
-        start_s=0.0, end_s=end,
-        interval_s=config.probe_interval_s, seed=config.seed,
-        recorder=recorder,
+        start_s=0.0, end_s=end, seed=seed, recorder=recorder,
     )
     return ScenarioResult(
         series=series,
-        notes={"t_fail_s": config.fail_at_s, "t_recover_s": recover_at},
+        notes={"t_fail_s": FAIL_AT_S, "t_recover_s": recover_at},
     )
 
 
@@ -345,36 +340,29 @@ def run_failover(
 # Figure 13: availability during VIP migration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """The Figure 13 experiment: three concurrent migrations — VIP1
-    HMux->SMux, VIP2 SMux->HMux, VIP3 HMux->HMux through SMux."""
-
-    t1_s: float = 0.200
-    duration_s: float = 1.500
-    background_pps: float = 60_000.0
-    probe_interval_s: float = 0.003
-    timings: BgpTimings = BgpTimings()
-    seed: int = 0
+#: When the Figure 13 controller commands its migrations, and how long
+#: the run probes.
+MIGRATION_T1_S = 0.200
+MIGRATION_DURATION_S = 1.500
 
 
-def run_migration(
-    config: MigrationConfig = MigrationConfig(), *, recorder=None,
-) -> ScenarioResult:
-    """Reproduce Figure 13: make-before-break migration keeps every VIP
-    answering probes throughout; only the serving mux (and hence the
-    latency band) changes."""
+def run_migration(seed: int = 0, *, recorder=None) -> ScenarioResult:
+    """Reproduce Figure 13, three concurrent migrations — VIP1
+    HMux->SMux, VIP2 SMux->HMux, VIP3 HMux->HMux through SMux:
+    make-before-break migration keeps every VIP answering probes
+    throughout; only the serving mux (and hence the latency band)
+    changes."""
     route_table = VipRouteTable()
     fleet = _MuxFleet()
-    end = config.duration_s
-    control_model = ControlPlaneModel(config.timings, seed=config.seed)
+    end = MIGRATION_DURATION_S
+    control_model = ControlPlaneModel(BgpTimings(), seed=seed)
     vip1 = VIP_POOL.network + 1
     vip2 = VIP_POOL.network + 2
     vip3 = VIP_POOL.network + 3
 
     smux_ref = MuxRef.smux(0)
     fleet.add(smux_ref, smux_station(
-        [LoadPhase(0.0, end, config.background_pps)],
+        [LoadPhase(0.0, end, BACKGROUND_PPS)],
     ))
     for aggregate in SMUX_AGGREGATES:
         route_table.announce(aggregate, smux_ref)
@@ -382,7 +370,7 @@ def run_migration(
     hmux_b = MuxRef.hmux(2)
     for ref in (hmux_a, hmux_b):
         fleet.add(ref, hmux_station(
-            [LoadPhase(0.0, end, config.background_pps)],
+            [LoadPhase(0.0, end, BACKGROUND_PPS)],
         ))
     # Initial placement: VIP1 and VIP3 on HMux A; VIP2 on SMuxes only.
     route_table.announce(Prefix.host(vip1), hmux_a)
@@ -390,7 +378,7 @@ def run_migration(
 
     # T1: the controller commands VIP1 and VIP3 off their HMux; the
     # withdrawals take effect after the FIB-dominated migration delay.
-    t2 = config.t1_s + control_model.migration_delay_s()
+    t2 = MIGRATION_T1_S + control_model.migration_delay_s()
     # T2: VIP2 and VIP3 are announced at their new HMuxes.
     t3 = t2 + control_model.migration_delay_s()
     control = _TimedControl([
@@ -406,13 +394,11 @@ def run_migration(
             ("vip3-hmux-to-hmux", vip3),
         ],
         route_table, fleet, control,
-        start_s=0.0, end_s=end,
-        interval_s=config.probe_interval_s, seed=config.seed,
-        recorder=recorder,
+        start_s=0.0, end_s=end, seed=seed, recorder=recorder,
     )
     return ScenarioResult(
         series=series,
-        notes={"t1_s": config.t1_s, "t2_s": t2, "t3_s": t3},
+        notes={"t1_s": MIGRATION_T1_S, "t2_s": t2, "t3_s": t3},
     )
 
 
@@ -420,60 +406,49 @@ def run_migration(
 # S5.1: SMux failure (no paper figure, but a stated guarantee)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmuxFailureConfig:
+#: The SMux-failure run: a fleet of 3 SMuxes, probed for 250 ms.
+SMUX_FAILURE_N_SMUXES = 3
+SMUX_FAILURE_DURATION_S = 0.250
+
+
+def run_smux_failure(seed: int = 0, *, recorder=None) -> ScenarioResult:
     """"SMux failure has no impact on VIPs assigned to HMux, and has
     only a small impact on VIPs that are assigned only to SMuxes" —
-    switches detect it via BGP and ECMP re-spreads to the survivors."""
-
-    n_smuxes: int = 3
-    fail_at_s: float = 0.100
-    duration_s: float = 0.250
-    background_pps: float = 60_000.0
-    probe_interval_s: float = 0.003
-    timings: BgpTimings = BgpTimings()
-    seed: int = 0
-
-
-def run_smux_failure(
-    config: SmuxFailureConfig = SmuxFailureConfig(), *, recorder=None,
-) -> ScenarioResult:
-    """One SMux of the fleet dies; a VIP served by SMuxes sees at most a
+    switches detect it via BGP and ECMP re-spreads to the survivors.
+    One SMux of the fleet dies; a VIP served by SMuxes sees at most a
     convergence blip on the flows hashed to the dead instance, and a VIP
     on an HMux sees nothing."""
     route_table = VipRouteTable()
     fleet = _MuxFleet()
-    end = config.duration_s
+    end = SMUX_FAILURE_DURATION_S
     vip_smux = VIP_POOL.network + 1
     vip_hmux = VIP_POOL.network + 2
 
-    refs = [MuxRef.smux(i) for i in range(config.n_smuxes)]
+    refs = [MuxRef.smux(i) for i in range(SMUX_FAILURE_N_SMUXES)]
     for ref in refs:
         fleet.add(ref, smux_station(
-            [LoadPhase(0.0, end, config.background_pps)],
+            [LoadPhase(0.0, end, BACKGROUND_PPS)],
         ))
         for aggregate in SMUX_AGGREGATES:
             route_table.announce(aggregate, ref)
     hmux_ref = MuxRef.hmux(1)
     fleet.add(hmux_ref, hmux_station(
-        [LoadPhase(0.0, end, config.background_pps)],
+        [LoadPhase(0.0, end, BACKGROUND_PPS)],
     ))
     route_table.announce(Prefix.host(vip_hmux), hmux_ref)
 
     dead = refs[0]
-    recover_at = config.fail_at_s + config.timings.failover_s
-    fleet.kill(dead, config.fail_at_s)
+    recover_at = FAIL_AT_S + BgpTimings().failover_s
+    fleet.kill(dead, FAIL_AT_S)
     control = _TimedControl([
         (recover_at, lambda: route_table.withdraw_all(dead)),
     ])
     series = _run_probes(
         [("vip-on-smux", vip_smux), ("vip-on-hmux", vip_hmux)],
         route_table, fleet, control,
-        start_s=0.0, end_s=end,
-        interval_s=config.probe_interval_s, seed=config.seed,
-        recorder=recorder,
+        start_s=0.0, end_s=end, seed=seed, recorder=recorder,
     )
     return ScenarioResult(
         series=series,
-        notes={"t_fail_s": config.fail_at_s, "t_recover_s": recover_at},
+        notes={"t_fail_s": FAIL_AT_S, "t_recover_s": recover_at},
     )

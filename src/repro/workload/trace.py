@@ -25,37 +25,29 @@ from typing import Dict, Iterator, List, Set, Tuple
 from repro.workload.vips import VipDemand, VipPopulation
 
 
+#: The synthetic trace's model.  18 epochs of 600 s span the paper's
+#: 3 hours; the total band [0.9, 1.03] of the base traffic mirrors the
+#: 6.2-7.1 Tbps swing.
+EPOCH_SECONDS = 600.0
+VOLATILITY = 0.18         # sigma of per-epoch log traffic step
+FLASH_PROBABILITY = 0.01  # per-VIP chance of a flash crowd
+FLASH_MULTIPLIER = 8.0
+FLASH_DECAY = 0.5         # flash factor shrinks by this per epoch
+CHURN_FRACTION = 0.01     # VIPs removed (and added) per epoch
+TOTAL_BAND = (0.90, 1.03)
+MAX_DRIFT = 50.0          # clamp of the cumulative walk factor
+SHARE_CAP = 0.03          # max share of the total any VIP reaches
+
+
 @dataclass(frozen=True)
 class TraceConfig:
-    """Knobs of the synthetic trace.
-
-    Defaults follow the paper: 18 epochs of 600 s span 3 hours; the total
-    band [0.9, 1.03] of the base traffic mirrors the 6.2-7.1 Tbps swing.
-    """
+    """How many epochs the synthetic trace runs."""
 
     n_epochs: int = 18
-    epoch_seconds: float = 600.0
-    volatility: float = 0.18        # sigma of per-epoch log traffic step
-    flash_probability: float = 0.01  # per-VIP chance of a flash crowd
-    flash_multiplier: float = 8.0
-    flash_decay: float = 0.5        # flash factor shrinks by this per epoch
-    churn_fraction: float = 0.01    # VIPs removed (and added) per epoch
-    total_band: Tuple[float, float] = (0.90, 1.03)
-    max_drift: float = 50.0         # clamp of the cumulative walk factor
-    share_cap: float = 0.03         # max share of the total any VIP reaches
 
     def __post_init__(self) -> None:
         if self.n_epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.volatility < 0:
-            raise ValueError("volatility must be non-negative")
-        lo, hi = self.total_band
-        if not 0 < lo <= hi:
-            raise ValueError("total_band must be 0 < low <= high")
-        if not 0 <= self.churn_fraction < 1:
-            raise ValueError("churn_fraction must be in [0, 1)")
-        if not 0 < self.share_cap <= 1:
-            raise ValueError("share_cap must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,6 @@ class TraceGenerator:
 
     def iter_epochs(self) -> Iterator[TraceEpoch]:
         rng = random.Random(self.seed)
-        config = self.config
         base = {d.vip_id: d for d in self.population.demands()}
         base_total = sum(d.traffic_bps for d in base.values())
         walk: Dict[int, float] = {vid: 1.0 for vid in base}
@@ -131,7 +122,7 @@ class TraceGenerator:
         active: Set[int] = set(base)
         removed_pool: List[int] = []
 
-        for index in range(config.n_epochs):
+        for index in range(self.config.n_epochs):
             added: Tuple[int, ...] = ()
             removed: Tuple[int, ...] = ()
             if index > 0:
@@ -139,14 +130,14 @@ class TraceGenerator:
                 flash = self._step_flash(flash, active, rng)
                 added, removed = self._churn(active, removed_pool, rng)
 
-            target_total = base_total * rng.uniform(*config.total_band)
+            target_total = base_total * rng.uniform(*TOTAL_BAND)
             raw = {
                 vid: base[vid].traffic_bps
                 * walk[vid]
                 * flash.get(vid, 1.0)
                 for vid in active
             }
-            raw = _cap_shares(raw, config.share_cap)
+            raw = _cap_shares(raw, SHARE_CAP)
             raw_total = sum(raw.values())
             scale = target_total / raw_total if raw_total > 0 else 0.0
             demands = tuple(
@@ -156,7 +147,7 @@ class TraceGenerator:
             )
             yield TraceEpoch(
                 index=index,
-                start_s=index * config.epoch_seconds,
+                start_s=index * EPOCH_SECONDS,
                 demands=demands,
                 added_vip_ids=added,
                 removed_vip_ids=removed,
@@ -167,12 +158,11 @@ class TraceGenerator:
     def _step_walk(
         self, walk: Dict[int, float], rng: random.Random
     ) -> Dict[int, float]:
-        config = self.config
         stepped: Dict[int, float] = {}
         for vid, factor in walk.items():
-            factor *= math.exp(rng.gauss(0.0, config.volatility))
-            lo = 1.0 / config.max_drift
-            stepped[vid] = min(config.max_drift, max(lo, factor))
+            factor *= math.exp(rng.gauss(0.0, VOLATILITY))
+            lo = 1.0 / MAX_DRIFT
+            stepped[vid] = min(MAX_DRIFT, max(lo, factor))
         return stepped
 
     def _step_flash(
@@ -181,15 +171,14 @@ class TraceGenerator:
         active: Set[int],
         rng: random.Random,
     ) -> Dict[int, float]:
-        config = self.config
         decayed = {
-            vid: 1.0 + (mult - 1.0) * config.flash_decay
+            vid: 1.0 + (mult - 1.0) * FLASH_DECAY
             for vid, mult in flash.items()
-            if (mult - 1.0) * config.flash_decay > 0.05
+            if (mult - 1.0) * FLASH_DECAY > 0.05
         }
         for vid in active:
-            if vid not in decayed and rng.random() < config.flash_probability:
-                decayed[vid] = config.flash_multiplier
+            if vid not in decayed and rng.random() < FLASH_PROBABILITY:
+                decayed[vid] = FLASH_MULTIPLIER
         return decayed
 
     def _churn(
@@ -200,8 +189,7 @@ class TraceGenerator:
     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Remove a few active VIPs; re-admit previously removed ones
         (modeling customer VIP removal and addition, S5.2)."""
-        config = self.config
-        n_churn = int(len(active) * config.churn_fraction)
+        n_churn = int(len(active) * CHURN_FRACTION)
         if n_churn == 0:
             return (), ()
         victims = rng.sample(sorted(active), min(n_churn, len(active) - 1))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+from dataclasses import replace
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.core.assignment import (
 )
 from repro.core.migration import StepKind, StickyMigrator
 from repro.net.routing import EcmpRouter
-from repro.net.topology import FatTreeParams, Topology
+from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.vips import VipDemand, generate_population
 
 #: Nominal per-server traffic used to size scenario loads relative to
@@ -97,13 +98,19 @@ def build_scenario(
         topology, n_vips, total_traffic, seed=seed,
     )
 
+    strategy = rng.choice(("container-best-tor", "exhaustive"))
+    order = rng.choice(VIP_ORDERS)
+    stop = rng.random() < 0.5
+    budget = rng.choice((None, rng.randint(8, 30)))
     config = AssignmentConfig(
-        candidate_strategy=rng.choice(("container-best-tor", "exhaustive")),
-        vip_order=rng.choice(VIP_ORDERS),
-        stop_on_first_failure=rng.random() < 0.5,
-        host_table_budget=rng.choice((None, rng.randint(8, 30))),
-        seed=rng.randint(0, 999),
+        candidate_strategy=strategy, vip_order=order,
+        stop_on_first_failure=stop, seed=rng.randint(0, 999),
     )
+    if budget is not None:  # a host table only ``budget`` VIPs fit
+        topology = Topology(replace(
+            params, tables=SwitchTableSpec(host_table=budget),
+        ))
+        router = EcmpRouter(topology, failed_switches=failed)
     return topology, router, population.demands(), config
 
 
@@ -229,7 +236,7 @@ def test_scenarios_cover_the_interesting_axes() -> None:
         strategies.add(config.candidate_strategy)
         if router.failed_switches:
             any_failed += 1
-        if config.host_table_budget is not None:
+        if topology.params.tables != SwitchTableSpec():
             any_budget += 1
         if seed % 20 == 0:  # sample: solving all 200 twice is the tier above
             result = GreedyAssigner(

@@ -1,5 +1,7 @@
 """Tests for repro.core.assignment: the MRU-greedy algorithm (S4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,10 +171,10 @@ class TestGreedyBasics:
 
     def test_host_table_budget(self, world):
         topology, population = world
-        config = AssignmentConfig(host_table_budget=5)
-        assignment = GreedyAssigner(topology, config).assign(
-            population.demands()
-        )
+        scarce = Topology(replace(
+            topology.params, tables=SwitchTableSpec(host_table=5),
+        ))
+        assignment = GreedyAssigner(scarce).assign(population.demands())
         assert assignment.n_assigned == 5
         # The five biggest VIPs got the slots.
         placed_traffic = min(

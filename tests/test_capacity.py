@@ -1,10 +1,12 @@
 """Tests for repro.core.capacity: what-if capacity planning."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.capacity import CapacityReport, binding_resource, find_capacity
 from repro.core.assignment import GreedyAssigner
-from repro.net.topology import FatTreeParams, Topology
+from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.distributions import DipCountModel
 from repro.workload.vips import generate_population
 
@@ -76,8 +78,11 @@ class TestBindingResource:
         from repro.core.assignment import AssignmentConfig
 
         topology, population = world
-        config = AssignmentConfig(dip_capacity=12, stop_on_first_failure=False)
-        assignment = GreedyAssigner(topology, config).assign(
+        tiny_tunnels = Topology(replace(
+            topology.params, tables=SwitchTableSpec(tunnel_table=12),
+        ))
+        config = AssignmentConfig(stop_on_first_failure=False)
+        assignment = GreedyAssigner(tiny_tunnels, config).assign(
             population.demands()
         )
         if float(assignment.memory_utilization.max()) >= float(

@@ -121,7 +121,8 @@ class TestControlChannel:
         assert watermark_of(channel, "switch:1") == (0, 0)
 
     def test_loss_raises_and_nothing_applied(self):
-        channel = ControlChannel(seed=1, loss_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_loss(1.0)
         applied = []
         with pytest.raises(ChannelSendError):
             channel.send("switch:0", "program_vip", lambda: applied.append(1))
@@ -130,7 +131,8 @@ class TestControlChannel:
         assert channel.stats.applied == 0
 
     def test_loss_only_hits_lossy_ops(self):
-        channel = ControlChannel(seed=1, loss_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_loss(1.0)
         # Withdrawals are reliable (BGP session-loss semantics).
         assert "withdraw_vip" not in LOSSY_OPS
         channel.send("switch:0", "withdraw_vip", lambda: None)
@@ -154,14 +156,17 @@ class TestControlChannel:
         assert channel.stats.applied == 1
 
     def test_heal_all_clears_weather(self):
-        channel = ControlChannel(seed=1, loss_prob=1.0, delay_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_loss(1.0)
+        channel.set_delay(1.0)
         channel.partition("switch:0")
         channel.partition("switch:1")
         assert channel.heal() == ["switch:0", "switch:1"]
         assert channel.loss_prob == 0.0 and channel.delay_prob == 0.0
 
     def test_delayed_duplicate_is_fence_dropped(self):
-        channel = ControlChannel(seed=1, delay_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_delay(1.0)
         applied = []
         channel.send("switch:0", "program_vip", lambda: applied.append(1))
         assert applied == [1]           # original applied immediately
@@ -172,7 +177,8 @@ class TestControlChannel:
         assert channel.stats.stale_applied == 0
 
     def test_epoch_bump_fences_queued_dups(self):
-        channel = ControlChannel(seed=1, delay_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_delay(1.0)
         applied = []
         channel.send("switch:0", "program_vip", lambda: applied.append(1))
         channel.bump_epoch()
@@ -182,7 +188,8 @@ class TestControlChannel:
         assert channel.stats.stale_applied == 0
 
     def test_purge_device_drops_dups_keeps_watermark(self):
-        channel = ControlChannel(seed=1, delay_prob=1.0)
+        channel = ControlChannel(seed=1)
+        channel.set_delay(1.0)
         channel.send("switch:0", "program_vip", lambda: None)
         watermark = watermark_of(channel, "switch:0")
         assert channel.purge_device("switch:0") == 1

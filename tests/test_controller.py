@@ -237,6 +237,20 @@ class TestDipLifecycle:
         controller.add_dip(vip.addr, new_dip)
         assert controller.vip_location(vip.addr) is None
 
+    def test_add_dip_refuses_a_dip_the_vip_holds(self):
+        """Adding a DIP the VIP already holds is refused before the op
+        is journaled: the DIP set, the journal and the dataplane are
+        left as they were."""
+        c = edge_world()
+        addr = VIP_POOL.network + 4  # VIP 3
+        record = c.record(addr)
+        dips, appended = record.dips, c.journal.ops_appended
+        with pytest.raises(ControllerError, match="already a DIP"):
+            c.add_dip(addr, record.dips[0])
+        assert record.dips is dips
+        assert c.journal.ops_appended == appended
+        assert AntiEntropyReconciler(c).diff() == []
+
     def test_remove_dip(self, controller):
         vip = self._hmux_vip(controller)
         if vip.n_dips < 2:

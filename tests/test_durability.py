@@ -399,11 +399,17 @@ class TestRestore:
             expected["fingerprint"]
         )
         # ... and, driven through the same ops, writes the same journal
-        # byte for byte: no record (meta, snapshot, op params, effects)
-        # changed shape.
-        assert golden_journal().to_lines() == (
-            GOLDEN_JOURNAL.read_text(encoding="utf-8").splitlines()
-        )
+        # byte for byte: no record (snapshot, op params, effects) changed
+        # shape.  The meta differs only by the two switch-memory limits
+        # the config no longer carries (they are the topology's table
+        # spec, which the meta records).
+        written = golden_journal().to_lines()
+        parent = GOLDEN_JOURNAL.read_text(encoding="utf-8").splitlines()
+        assert written[1:] == parent[1:]
+        meta = json.loads(parent[0])
+        assert meta["config"].pop("host_table_budget") is None
+        assert meta["config"].pop("dip_capacity") is None
+        assert json.loads(written[0]) == meta
 
     def test_restores_parent_journal_carrying_retired_retry_meta(self):
         """The parent wrote ``max_program_attempts`` / ``retry_backoff_s``

@@ -45,10 +45,9 @@ def tiny_scale():
 
 
 class TestFig01:
-    def test_shapes(self):
-        result = fig01_smux_perf.run(
-            fig01_smux_perf.Fig01Config(n_samples=800)
-        )
+    def test_shapes(self, monkeypatch):
+        monkeypatch.setattr(fig01_smux_perf, "N_SAMPLES", 800)
+        result = fig01_smux_perf.run()
         no_load = result.latency_cdfs[0.0]
         overload = result.latency_cdfs[450_000.0]
         # Latency explodes past saturation; CPU pegs at 100%.
@@ -89,10 +88,9 @@ class TestFig13:
 
 
 class TestFig14:
-    def test_shapes(self):
-        result = fig14_latency_breakdown.run(
-            fig14_latency_breakdown.Fig14Config(n_trials=100)
-        )
+    def test_shapes(self, monkeypatch):
+        monkeypatch.setattr(fig14_latency_breakdown, "N_TRIALS", 100)
+        result = fig14_latency_breakdown.run()
         assert 0.7 <= result.fib_share() <= 0.95
         assert len(result.rows()) == 6
         assert "Figure 14" in result.render()

@@ -15,6 +15,8 @@ update them in the same commit.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,7 @@ from repro.experiments import fig11_hmux_capacity as fig11
 from repro.experiments import fig12_failover as fig12
 from repro.experiments import fig17_latency_vs_smux as fig17
 from repro.sim import scenarios
-from repro.sim.scenarios import (
-    FailoverConfig,
-    HMuxCapacityConfig,
-    MigrationConfig,
-    SmuxFailureConfig,
-)
+from repro.sim.scenarios import HMuxCapacityConfig
 
 #: Goldens are asserted to a part-per-million — loose enough to ignore
 #: float formatting, tight enough that any behavioural drift trips.
@@ -85,10 +82,10 @@ def test_fig11_golden(hashing: str, monkeypatch) -> None:
 
 @pytest.mark.parametrize("hashing", PROBE_HASHING)
 def test_fig12_golden(hashing: str, monkeypatch) -> None:
-    """``fig12.run(FailoverConfig())`` failover window, observed outage
-    and per-VIP availability."""
+    """``fig12.run()`` failover window, observed outage and per-VIP
+    availability."""
     scalar_probe_hashing(monkeypatch, hashing)
-    result = fig12.run(FailoverConfig())
+    result = fig12.run()
     assert result.failover_window_s == pytest.approx(0.038, rel=TOL)
     assert result.observed_outage_s() == pytest.approx(0.036, rel=TOL)
     golden_availability = {
@@ -133,14 +130,16 @@ def test_fig17_golden() -> None:
 
 
 @pytest.mark.parametrize(
-    "config_cls",
-    [HMuxCapacityConfig, FailoverConfig, MigrationConfig, SmuxFailureConfig],
+    "entry",
+    [
+        HMuxCapacityConfig, scenarios.run_failover, scenarios.run_migration,
+        scenarios.run_smux_failure,
+    ],
+    ids=lambda entry: entry.__name__,
 )
-def test_engine_field_rejects_unknown(config_cls) -> None:
-    """The scenario configs carry no probe-engine selector any more:
-    every ``engine`` value is unknown to them."""
-    import dataclasses
-
+def test_engine_field_rejects_unknown(entry) -> None:
+    """The scenario entry points carry no probe-engine selector any
+    more: every ``engine`` value is unknown to them."""
     with pytest.raises(TypeError):
-        config_cls(engine="batch")
-    assert "engine" not in {f.name for f in dataclasses.fields(config_cls)}
+        entry(engine="batch")
+    assert "engine" not in inspect.signature(entry).parameters

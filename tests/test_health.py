@@ -353,8 +353,11 @@ class TestGrayDetection:
     def test_min_losses_gate(self):
         # Low thresholds except the loss floor: two lost probes must
         # never trigger a migration.
-        cfg = HealthConfig(gray_loss_threshold=0.01, gray_min_probes=4)
-        det = HealthDetector(cfg)
+        class LowGrayBar(HealthConfig):
+            gray_loss_threshold = 0.01
+            gray_min_probes = 4
+
+        det = HealthDetector(LowGrayBar())
         verdicts = []
         for i, losses in enumerate([1, 1, 0, 0, 0]):
             verdicts.extend(det.observe(
@@ -449,8 +452,11 @@ class TestGrayDetection:
 
 class TestHealthConfig:
     def test_budgets_scale_with_probe_period(self):
-        cfg = HealthConfig(probe_period_s=0.01, detection_budget_rounds=10)
-        assert cfg.detection_budget_s == pytest.approx(0.1)
+        class SlowProbes(HealthConfig):
+            probe_period_s = 0.01
+            detection_budget_rounds = 10
+
+        assert SlowProbes().detection_budget_s == pytest.approx(0.1)
 
 
 class TestRemediation:

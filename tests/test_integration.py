@@ -15,6 +15,7 @@ from repro.dataplane.packet import make_tcp_packet
 from repro.net.bgp import MuxKind
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.distributions import DipCountModel
+from repro.workload import trace
 from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.vips import CLIENT_POOL, generate_population
 
@@ -105,9 +106,11 @@ class TestTraceReplayIntegration:
         )
         controller = DuetController(topology, population, n_smuxes=2)
         migrator = StickyMigrator(topology)
-        epochs = TraceGenerator(
-            population, TraceConfig(n_epochs=4, churn_fraction=0.0), seed=2
-        ).epochs()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace, "CHURN_FRACTION", 0.0)
+            epochs = TraceGenerator(
+                population, TraceConfig(n_epochs=4), seed=2
+            ).epochs()
         current = None
         for epoch in epochs:
             current, plan = migrator.reassign(current, list(epoch.demands))

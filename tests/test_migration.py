@@ -14,6 +14,7 @@ from repro.core.migration import (
 )
 from repro.net.topology import FatTreeParams, Topology
 from repro.workload.distributions import DipCountModel
+from repro.workload import trace
 from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.vips import generate_population
 
@@ -39,9 +40,11 @@ def world():
 @pytest.fixture(scope="module")
 def epochs(world):
     _, population = world
-    return TraceGenerator(
-        population, TraceConfig(n_epochs=5, churn_fraction=0.05), seed=3
-    ).epochs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "CHURN_FRACTION", 0.05)
+        return TraceGenerator(
+            population, TraceConfig(n_epochs=5), seed=3
+        ).epochs()
 
 
 class TestDiffAssignments:

@@ -517,12 +517,12 @@ class TestChaosWiring:
 
 class TestScenarioRecording:
     def test_recorder_does_not_change_failover_results(self):
-        from repro.sim.scenarios import FailoverConfig, run_failover
+        from repro.sim.scenarios import run_failover
 
-        plain = run_failover(FailoverConfig())
+        plain = run_failover()
         registry = MetricsRegistry()
         recorder = Recorder(registry)
-        recorded = run_failover(FailoverConfig(), recorder=recorder)
+        recorded = run_failover(recorder=recorder)
         assert recorded.series == plain.series
 
         probes = registry.get("duet_scenario_probes_total")
@@ -542,14 +542,14 @@ class TestScenarioRecording:
         """The one probe path records the same series whether its flow
         hashes come from the batch hash or (test-side oracle) from the
         per-packet scalar hash."""
-        from repro.sim.scenarios import FailoverConfig, run_failover
+        from repro.sim.scenarios import run_failover
         from tests.test_figure_golden import scalar_probe_hashing
 
         def recorded(hashing):
             registry = MetricsRegistry()
             with pytest.MonkeyPatch.context() as patch:
                 scalar_probe_hashing(patch, hashing)
-                run_failover(FailoverConfig(), recorder=Recorder(registry))
+                run_failover(recorder=Recorder(registry))
             return {(s.name, s.labels): s.value for s in registry.samples()}
 
         other = "batch" if engine == "scalar" else "scalar"

@@ -2,6 +2,7 @@
 plus the latency-first ordering (S9) and controller.rebalance (S4.2)."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.dataplane.packet import make_tcp_packet
 from repro.dataplane.smux import SMux, SMuxError
 from repro.durability import WriteAheadJournal
 from repro.net.bgp import MuxKind
-from repro.net.topology import FatTreeParams, Topology
+from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.vips import (
     CLIENT_POOL,
     Dip,
@@ -231,11 +232,12 @@ class TestLatencyFirstOrdering:
         sensitive = {d.vip_id for d in demands if d.latency_sensitive}
         assert sensitive  # the fraction fired
         config = AssignmentConfig(
-            vip_order="latency-first",
-            host_table_budget=len(sensitive),  # scarce: only they fit
-            stop_on_first_failure=False,
+            vip_order="latency-first", stop_on_first_failure=False,
         )
-        assignment = GreedyAssigner(topology, config).assign(demands)
+        scarce = Topology(replace(  # scarce: only they fit
+            topology.params, tables=SwitchTableSpec(host_table=len(sensitive)),
+        ))
+        assignment = GreedyAssigner(scarce, config).assign(demands)
         assert set(assignment.vip_to_switch) == sensitive
 
     def test_flag_survives_scaling(self, topology):

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.core import provisioning
 from repro.core.assignment import GreedyAssigner
 from repro.core.provisioning import (
+    MIN_SMUXES,
     ProvisioningConfig,
     ananta_smux_count,
     duet_provisioning,
@@ -43,9 +45,10 @@ class TestAnantaCount:
     def test_rounds_up(self):
         assert ananta_smux_count(SMUX_CAPACITY_BPS * 10.1) == 11
 
-    def test_minimum(self):
+    def test_minimum(self, monkeypatch):
         assert ananta_smux_count(0.0) == 1
-        assert ananta_smux_count(0.0, min_smuxes=3) == 3
+        monkeypatch.setattr(provisioning, "MIN_SMUXES", 3)
+        assert ananta_smux_count(0.0) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +143,7 @@ class TestDuetProvisioning:
         config = ProvisioningConfig()
         result = duet_provisioning(assignment, topology, config)
         expected = max(
-            config.min_smuxes,
+            MIN_SMUXES,
             math.ceil(
                 (result.leftover_bps + max(
                     result.worst_failover_bps, result.migration_peak_bps,

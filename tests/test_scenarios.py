@@ -4,9 +4,7 @@ import pytest
 
 from repro.net.bgp import BgpTimings
 from repro.sim.scenarios import (
-    FailoverConfig,
     HMuxCapacityConfig,
-    MigrationConfig,
     run_failover,
     run_hmux_capacity,
     run_migration,
@@ -20,12 +18,12 @@ def capacity_result():
 
 @pytest.fixture(scope="module")
 def failover_result():
-    return run_failover(FailoverConfig())
+    return run_failover()
 
 
 @pytest.fixture(scope="module")
 def migration_result():
-    return run_migration(MigrationConfig())
+    return run_migration()
 
 
 class TestHMuxCapacity:
@@ -143,9 +141,9 @@ class TestSmuxFailure:
 
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.sim.scenarios import SmuxFailureConfig, run_smux_failure
+        from repro.sim.scenarios import run_smux_failure
 
-        return run_smux_failure(SmuxFailureConfig())
+        return run_smux_failure()
 
     def test_hmux_vip_untouched(self, result):
         assert result["vip-on-hmux"].availability() == 1.0

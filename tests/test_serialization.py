@@ -14,6 +14,7 @@ from repro.workload.serialization import (
     save_population,
     save_trace,
 )
+from repro.workload import trace
 from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.vips import generate_population
 
@@ -121,9 +122,10 @@ class TestPopulationRoundtrip:
 
 
 class TestTraceRoundtrip:
-    def test_full_roundtrip(self, population, tmp_path):
+    def test_full_roundtrip(self, population, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace, "CHURN_FRACTION", 0.1)
         epochs = TraceGenerator(
-            population, TraceConfig(n_epochs=5, churn_fraction=0.1), seed=2,
+            population, TraceConfig(n_epochs=5), seed=2,
         ).epochs()
         path = save_trace(epochs, tmp_path / "trace.json")
         restored = load_trace(path, population)

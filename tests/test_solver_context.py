@@ -36,6 +36,7 @@ from repro.durability.recovery import snapshot_state
 from repro.net.routing import EcmpRouter
 from repro.net.topology import FatTreeParams, SwitchKind, Topology
 from repro.workload.distributions import DipCountModel
+from repro.workload import trace
 from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.vips import generate_population
 
@@ -88,10 +89,11 @@ def run_trace(seed: int, warm: bool) -> Tuple[List[MigrationPlan], dict]:
     recover it before epoch 4, cut an Agg-Core cable before epoch 5 and
     repair it before epoch 7."""
     controller = build_controller(seed)
-    epochs = TraceGenerator(
-        controller.population,
-        TraceConfig(n_epochs=N_EPOCHS, churn_fraction=0.1), seed=seed,
-    ).epochs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "CHURN_FRACTION", 0.1)
+        epochs = TraceGenerator(
+            controller.population, TraceConfig(n_epochs=N_EPOCHS), seed=seed,
+        ).epochs()
     vips_by_id = {vip.vip_id: vip for vip in controller.population}
     controller.run_initial_assignment()
     victim = most_loaded_switch(controller)

@@ -18,8 +18,10 @@ reach fails here — delete it, wire it to something that runs, or name it
 in ``KEEP`` with the reason it stays.
 
 Knobs: every field of a ``*Config`` / ``*Policy`` dataclass must be set
-by some non-test file (see :func:`set_fields`), or named in
-``KNOB_KEEP`` with the reason it stays.
+by some non-test file (see :func:`set_fields`).  There is no exemption
+list: a value no caller sets is a constant next to the code that reads
+it, and a test that needs another value monkeypatches the constant or
+subclasses the class that holds it.
 """
 
 import ast
@@ -63,64 +65,6 @@ KEEP = {
     "is_reachable": "test oracle: the per-pair reachability that "
                     "isolated_switches' one multi-source BFS must equal "
                     "(TestIsolationDifferential)",
-}
-
-#: ``*Config`` / ``*Policy`` fields no non-test file sets, kept on
-#: purpose: class -> (space-separated fields, reason).
-KNOB_KEEP = {
-    "AssignmentConfig": (
-        "host_table_budget dip_capacity",
-        "the switch-memory limits default to the table spec; tests shrink "
-        "them to make memory scarce, and every journal meta carries them",
-    ),
-    "HealthConfig": (
-        "probe_period_s vip_probes_per_round ewma_alpha suspect_threshold "
-        "clear_threshold consecutive_miss_fast confirm_rounds "
-        "confirm_threshold quarantine_min_rounds probation_entry_streak "
-        "probation_rounds relapse_backoff relapse_backoff_cap "
-        "gray_loss_threshold gray_min_probes gray_min_losses "
-        "gray_window_rounds gray_escalate_vips gray_cooldown_rounds "
-        "detection_budget_rounds recovery_budget_rounds",
-        "constructed by benchmarks/e2e/epoch_steady.py; operators tune it "
-        "(OPERATIONS.md, Tuning the detector)",
-    ),
-    "TraceConfig": (
-        "epoch_seconds volatility flash_probability flash_multiplier "
-        "flash_decay churn_fraction total_band max_drift share_cap",
-        "the trace synthesizer's model parameters, named for the paper's "
-        "production trace (S8.3)",
-    ),
-    "ProvisioningConfig": (
-        "n_switch_failures n_random_failure_samples min_smuxes",
-        "the paper's SMux provisioning scenarios (S8.2)",
-    ),
-    "DeploymentLatencyConfig": (
-        "packet_bytes smux_capacity_pps smux_buffer_packets",
-        "the paper's SMux queueing parameters (S8.5)",
-    ),
-    "Fig01Config": (
-        "loads_pps capacity_pps n_samples",
-        "the paper's Figure 1 parameters",
-    ),
-    "Fig14Config": ("n_trials timings", "the paper's Figure 14 parameters"),
-    "HMuxCapacityConfig": (
-        "n_smuxes low_rate_pps high_rate_pps packet_bytes hmux_link_gbps "
-        "probe_interval_s",
-        "the paper's Figure 11 testbed parameters",
-    ),
-    "FailoverConfig": (
-        "fail_at_s duration_s background_pps probe_interval_s timings",
-        "the paper's Figure 12 testbed parameters",
-    ),
-    "MigrationConfig": (
-        "t1_s duration_s background_pps probe_interval_s timings",
-        "the paper's Figure 13 testbed parameters",
-    ),
-    "SmuxFailureConfig": (
-        "n_smuxes fail_at_s duration_s background_pps probe_interval_s "
-        "timings",
-        "the paper's SMux-failure testbed parameters",
-    ),
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -303,15 +247,6 @@ def test_every_config_field_is_set_outside_tests():
     set_by = set_fields(classes)
     unset = sorted(
         f"{name}.{field}" for name, fields in classes.items()
-        for field in fields
-        if field not in set_by[name]
-        and field not in KNOB_KEEP.get(name, ("", ""))[0].split()
+        for field in fields if field not in set_by[name]
     )
     assert not unset, f"knobs only tests set: {unset}"
-    stale = sorted(
-        f"{name}.{field}" for name, (fields, _) in KNOB_KEEP.items()
-        for field in fields.split()
-        if name not in classes or field not in classes[name]
-        or field in set_by[name]
-    )
-    assert not stale, f"KNOB_KEEP names a field that is gone or set: {stale}"

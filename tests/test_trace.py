@@ -2,16 +2,14 @@
 
 import pytest
 
+from repro.workload import trace
 from repro.workload.trace import TraceConfig, TraceGenerator, _cap_shares
 
 
 @pytest.fixture()
-def generator(tiny_population):
-    return TraceGenerator(
-        tiny_population,
-        TraceConfig(n_epochs=6, churn_fraction=0.1),
-        seed=1,
-    )
+def generator(tiny_population, monkeypatch):
+    monkeypatch.setattr(trace, "CHURN_FRACTION", 0.1)
+    return TraceGenerator(tiny_population, TraceConfig(n_epochs=6), seed=1)
 
 
 class TestEpochStructure:
@@ -76,22 +74,20 @@ class TestChurn:
                 assert vid in present
         assert removed_ever  # 10% churn on 20 VIPs fires
 
-    def test_no_churn_when_fraction_zero(self, tiny_population):
-        gen = TraceGenerator(
-            tiny_population, TraceConfig(n_epochs=4, churn_fraction=0.0)
-        )
+    def test_no_churn_when_fraction_zero(self, tiny_population, monkeypatch):
+        monkeypatch.setattr(trace, "CHURN_FRACTION", 0.0)
+        gen = TraceGenerator(tiny_population, TraceConfig(n_epochs=4))
         for epoch in gen.epochs():
             assert epoch.removed_vip_ids == ()
             assert epoch.added_vip_ids == ()
 
 
 class TestShareCap:
-    def test_no_vip_exceeds_cap(self, tiny_population):
-        config = TraceConfig(
-            n_epochs=8, flash_probability=0.3, flash_multiplier=50.0,
-            share_cap=0.25,
-        )
-        gen = TraceGenerator(tiny_population, config, seed=2)
+    def test_no_vip_exceeds_cap(self, tiny_population, monkeypatch):
+        monkeypatch.setattr(trace, "FLASH_PROBABILITY", 0.3)
+        monkeypatch.setattr(trace, "FLASH_MULTIPLIER", 50.0)
+        monkeypatch.setattr(trace, "SHARE_CAP", 0.25)
+        gen = TraceGenerator(tiny_population, TraceConfig(n_epochs=8), seed=2)
         for epoch in gen.epochs():
             total = epoch.total_traffic_bps
             for demand in epoch.demands:
@@ -111,11 +107,3 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TraceConfig(n_epochs=0)
-        with pytest.raises(ValueError):
-            TraceConfig(volatility=-1)
-        with pytest.raises(ValueError):
-            TraceConfig(total_band=(1.0, 0.5))
-        with pytest.raises(ValueError):
-            TraceConfig(churn_fraction=1.0)
-        with pytest.raises(ValueError):
-            TraceConfig(share_cap=0.0)
