@@ -467,6 +467,19 @@ class GreedyAssigner:
             current = old_map.get(demand.vip_id)
             if current in failed:
                 current = None
+            if current is not None:
+                # Every fresh placement's MRU is >= the global max, so a
+                # feasible stay within delta of it can never lose to one.
+                global_max = self._global_max(link_util, mem_util)
+                keep_mru = self.placement_mru(
+                    demand, current, link_util, mem_util,
+                    global_max=global_max,
+                )
+                if keep_mru is not None and keep_mru <= 1.0 and (
+                    keep_mru - global_max <= delta
+                ):
+                    self.stats.sticky_keeps += 1
+                    return current, False
             choice, keep_mru = self.score(
                 demand, link_util, mem_util, current
             )
@@ -564,15 +577,9 @@ class GreedyAssigner:
         mem_util: np.ndarray,
         *,
         global_max: Optional[float] = None,
-        link_subset: Optional[np.ndarray] = None,
     ) -> Optional[float]:
-        """MRU after placing ``demand`` on ``switch_index`` (Equation 2).
-
-        With ``link_subset`` (a boolean mask over links), the max is
-        restricted to those links plus the switch memory — the
-        container-local MRU of Figure 5.  Returns None when the placement
-        is infeasible (memory overflow or unreachable legs).
-        """
+        """MRU after placing ``demand`` on ``switch_index`` (Equation 2);
+        None when it is infeasible (memory overflow or unreachable legs)."""
         mem_add = demand.n_dips / self.dip_capacity
         new_mem = mem_util[switch_index] + mem_add
         if new_mem > 1.0 + 1e-12:
@@ -581,29 +588,14 @@ class GreedyAssigner:
             idx, util = self.calculator.load_vector(demand, switch_index)
         except UnreachableError:
             return None
-        if link_subset is not None:
-            keep = link_subset[idx]
-            idx, util = idx[keep], util[keep]
-        if len(idx):
-            touched = link_util[idx] + util
-            # Duplicate indices: the true post-placement utilization on a
-            # link is U + sum of its contributions; aggregate first.
-            if len(np.unique(idx)) != len(idx):
-                agg: Dict[int, float] = {}
-                for i, u in zip(idx.tolist(), util.tolist()):
-                    agg[i] = agg.get(i, 0.0) + u
-                link_peak = max(
-                    link_util[i] + u for i, u in agg.items()
-                )
-            else:
-                link_peak = float(touched.max())
-        else:
-            link_peak = 0.0
-        base = (
-            global_max if global_max is not None
-            else self._global_max(link_util, mem_util)
-        )
-        return max(base, link_peak, new_mem)
+        # Indices repeat: a link ends at U + (0.0 + u1 + u2 ...), summed
+        # in order like the fast engine's dense cells.
+        summed = np.zeros(len(link_util))
+        np.add.at(summed, idx, util)
+        link_peak = float((link_util[idx] + summed[idx]).max(initial=0.0))
+        if global_max is None:
+            global_max = self._global_max(link_util, mem_util)
+        return max(global_max, link_peak, new_mem)
 
     # -- internals -------------------------------------------------------------
 

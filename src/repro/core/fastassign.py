@@ -21,8 +21,7 @@ re-assignment runs at the ROADMAP scale.  This module batches that work:
   it into a dense scratch matrix, and one row-max against the current
   link-utilization vector yields every switch's post-placement link
   peak.  Greedy placement becomes an argmin over that MRU vector instead
-  of |S| topology walks, and the sticky rule reads the current switch's
-  MRU off the same vector.
+  of |S| topology walks.
 * **Invalidation.**  Delta rows are *placement-invariant*: committing a
   VIP only changes the shared utilization vectors (which are inputs to
   the evaluation, not part of the cache), so placements invalidate
@@ -89,6 +88,7 @@ class AssignStats:
     rows_invalidated: int = 0
     fallbacks: int = 0
     structure_hits: int = 0
+    sticky_keeps: int = 0  # VIPs the sticky rule kept without a search
     leg_hits: int = 0
     leg_misses: int = 0
     _pending_solve_seconds: List[float] = field(default_factory=list)

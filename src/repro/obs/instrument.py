@@ -502,6 +502,9 @@ def register_assignment_metrics(
     fallbacks = registry.counter(
         f"{p}_assign_engine_fallbacks_total",
         "Solves that fell back to the scalar engine", ("engine",))
+    sticky_keeps = registry.counter(
+        f"{p}_assign_sticky_keeps_total",
+        "VIPs the sticky rule kept without a search", ("engine",))
     cache_hits = registry.counter(
         f"{p}_assign_cache_hits_total",
         "Solver cache lookups served from a kept entry",
@@ -518,6 +521,7 @@ def register_assignment_metrics(
             rows_built.labels(name).set_total(stats.rows_built)
             rows_invalidated.labels(name).set_total(stats.rows_invalidated)
             fallbacks.labels(name).set_total(stats.fallbacks)
+            sticky_keeps.labels(name).set_total(stats.sticky_keeps)
             cache_hits.labels(name, "leg").set_total(stats.leg_hits)
             cache_misses.labels(name, "leg").set_total(stats.leg_misses)
             cache_hits.labels(name, "structure").set_total(

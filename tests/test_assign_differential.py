@@ -20,7 +20,9 @@ additionally replays five epochs of drifting traffic through a
 ``StickyMigrator`` on both backends and requires identical migration
 plans (steps, moved VIPs, shuffled traffic) at every epoch.  A second
 pass over all scenarios holds the sticky rule's keep-MRU, read off the
-fast backend's scoring vector, equal to ``placement_mru``.
+fast backend's scoring vector, equal to ``placement_mru``, and a third
+holds the sticky rule's early keep to the decisions of a policy that
+prices every candidate for every VIP.
 """
 
 from __future__ import annotations
@@ -204,6 +206,91 @@ def test_keep_mru_from_the_scoring_pass_is_placement_mru(seed: int) -> None:
     assert compared >= len(old_map)
     # Vacuous only where nothing could be placed to begin with.
     assert feasible > 0 or not old_map
+
+
+#: Sticky thresholds the early keep is checked under: none, the paper's,
+#: and one wide enough that a stay past full capacity would fit in it.
+STICKY_DELTAS = (0.0, 0.05, 0.5)
+
+
+def drifted(seed: int, demands: List[VipDemand]) -> List[VipDemand]:
+    """The epoch after ``demands``: each VIP's traffic scaled on its own."""
+    drift = random.Random(seed ^ 0x57C1)
+    return [d.scaled(drift.uniform(0.5, 1.8)) for d in demands]
+
+
+def full_search(assigner: GreedyAssigner, old_map, delta: float):
+    """The sticky rule as it reads in S4.2, with no shortcut: score
+    every candidate for every VIP, then keep the current switch unless
+    the best fresh placement beats it by more than ``delta``."""
+    failed = assigner.calculator.router.failed_switches
+
+    def policy(demand, link_util, mem_util):
+        current = old_map.get(demand.vip_id)
+        if current in failed:
+            current = None
+        choice, keep_mru = assigner.score(
+            demand, link_util, mem_util, current,
+        )
+        if keep_mru is not None and keep_mru <= 1.0 and (
+            choice is None or keep_mru - choice[1] <= delta
+        ):
+            return current, False
+        if choice is None:
+            return None, True
+        return choice[0], False
+
+    return policy
+
+
+@pytest.mark.parametrize("walk", (False, True), ids=("fast", "scalar"))
+@pytest.mark.parametrize("seed", range(N_SCENARIOS))
+def test_sticky_keep_decides_as_the_full_search(seed: int, walk: bool) -> None:
+    """``keep_or_move`` keeps a VIP without a search when staying is
+    within delta of the global max; at every state an epoch passes
+    through, on both engines and every delta, its answer is the one the
+    full search gives."""
+    topology, router, demands, config = build_scenario(seed)
+    with reference_walk() if walk else contextlib.nullcontext():
+        assigner = GreedyAssigner(topology, config, router=router)
+    assert assigner.engine_name == ("scalar" if walk else "fast")
+    old_map = assigner.assign(demands).vip_to_switch
+    epoch = drifted(seed, demands)
+    for delta in STICKY_DELTAS:
+        sticky = assigner.keep_or_move(old_map, delta)
+        reference = full_search(assigner, old_map, delta)
+        decided = 0
+
+        def checking(demand, link_util, mem_util):
+            nonlocal decided
+            answer = sticky(demand, link_util, mem_util)
+            assert answer == reference(demand, link_util, mem_util)
+            decided += 1
+            return answer
+
+        assigner.place(epoch, checking)
+        assert decided > 0 or not demands
+
+
+def test_sticky_scenarios_both_keep_early_and_move() -> None:
+    """The differential above is vacuous unless its epochs both take the
+    early keep and move VIPs the search found better homes for."""
+    keeps = moves = 0
+    for seed in range(0, N_SCENARIOS, 10):
+        topology, router, demands, config = build_scenario(seed)
+        assigner = GreedyAssigner(topology, config, router=router)
+        old_map = assigner.assign(demands).vip_to_switch
+        before = assigner.stats.sticky_keeps
+        placed = assigner.place(
+            drifted(seed, demands), assigner.keep_or_move(old_map, 0.05),
+        ).vip_to_switch
+        keeps += assigner.stats.sticky_keeps - before
+        moves += sum(
+            1 for vip, switch in placed.items()
+            if vip in old_map and old_map[vip] != switch
+        )
+    assert keeps > 0
+    assert moves > 0
 
 
 @pytest.mark.parametrize("seed", range(0, N_SCENARIOS, 10))

@@ -305,10 +305,15 @@ def test_warm_epochs_hit_the_caches_and_the_registry_says_so() -> None:
     before = (
         stats.structure_hits, stats.rows_built,
         stats.leg_hits, stats.leg_misses, stats.rows_invalidated,
+        stats.sticky_keeps,
     )
     controller.rebalance()
     controller.rebalance()
-    assert stats.structure_hits - before[0] == 2 * n_vips
+    # Each VIP of each epoch is either kept by the sticky bound, which
+    # looks nothing up, or searched, which looks its structure up once.
+    assert (stats.structure_hits - before[0]) + (
+        stats.sticky_keeps - before[5]
+    ) == 2 * n_vips
     assert (stats.rows_built, stats.leg_misses, stats.rows_invalidated) == (
         before[1], before[3], before[4],
     )
@@ -327,3 +332,5 @@ def test_warm_epochs_hit_the_caches_and_the_registry_says_so() -> None:
     assert hits.value("fast", "leg") == stats.leg_hits
     assert misses.value("fast", "structure") == stats.rows_built
     assert misses.value("fast", "leg") == stats.leg_misses
+    keeps = registry.get("duet_assign_sticky_keeps_total")
+    assert keeps.value("fast") == stats.sticky_keeps

@@ -206,13 +206,22 @@ def knob_classes():
     return classes
 
 
+def _called_name(call, owner):
+    """The class a call constructs, by name: ``X(...)`` or ``m.X(...)``
+    is ``X``, and ``cls(...)`` is the class it is written in."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    return owner.get(id(call)) if name == "cls" else name
+
+
 def set_fields(classes):
     """The fields of ``classes`` some non-test file sets: by keyword or
     position in a call to the class (``cls(...)`` inside it counts), or
-    by a ``replace(...)`` keyword.  ``self.x = ...`` does not count, and
-    neither does ``**kwargs``."""
+    by a keyword of a ``replace(X(...), ...)``, which copies ``X``.  A
+    ``replace`` of anything else credits no class: the AST cannot tell
+    what it copies.  ``self.x = ...`` does not count, and neither does
+    ``**kwargs``."""
     set_by = {name: set() for name in classes}
-    replaced = set()
     for path in list(MODULES.values()) + ENTRY_FILES:
         tree = ast.parse(path.read_text())
         owner = {
@@ -223,14 +232,15 @@ def set_fields(classes):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            name = _called_name(node, owner)
             keywords = {k.arg for k in node.keywords if k.arg}
             if name == "replace":
-                replaced |= keywords
+                copied = node.args[0] if node.args else None
+                if isinstance(copied, ast.Call):
+                    name = _called_name(copied, owner)
+                if name in classes:
+                    set_by[name] |= keywords
                 continue
-            if name == "cls":
-                name = owner.get(id(node))
             if name not in classes:
                 continue
             positional = []
@@ -239,7 +249,7 @@ def set_fields(classes):
                     break
                 positional.append(arg)
             set_by[name] |= keywords | set(classes[name][:len(positional)])
-    return {name: fields | replaced for name, fields in set_by.items()}
+    return set_by
 
 
 def test_every_config_field_is_set_outside_tests():
