@@ -238,6 +238,11 @@ class DuetController:
             for agent in self.switch_agents.values():
                 agent.channel = self.channel
         self._dip_to_server: Dict[int, int] = {}
+        #: (server, VIP) -> the metered bytes ``measured_demands`` last
+        #: read; None until a restored controller takes its baseline.
+        self._metered: Optional[Dict[Tuple[int, int], int]] = (
+            {} if dataplane is None else None
+        )
         if intent is None:
             self.intent = ControllerIntent(topology, config, range(n_smuxes))
             self.smuxes: List[SMux] = [
@@ -820,9 +825,29 @@ class DuetController:
     def resolve_batch(self, batch: FlowBatch) -> List[Optional[MuxRef]]:
         """The mux the fabric's LPM + ECMP delivers each row to (None on
         a blackhole): the one place the route hash meets ``hash_seed``."""
-        route_hash = batch.hashes(self.hash_seed ^ ROUTE_HASH_SALT).tolist()
-        hops = map(self.route_table.next_hops, batch.dst_ip.tolist())
-        return [h[flow % len(h)] if h else None for h, flow in zip(hops, route_hash)]
+        return self._route(batch)[0]
+
+    def _route(self, batch: FlowBatch) -> Tuple[List[Optional[MuxRef]], np.ndarray]:
+        """:meth:`resolve_batch`, with each row's device number
+        (:data:`SMUX_DEVICE` | id for an SMux, :data:`NO_DEVICE` for none);
+        the LPM runs once per distinct VIP."""
+        route_hash = batch.hashes(self.hash_seed ^ ROUTE_HASH_SALT)
+        vips, inverse = np.unique(batch.dst_ip, return_inverse=True)
+        hop_sets = [self.route_table.next_hops(vip) for vip in vips.tolist()]
+        n_hops = np.fromiter(map(len, hop_sets), np.uint64, len(hop_sets))
+        base = np.cumsum(n_hops) - n_hops
+        # Every VIP's hops end to end, then None for the unrouted rows.
+        flat: List[Optional[MuxRef]] = [mux for hops in hop_sets for mux in hops]
+        flat.append(None)
+        width = n_hops[inverse]
+        pick = np.where(
+            width > 0, base[inverse] + route_hash % np.maximum(width, 1), len(flat) - 1,
+        ).astype(np.int64)
+        device = np.fromiter((
+            NO_DEVICE if mux is None else mux.ident if mux.kind is MuxKind.HMUX
+            else SMUX_DEVICE | mux.ident for mux in flat
+        ), np.uint64, len(flat))
+        return list(map(flat.__getitem__, pick.tolist())), device[pick]
 
     def forward_batch(self, batch: FlowBatch) -> ForwardResult:
         """Emulate the fabric for client (bare) packets: LPM + ECMP picks a
@@ -830,13 +855,15 @@ class DuetController:
         (:class:`FleetLayouts`) and the SMuxes' connection tables pick the
         target, its host agent delivers.  Effects (counters, pins, meters,
         tap) and results are the rows' one by one, in order; ``pin`` is
-        read before them all."""
+        read before them all.
+
+        Untapped, the mux counters of every row a mux counts are summed per
+        (mux, VIP) and the common row — a healthy DIP target on a physical
+        cluster, its host holding no SNAT lease — is delivered and metered
+        per (server, VIP) the same way; sums land in first-seen row order.
+        Every other row goes through :meth:`HostAgent.deliver` by itself."""
         n = len(batch)
-        muxes = self.resolve_batch(batch)
-        device = np.array([
-            NO_DEVICE if mux is None else mux.ident if mux.kind is MuxKind.HMUX
-            else SMUX_DEVICE | mux.ident for mux in muxes
-        ], np.uint64)
+        muxes, device = self._route(batch)
         held = {i: agent.hmux for i, agent in self.switch_agents.items()}
         held.update((SMUX_DEVICE | s.smux_id, s) for s in self.smuxes)
         fleet = self._fleet.refresh(held)
@@ -860,12 +887,34 @@ class DuetController:
         result = ForwardResult(
             muxes, np.full(n, -1, np.int64), np.zeros(n, np.uint8), pin,
         )
+        tapped = self._tap is not None
+        if tapped:
+            fast = np.zeros(n, bool)
+        else:
+            # The fleet index holds only the held muxes: a row with a
+            # target was routed to one of them, which counts it.
+            counted = target >= 0
+            for key, packets, size in _first_seen_sums(
+                device[counted] << np.uint64(32) | batch.dst_ip[counted],
+                batch.size_bytes[counted],
+            ):
+                counters = held[key >> 32].counters
+                counters.packets += packets
+                counters.bytes += size
+                vip = key & 0xFFFFFFFF
+                counters.per_vip_packets[vip] = (
+                    counters.per_vip_packets.get(vip, 0) + packets
+                )
+            fast = self._deliver_common(batch, target, counted, result)
+        slow = (~fast).nonzero()[0]
         rows = zip(
-            muxes, device.tolist(), target.tolist(), flow_hash.tolist(),
-            *fields[:4].tolist(), batch.size_bytes.tolist(),
+            slow.tolist(), device[slow].tolist(), target[slow].tolist(),
+            flow_hash[slow].tolist(), *fields[:4, slow].tolist(),
+            batch.size_bytes[slow].tolist(),
         )
-        for i, (mux, dev, tgt, h, src, vip, sport, dport, size) in enumerate(rows):
-            record = None if self._tap is None else self._tap.begin(batch.flow_at(i))
+        for i, dev, tgt, h, src, vip, sport, dport, size in rows:
+            mux = muxes[i]
+            record = self._tap.begin(batch.flow_at(i)) if tapped else None
             try:
                 if mux is None:
                     raise RouteResolutionError(f"no route for VIP {format_ip(vip)}")
@@ -887,7 +936,8 @@ class DuetController:
                     raise ControllerError(
                         f"SMux {mux.ident} dropped packet for {format_ip(vip)}"
                     )
-                counters.count(vip, size)
+                if tapped:
+                    counters.count(vip, size)
                 if record is not None:
                     PacketTap.hop(
                         record, f"{mux.kind.value}.encap", mux=str(mux),
@@ -913,6 +963,40 @@ class DuetController:
                 result.errors[i] = error
                 result.status[i] = _STATUS_OF[type(error)]
         return result
+
+    def _deliver_common(
+        self, batch: FlowBatch, target: np.ndarray, counted: np.ndarray,
+        result: ForwardResult,
+    ) -> np.ndarray:
+        """Deliver the common rows among the ``counted`` ones — a healthy
+        DIP target registered on its host, on a physical cluster, the host
+        holding no SNAT lease — metered per (server, VIP).  Returns their
+        mask."""
+        fast = np.zeros(len(batch), bool)
+        if self.virtualized:
+            return fast
+        rows = counted.nonzero()[0]
+        targets, inverse = np.unique(target[rows], return_inverse=True)
+        agents = self.host_agents
+        servers = []
+        for tgt in targets.tolist():
+            server = self._dip_to_server.get(tgt)
+            agent = agents.get(server)
+            servers.append(
+                server if agent is not None and not agent.snat_leases()
+                and tgt in agent.registered_dips()
+                and tgt not in agent.failed_dips() else -1
+            )
+        server = np.array(servers, np.int64)[inverse]
+        rows, server = rows[server >= 0], server[server >= 0]
+        fast[rows] = True
+        result.dip[rows] = target[rows]
+        for key, packets, size in _first_seen_sums(
+            server << 32 | batch.dst_ip[rows].astype(np.int64),
+            batch.size_bytes[rows] + IPV4_HEADER_BYTES,
+        ):
+            agents[key >> 32].meter(key & 0xFFFFFFFF, packets, size)
+        return fast
 
     def forward(self, packet: Packet) -> Tuple[Packet, MuxRef]:
         """One client packet through :meth:`forward_batch`: returns (the
@@ -1016,13 +1100,32 @@ class DuetController:
         return totals
 
     def measured_demands(self, window_s: float) -> List:
-        """Turn metered bytes into fresh :class:`VipDemand`\\ s for the
-        next assignment epoch.  VIPs with no observed traffic keep their
-        configured volume (monitoring gaps must not zero out a service).
+        """Turn the bytes metered in the last window into fresh
+        :class:`VipDemand`\\ s for the next assignment epoch.  The window
+        is the time since the previous call (one traffic epoch),
+        ``window_s`` its length.  Host meters count from their start, so
+        the controller keeps the last total it read per (server, VIP) and
+        meters the difference.  A fresh deployment's meters start with
+        it, so its first window begins at zero; a journal-restored
+        controller adopts meters that ran before it, so its first call
+        only takes the baseline and measures nothing.  VIPs with no
+        traffic in the window keep their configured volume (monitoring
+        gaps must not zero out a service).
         """
         if window_s <= 0:
             raise ControllerError("metering window must be positive")
-        observed = self.collect_traffic_reports()
+        last = self._metered
+        self._metered = {
+            (server, vip_addr): size
+            for server, agent in self.host_agents.items()
+            for vip_addr, (_packets, size) in agent.traffic_report().items()
+        }
+        observed: Dict[int, int] = {}
+        if last is not None:
+            for key, total in self._metered.items():
+                size = total - last.get(key, 0)
+                if size:
+                    observed[key[1]] = observed.get(key[1], 0) + size
         demands = []
         for vip in self.population:
             base = vip.demand()
@@ -1164,6 +1267,27 @@ class DuetController:
                 f"{format_ip(record.addr)}"
             )
         return dip
+
+
+def _first_seen_sums(
+    keys: np.ndarray, values: np.ndarray,
+) -> Iterator[Tuple[int, int, int]]:
+    """(key, rows holding it, sum of their ``values``) per distinct key,
+    in the order keys first appear."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = new.nonzero()[0]
+    # A stable sort keeps each key's rows in row order: ``starts`` hold
+    # the first rows, and sorting by them gives first-seen order.
+    seen = np.argsort(order[starts])
+    bounds = np.append(starts, len(keys))
+    sums = np.add.reduceat(values[order], starts) if len(keys) else starts
+    return zip(
+        ordered[starts][seen].tolist(), (bounds[1:] - bounds[:-1])[seen].tolist(),
+        sums[seen].tolist(),
+    )
 
 
 def _servers(dips: List[Dip]) -> List[int]:

@@ -53,10 +53,6 @@ class VipMeter:
     packets: int = 0
     bytes: int = 0
 
-    def count(self, size_bytes: int) -> None:
-        self.packets += 1
-        self.bytes += size_bytes
-
 
 @dataclass(frozen=True)
 class SnatConfig:
@@ -195,8 +191,14 @@ class HostAgent:
                 )
             # "At the host, the HA selects the DIP by hashing the 5-tuple"
             dip = local[flow_hash % len(local)]
-        self._meter(vip, wire_bytes)
+        self.meter(vip, 1, wire_bytes)
         return dip
+
+    def snat_leases(self) -> Dict[Tuple[int, int, int, int], SnatLease]:
+        """Open SNAT leases by return flow ``(remote IP, remote port, VIP,
+        VIP port)`` (a read-only view): a packet on one is delivered to
+        the lease's DIP, whatever the mux aimed at."""
+        return self._snat_leases
 
     # -- outbound path (DSR) -----------------------------------------------------------
 
@@ -296,12 +298,14 @@ class HostAgent:
 
     # -- metering --------------------------------------------------------------------
 
-    def _meter(self, vip: int, size_bytes: int) -> None:
+    def meter(self, vip: int, packets: int, wire_bytes: int) -> None:
+        """Count ``packets`` delivered for ``vip``, ``wire_bytes`` in all."""
         meter = self.meters.get(vip)
         if meter is None:
             meter = VipMeter()
             self.meters[vip] = meter
-        meter.count(size_bytes)
+        meter.packets += packets
+        meter.bytes += wire_bytes
 
     def traffic_report(self) -> Dict[int, Tuple[int, int]]:
         """VIP -> (packets, bytes) since start; consumed by the

@@ -6,7 +6,7 @@ before the controller withdraws routes and falls back to SMuxes.  This
 package closes that loop without oracle knowledge: a
 :class:`ProbeScheduler` drives pingmesh-style heartbeats against
 HMuxes, SMuxes and DIPs on a simulated clock, a :class:`HealthDetector`
-turns probe outcomes into suspicion scores (EWMA loss + consecutive-miss
+turns probe columns into suspicion scores (EWMA loss + consecutive-miss
 fast path) with gray-failure detection corroborated against the metrics
 registry, a quarantine state machine
 (``healthy -> suspect -> quarantined -> probation -> healthy``) adds
@@ -29,7 +29,7 @@ from repro.health.detector import (
     VerdictKind,
 )
 from repro.health.faults import FaultPlane, FaultRecord
-from repro.health.probes import ProbeNetwork, ProbeOutcome, ProbeScheduler, SimClock
+from repro.health.probes import ProbeNetwork, ProbeRound, ProbeScheduler, SimClock
 from repro.health.remediation import HealthMonitor, RemediationLoop
 from repro.health.invariants import HealthScorecard
 
@@ -42,7 +42,7 @@ __all__ = [
     "HealthScorecard",
     "HealthState",
     "ProbeNetwork",
-    "ProbeOutcome",
+    "ProbeRound",
     "ProbeScheduler",
     "RemediationLoop",
     "SimClock",

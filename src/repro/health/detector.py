@@ -40,11 +40,15 @@ verdict:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
-from repro.health.faults import gray_key, switch_key
-from repro.net.addressing import format_ip
+import numpy as np
+
+from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED
+from repro.health.faults import dip_key, gray_key, smux_key, switch_key
+from repro.health.probes import HMUX
 
 
 class HealthState(enum.Enum):
@@ -129,22 +133,8 @@ class HealthConfig:
         return self.recovery_budget_rounds * self.probe_period_s
 
 
-@dataclass
-class TargetTrack:
-    """Mutable detector state for one probe target."""
-
-    key: str
-    kind: str  # "switch" | "smux" | "dip"
-    ident: int
-    state: HealthState = HealthState.HEALTHY
-    ewma: float = 0.0
-    consec_fail: int = 0
-    consec_ok: int = 0
-    rounds_in_state: int = 0
-    entered_state_t: float = 0.0
-    #: Effective quarantine dwell; doubles on relapse (capped).
-    dwell_rounds: int = 0
-    vip: Optional[int] = None  # for DIP tracks
+class _Track:
+    """What every track does with a probe and a state change."""
 
     def note(self, ok: bool, alpha: float) -> None:
         loss = 0.0 if ok else 1.0
@@ -163,36 +153,143 @@ class TargetTrack:
 
 
 @dataclass
+class TargetTrack(_Track):
+    """Mutable detector state for one switch or SMux."""
+
+    key: str
+    kind: str  # "switch" | "smux"
+    ident: int
+    state: HealthState = HealthState.HEALTHY
+    ewma: float = 0.0
+    consec_fail: int = 0
+    consec_ok: int = 0
+    rounds_in_state: int = 0
+    entered_state_t: float = 0.0
+    #: Effective quarantine dwell; doubles on relapse (capped).
+    dwell_rounds: int = 0
+
+
+_STATES = tuple(HealthState)
+_CODE = {state: code for code, state in enumerate(_STATES)}
+_HEALTHY, _SUSPECT, _RETIRED = (
+    _CODE[HealthState.HEALTHY], _CODE[HealthState.SUSPECT],
+    _CODE[HealthState.RETIRED],
+)
+
+
+class _DipTable:
+    """Every DIP track's per-probe fields as columns, one slot per DIP
+    (slots are never reused: a reaped DIP's track stays, retired)."""
+
+    _COLUMNS = (
+        ("ewma", np.float64), ("consec_fail", np.int64),
+        ("consec_ok", np.int64), ("rounds_in_state", np.int64),
+        ("state", np.int8), ("vip", np.int64),
+    )
+
+    def __init__(self) -> None:
+        self.slot: Dict[int, int] = {}
+        self.tracks: List["DipTrack"] = []
+        for name, dtype in self._COLUMNS:
+            setattr(self, name, np.zeros(16, dtype))
+
+    def add(self, dip: int, track: "DipTrack") -> int:
+        slot = len(self.tracks)
+        if slot == self.ewma.size:
+            for name, _ in self._COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate([column, np.zeros_like(column)]))
+        self.slot[dip] = slot
+        self.tracks.append(track)
+        return slot
+
+
+def _column(name: str):
+    def get(track):
+        return getattr(track.table, name)[track.slot].item()
+
+    def put(track, value) -> None:
+        getattr(track.table, name)[track.slot] = value
+
+    return property(get, put)
+
+
+class DipTrack(_Track):
+    """One DIP's track: a row of the detector's :class:`_DipTable`, read
+    and written through the attributes of :class:`TargetTrack`."""
+
+    kind = "dip"
+    ewma = _column("ewma")
+    consec_fail = _column("consec_fail")
+    consec_ok = _column("consec_ok")
+    rounds_in_state = _column("rounds_in_state")
+    vip = _column("vip")
+
+    def __init__(
+        self, table: _DipTable, key: str, ident: int, t: float, dwell_rounds: int,
+    ) -> None:
+        self.table = table
+        self.slot = table.add(ident, self)
+        table.state[self.slot] = _HEALTHY
+        self.key = key
+        self.ident = ident
+        self.entered_state_t = t
+        self.dwell_rounds = dwell_rounds
+
+    @property
+    def state(self) -> HealthState:
+        return _STATES[self.table.state[self.slot]]
+
+    @state.setter
+    def state(self, state: HealthState) -> None:
+        self.table.state[self.slot] = _CODE[state]
+
+
 class GrayTrack:
     """Per-(switch, VIP) end-to-end loss evidence.
 
     All evidence is held in a *rolling window* of recent probed rounds
     (``gray_window_rounds``), not cumulative counters: a long clean
     history must not dilute fresh loss, or the corroboration fraction
-    stays above the gate for longer than the detection budget.
+    stays above the gate for longer than the detection budget.  The
+    window's sums are kept running as entries enter and leave it.
     """
 
-    ewma: float = 0.0
-    #: One entry per probed round: [offered, mux-level losses, packets
-    #: ``duet_hmux_vip_packets_total`` counted during the round].  The
-    #: counted column uses in-round registry deltas only, so concurrent
-    #: workload traffic cannot pollute the comparison.
-    window: List[List[float]] = field(default_factory=list)
-    #: Round index of the last probe; a long gap (VIP served elsewhere,
-    #: switch quarantined) makes the old evidence stale.
-    last_round: int = 0
+    __slots__ = ("ewma", "window", "last_round", "offered", "losses", "counted")
 
-    @property
-    def offered(self) -> int:
-        return int(sum(entry[0] for entry in self.window))
+    def __init__(self) -> None:
+        self.ewma = 0.0
+        #: One entry per probed round: [offered, mux-level losses, packets
+        #: ``duet_hmux_vip_packets_total`` counted during the round].  The
+        #: counted column uses in-round registry deltas only, so concurrent
+        #: workload traffic cannot pollute the comparison.
+        self.window: Deque[List[float]] = deque()
+        #: Round index of the last probe; a long gap (VIP served elsewhere,
+        #: switch quarantined) makes the old evidence stale.
+        self.last_round = 0
+        self.offered = 0
+        self.losses = 0
+        self.counted = 0
 
-    @property
-    def losses(self) -> int:
-        return int(sum(entry[1] for entry in self.window))
+    def open_round(self, keep: int, counted: float) -> None:
+        """Start this round's entry, ``counted`` packets in it; the
+        window keeps the last ``keep`` entries."""
+        window = self.window
+        if len(window) == keep:
+            offered, losses, old = window.popleft()
+            self.offered -= offered
+            self.losses -= losses
+            self.counted -= old
+        window.append([0, 0, counted])
+        self.counted += counted
 
-    @property
-    def counted(self) -> float:
-        return sum(entry[2] for entry in self.window)
+    def probe(self, lost: bool) -> None:
+        entry = self.window[-1]
+        entry[0] += 1
+        self.offered += 1
+        if lost:
+            entry[1] += 1
+            self.losses += 1
 
 
 class HealthDetector:
@@ -200,7 +297,10 @@ class HealthDetector:
 
     def __init__(self, config: HealthConfig) -> None:
         self.config = config
-        self.tracks: Dict[str, TargetTrack] = {}
+        self.tracks: Dict[str, Union[TargetTrack, DipTrack]] = {}
+        #: (kind, ident) -> the switch / SMux track of ``tracks``.
+        self._mux_tracks: Dict[Tuple[str, int], TargetTrack] = {}
+        self._dips = _DipTable()
         self.gray_tracks: Dict[Tuple[int, int], GrayTrack] = {}
         #: (switch, vip) -> round index when flagged; cooldown gate.
         self.gray_flagged: Dict[Tuple[int, int], int] = {}
@@ -209,14 +309,22 @@ class HealthDetector:
 
     # -- track bookkeeping --------------------------------------------------
 
-    def track(self, key: str) -> Optional[TargetTrack]:
+    def track(self, key: str) -> Optional[Union[TargetTrack, DipTrack]]:
         return self.tracks.get(key)
 
-    def _track(self, key: str, kind: str, ident: int, t: float) -> TargetTrack:
+    def _track(
+        self, key: str, kind: str, ident: int, t: float,
+    ) -> Union[TargetTrack, DipTrack]:
         tr = self.tracks.get(key)
         if tr is None:
-            tr = TargetTrack(key=key, kind=kind, ident=ident, entered_state_t=t)
-            tr.dwell_rounds = self.config.quarantine_min_rounds
+            dwell = self.config.quarantine_min_rounds
+            if kind == "dip":
+                tr = DipTrack(self._dips, key, ident, t, dwell)
+            else:
+                tr = self._mux_tracks[(kind, ident)] = TargetTrack(
+                    key=key, kind=kind, ident=ident, entered_state_t=t,
+                    dwell_rounds=dwell,
+                )
             self.tracks[key] = tr
         return tr
 
@@ -233,9 +341,7 @@ class HealthDetector:
         if tr.state in (HealthState.HEALTHY, HealthState.SUSPECT):
             self._transition(tr, HealthState.QUARANTINED, t, "adopted external failure")
 
-    def _transition(
-        self, tr: TargetTrack, to: HealthState, t: float, detail: str = ""
-    ) -> None:
+    def _transition(self, tr, to: HealthState, t: float, detail: str = "") -> None:
         self.transitions.append({
             "t": t,
             "target": tr.key,
@@ -246,8 +352,12 @@ class HealthDetector:
         tr.enter(to, t)
 
     def state_counts(self) -> Dict[str, int]:
-        counts = {state.value: 0 for state in HealthState}
-        for tr in self.tracks.values():
+        table = self._dips
+        per_code = np.bincount(
+            table.state[:len(table.tracks)], minlength=len(_STATES),
+        ).tolist()
+        counts = {state.value: per_code[code] for code, state in enumerate(_STATES)}
+        for tr in self._mux_tracks.values():
             counts[tr.state.value] += 1
         return counts
 
@@ -256,53 +366,82 @@ class HealthDetector:
     def observe(
         self,
         round_,
-        hmux_deltas: Optional[Dict[Tuple[str, str], float]] = None,
+        hmux_deltas: Optional[Dict[Tuple[int, int], float]] = None,
     ) -> List[Verdict]:
         """Digest one :class:`~repro.health.probes.ProbeRound`.
 
-        ``hmux_deltas`` maps (switch-label, vip-label) to how much
+        ``hmux_deltas`` maps (switch index, VIP) to how much
         ``duet_hmux_vip_packets_total`` advanced *during* this round's
-        probes — the monitor snapshots the registry on both sides of
+        probes — the monitor snapshots the counters on both sides of
         the probe sweep so the delta is purely probe-driven.
         """
         t = round_.t
         self.rounds_seen += 1
         verdicts: List[Verdict] = []
-        dip_failing: Set[int] = set()
-
-        by_kind: Dict[str, List] = {"switch": [], "smux": [], "dip": [], "vip": []}
-        for out in round_.outcomes:
-            by_kind[out.kind].append(out)
-
-        for out in by_kind["dip"]:
-            tr = self._track(out.target, "dip", int(out.target.split(":")[1], 16), t)
-            tr.vip = out.vip
-            if tr.state is HealthState.RETIRED:
-                continue
-            tr.note(out.ok, self.config.ewma_alpha)
-            if not out.ok or tr.consec_fail > 0:
-                dip_failing.add(out.vip)
-            verdicts.extend(self._step_dip(tr, t))
-
-        for out in by_kind["switch"]:
-            tr = self._track(out.target, "switch", int(out.target.split(":")[1]), t)
-            if tr.state is HealthState.RETIRED:
-                continue
-            tr.note(out.ok, self.config.ewma_alpha)
-            verdicts.extend(self._step_mux(tr, t))
-
-        for out in by_kind["smux"]:
-            tr = self._track(out.target, "smux", int(out.target.split(":")[1]), t)
-            if tr.state is HealthState.RETIRED:
-                continue
-            tr.note(out.ok, self.config.ewma_alpha)
-            verdicts.extend(self._step_mux(tr, t))
-
+        dip_failing = self._observe_dips(round_.dip, t, verdicts)
+        alpha = self.config.ewma_alpha
+        for kind, beats, key_of in (
+            ("switch", round_.switch, switch_key), ("smux", round_.smux, smux_key),
+        ):
+            for ident, ok in zip(beats.ident.tolist(), beats.ok.tolist()):
+                tr = self._mux_tracks.get((kind, ident)) \
+                    or self._track(key_of(ident), kind, ident, t)
+                if tr.state is HealthState.RETIRED:
+                    continue
+                tr.note(ok, alpha)
+                verdicts.extend(self._step_mux(tr, t))
         verdicts.extend(
-            self._observe_gray(by_kind["vip"], dip_failing, hmux_deltas, t)
+            self._observe_gray(round_.vip, dip_failing, hmux_deltas or {}, t)
         )
-
         return verdicts
+
+    def _observe_dips(
+        self, probes, t: float, verdicts: List[Verdict],
+    ) -> Set[int]:
+        """Count every DIP probe into its track in one pass over the
+        columns, then step the state machine — in row order — for the
+        rows that can transition: a SUSPECT track, or a HEALTHY one at
+        the consecutive-miss bar.  A DIP probed twice in one round (a
+        DIP registered on two hosts) is counted and stepped row by row.
+        Returns the VIPs with a DIP failing its probe."""
+        table = self._dips
+        cfg = self.config
+        # New DIPs get a track, in row order.
+        slots = np.fromiter((
+            table.slot[dip] if dip in table.slot
+            else self._track(dip_key(dip), "dip", dip, t).slot
+            for dip in probes.dip.tolist()
+        ), np.int64, probes.dip.size)
+        shared = np.bincount(slots)[slots] > 1
+        alone = np.flatnonzero(~shared)
+        table.vip[slots[alone]] = probes.vip[alone]
+        rows = alone[table.state[slots[alone]] != _RETIRED]
+        at = slots[rows]
+        ok = probes.ok[rows]
+        alpha = cfg.ewma_alpha
+        table.ewma[at] = (1.0 - alpha) * table.ewma[at] + alpha * np.where(ok, 0.0, 1.0)
+        table.consec_ok[at] = np.where(ok, table.consec_ok[at] + 1, 0)
+        table.consec_fail[at] = np.where(ok, 0, table.consec_fail[at] + 1)
+        table.rounds_in_state[at] += 1
+        failing = set(probes.vip[rows[~ok]].tolist())
+        state = table.state[at]
+        stepped = rows[(state == _SUSPECT) | (
+            (state == _HEALTHY)
+            & (table.consec_fail[at] >= cfg.consecutive_miss_fast)
+        )]
+        for row in np.union1d(stepped, np.flatnonzero(shared)).tolist():
+            tr = table.tracks[slots[row]]
+            if shared[row]:
+                vip = tr.vip = int(probes.vip[row])
+                if tr.state is HealthState.RETIRED:
+                    continue
+                ok_row = bool(probes.ok[row])
+                tr.note(ok_row, alpha)
+                tr.rounds_in_state += 1
+                if not ok_row:
+                    failing.add(vip)
+            verdicts.extend(self._step_dip(tr, t))
+        return failing
 
     # -- mux state machine --------------------------------------------------
 
@@ -391,9 +530,10 @@ class HealthDetector:
 
     # -- DIP state machine --------------------------------------------------
 
-    def _step_dip(self, tr: TargetTrack, t: float) -> List[Verdict]:
+    def _step_dip(self, tr: DipTrack, t: float) -> List[Verdict]:
+        """One DIP's transition, its probe already counted (the round
+        in its state included)."""
         cfg = self.config
-        tr.rounds_in_state += 1
         out: List[Verdict] = []
         if tr.state is HealthState.HEALTHY:
             if tr.consec_fail >= cfg.consecutive_miss_fast:
@@ -416,51 +556,46 @@ class HealthDetector:
 
     def _observe_gray(
         self,
-        vip_outcomes: List,
+        probes,
         dip_failing: Set[int],
-        hmux_deltas: Optional[Dict[Tuple[str, str], float]],
+        hmux_deltas: Dict[Tuple[int, int], float],
         t: float,
     ) -> List[Verdict]:
         cfg = self.config
         out: List[Verdict] = []
-        touched: Set[Tuple[int, int]] = set()
+        alpha = cfg.ewma_alpha
+        rounds = self.rounds_seen
+        tracks = self.gray_tracks
+        # Keys whose window holds enough losses: the only ones the gates
+        # below can pass (losses only grow within a round).
+        lossy: Set[Tuple[int, int]] = set()
+        rows = np.flatnonzero(probes.mux_kind == HMUX)
+        # Post-mux drops (host agent) are the DIP's fault; count the
+        # probe as *delivered by the mux* for gray purposes.
+        status = probes.status[rows]
+        mux_ok = (status == FORWARD_OK) | (status == HOST_REFUSED)
+        for switch, vip, ok in zip(
+            probes.mux_ident[rows].tolist(), probes.vip[rows].tolist(),
+            mux_ok.tolist(),
+        ):
+            key = (switch, vip)
+            gt = tracks.get(key)
+            if gt is None or rounds - gt.last_round > 2:
+                # New, or the pair saw no probes for a while (VIP was
+                # served elsewhere, switch was quarantined): evidence
+                # gathered before the gap is stale — start a fresh window.
+                gt = tracks[key] = GrayTrack()
+            if gt.last_round != rounds or not gt.window:
+                gt.open_round(cfg.gray_window_rounds, hmux_deltas.get(key, 0))
+            gt.last_round = rounds
+            gt.ewma = (1.0 - alpha) * gt.ewma + (alpha * (0.0 if ok else 1.0))
+            gt.probe(not ok)
+            if gt.losses >= cfg.gray_min_losses:
+                lossy.add(key)
 
-        for o in vip_outcomes:
-            if o.mux_kind != "hmux" or o.mux_ident is None:
-                continue
-            key = (o.mux_ident, o.vip)
-            gt = self.gray_tracks.get(key)
-            if gt is None:
-                gt = self.gray_tracks[key] = GrayTrack()
-            elif self.rounds_seen - gt.last_round > 2:
-                # The pair saw no probes for a while (VIP was served
-                # elsewhere, switch was quarantined): evidence gathered
-                # before the gap is stale — start a fresh window.
-                gt = self.gray_tracks[key] = GrayTrack()
-            if gt.last_round != self.rounds_seen or not gt.window:
-                gt.window.append([0.0, 0.0, 0.0])
-                del gt.window[:-cfg.gray_window_rounds]
-            gt.last_round = self.rounds_seen
-            # Post-mux drops (host agent) are the DIP's fault; count the
-            # probe as *delivered by the mux* for gray purposes.
-            mux_ok = o.ok or o.post_mux
-            gt.ewma = (1.0 - cfg.ewma_alpha) * gt.ewma + (
-                cfg.ewma_alpha * (0.0 if mux_ok else 1.0)
-            )
-            gt.window[-1][0] += 1
-            if not mux_ok:
-                gt.window[-1][1] += 1
-            touched.add(key)
-
-        if hmux_deltas:
-            for key in touched:
-                delta = hmux_deltas.get((str(key[0]), format_ip(key[1])))
-                if delta:
-                    self.gray_tracks[key].window[-1][2] += delta
-
-        for key in sorted(touched):
+        for key in sorted(lossy):
             switch, vip = key
-            gt = self.gray_tracks[key]
+            gt = tracks[key]
             if gt.offered < cfg.gray_min_probes:
                 continue
             if gt.losses < cfg.gray_min_losses:
@@ -496,7 +631,7 @@ class HealthDetector:
                 detail=f"loss ewma={gt.ewma:.2f} over {gt.offered} probes",
             ))
             # Reset the evidence window after a verdict.
-            self.gray_tracks[key] = GrayTrack()
+            tracks[key] = GrayTrack()
             # Escalation: several gray VIPs on one switch means the
             # switch, not the VIP placement, is broken.
             recent = [

@@ -33,7 +33,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.controller import ControllerError, DuetController
+from repro.dataplane.batch import HOST_REFUSED
 from repro.health.detector import (
     HealthConfig,
     HealthDetector,
@@ -42,8 +45,13 @@ from repro.health.detector import (
     VerdictKind,
 )
 from repro.health.faults import FaultPlane, switch_key
-from repro.health.probes import ProbeNetwork, ProbeScheduler, SimClock
-from repro.net.addressing import format_ip
+from repro.health.probes import (
+    UNROUTED, ProbeNetwork, ProbeScheduler, SimClock,
+)
+
+#: The ``result`` labels of ``duet_health_vip_probe_outcomes_total``, by
+#: the code :meth:`HealthMonitor.run_round` gives each VIP probe.
+_VIP_RESULTS = ("ok", "post-mux-drop", "unrouted", "mux-drop")
 
 
 class RemediationLoop:
@@ -269,14 +277,13 @@ class HealthMonitor:
 
     # -- per-round plumbing -------------------------------------------------
 
-    def _hmux_counter_snapshot(self) -> Dict[Tuple[int, int], int]:
-        """Per-(switch, VIP) packets each HMux has forwarded: the source
-        of ``duet_hmux_vip_packets_total``, read off the switches rather
-        than through a scrape (which runs every collector)."""
+    def _hmux_counters(self) -> Dict[int, Dict[int, int]]:
+        """Per switch, the packets its HMux has forwarded per VIP: the
+        source of ``duet_hmux_vip_packets_total``, read off the switches
+        rather than through a scrape (which runs every collector)."""
         return {
-            (index, vip): packets
+            index: agent.hmux.counters.per_vip_packets
             for index, agent in self.controller.switch_agents.items()
-            for vip, packets in agent.hmux.counters.per_vip_packets.items()
         }
 
     def _adopt_external(self, t: float) -> None:
@@ -292,42 +299,42 @@ class HealthMonitor:
         t = self.clock.advance(self.config.probe_period_s)
         self._adopt_external(t)
 
-        before = self._hmux_counter_snapshot()
+        before = {
+            index: dict(packets) for index, packets in self._hmux_counters().items()
+        }
         round_ = self.scheduler.run_round(t)
-        after = self._hmux_counter_snapshot()
-        # Keyed as the registry labels the counter: (switch, VIP) strings.
-        deltas: Dict[Tuple[str, str], float] = {}
-        for (index, vip), packets in after.items():
-            moved = packets - before.get((index, vip), 0)
-            if moved:
-                deltas[(str(index), format_ip(vip))] = float(moved)
+        deltas: Dict[Tuple[int, int], int] = {}
+        for index, packets in self._hmux_counters().items():
+            was = before.get(index, {})
+            for vip, count in packets.items():
+                moved = count - was.get(vip, 0)
+                if moved:
+                    deltas[(index, vip)] = moved
 
-        # Outcomes are summed per label first and each sum applied once
-        # (in first-seen order, so children are created as before); RTTs
-        # are observed in probe order.
-        probes: Dict[Tuple[str, str], int] = {}
-        vip_outcomes: Dict[str, int] = {}
-        rtts: List[float] = []
-        for outcome in round_.outcomes:
-            key = (outcome.kind, "ok" if outcome.ok else "drop")
-            probes[key] = probes.get(key, 0) + 1
-            if outcome.kind != "vip":
-                continue
-            if outcome.ok:
-                result = "ok"
-            elif outcome.post_mux:
-                result = "post-mux-drop"
-            elif outcome.mux_kind is None:
-                result = "unrouted"
-            else:
-                result = "mux-drop"
-            vip_outcomes[result] = vip_outcomes.get(result, 0) + 1
-            if outcome.latency_s is not None:
-                rtts.append(outcome.latency_s)
-        for (kind, result), count in probes.items():
-            self._instruments["probes"].labels(kind, result).inc(count)
-        for result, count in vip_outcomes.items():
-            self._instruments["vip_outcomes"].labels(result).inc(count)
+        # Outcomes are counted per family and label, each count applied
+        # once, labels in first-seen order (so children are created as
+        # one probe at a time would); RTTs are observed in probe order.
+        probes = self._instruments["probes"]
+        for kind, ok in (
+            ("switch", round_.switch.ok), ("smux", round_.smux.ok),
+            ("dip", round_.dip.ok), ("vip", round_.vip.ok),
+        ):
+            good = int(np.count_nonzero(ok))
+            counts = {"ok": good, "drop": ok.size - good}
+            for result in ("ok", "drop") if ok.size and ok[0] else ("drop", "ok"):
+                if counts[result]:
+                    probes.labels(kind, result).inc(counts[result])
+        vips = round_.vip
+        result = np.select(
+            [vips.ok, vips.status == HOST_REFUSED, vips.mux_kind == UNROUTED],
+            [0, 1, 2], 3,
+        )
+        codes, first, counts = np.unique(result, return_index=True, return_counts=True)
+        for at in np.argsort(first).tolist():
+            self._instruments["vip_outcomes"].labels(
+                _VIP_RESULTS[codes[at]]
+            ).inc(int(counts[at]))
+        rtts = vips.latency_s[vips.ok].tolist()
         if rtts:
             vip_rtt = self._instruments["vip_rtt"].labels()
             for seconds in rtts:

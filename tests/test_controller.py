@@ -16,7 +16,7 @@ from repro.durability import (
     AntiEntropyReconciler, WriteAheadJournal, controller_fingerprint,
 )
 from repro.net.bgp import MuxKind
-from repro.net.topology import FatTreeParams, Topology
+from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.serialization import dip_to_dict, vip_to_dict
 from repro.workload.vips import (
     CLIENT_POOL, DIP_POOL, VIP_POOL, Dip, Vip, VipPopulation,
@@ -224,17 +224,24 @@ class TestDipLifecycle:
         for smux in controller.smuxes:
             assert new_dip.addr in smux.dips_of(vip.addr)
 
-    def test_add_dip_to_smux_only_vip(self, controller, tiny_topology):
-        smux_vips = [
+    def test_add_dip_to_smux_only_vip(self, tiny_params, fresh_tiny_population):
+        # One host-table entry per switch: most of the 20 VIPs overflow
+        # to the SMuxes.
+        topology = Topology(replace(
+            tiny_params, tables=SwitchTableSpec(host_table=1),
+        ))
+        controller = DuetController(topology, fresh_tiny_population, n_smuxes=2)
+        controller.run_initial_assignment()
+        vip = next(
             v for v in controller.population
             if controller.vip_location(v.addr) is None
-        ]
-        if not smux_vips:
-            pytest.skip("everything fit on HMuxes")
-        vip = smux_vips[0]
+        )
         new_dip = Dip(addr=0x64FF0002, server_id=2,
-                      tor=tiny_topology.server_tor(2))
+                      tor=topology.server_tor(2))
         controller.add_dip(vip.addr, new_dip)
+        for smux in controller.smuxes:
+            assert new_dip.addr in smux.dips_of(vip.addr)
+        assert new_dip.addr in controller.host_agents[2].registered_dips()
         assert controller.vip_location(vip.addr) is None
 
     def test_add_dip_refuses_a_dip_the_vip_holds(self):

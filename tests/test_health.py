@@ -6,6 +6,7 @@ keeps benign background loss from quarantining healthy devices), the
 gray-failure gates, and the verdict -> controller-op translation.
 """
 
+import numpy as np
 import pytest
 
 from repro.chaos import ChaosConfig
@@ -21,10 +22,12 @@ from repro.health import (
     Verdict,
     VerdictKind,
 )
+from repro.dataplane.batch import FORWARD_OK, HOST_REFUSED, MUX_DROP, NO_ROUTE
 from repro.health.faults import dip_key, gray_key, smux_key, switch_key
-from repro.health.probes import ProbeOutcome, ProbeRound
+from repro.health.probes import (
+    HMUX, UNROUTED, DipProbes, Heartbeats, ProbeRound, VipProbes,
+)
 from repro.health.remediation import RemediationLoop
-from repro.net.addressing import format_ip
 from repro.obs import MetricsRegistry, instrument_controller
 
 PERIOD = 0.003
@@ -32,10 +35,16 @@ PERIOD = 0.003
 
 def switch_round(t, oks):
     """One probe round of switch heartbeats: {index: ok}."""
-    return ProbeRound(t=t, outcomes=[
-        ProbeOutcome(kind="switch", target=switch_key(i), t=t, ok=ok)
-        for i, ok in sorted(oks.items())
-    ])
+    return ProbeRound(t, switch=Heartbeats(*zip(*sorted(oks.items()))))
+
+
+def hmux_probes(switch, rows):
+    """VIP probe columns offered to one HMux: ``rows`` of (vip, ok)."""
+    return VipProbes(
+        [vip for vip, _ in rows], [HMUX] * len(rows), [switch] * len(rows),
+        [FORWARD_OK if ok else MUX_DROP for _, ok in rows],
+        [150e-6 if ok else float("nan") for _, ok in rows],
+    )
 
 
 def drive_switch(detector, pattern, start_round=0):
@@ -131,7 +140,7 @@ class TestFaultPlane:
 
 class TestProbeNetwork:
     def test_vip_outcome_names_the_offered_mux(self):
-        """The outcome is the prober's whole record of a probe: which
+        """A probe row is the prober's whole record of a probe: which
         mux it was offered to, whether it came back, how fast."""
         controller = build_controller(ChaosConfig(seed=0))
         plane = FaultPlane()
@@ -141,23 +150,25 @@ class TestProbeNetwork:
             for addr, record in sorted(controller.records().items())
             if record.assigned_switch is not None
         )
-        [served] = network.probe_vips([vip], PERIOD, seq=0)
-        assert served.ok and not served.post_mux
-        assert (served.kind, served.vip) == ("vip", vip)
-        assert (served.mux_kind, served.mux_ident) == ("hmux", switch)
-        assert served.latency_s > 0
+        served = network.probe_vips([vip], seq=0)
+        assert served.ok.tolist() == [True]
+        assert served.status.tolist() == [FORWARD_OK]
+        assert served.vip.tolist() == [vip]
+        assert (served.mux_kind[0], served.mux_ident[0]) == (HMUX, switch)
+        assert served.latency_s[0] > 0
 
         plane.silent_fail_switch(switch, t=2 * PERIOD)
         before = controller.switch_agents[switch].hmux.counters.packets
-        dropped, unrouted = network.probe_vips(
-            [vip, 0x7F000001], 3 * PERIOD, seq=1,
-        )
-        assert not dropped.ok and dropped.latency_s is None
-        assert (dropped.mux_kind, dropped.mux_ident) == ("hmux", switch)
+        lost = network.probe_vips([vip, 0x7F000001], seq=1)
+        assert lost.ok.tolist() == [False, False]
+        assert np.isnan(lost.latency_s).all()
+        assert (lost.mux_kind[0], lost.mux_ident[0]) == (HMUX, switch)
+        assert lost.status[0] == MUX_DROP
         # Lost before the mux: offered, never counted.
         assert controller.switch_agents[switch].hmux.counters.packets == before
         # No route: offered to no mux at all.
-        assert not unrouted.ok and unrouted.mux_kind is None
+        assert (lost.mux_kind[1], lost.mux_ident[1]) == (UNROUTED, -1)
+        assert lost.status[1] == NO_ROUTE
 
         # Counted by a healthy mux, then refused by the host agent: a
         # post-mux loss the detector must not blame on the mux.
@@ -167,9 +178,9 @@ class TestProbeNetwork:
         )
         for dip in controller.record(other).dips:
             controller.host_agents[dip.server_id].set_health(dip.addr, False)
-        [refused] = network.probe_vips([other], 4 * PERIOD, seq=2)
-        assert not refused.ok and refused.post_mux
-        assert refused.mux_kind == "hmux"
+        refused = network.probe_vips([other], seq=2)
+        assert refused.status.tolist() == [HOST_REFUSED]
+        assert refused.mux_kind[0] == HMUX
 
 
 class TestMuxStateMachine:
@@ -251,9 +262,9 @@ class TestMuxStateMachine:
         verdicts = []
         for i in range(4):
             t = (i + 1) * PERIOD
-            verdicts.extend(det.observe(ProbeRound(t=t, outcomes=[
-                ProbeOutcome(kind="smux", target=smux_key(7), t=t, ok=False)
-            ])))
+            verdicts.extend(det.observe(
+                ProbeRound(t, smux=Heartbeats([7], [False]))
+            ))
         assert [v.kind for v in verdicts] == [VerdictKind.QUARANTINE_SMUX]
         assert verdicts[0].ident == 7
 
@@ -276,9 +287,7 @@ class TestMuxStateMachine:
 
 class TestDipStateMachine:
     def dip_round(self, t, ok, dip=0x0A0A0A0A, vip=0x0A000001):
-        return ProbeRound(t=t, outcomes=[
-            ProbeOutcome(kind="dip", target=dip_key(dip), t=t, ok=ok, vip=vip)
-        ])
+        return ProbeRound(t, dip=DipProbes([dip], [vip], [ok]))
 
     def drive(self, det, pattern, start=0):
         verdicts = []
@@ -311,24 +320,13 @@ class TestGrayDetection:
 
     def gray_round(self, t, losses, oks=0, vip=None, dip_ok=True):
         vip = self.VIP if vip is None else vip
-        outcomes = [
-            ProbeOutcome(kind="switch", target=switch_key(self.SWITCH),
-                         t=t, ok=True),
-            ProbeOutcome(kind="dip", target=dip_key(0x0A0A0A0A), t=t,
-                         ok=dip_ok, vip=vip),
-        ]
-        for _ in range(losses):
-            outcomes.append(ProbeOutcome(
-                kind="vip", target=f"vip:{vip:#x}", t=t, ok=False,
-                vip=vip, mux_kind="hmux", mux_ident=self.SWITCH,
-            ))
-        for _ in range(oks):
-            outcomes.append(ProbeOutcome(
-                kind="vip", target=f"vip:{vip:#x}", t=t, ok=True,
-                vip=vip, mux_kind="hmux", mux_ident=self.SWITCH,
-                latency_s=150e-6,
-            ))
-        return ProbeRound(t=t, outcomes=outcomes)
+        return ProbeRound(
+            t, switch=Heartbeats([self.SWITCH], [True]),
+            dip=DipProbes([0x0A0A0A0A], [vip], [dip_ok]),
+            vip=hmux_probes(
+                self.SWITCH, [(vip, False)] * losses + [(vip, True)] * oks,
+            ),
+        )
 
     def test_sustained_loss_yields_gray_verdict(self):
         det = HealthDetector(HealthConfig())
@@ -378,7 +376,7 @@ class TestGrayDetection:
         # The registry says the HMux processed every offered probe, so
         # whatever dropped them sat *after* the mux: no gray verdict.
         det = HealthDetector(HealthConfig())
-        key = (str(self.SWITCH), format_ip(self.VIP))
+        key = (self.SWITCH, self.VIP)
         verdicts = []
         for i in range(12):
             verdicts.extend(det.observe(
@@ -391,7 +389,7 @@ class TestGrayDetection:
         # dilute fresh mux-level loss past the detection budget.
         cfg = HealthConfig()
         det = HealthDetector(cfg)
-        key = (str(self.SWITCH), format_ip(self.VIP))
+        key = (self.SWITCH, self.VIP)
         round_no = 0
         for _ in range(30):
             round_no += 1
@@ -416,10 +414,9 @@ class TestGrayDetection:
             det.observe(self.gray_round((i + 1) * PERIOD, 1))
         # The pair sees no probes for > 2 rounds (VIP served elsewhere).
         for i in range(5, 9):
-            det.observe(ProbeRound(t=(i + 1) * PERIOD, outcomes=[
-                ProbeOutcome(kind="switch", target=switch_key(self.SWITCH),
-                             t=(i + 1) * PERIOD, ok=True),
-            ]))
+            det.observe(ProbeRound(
+                (i + 1) * PERIOD, switch=Heartbeats([self.SWITCH], [True]),
+            ))
         det.observe(self.gray_round(10 * PERIOD, 1))
         track = det.gray_tracks[(self.SWITCH, self.VIP)]
         assert track.offered == 1 and track.losses == 1
@@ -429,16 +426,10 @@ class TestGrayDetection:
         vips = [0x0A000001, 0x0A000002, 0x0A000003]
         verdicts = []
         for i in range(10):
-            t = (i + 1) * PERIOD
-            outcomes = [ProbeOutcome(
-                kind="switch", target=switch_key(self.SWITCH), t=t, ok=True,
-            )]
-            for vip in vips:
-                outcomes.append(ProbeOutcome(
-                    kind="vip", target=f"vip:{vip:#x}", t=t, ok=False,
-                    vip=vip, mux_kind="hmux", mux_ident=self.SWITCH,
-                ))
-            verdicts.extend(det.observe(ProbeRound(t=t, outcomes=outcomes)))
+            verdicts.extend(det.observe(ProbeRound(
+                (i + 1) * PERIOD, switch=Heartbeats([self.SWITCH], [True]),
+                vip=hmux_probes(self.SWITCH, [(vip, False) for vip in vips]),
+            )))
             if any(v.kind is VerdictKind.QUARANTINE_SWITCH for v in verdicts):
                 break
         kinds = [v.kind for v in verdicts]
@@ -505,9 +496,7 @@ class TestRemediation:
         victim = controller.smuxes[0].smux_id
         # The detector has been probing the SMux, so it has a track to
         # retire once the replacement lands.
-        detector.observe(ProbeRound(t=0.05, outcomes=[
-            ProbeOutcome(kind="smux", target=smux_key(victim), t=0.05, ok=True)
-        ]))
+        detector.observe(ProbeRound(0.05, smux=Heartbeats([victim], [True])))
         loop_.apply(Verdict(
             VerdictKind.QUARANTINE_SMUX, smux_key(victim), 0.1, victim,
         ), 0.1)

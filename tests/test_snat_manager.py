@@ -170,6 +170,66 @@ class TestControllerMonitoring:
             cold.traffic_bps
         )
 
+    def test_equal_windows_measure_equal_demand(
+        self, tiny_topology, fresh_tiny_population
+    ):
+        """Each call meters its own window, not everything since start."""
+        from repro.core.controller import DuetController
+        from repro.workload.vips import CLIENT_POOL
+
+        controller = DuetController(
+            tiny_topology, fresh_tiny_population, n_smuxes=2
+        )
+        controller.run_initial_assignment()
+        hot = fresh_tiny_population.vips[0]
+        measured = []
+        for _window in range(3):
+            for i in range(50):
+                controller.forward(make_tcp_packet(
+                    CLIENT_POOL.network + i, hot.addr, 3000 + i, 80
+                ))
+            by_id = {
+                d.vip_id: d for d in controller.measured_demands(window_s=1.0)
+            }
+            measured.append(by_id[hot.vip_id].traffic_bps)
+        assert measured == [pytest.approx(50 * 1520 * 8, rel=0.01)] * 3
+
+    def test_restored_controller_first_takes_a_baseline(
+        self, tiny_topology, fresh_tiny_population
+    ):
+        """A restored controller adopts meters that ran before it: its
+        first call measures nothing, the next one only the new window."""
+        from repro.core.controller import DuetController
+        from repro.durability import (
+            WriteAheadJournal, harvest_dataplane, restore_controller,
+        )
+        from repro.workload.vips import CLIENT_POOL
+
+        controller = DuetController(
+            tiny_topology, fresh_tiny_population, n_smuxes=2
+        )
+        controller.run_initial_assignment()
+        controller.attach_journal(WriteAheadJournal())
+        hot = fresh_tiny_population.vips[0]
+
+        def send(count):
+            for i in range(count):
+                controller.forward(make_tcp_packet(
+                    CLIENT_POOL.network + i, hot.addr, 3000 + i, 80
+                ))
+
+        send(50)
+        controller = restore_controller(
+            controller.journal, dataplane=harvest_dataplane(controller),
+        )
+        first = {d.vip_id: d for d in controller.measured_demands(1.0)}
+        assert first[hot.vip_id].traffic_bps == pytest.approx(hot.traffic_bps)
+        send(20)
+        second = {d.vip_id: d for d in controller.measured_demands(1.0)}
+        assert second[hot.vip_id].traffic_bps == pytest.approx(
+            20 * 1520 * 8, rel=0.01
+        )
+
     def test_window_validation(self, tiny_topology, fresh_tiny_population):
         from repro.core.controller import ControllerError, DuetController
 

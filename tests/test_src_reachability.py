@@ -56,6 +56,8 @@ KEEP = {
                        "reads, beside the evaluator's incremental one",
     "measured_demands": "operator API documented in OPERATIONS.md "
                         "(Routine re-balancing)",
+    "collect_traffic_reports": "operator API documented in OPERATIONS.md "
+                               "(the monitoring feed's per-VIP totals)",
     "load_trace": "the README promises trace files load back "
                   "(Workload files)",
     "close_outbound": "the paper's SNAT host-agent lifecycle (S5.2): an "
