@@ -44,7 +44,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.fastassign import FastAssignEngine, stats_for
+from repro.core.fastassign import (
+    FastAssignEngine, LegPlan, shape_key, stats_for,
+)
 from repro.net.routing import EcmpRouter, UnreachableError
 from repro.net.topology import SwitchKind, Topology
 from repro.workload.vips import VipDemand
@@ -142,9 +144,9 @@ class Assignment:
         return self.assigned_traffic_bps() / total
 
 
-#: Past this many memoized load vectors the cache is dropped wholesale
-#: (greedy + refine on the paper's scale stay far below it; the cap only
-#: guards against unbounded growth under adversarial demand churn).
+#: Past this many cached load-vector templates (or leg plans) the cache
+#: is dropped wholesale (a run on the paper's scale stays far below it;
+#: the cap only guards against unbounded growth under demand churn).
 _LOAD_CACHE_MAX = 65536
 
 
@@ -152,16 +154,17 @@ class LoadCalculator:
     """Computes the sparse extra-utilization vector L_{i,s,v} (Table 1).
 
     Path-fraction vectors are cached per (src, dst) pair as parallel
-    (link index, fraction) numpy arrays; the Internet ingress pattern
-    (spread equally over core switches, S2) is shared by all VIPs and
-    cached per candidate switch.  Full load vectors are additionally
-    memoized per (demand, candidate switch): :class:`VipDemand` is
-    frozen and the router's failure set is fixed at construction, so a
-    vector never goes stale for the lifetime of one calculator.  The
-    greedy assigner probes every candidate switch per VIP and the
-    refinement passes re-probe the same pairs repeatedly, so this turns
-    the dominant cost from recompute into a dict hit.  Cached arrays
-    are returned write-protected; callers must not mutate them.
+    (link index, fraction) numpy arrays; the Internet and diffuse
+    ingress patterns (spread equally over cores / racks, S2) are shared
+    by all VIPs and cached per candidate switch.  Per (demand shape,
+    switch) the calculator also keeps a load-vector *template*: the
+    demand's legs (:class:`~repro.core.fastassign.LegPlan`) with their
+    link indices and path fractions concatenated.  A shape
+    (:func:`~repro.core.fastassign.shape_key`) is everything but the
+    traffic volume, and the router's failure set is frozen at
+    construction, so a template never goes stale for the lifetime of
+    one calculator: each epoch's vector is the template scaled by that
+    epoch's traffic in a few array operations.
     """
 
     def __init__(
@@ -178,9 +181,12 @@ class LoadCalculator:
         self._pf_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._internet_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._diffuse_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._load_cache: Dict[
-            Tuple[VipDemand, int], Tuple[np.ndarray, np.ndarray]
-        ] = {}
+        self._plans: Dict[Tuple, LegPlan] = {}
+        # (shape, switch) -> (link indices, path fractions, leg lengths,
+        # plan); see :meth:`_template`.
+        self._templates: Dict[Tuple[Tuple, int], Tuple] = {}
+        # The last vector returned, for the commit that follows a price.
+        self._last: Tuple = (None, None, None)
         alive_cores = [
             c for c in topology.cores()
             if c not in self.router.failed_switches
@@ -204,49 +210,66 @@ class LoadCalculator:
 
     def _internet_pf(self, dst: int) -> Tuple[np.ndarray, np.ndarray]:
         """Average path-fraction vector from all (alive) cores to dst."""
-        cached = self._internet_cache.get(dst)
-        if cached is not None:
-            return cached
-        if not self._cores:
-            raise UnreachableError(-1, dst)
-        acc: Dict[int, float] = {}
-        share = 1.0 / len(self._cores)
-        for core in self._cores:
-            for link, fraction in self.router.path_fractions(core, dst).items():
-                acc[link] = acc.get(link, 0.0) + fraction * share
-        idx = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        val = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        self._internet_cache[dst] = (idx, val)
-        return idx, val
+        return self._spread_pf(self._internet_cache, self._cores, dst)
 
     def _diffuse_pf(self, dst: int) -> Tuple[np.ndarray, np.ndarray]:
         """Average path-fraction vector from every alive rack to dst —
         the template pricing diffuse (DC-wide) intra ingress."""
-        cached = self._diffuse_cache.get(dst)
+        return self._spread_pf(self._diffuse_cache, self._alive_tors, dst)
+
+    def _spread_pf(
+        self,
+        cache: Dict[int, Tuple[np.ndarray, np.ndarray]],
+        sources: List[int],
+        dst: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        cached = cache.get(dst)
         if cached is not None:
             return cached
-        if not self._alive_tors:
+        if not sources:
             raise UnreachableError(-1, dst)
         acc: Dict[int, float] = {}
-        share = 1.0 / len(self._alive_tors)
-        for tor in self._alive_tors:
-            if tor == dst:
-                continue
-            for link, fraction in self.router.path_fractions(tor, dst).items():
+        share = 1.0 / len(sources)
+        for src in sources:
+            # path_fractions(dst, dst) is empty: dst adds nothing.
+            for link, fraction in self.router.path_fractions(src, dst).items():
                 acc[link] = acc.get(link, 0.0) + fraction * share
         idx = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
         val = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        self._diffuse_cache[dst] = (idx, val)
+        cache[dst] = (idx, val)
         return idx, val
+
+    def leg_pf(
+        self, leg: Tuple, switch_index: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The path fractions of one :class:`LegPlan` leg with the VIP on
+        ``switch_index``."""
+        if leg[0] == "from":
+            return self._pf(leg[1], switch_index)
+        if leg[0] == "to":
+            return self._pf(switch_index, leg[1])
+        if leg[0] == "inet":
+            return self._internet_pf(switch_index)
+        return self._diffuse_pf(switch_index)
+
+    def leg_plan(self, demand: VipDemand) -> LegPlan:
+        """The legs of ``demand``'s shape under this failure set."""
+        key = shape_key(demand)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = LegPlan(demand, self.router.failed_switches)
+            if len(self._plans) >= _LOAD_CACHE_MAX:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
 
     def load_vector(
         self, demand: VipDemand, switch_index: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sparse additional *utilization* on links if ``demand`` lands on
         ``switch_index``: (link indices, added utilization).  Indices may
-        repeat; callers accumulate.  The result is memoized per
-        (demand, switch) and returned as write-protected arrays — treat
-        them as read-only.
+        repeat; callers accumulate.  Both arrays are write-protected (the
+        index array is the cached template's).
 
         Under failures, traffic sourced at dead racks has *disappeared*
         (S8.5) and DIPs on dead racks no longer receive a share (their
@@ -256,68 +279,44 @@ class LoadCalculator:
         :class:`UnreachableError` (never cached, so transient callers
         that catch it see consistent behavior on retry).
         """
-        key = (demand, switch_index)
-        cached = self._load_cache.get(key)
-        if cached is not None:
-            return cached
-        idx, util = self._compute_load_vector(demand, switch_index)
-        idx.setflags(write=False)
+        last_demand, last_switch, last_vector = self._last
+        if last_demand is demand and last_switch == switch_index:
+            # The sticky rule priced the stay; the commit asks again.
+            return last_vector
+        key = (shape_key(demand), switch_index)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._template(demand, switch_index)
+            if len(self._templates) >= _LOAD_CACHE_MAX:
+                self._templates.clear()
+            self._templates[key] = template
+        idx, pf, lengths, plan = template
+        # Per element: pf * (traffic * fraction), then / capacity — the
+        # operations of a leg-by-leg walk, in its order.
+        util = pf * np.repeat(plan.weights(demand.traffic_bps), lengths)
+        util /= self._capacity[idx]
         util.setflags(write=False)
-        if len(self._load_cache) >= _LOAD_CACHE_MAX:
-            self._load_cache.clear()
-        self._load_cache[key] = (idx, util)
+        self._last = (demand, switch_index, (idx, util))
         return idx, util
 
-    def invalidate(self) -> None:
-        """Drop the memoized load vectors (path-fraction caches stay:
-        they depend only on the topology and the frozen failure set)."""
-        self._load_cache.clear()
-
-    def _compute_load_vector(
+    def _template(
         self, demand: VipDemand, switch_index: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        failed = self.router.failed_switches
-        parts_idx: List[np.ndarray] = []
-        parts_val: List[np.ndarray] = []
-        traffic = demand.traffic_bps
-        # Ingress legs: client racks -> s (dead racks' traffic vanished).
-        for tor, fraction in demand.ingress_racks:
-            if tor in failed:
-                continue
-            idx, val = self._pf(tor, switch_index)
-            parts_idx.append(idx)
-            parts_val.append(val * (traffic * fraction))
-        # Internet leg: cores -> s.
-        if demand.internet_fraction > 0:
-            idx, val = self._internet_pf(switch_index)
-            parts_idx.append(idx)
-            parts_val.append(val * (traffic * demand.internet_fraction))
-        # Diffuse intra leg: uniformly from every rack -> s.
-        diffuse = demand.diffuse_intra_fraction
-        if diffuse > 1e-12:
-            idx, val = self._diffuse_pf(switch_index)
-            parts_idx.append(idx)
-            parts_val.append(val * (traffic * diffuse))
-        # DIP legs: s -> racks; the survivors share the traffic
-        # (resilient hashing re-spreads the dead DIPs' flows).
-        alive_dip_tors = [
-            (tor, count) for tor, count in demand.dip_tors
-            if tor not in failed
-        ]
-        alive_dips = sum(count for _, count in alive_dip_tors)
-        if alive_dips == 0 and demand.n_dips > 0:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, LegPlan]:
+        """The traffic-independent part of a load vector: every leg's
+        link indices and path fractions, concatenated, and each leg's
+        length."""
+        plan = self.leg_plan(demand)
+        if plan.all_unreachable:
             raise UnreachableError(switch_index, switch_index)
-        if alive_dips > 0:
-            per_dip = traffic / alive_dips
-            for tor, count in alive_dip_tors:
-                idx, val = self._pf(switch_index, tor)
-                parts_idx.append(idx)
-                parts_val.append(val * (per_dip * count))
-        if not parts_idx:
-            return (np.empty(0, dtype=np.int64), np.empty(0))
-        idx = np.concatenate(parts_idx)
-        load = np.concatenate(parts_val)
-        return idx, load / self._capacity[idx]
+        rows = [self.leg_pf(leg, switch_index) for leg in plan.keys]
+        lengths = np.array([len(idx) for idx, _ in rows], dtype=np.int64)
+        if rows:
+            idx = np.concatenate([idx for idx, _ in rows])
+            pf = np.concatenate([pf for _, pf in rows])
+        else:
+            idx, pf = np.empty(0, dtype=np.int64), np.empty(0)
+        idx.setflags(write=False)
+        return idx, pf, lengths, plan
 
     def apply(
         self,
@@ -438,9 +437,6 @@ class GreedyAssigner:
                 continue
             self._commit(demand, target, link_util, mem_util)
             placed[demand.vip_id] = target
-        # Load vectors are keyed on this solve's demands; an assigner
-        # that lives across epochs must not accumulate them.
-        self.calculator.invalidate()
         self.stats.record_solve(time.perf_counter() - started)
         return Assignment(
             topology=self.topology,
@@ -465,9 +461,8 @@ class GreedyAssigner:
             demand: VipDemand, link_util: np.ndarray, mem_util: np.ndarray
         ) -> Tuple[Optional[int], bool]:
             current = old_map.get(demand.vip_id)
-            if current in failed:
-                current = None
-            if current is not None:
+            keep_mru = None
+            if current is not None and current not in failed:
                 # Every fresh placement's MRU is >= the global max, so a
                 # feasible stay within delta of it can never lose to one.
                 global_max = self._global_max(link_util, mem_util)
@@ -480,9 +475,7 @@ class GreedyAssigner:
                 ):
                     self.stats.sticky_keeps += 1
                     return current, False
-            choice, keep_mru = self.score(
-                demand, link_util, mem_util, current
-            )
+            choice = self.best_switch(demand, link_util, mem_util)
             # Staying put is allowed even when no fresh placement fits,
             # as long as the current switch remains feasible.
             if keep_mru is not None and keep_mru <= 1.0 and (
@@ -503,23 +496,9 @@ class GreedyAssigner:
     ) -> Optional[Tuple[int, float]]:
         """The feasible switch minimizing MRU for this demand, with its
         resulting MRU; None if every placement would exceed capacity."""
-        return self.score(demand, link_util, mem_util)[0]
-
-    def score(
-        self,
-        demand: VipDemand,
-        link_util: np.ndarray,
-        mem_util: np.ndarray,
-        current: Optional[int] = None,
-    ) -> Tuple[Optional[Tuple[int, float]], Optional[float]]:
-        """One scoring pass over the switches: :meth:`best_switch`'s
-        answer, and beside it the MRU of placing the demand on
-        ``current`` (:meth:`placement_mru`'s value; None when no switch
-        is named or it is infeasible) — the two numbers the sticky rule
-        weighs against each other."""
         if self._engine is not None:
-            return self._engine.score(
-                self, demand, link_util, mem_util, current,
+            return self._engine.best_switch(
+                self, demand, link_util, mem_util,
             )
         # The reference walk: each candidate's load vector in turn.
         candidates = self._effective_candidates(demand, link_util, mem_util)
@@ -535,12 +514,7 @@ class GreedyAssigner:
             )
             for switch_index in candidates
         )
-        choice = self._select_best(demand, scored)
-        if current is None:
-            return choice, None
-        return choice, self.placement_mru(
-            demand, current, link_util, mem_util, global_max=global_max,
-        )
+        return self._select_best(demand, scored)
 
     def _select_best(
         self,

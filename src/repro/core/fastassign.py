@@ -1,10 +1,10 @@
 """Vectorized incremental VIP-assignment engine.
 
-The reference walk in :meth:`GreedyAssigner.best_switch` probes every
-candidate switch per VIP with a fresh sparse load-vector walk: for a
-fabric with |S| switches that is |S| concatenations, divisions and
-reductions *per VIP per epoch* — the control-plane hot path once epoch
-re-assignment runs at the ROADMAP scale.  This module batches that work:
+The reference walk in :meth:`GreedyAssigner.best_switch` prices every
+candidate switch per VIP with its own sparse load vector: for a fabric
+with |S| switches that is |S| scatters and reductions *per VIP per
+epoch* — the control-plane hot path once epoch re-assignment runs at
+the ROADMAP scale.  This module batches that work:
 
 * **Per-leg delta matrices.**  A VIP's load vector is a weighted sum of
   *legs* (ingress rack → s, Internet → s, diffuse → s, s → DIP rack),
@@ -35,8 +35,9 @@ re-assignment runs at the ROADMAP scale.  This module batches that work:
 **Bit-identity with the scalar engine** is the design contract, enforced
 by ``tests/test_assign_differential.py``: every float is produced by the
 same IEEE-754 operation sequence as the scalar code (``np.add.at``
-accumulates per cell in input order, exactly like the scalar dict loop;
-weights, divisions and comparisons reuse the scalar expressions), and
+accumulates per cell in input order, exactly like the scalar walk; both
+take their legs and weights from one :class:`LegPlan`, divide by the
+same capacities and compare with the same expressions), and
 tie-breaking goes through the very same seeded RNG in
 :meth:`GreedyAssigner._select_best`.
 """
@@ -160,72 +161,91 @@ class _LegMatrix:
         self.nnz = int(len(link_idx))
 
 
-#: Weight-spec tags: how to turn a demand's traffic into one leg's
-#: weight, mirroring the scalar ``_compute_load_vector`` expressions.
-_W_INGRESS = 0   # traffic * fraction          (fraction in the spec)
-_W_INTERNET = 1  # traffic * internet_fraction
-_W_DIFFUSE = 2   # traffic * diffuse_intra_fraction
-_W_DIP = 3       # (traffic / alive_dips) * count  (count in the spec)
+def shape_key(demand: VipDemand) -> Tuple:
+    """Everything a demand's load vectors depend on besides its traffic
+    volume.  Every epoch of a trace (``VipDemand.scaled``) has the same
+    key, so a shape's legs are built once per failure set."""
+    return (
+        demand.ingress_racks, demand.internet_fraction, demand.dip_tors,
+        demand.n_dips,
+    )
+
+
+class LegPlan:
+    """The legs of one demand shape's load vector and their weight rule,
+    read by both engines: ingress racks -> s, Internet (cores) -> s,
+    diffuse intra (every rack) -> s, then s -> DIP racks, in that order.
+
+    ``keys`` names each leg's path-fraction pattern (``("from", tor)``,
+    ``("inet",)``, ``("diff",)``, ``("to", tor)``).  Leg ``k`` carries
+    ``coef[k] * (traffic / div[k])``: an ingress fraction, the Internet
+    share or the diffuse share over a ``div`` of 1.0 (``x / 1.0 == x``
+    exactly, so that is ``traffic * fraction``), or a DIP rack's count
+    over the surviving DIPs (``(traffic / alive_dips) * count``).
+    Traffic sourced at dead racks has vanished and the survivors share
+    dead racks' DIPs' flows (S8.5); ``all_unreachable`` marks a VIP none
+    of whose DIPs survive, which no switch can serve.
+    """
+
+    __slots__ = ("keys", "coef", "div", "all_unreachable")
+
+    def __init__(self, demand: VipDemand, failed) -> None:
+        keys: List[Tuple] = []
+        coef: List[float] = []
+        for tor, fraction in demand.ingress_racks:
+            if tor not in failed:
+                keys.append(("from", tor))
+                coef.append(fraction)
+        if demand.internet_fraction > 0:
+            keys.append(("inet",))
+            coef.append(demand.internet_fraction)
+        diffuse = demand.diffuse_intra_fraction
+        if diffuse > 1e-12:
+            keys.append(("diff",))
+            coef.append(diffuse)
+        direct = len(keys)
+        alive = [
+            (tor, count) for tor, count in demand.dip_tors
+            if tor not in failed
+        ]
+        alive_dips = sum(count for _, count in alive)
+        self.all_unreachable = alive_dips == 0 and demand.n_dips > 0
+        if alive_dips > 0:
+            for tor, count in alive:
+                keys.append(("to", tor))
+                coef.append(count)
+        self.keys = keys
+        self.coef = np.array(coef, dtype=float)
+        self.div = np.ones(len(keys))
+        self.div[direct:] = alive_dips
+
+    def weights(self, traffic: float) -> np.ndarray:
+        """Per-leg traffic weights, in leg order."""
+        return self.coef * (traffic / self.div)
 
 
 class _DemandStructure:
-    """The traffic-independent stacking of one demand's legs.
+    """One demand shape's legs as the engine's leg matrices.
 
-    Shared by every demand with the same ingress racks / ingress flags /
-    DIP rack multiset; the per-epoch traffic volume only scales the leg
-    weights (:meth:`weights`), so a shifted-traffic epoch reuses the
+    The per-epoch traffic volume only scales the leg weights
+    (:meth:`LegPlan.weights`), so a shifted-traffic epoch reuses the
     structure as-is — the delta matrix never goes stale.  It holds
     references to the engine's leg matrices, not copies of their
     entries, so a structure is small enough to keep one per demand shape
     for as long as the engine lives.
     """
 
-    __slots__ = (
-        "legs", "specs", "reachable", "alive_dips", "all_unreachable", "nnz",
-    )
+    __slots__ = ("legs", "plan", "reachable", "nnz")
 
     def __init__(
-        self,
-        n_switches: int,
-        legs: List[_LegMatrix],
-        specs: List[Tuple[int, float]],
-        alive_dips: int,
-        all_unreachable: bool,
+        self, n_switches: int, legs: List[_LegMatrix], plan: LegPlan,
     ) -> None:
         self.legs = legs
-        self.specs = specs
-        self.alive_dips = alive_dips
-        self.all_unreachable = all_unreachable
+        self.plan = plan
         self.reachable = np.ones(n_switches, dtype=bool)
         for m in legs:
             self.reachable &= ~m.unreachable
         self.nnz = sum(m.nnz for m in legs)
-
-    def weights(self, demand: VipDemand) -> List[float]:
-        """Per-leg traffic weights, one scalar per leg, in leg order —
-        the exact expressions of the scalar ``_compute_load_vector``."""
-        traffic = demand.traffic_bps
-        out: List[float] = []
-        for tag, param in self.specs:
-            if tag == _W_INGRESS:
-                out.append(traffic * param)
-            elif tag == _W_INTERNET:
-                out.append(traffic * demand.internet_fraction)
-            elif tag == _W_DIFFUSE:
-                out.append(traffic * demand.diffuse_intra_fraction)
-            else:
-                per_dip = traffic / self.alive_dips
-                out.append(per_dip * param)
-        return out
-
-
-def _structure_key(demand: VipDemand) -> Tuple:
-    return (
-        demand.ingress_racks,
-        demand.internet_fraction > 0,
-        demand.diffuse_intra_fraction > 1e-12,
-        demand.dip_tors,
-    )
 
 
 class FastAssignEngine:
@@ -282,14 +302,7 @@ class FastAssignEngine:
         rows: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         for s in range(self.n_switches):
             try:
-                if key[0] == "from":
-                    rows.append(calc._pf(key[1], s))
-                elif key[0] == "to":
-                    rows.append(calc._pf(s, key[1]))
-                elif key[0] == "inet":
-                    rows.append(calc._internet_pf(s))
-                else:
-                    rows.append(calc._diffuse_pf(s))
+                rows.append(calc.leg_pf(key, s))
             except UnreachableError:
                 rows.append(None)
         matrix = _LegMatrix(self.n_switches, self.n_links, rows, calc._capacity)
@@ -303,39 +316,14 @@ class FastAssignEngine:
     # -- per-demand structures (the delta-matrix rows) -----------------------
 
     def _structure(self, demand: VipDemand) -> _DemandStructure:
-        key = _structure_key(demand)
+        key = shape_key(demand)
         cached = self._structures.get(key)
         if cached is not None:
             self.stats.structure_hits += 1
             return cached
-        failed = self.calculator.router.failed_switches
-        legs: List[_LegMatrix] = []
-        specs: List[Tuple[int, float]] = []
-        # Leg order mirrors the scalar ``_compute_load_vector`` exactly:
-        # ingress racks, Internet, diffuse, then DIP racks.
-        for tor, fraction in demand.ingress_racks:
-            if tor in failed:
-                continue
-            legs.append(self._leg(("from", tor)))
-            specs.append((_W_INGRESS, fraction))
-        if demand.internet_fraction > 0:
-            legs.append(self._leg(("inet",)))
-            specs.append((_W_INTERNET, 0.0))
-        if demand.diffuse_intra_fraction > 1e-12:
-            legs.append(self._leg(("diff",)))
-            specs.append((_W_DIFFUSE, 0.0))
-        alive_dip_tors = [
-            (tor, count) for tor, count in demand.dip_tors
-            if tor not in failed
-        ]
-        alive_dips = sum(count for _, count in alive_dip_tors)
-        all_unreachable = alive_dips == 0 and demand.n_dips > 0
-        if not all_unreachable:
-            for tor, count in alive_dip_tors:
-                legs.append(self._leg(("to", tor)))
-                specs.append((_W_DIP, float(count)))
+        plan = self.calculator.leg_plan(demand)
         structure = _DemandStructure(
-            self.n_switches, legs, specs, alive_dips, all_unreachable,
+            self.n_switches, [self._leg(leg) for leg in plan.keys], plan,
         )
         if len(self._structures) >= STRUCTURE_MAX:
             self.stats.rows_invalidated += len(self._structures)
@@ -365,32 +353,31 @@ class FastAssignEngine:
         dense = self._dense
         dense.fill(0.0)
         cells = dense.reshape(-1)
-        for leg, weight in zip(structure.legs, structure.weights(demand)):
+        weights = structure.plan.weights(demand.traffic_bps)
+        for leg, weight in zip(structure.legs, weights):
             util = leg.pf * weight
             util /= leg.caphr
             np.add.at(cells, leg.keys, util)
         dense += link_util
         return dense.max(axis=1)
 
-    def score(
+    def best_switch(
         self,
         assigner: "GreedyAssigner",
         demand: VipDemand,
         link_util: np.ndarray,
         mem_util: np.ndarray,
-        current: Optional[int] = None,
-    ) -> Tuple[Optional[Tuple[int, float]], Optional[float]]:
-        """Engine-side half of :meth:`GreedyAssigner.score`: one
-        vectorized pass prices every switch, the shared scalar selection
-        picks among the candidates, and the MRU of staying on
-        ``current`` is read off the same vector."""
+    ) -> Optional[Tuple[int, float]]:
+        """Engine-side half of :meth:`GreedyAssigner.best_switch`: one
+        vectorized pass prices every switch, and the shared scalar
+        selection picks among the candidates."""
         candidates = self.effective_candidates(
             assigner, demand, link_util, mem_util,
         )
         self.stats.candidate_evaluations += len(candidates)
         structure = self._structure(demand)
-        if structure.all_unreachable:
-            return None, None
+        if structure.plan.all_unreachable:
+            return None
         global_max = assigner._global_max(link_util, mem_util)
         mem_add = demand.n_dips / self.dip_capacity
         peaks = self._link_peaks(structure, demand, link_util)
@@ -402,10 +389,9 @@ class FastAssignEngine:
                 return None
             return max(global_max, float(peaks[s]), float(new_mem))
 
-        choice = assigner._select_best(
+        return assigner._select_best(
             demand, ((s, mru_on(s)) for s in candidates),
         )
-        return choice, None if current is None else mru_on(current)
 
     # -- candidate generation (vectorized container decomposition) -----------
 

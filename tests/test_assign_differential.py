@@ -19,10 +19,12 @@ budgets, and stop-on-first-failure both ways.  Every fifth scenario
 additionally replays five epochs of drifting traffic through a
 ``StickyMigrator`` on both backends and requires identical migration
 plans (steps, moved VIPs, shuffled traffic) at every epoch.  A second
-pass over all scenarios holds the sticky rule's keep-MRU, read off the
-fast backend's scoring vector, equal to ``placement_mru``, and a third
-holds the sticky rule's early keep to the decisions of a policy that
-prices every candidate for every VIP.
+pass over all scenarios holds the fast backend's price of a VIP's
+current switch equal to ``placement_mru``, and a third holds the sticky
+rule's early keep to the decisions of a policy that prices every
+candidate for every VIP.  One layer down, ``walk_load_vector`` keeps
+the leg-by-leg load-vector walk the calculator's templates replaced, as
+the oracle they must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from repro.core.assignment import (
     VIP_ORDERS,
     AssignmentConfig,
     GreedyAssigner,
+    LoadCalculator,
 )
 from repro.core.migration import StepKind, StickyMigrator
-from repro.net.routing import EcmpRouter
+from repro.net.routing import EcmpRouter, UnreachableError
 from repro.net.topology import FatTreeParams, SwitchTableSpec, Topology
 from repro.workload.vips import VipDemand, generate_population
 
@@ -116,6 +119,73 @@ def build_scenario(
     return topology, router, population.demands(), config
 
 
+def walk_load_vector(
+    calc: LoadCalculator, demand: VipDemand, switch_index: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The load vector leg by leg, as the calculator computed it before
+    it kept templates: the oracle ``load_vector`` must equal byte for
+    byte."""
+    failed = calc.router.failed_switches
+    parts_idx: List[np.ndarray] = []
+    parts_val: List[np.ndarray] = []
+    traffic = demand.traffic_bps
+    for tor, fraction in demand.ingress_racks:
+        if tor in failed:
+            continue
+        idx, val = calc._pf(tor, switch_index)
+        parts_idx.append(idx)
+        parts_val.append(val * (traffic * fraction))
+    if demand.internet_fraction > 0:
+        idx, val = calc._internet_pf(switch_index)
+        parts_idx.append(idx)
+        parts_val.append(val * (traffic * demand.internet_fraction))
+    diffuse = demand.diffuse_intra_fraction
+    if diffuse > 1e-12:
+        idx, val = calc._diffuse_pf(switch_index)
+        parts_idx.append(idx)
+        parts_val.append(val * (traffic * diffuse))
+    alive_dip_tors = [
+        (tor, count) for tor, count in demand.dip_tors if tor not in failed
+    ]
+    alive_dips = sum(count for _, count in alive_dip_tors)
+    if alive_dips == 0 and demand.n_dips > 0:
+        raise UnreachableError(switch_index, switch_index)
+    if alive_dips > 0:
+        per_dip = traffic / alive_dips
+        for tor, count in alive_dip_tors:
+            idx, val = calc._pf(switch_index, tor)
+            parts_idx.append(idx)
+            parts_val.append(val * (per_dip * count))
+    if not parts_idx:
+        return (np.empty(0, dtype=np.int64), np.empty(0))
+    idx = np.concatenate(parts_idx)
+    load = np.concatenate(parts_val)
+    return idx, load / calc._capacity[idx]
+
+
+def assert_load_vectors_match(
+    calc: LoadCalculator, demands: List[VipDemand],
+) -> Tuple[int, int]:
+    """``load_vector`` against the walk for every demand on every switch,
+    in order; returns (vectors compared, unreachable pairs)."""
+    compared = unreachable = 0
+    for demand in demands:
+        for s in range(calc.topology.n_switches):
+            try:
+                want = walk_load_vector(calc, demand, s)
+            except UnreachableError:
+                with pytest.raises(UnreachableError):
+                    calc.load_vector(demand, s)
+                unreachable += 1
+                continue
+            idx, util = calc.load_vector(demand, s)
+            assert idx.dtype == want[0].dtype and util.dtype == want[1].dtype
+            assert idx.tobytes() == want[0].tobytes(), (demand, s)
+            assert util.tobytes() == want[1].tobytes(), (demand, s)
+            compared += 1
+    return compared, unreachable
+
+
 def assert_assignments_identical(fast, scalar) -> None:
     assert fast.vip_to_switch == scalar.vip_to_switch
     assert fast.unassigned == scalar.unassigned
@@ -171,13 +241,14 @@ def test_engines_placement_identical(seed: int) -> None:
 
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))
 def test_keep_mru_from_the_scoring_pass_is_placement_mru(seed: int) -> None:
-    """The sticky rule reads the MRU of staying put off the vector the
-    fast backend scored every switch with; the reference walk's
-    ``placement_mru`` is the oracle, bit for bit, at every state a
-    sticky epoch passes through."""
+    """The fast backend prices every switch in one pass (``_link_peaks``
+    plus the memory term); the sticky rule prices staying put with the
+    templated ``placement_mru``.  At every state a sticky epoch passes
+    through, the two agree on the current switch, bit for bit."""
     topology, router, demands, config = build_scenario(seed)
     fast = GreedyAssigner(topology, config, router=router)
     assert fast.engine_name == "fast"
+    engine = fast._engine
     old_map = fast.assign(demands).vip_to_switch
     alive = [
         s for s in range(topology.n_switches)
@@ -189,23 +260,113 @@ def test_keep_mru_from_the_scoring_pass_is_placement_mru(seed: int) -> None:
 
     def checking(demand, link_util, mem_util):
         nonlocal compared, feasible
+        structure = engine._structure(demand)
+        global_max = fast._global_max(link_util, mem_util)
+        peaks = engine._link_peaks(structure, demand, link_util)
         # Where the VIP is (if anywhere) and one switch it is not on.
         for current in {old_map.get(demand.vip_id), pick.choice(alive)}:
             if current is None:
                 continue
-            choice, keep = fast.score(demand, link_util, mem_util, current)
-            assert keep == fast.placement_mru(
+            new_mem = mem_util[current] + demand.n_dips / fast.dip_capacity
+            priced = None
+            if not (
+                structure.plan.all_unreachable
+                or new_mem > 1.0 + 1e-12
+                or not structure.reachable[current]
+            ):
+                priced = max(global_max, float(peaks[current]), float(new_mem))
+            assert priced == fast.placement_mru(
                 demand, current, link_util, mem_util,
             )
-            assert choice == fast.best_switch(demand, link_util, mem_util)
             compared += 1
-            feasible += keep is not None
+            feasible += priced is not None
         return sticky(demand, link_util, mem_util)
 
     fast.place([d.scaled(1.3) for d in demands], checking)
     assert compared >= len(old_map)
     # Vacuous only where nothing could be placed to begin with.
     assert feasible > 0 or not old_map
+
+
+#: Demands per scenario the load-vector oracle varies.
+ORACLE_DEMANDS = 4
+
+
+def demand_variants(demand: VipDemand) -> List[VipDemand]:
+    """Shapes one generated demand does not reach on its own: no
+    Internet share, no diffuse share, no DIPs, and all three at once
+    (Internet only), which every switch the cores reach can serve."""
+    pinned = sum(fraction for _, fraction in demand.ingress_racks)
+    return [
+        replace(demand, internet_fraction=0.0),
+        replace(demand, internet_fraction=max(0.0, 1.0 - pinned)),
+        replace(demand, n_dips=0, dip_tors=()),
+        replace(
+            demand, ingress_racks=(), internet_fraction=1.0,
+            n_dips=0, dip_tors=(),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(N_SCENARIOS))
+def test_load_vector_is_the_leg_walk(seed: int) -> None:
+    """A templated load vector is the leg-by-leg walk's, byte for byte:
+    first-seen shapes, drifted epochs of them, shapes with no Internet,
+    diffuse or DIP share, dead ingress and DIP racks, and a VIP whose
+    DIP racks are all dead (unreachable from every switch)."""
+    topology, router, demands, config = build_scenario(seed)
+    picked = sorted(demands, key=lambda d: -d.traffic_bps)[:ORACLE_DEMANDS]
+    calc = LoadCalculator(topology, router, config.link_headroom)
+    drift = random.Random(seed ^ 0x10AD)
+    checked = picked + [d.scaled(drift.uniform(0.5, 1.8)) for d in picked]
+    checked += [v for d in picked for v in demand_variants(d)]
+    compared, _ = assert_load_vectors_match(calc, checked)
+    assert compared > 0
+
+    # Dead racks: one pinned ingress rack and one DIP rack die, another
+    # DIP rack survives; a second VIP has DIPs on the dead racks only.
+    failed = router.failed_switches
+    live = [
+        t for c in range(topology.n_containers)
+        if any(a not in failed for a in topology.aggs(c))
+        for t in topology.tors(c) if t not in failed
+    ]
+    t0, t1, t2 = (live * 3)[:3]
+    base = picked[0]
+    probe = replace(
+        base, ingress_racks=((t0, 0.3), (t1, 0.2)), internet_fraction=0.4,
+        dip_tors=((t1, 2), (t2, 3)), n_dips=5,
+    )
+    stranded = replace(probe, dip_tors=((t0, 2), (t1, 1)), n_dips=3)
+    calc = LoadCalculator(
+        topology, EcmpRouter(topology, failed_switches=(*failed, t0, t1)),
+        config.link_headroom,
+    )
+    shapes = [probe, probe.scaled(1.7), stranded] + picked
+    _, unreachable = assert_load_vectors_match(calc, shapes)
+    assert unreachable >= topology.n_switches  # every switch, for stranded
+
+
+def test_a_drifted_epoch_builds_no_new_template() -> None:
+    """Only the traffic volume changes between epochs, so the second
+    epoch's vectors all come from the first epoch's templates."""
+    seed = 3
+    topology, router, demands, config = build_scenario(seed)
+    calc = LoadCalculator(topology, router, config.link_headroom)
+    assert_load_vectors_match(calc, demands)
+    built: List[Tuple[VipDemand, int]] = []
+    template = calc._template
+
+    def counting(demand, switch_index):
+        # Unreachable pairs raise here every time: nothing is built.
+        made = template(demand, switch_index)
+        built.append((demand, switch_index))
+        return made
+
+    calc._template = counting
+    compared, _ = assert_load_vectors_match(calc, drifted(seed, demands))
+    assert compared > 0
+    assert built == []
 
 
 #: Sticky thresholds the early keep is checked under: none, the paper's,
@@ -227,11 +388,12 @@ def full_search(assigner: GreedyAssigner, old_map, delta: float):
 
     def policy(demand, link_util, mem_util):
         current = old_map.get(demand.vip_id)
-        if current in failed:
-            current = None
-        choice, keep_mru = assigner.score(
-            demand, link_util, mem_util, current,
-        )
+        keep_mru = None
+        if current is not None and current not in failed:
+            keep_mru = assigner.placement_mru(
+                demand, current, link_util, mem_util,
+            )
+        choice = assigner.best_switch(demand, link_util, mem_util)
         if keep_mru is not None and keep_mru <= 1.0 and (
             choice is None or keep_mru - choice[1] <= delta
         ):

@@ -204,11 +204,14 @@ class TestVipLifecycle:
 
 
 class TestDipLifecycle:
-    def _hmux_vip(self, controller):
-        return next(
+    def _hmux_vip(self, controller, min_dips=1):
+        vip = next((
             v for v in controller.population
             if controller.vip_location(v.addr) is not None
-        )
+            and v.n_dips >= min_dips
+        ), None)
+        assert vip is not None, f"no HMux-served VIP with {min_dips}+ DIPs"
+        return vip
 
     def test_add_dip_bounce(self, controller, tiny_topology):
         """S5.2: DIP addition bounces the VIP through SMux and back."""
@@ -259,9 +262,7 @@ class TestDipLifecycle:
         assert AntiEntropyReconciler(c).diff() == []
 
     def test_remove_dip(self, controller):
-        vip = self._hmux_vip(controller)
-        if vip.n_dips < 2:
-            pytest.skip("need at least two DIPs")
+        vip = self._hmux_vip(controller, min_dips=2)
         victim = vip.dips[0]
         controller.remove_dip(vip.addr, victim.addr)
         switch = controller.vip_location(vip.addr)
@@ -270,9 +271,7 @@ class TestDipLifecycle:
             assert victim.addr not in smux.dips_of(vip.addr)
 
     def test_remove_dip_resilient_for_others(self, controller):
-        vip = self._hmux_vip(controller)
-        if vip.n_dips < 3:
-            pytest.skip("need several DIPs")
+        vip = self._hmux_vip(controller, min_dips=3)
         packets = [client_packet(vip.addr, i) for i in range(60)]
         before = [controller.forward(p)[0].flow.dst_ip for p in packets]
         victim = vip.dips[0].addr
@@ -299,9 +298,7 @@ class TestDipLifecycle:
             controller.remove_dip(vip.addr, 0x7F000001)
 
     def test_dip_failure_alias(self, controller):
-        vip = self._hmux_vip(controller)
-        if vip.n_dips < 2:
-            pytest.skip("need at least two DIPs")
+        vip = self._hmux_vip(controller, min_dips=2)
         controller.dip_failure(vip.addr, vip.dips[0].addr)
         assert len(controller.record(vip.addr).dips) == vip.n_dips - 1
 

@@ -486,14 +486,13 @@ class TestRestore:
             state["n"] -= 1
             return state["n"] <= 0
 
+        crashed.recover_switch(1)
         crashed.set_crash_hook(hook)
-        try:
-            crashed.recover_switch(1)
+        # Recovery plans moves back onto switch 1; the second crash
+        # point falls between the plan's steps.
+        with pytest.raises(SimulatedCrash):
             crashed.rebalance()
-        except SimulatedCrash:
-            pass
-        else:
-            pytest.skip("no plan step reached a crash point")
+        assert uncommitted(crashed.journal), "no plan step was in flight"
         restored = restore_warm(crashed)
         twin.recover_switch(1)
         twin.rebalance()
@@ -859,8 +858,7 @@ class TestBatchEngineRecovery:
         assert survivor is agent.hmux  # warm restore adopts the object
         assert survivor.layout_version > version_before
         live = [p for p in packets if survivor.has_vip(p.flow.dst_ip)]
-        if not live:
-            pytest.skip("reconciliation moved every probe VIP off-switch")
+        assert live, "reconciliation moved every probe VIP off the switch"
         fresh = BatchHMux(survivor)
         got_stale = stale.process(FlowBatch.from_packets(live))
         got_fresh = fresh.process(FlowBatch.from_packets(live))

@@ -80,11 +80,10 @@ class TestFailures:
 
     def test_failover_lands_on_smux_racks(self, world):
         topology, _, assignment = world
-        smux_tor = topology.tors(1)[0]
-        computer = LinkUtilizationComputer(topology, smux_tors=[smux_tor])
         loaded = next(iter(assignment.vip_to_switch.values()))
-        if loaded == smux_tor:
-            pytest.skip("assignment picked the smux rack itself")
+        # An SMux rack other than the failed switch.
+        smux_tor = next(t for t in topology.tors(1) if t != loaded)
+        computer = LinkUtilizationComputer(topology, smux_tors=[smux_tor])
         scenario = switch_failures(topology, [loaded])
         normal = computer.compute(assignment)
         failed = computer.compute(assignment, scenario)

@@ -78,11 +78,14 @@ class TestSurvivingTraffic:
 
     def test_dead_ingress_reduces_traffic(self, world):
         topology, population, _ = world
-        demand = population.vips[0].demand()
-        ingress_tor = demand.ingress_racks[0][0]
-        dip_tors = {t for t, _ in demand.dip_tors}
-        if ingress_tor in dip_tors:
-            pytest.skip("ingress rack hosts a DIP; ambiguous")
+        # A pinned ingress rack that hosts none of the VIP's DIPs, so
+        # failing it cuts ingress only.
+        demand, ingress_tor = next((
+            (d, tor) for d in (v.demand() for v in population.vips)
+            for tor, _ in d.ingress_racks
+            if tor not in {t for t, _ in d.dip_tors}
+        ), (None, None))
+        assert demand is not None, "no ingress rack free of the VIP's DIPs"
         scenario = switch_failures(topology, [ingress_tor])
         survived = surviving_vip_traffic(demand, scenario, topology)
         assert survived < demand.traffic_bps

@@ -264,11 +264,11 @@ class TestControllerMonitoring:
         controller = DuetController(
             tiny_topology, fresh_tiny_population, n_smuxes=2
         )
-        singles = [v for v in fresh_tiny_population if v.n_dips == 1]
-        if not singles:
-            pytest.skip("no single-DIP VIP in this population")
-        vip = singles[0]
-        dip = vip.dips[0]
+        # The VIP with the fewest DIPs, pared down to its last one.
+        vip = min(fresh_tiny_population, key=lambda v: (v.n_dips, v.vip_id))
+        for extra in list(vip.dips)[1:]:
+            controller.remove_dip(vip.addr, extra.addr)
+        (dip,) = controller.record(vip.addr).dips
         controller.host_agents[dip.server_id].set_health(
             dip.addr, healthy=False
         )

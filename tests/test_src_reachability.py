@@ -22,6 +22,10 @@ by some non-test file (see :func:`set_fields`).  There is no exemption
 list: a value no caller sets is a constant next to the code that reads
 it, and a test that needs another value monkeypatches the constant or
 subclasses the class that holds it.
+
+Skips: no test under ``tests/`` calls ``pytest.skip``.  A test whose
+case a seeded world might not produce builds that case, or fails naming
+it; only platform ``skipif`` markers stay.
 """
 
 import ast
@@ -262,3 +266,17 @@ def test_every_config_field_is_set_outside_tests():
         for field in fields if field not in set_by[name]
     )
     assert not unset, f"knobs only tests set: {unset}"
+
+
+def test_no_test_skips_on_what_its_world_produced():
+    calls = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute) and func.attr == "skip"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "pytest"
+            ):
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not calls, f"pytest.skip calls: {calls}"
